@@ -11,6 +11,7 @@ state twice produces byte-identical files.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -39,29 +40,41 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint; any malformed or truncated content is a DataError."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    pos = 4
+    n = len(raw)
+
+    def take(size: int) -> int:
+        nonlocal pos
+        if pos + size > n:
+            raise DataError(f"{path}: truncated at byte {n}; a record needs "
+                            f"{pos + size} bytes")
+        start, pos = pos, pos + size
+        return start
+
+    def u32s(count: int) -> tuple:
+        return struct.unpack_from(f"<{count}I", raw, take(4 * count))
+
+    (version,) = u32s(1)
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     out: dict[str, np.ndarray] = {}
-    pos = 8
-    n = len(raw)
     while pos < n:
-        (key_len,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        key = raw[pos:pos + key_len].decode("utf-8")
-        pos += key_len
-        (rank,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        dims = struct.unpack_from(f"<{rank}I", raw, pos) if rank else ()
-        pos += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(dims)
-        pos += 8 * count
-        out[key] = arr.astype(np.float64, copy=True)
-    if pos != n:
-        raise DataError(f"{path}: trailing bytes after last record")
+        (key_len,) = u32s(1)
+        start = take(key_len)
+        try:
+            key = raw[start:pos].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: record key at byte {start} is not utf-8") from e
+        (rank,) = u32s(1)
+        dims = u32s(rank)
+        count = math.prod(dims)
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=take(8 * count))
+        out[key] = arr.reshape(dims).astype(np.float64, copy=True)
+    if not out:
+        raise DataError(f"{path}: checkpoint holds no records")
     return out

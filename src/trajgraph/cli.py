@@ -62,8 +62,13 @@ def _split_meta(state: dict) -> tuple[ModelConfig, str, float, dict]:
     strategy = "plain"
     gamma = 0.0
     for key, value in state.items():
+        if key.startswith("cfg.") and (value.shape != (1,) or not np.isfinite(value[0])):
+            raise DataError(f"checkpoint record {key} is not one finite number")
         if key == "cfg.strategy_index":
-            strategy = STRATEGIES[int(value[0])]
+            index = float(value[0])
+            if not index.is_integer() or not 0 <= index < len(STRATEGIES):
+                raise DataError(f"checkpoint strategy index {index:g} is out of range")
+            strategy = STRATEGIES[int(index)]
         elif key == "cfg.gamma":
             gamma = float(value[0])
         elif key.startswith("cfg."):
@@ -122,26 +127,12 @@ def _synthetic_config(cfg: RunConfig) -> SyntheticConfig:
 
 def _model_config(cfg: RunConfig) -> ModelConfig:
     d, m = cfg["data"], cfg["model"]
-    return ModelConfig(
-        n_categories=d["n_categories"], t_history=d["t_history"],
-        t_future=d["t_future"], tau=m["tau"], hidden_dim=m["hidden_dim"],
-        edge_dim=m["edge_dim"], attn_dim=m["attn_dim"],
-        gru_layers=m["gru_layers"], temperature=m["temperature"],
-        homogeneous=m["homogeneous"],
-        edge_noise_scale=m["edge_noise_scale"], step_noise=m["step_noise"])
+    return ModelConfig(**{f.name: m[f.name] if f.name in m else d[f.name]
+                          for f in dataclasses.fields(ModelConfig)})
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(
-        epochs=t["epochs"], batch_size=t["batch_size"],
-        learning_rate=t["learning_rate"], gamma=t["gamma"],
-        penalty=t["penalty"], strategy=t["strategy"],
-        alpha_init=t["alpha_init"],
-        alpha_decay_interval=t["alpha_decay_interval"],
-        alpha_decay_factor=t["alpha_decay_factor"],
-        alpha_floor=t["alpha_floor"], seed=t["seed"],
-        val_samples=t["val_samples"])
+    return TrainConfig(**cfg["train"])
 
 
 def _threads(cfg: RunConfig, flag: int | None) -> int:

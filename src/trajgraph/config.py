@@ -3,17 +3,20 @@
 An absent file or omitted key falls back to the defaults below, which
 reproduce the reference training setup (window size 5, hidden width 128,
 batch 128 for 200 epochs, Adam at 1e-3, concrete temperature 0.5, mixup
-concentration 10 halving every 10 epochs). Unknown sections or keys are
+concentration 10 halving every 10 epochs); the [model] and [train] ones
+are the ModelConfig and TrainConfig defaults. Unknown sections or keys are
 rejected for typo safety. Command-line flags override file values.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .model import ModelConfig
+from .training import TrainConfig
 
 DEFAULTS: dict[str, dict] = {
     "data": {
@@ -34,31 +37,10 @@ DEFAULTS: dict[str, dict] = {
         "split_test": 0.25,
         "seed": 0,
     },
-    "model": {
-        "tau": 5,
-        "hidden_dim": 128,
-        "edge_dim": 128,
-        "attn_dim": 128,
-        "gru_layers": 2,
-        "temperature": 0.5,
-        "homogeneous": False,
-        "edge_noise_scale": 1.0,
-        "step_noise": True,
-    },
-    "train": {
-        "epochs": 200,
-        "batch_size": 128,
-        "learning_rate": 1e-3,
-        "gamma": 0.0,
-        "penalty": "entropy",
-        "strategy": "plain",
-        "alpha_init": 10.0,
-        "alpha_decay_interval": 10,
-        "alpha_decay_factor": 0.5,
-        "alpha_floor": 0.1,
-        "seed": 0,
-        "val_samples": 3,
-    },
+    # the dataclass defaults; the scene shape stays in [data]
+    "model": {f.name: f.default for f in fields(ModelConfig)
+              if f.name not in ("n_categories", "t_history", "t_future")},
+    "train": {f.name: f.default for f in fields(TrainConfig)},
     "eval": {
         "samples": 20,
         "threads": 0,        # 0: use available cores

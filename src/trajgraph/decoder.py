@@ -4,8 +4,9 @@ Per step, each target agent aggregates value vectors from its in-neighbors
 on the current window's inferred graph. Queries, keys, and values pass
 through per-category single-layer mappings before the shared projections,
 so heterogeneity costs only linear space in the number of categories.
-Category-aware GRUs then update the per-agent hidden state, and a residual
-head emits the change in position.
+Category-aware GRUs (`nn.gru_step` on weights stacked per category) then
+update the per-agent hidden state, and a residual head emits the change in
+position.
 
 Category dispatch runs every category's module on the whole batch and
 combines rows with one-hot masks, which is exactly category indexing at
@@ -24,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DArray
 from .errors import ConfigError
-from .nn import MLP, Affine, GRUStack, ParamStore, linear
+from .nn import MLP, Affine, GRUStack, ParamStore, gru_gates, gru_step, linear
 from .rng import RngStream
 
 from .encoder import InteractionGraphSample
@@ -67,9 +68,10 @@ class TrajectoryDecoder:
 class DecoderRun:
     """Per-rollout decoder state: hidden layers plus per-window caches.
 
-    Per-category weights are stacked along a leading category axis once per
-    rollout; each step then runs one batched GEMM and collapses the result
-    with one-hot masks, which equals per-agent weight indexing exactly.
+    Per-category weights are stacked along a leading category axis and
+    split into GRU gate blocks once per rollout; each step then runs one
+    batched GEMM per gate and input and collapses the result with one-hot
+    masks, which equals per-agent weight indexing exactly.
     """
 
     def __init__(self, decoder: TrajectoryDecoder, batch: int, n_agents: int,
@@ -98,21 +100,12 @@ class DecoderRun:
                 w = stack_params("dec." + kind + ".{c}.W")
                 b = stack_params("dec." + kind + ".{c}.b").reshape(n_cat, 1, h)
                 self._gmaps[kind] = (w, b)
-        self._gru = []
-        for layer in range(gru_layers):
-            w_ih = stack_params(f"dec.gru.{{c}}.l{layer}.W_ih")
-            w_hh = stack_params(f"dec.gru.{{c}}.l{layer}.W_hh")
-            b_ih = stack_params(f"dec.gru.{{c}}.l{layer}.b_ih").reshape(n_cat, 1, 3 * h)
-            b_hh = stack_params(f"dec.gru.{{c}}.l{layer}.b_hh").reshape(n_cat, 1, 3 * h)
-            self._gru.append({
-                "w_ir": w_ih[:, :, :h], "w_iz": w_ih[:, :, h:2 * h],
-                "w_in": w_ih[:, :, 2 * h:],
-                "w_hr": w_hh[:, :, :h], "w_hz": w_hh[:, :, h:2 * h],
-                "w_hn": w_hh[:, :, 2 * h:],
-                "b_r": b_ih[:, :, :h] + b_hh[:, :, :h],
-                "b_z": b_ih[:, :, h:2 * h] + b_hh[:, :, h:2 * h],
-                "b_in": b_ih[:, :, 2 * h:], "b_hn": b_hh[:, :, 2 * h:],
-            })
+        self._gru = [
+            gru_gates(stack_params(f"dec.gru.{{c}}.l{layer}.W_ih"),
+                      stack_params(f"dec.gru.{{c}}.l{layer}.W_hh"),
+                      stack_params(f"dec.gru.{{c}}.l{layer}.b_ih").reshape(n_cat, 1, 3 * h),
+                      stack_params(f"dec.gru.{{c}}.l{layer}.b_hh").reshape(n_cat, 1, 3 * h))
+            for layer in range(gru_layers)]
 
     def _stack_rows(self, x: DArray) -> DArray:
         """(B, N, F) -> (C, B*N, F) with the rows repeated per category."""
@@ -231,13 +224,10 @@ class DecoderRun:
             m = self.attend(self.state[-1], graph, train)
         inp = ad.concat([m, x], axis=-1)
         new_state = []
-        for layer, p in enumerate(self._gru):
+        for layer, gates in enumerate(self._gru):
             xs = self._stack_rows(inp)
             hs = self._stack_rows(self.state[layer])
-            r = ad.sigmoid(xs @ p["w_ir"] + hs @ p["w_hr"] + p["b_r"])
-            zg = ad.sigmoid(xs @ p["w_iz"] + hs @ p["w_hz"] + p["b_z"])
-            cand = ad.tanh(xs @ p["w_in"] + p["b_in"] + r * (hs @ p["w_hn"] + p["b_hn"]))
-            h_new = self._collapse((1.0 - zg) * cand + zg * hs)
+            h_new = self._collapse(gru_step(xs, hs, gates))
             new_state.append(h_new)
             inp = h_new
         self.state = new_state

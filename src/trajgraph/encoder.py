@@ -9,8 +9,10 @@ Bernoulli edges (or thresholds them in the deterministic "map" mode).
 
 Array convention: batches of same-size scenes, so node tensors are
 (B, N, H) and edge tensors (B, N, N, ...) with index [b, i, j] meaning the
-directed pair i -> j. Diagonals are never read; masked batch-norm keeps
-them out of normalization statistics too.
+directed pair i -> j. The edge MLPs, the edge GRU and the relation
+projection run only on the N(N-1) off-diagonal pairs, gathered once per
+use by `offdiag_pairs`; batch-norm statistics therefore cover exactly
+those pairs. Dense edge tensors carry a zero diagonal.
 """
 
 from __future__ import annotations
@@ -45,9 +47,23 @@ class InteractionGraphSample:
         return self.z.shape[-1]
 
 
-def _offdiag_mask(b: int, n: int) -> np.ndarray:
-    m = 1.0 - np.eye(n)
-    return np.broadcast_to(m, (b, n, n)).copy()
+def offdiag_pairs(x: DArray) -> DArray:
+    """(B, N, N, F) -> (B, N-1, N, F): the pairs i != j in row-major order.
+
+    Dropping the first flat entry leaves the diagonal as the last column
+    of an (N-1, N+1) grid, so basic slices and reshapes suffice.
+    """
+    b, n, _, f = x.shape
+    return x.reshape(b, n * n, f)[:, 1:].reshape(b, n - 1, n + 1, f)[:, :, :n]
+
+
+def dense_pairs(x: DArray) -> DArray:
+    """Inverse of `offdiag_pairs`: (B, N-1, N, F) -> (B, N, N, F), zero diagonal."""
+    b, m, n, f = x.shape
+    padded = ad.concat([x, DArray(np.zeros((b, m, 1, f)))], axis=2)
+    flat = ad.concat([DArray(np.zeros((b, 1, f))),
+                      padded.reshape(b, m * (n + 1), f)], axis=1)
+    return flat.reshape(b, n, n, f)
 
 
 class GraphEncoder:
@@ -87,13 +103,12 @@ class GraphEncoder:
         b, n, h = v.shape
         if n < 2:
             raise ContractError("gnn pass needs at least 2 agents")
-        mask = _offdiag_mask(b, n)[..., None]          # (B, N, N, 1)
         diffs = v.reshape(b, n, 1, h) - v.reshape(b, 1, n, h)   # v_i - v_j
-        msg = self.f_e(diffs, train=train, mask=mask) * DArray(mask)
+        msg = dense_pairs(self.f_e(offdiag_pairs(diffs), train=train))
         agg = msg.sum(axis=1)                          # sum over sources i
         v_t = self.f_v(agg, train=train)
         tdiffs = v_t.reshape(b, n, 1, h) - v_t.reshape(b, 1, n, h)
-        e_t = self.f_e2(tdiffs, train=train, mask=mask) * DArray(mask)
+        e_t = dense_pairs(self.f_e2(offdiag_pairs(tdiffs), train=train))
         return v_t, e_t
 
     def sample_edge_features(self, e_tilde: DArray, rng: RngStream,
@@ -102,21 +117,23 @@ class GraphEncoder:
         if noise_scale == 0.0:
             return e_tilde
         noise = rng.normal(scale=noise_scale, size=e_tilde.shape)
-        b, n = e_tilde.shape[0], e_tilde.shape[1]
-        noise *= _offdiag_mask(b, n)[..., None]
+        noise *= (1.0 - np.eye(e_tilde.shape[1]))[..., None]
         return e_tilde + DArray(noise)
 
     def update_relations(self, e_tilde: DArray, state: list[DArray] | None,
                          train: bool = True) -> tuple[DArray, list[DArray]]:
-        """Advance the per-edge GRU and project to relation logits."""
+        """Advance the per-edge GRU and project to relation logits.
+
+        The GRU state holds one row per off-diagonal pair; the returned
+        (B, N, N) logits have a zero diagonal.
+        """
         b, n, _, d = e_tilde.shape
-        flat = e_tilde.reshape(b * n * n, d)
+        rows = offdiag_pairs(e_tilde).reshape(b * (n - 1) * n, d)
         if state is None:
-            state = self.edge_gru.init_state((b * n * n,))
-        out, new_state = self.edge_gru(flat, state)
-        mask = _offdiag_mask(b, n).reshape(b * n * n, 1)
-        logits = self.f_proj(out, train=train, mask=mask)
-        return logits.reshape(b, n, n), new_state
+            state = self.edge_gru.init_state((rows.shape[0],))
+        out, new_state = self.edge_gru(rows, state)
+        logits = self.f_proj(out, train=train).reshape(b, n - 1, n, 1)
+        return dense_pairs(logits).reshape(b, n, n), new_state
 
     def sample_relations(self, logits: DArray, mode: str,
                          rng: RngStream) -> tuple[DArray, DArray]:
@@ -126,8 +143,7 @@ class GraphEncoder:
         sample: hard Bernoulli draw per ordered pair;
         map:    deterministic threshold at probability 1/2.
         """
-        b, n = logits.shape[0], logits.shape[-1]
-        mask = _offdiag_mask(b, n)
+        mask = 1.0 - np.eye(logits.shape[-1])
         probs = ad.sigmoid(logits) * DArray(mask)
         if mode == "train":
             noise = rng.logistic(size=logits.shape) * mask

@@ -12,6 +12,7 @@ Normalizer to go back to source units.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -22,6 +23,10 @@ from .evaluation import ade_fde
 from .model import ModelConfig, TrajectoryModel
 from .rng import STREAM_EVAL, RngStream
 from .training import TrainConfig, train
+
+# dataclass defaults, read by the explicit signature get_params inspects
+_M = {f.name: f.default for f in dataclasses.fields(ModelConfig)}
+_T = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
 
 
 def check_scenes(scenes: list[Scene], n_categories: int,
@@ -53,14 +58,18 @@ class TrajectoryForecaster:
     that larger is better.
     """
 
-    def __init__(self, n_categories=3, t_history=5, t_future=10, tau=5,
-                 hidden_dim=128, edge_dim=128, attn_dim=128, gru_layers=2,
-                 temperature=0.5, homogeneous=False, edge_noise_scale=1.0,
-                 step_noise=True, strategy="plain", gamma=0.0,
-                 penalty="entropy", epochs=200, batch_size=128,
-                 learning_rate=1e-3, alpha_init=10.0, alpha_decay_interval=10,
-                 alpha_decay_factor=0.5, alpha_floor=0.1, n_samples=20,
-                 val_fraction=0.1, seed=0):
+    def __init__(self, n_categories=_M["n_categories"], t_history=_M["t_history"],
+                 t_future=_M["t_future"], tau=_M["tau"], hidden_dim=_M["hidden_dim"],
+                 edge_dim=_M["edge_dim"], attn_dim=_M["attn_dim"],
+                 gru_layers=_M["gru_layers"], temperature=_M["temperature"],
+                 homogeneous=_M["homogeneous"], edge_noise_scale=_M["edge_noise_scale"],
+                 step_noise=_M["step_noise"], strategy=_T["strategy"], gamma=_T["gamma"],
+                 penalty=_T["penalty"], epochs=_T["epochs"], batch_size=_T["batch_size"],
+                 learning_rate=_T["learning_rate"], alpha_init=_T["alpha_init"],
+                 alpha_decay_interval=_T["alpha_decay_interval"],
+                 alpha_decay_factor=_T["alpha_decay_factor"],
+                 alpha_floor=_T["alpha_floor"], n_samples=20, val_fraction=0.1,
+                 seed=_T["seed"]):
         self.n_categories = n_categories
         self.t_history = t_history
         self.t_future = t_future
@@ -107,23 +116,14 @@ class TrajectoryForecaster:
 
     # ------------------------------------------------------------- lifecycle
     def _model_config(self) -> ModelConfig:
-        return ModelConfig(
-            n_categories=self.n_categories, t_history=self.t_history,
-            t_future=self.t_future, tau=self.tau, hidden_dim=self.hidden_dim,
-            edge_dim=self.edge_dim, attn_dim=self.attn_dim,
-            gru_layers=self.gru_layers, temperature=self.temperature,
-            homogeneous=self.homogeneous,
-            edge_noise_scale=self.edge_noise_scale, step_noise=self.step_noise)
+        return ModelConfig(**{f.name: getattr(self, f.name)
+                              for f in dataclasses.fields(ModelConfig)})
 
     def _train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs, batch_size=self.batch_size,
-            learning_rate=self.learning_rate, gamma=self.gamma,
-            penalty=self.penalty, strategy=self.strategy,
-            alpha_init=self.alpha_init,
-            alpha_decay_interval=self.alpha_decay_interval,
-            alpha_decay_factor=self.alpha_decay_factor,
-            alpha_floor=self.alpha_floor, seed=self.seed)
+        # val_samples is not an estimator parameter and keeps its default
+        names = set(self._param_names())
+        return TrainConfig(**{f.name: getattr(self, f.name)
+                              for f in dataclasses.fields(TrainConfig) if f.name in names})
 
     def fit(self, scenes: list[Scene], val_scenes: list[Scene] | None = None
             ) -> "TrajectoryForecaster":

@@ -7,14 +7,17 @@ their parameters at construction time and stay stateless afterwards apart
 from batch-norm running statistics, which are non-trainable buffers in the
 same store so they persist through checkpoints.
 
-Batch statistics can be restricted to a subset of rows via a float mask;
-the encoder uses this to keep unused diagonal (self-pair) rows out of the
-normalization statistics.
+Batch norm takes its statistics over every row it is given, so callers
+pass only the rows that belong in them (the encoder passes the N(N-1)
+off-diagonal pairs, never the self-pairs). There is one GRU: `gru_step`
+on per-gate weight blocks from `gru_gates`, used for the encoder's edge
+GRU and, with weights stacked per category, the decoder's.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,168 +147,131 @@ class Affine:
 class BatchNorm:
     """Per-feature batch normalization over all leading axes.
 
-    Train mode normalizes with (optionally masked) batch statistics and
-    advances the running buffers; eval mode uses the running statistics
-    only. The mode is always an explicit argument.
+    Train mode normalizes with the statistics of every row it is given
+    and advances the running buffers (0.9 * running + 0.1 * batch); eval
+    mode uses the running statistics only. The mode is always an explicit
+    argument.
     """
 
-    def __init__(self, store: ParamStore, name: str, n_features: int,
-                 momentum: float = 0.9, eps: float = 1e-5):
-        self.momentum = momentum
-        self.eps = eps
+    eps = 1e-5
+
+    def __init__(self, store: ParamStore, name: str, n_features: int):
         self.gamma = store.add(f"{name}.gamma", np.ones(n_features))
         self.beta = store.add(f"{name}.beta", np.zeros(n_features))
         self.run_mean = store.add(f"{name}.run_mean", np.zeros(n_features), trainable=False)
         self.run_var = store.add(f"{name}.run_var", np.ones(n_features), trainable=False)
 
-    def __call__(self, x: DArray, train: bool, mask: np.ndarray | None = None) -> DArray:
+    def __call__(self, x: DArray, train: bool) -> DArray:
         if train:
             axes = tuple(range(x.ndim - 1))
-            if mask is None:
-                mean = x.mean(axis=axes, keepdims=True)
-                var = ((x - mean) ** 2).mean(axis=axes, keepdims=True)
-            else:
-                m = DArray(mask)
-                count = float(mask.sum())
-                if count < 2:
-                    raise ContractError("batch norm needs at least 2 rows of statistics")
-                mean = (x * m).sum(axis=axes, keepdims=True) / count
-                var = (((x - mean) ** 2) * m).sum(axis=axes, keepdims=True) / count
-            mom = self.momentum
-            self.run_mean.data[...] = mom * self.run_mean.data + (1 - mom) * mean.data.reshape(-1)
-            self.run_var.data[...] = mom * self.run_var.data + (1 - mom) * var.data.reshape(-1)
+            mean = x.mean(axis=axes, keepdims=True)
+            var = ((x - mean) ** 2).mean(axis=axes, keepdims=True)
+            self.run_mean.data[...] = 0.9 * self.run_mean.data + 0.1 * mean.data.reshape(-1)
+            self.run_var.data[...] = 0.9 * self.run_var.data + 0.1 * var.data.reshape(-1)
             xn = (x - mean) / ((var + self.eps) ** 0.5)
         else:
             xn = (x - self.run_mean) / ((self.run_var + DArray(self.eps)) ** 0.5)
         return self.gamma * xn + self.beta
 
 
-def mlp_init(store: ParamStore, prefix: str, n_in: int,
-             layer_spec: list[tuple[int, Activation, bool]], rng: RngStream):
-    """Register parameters for an MLP described by (width, activation, norm)."""
-    d = n_in
-    for i, (width, _act, norm) in enumerate(layer_spec):
-        Affine(store, f"{prefix}.{i}", d, width, rng)
-        if norm:
-            BatchNorm(store, f"{prefix}.{i}.bn", width)
-        d = width
-
-
-def mlp_forward(x: DArray, layer_spec: list[tuple[int, Activation, bool]],
-                store: ParamStore, prefix: str, train: bool = True,
-                mask: np.ndarray | None = None) -> DArray:
-    """Apply an MLP previously registered under `prefix`.
-
-    Each layer runs affine -> activation -> batch norm, matching the
-    (width, activation, normalize) triples in `layer_spec`.
-    """
-    if store[f"{prefix}.0.W"].shape[0] != x.shape[-1]:
-        raise ShapeError(
-            f"mlp {prefix}: input last dim {x.shape[-1]} != "
-            f"{store[f'{prefix}.0.W'].shape[0]}"
-        )
-    for i, (width, act, norm) in enumerate(layer_spec):
-        x = linear(x, store[f"{prefix}.{i}.W"], store[f"{prefix}.{i}.b"])
-        x = _ACTIVATIONS[act](x)
-        if norm:
-            bn_prefix = f"{prefix}.{i}.bn"
-            if train:
-                axes = tuple(range(x.ndim - 1))
-                if mask is None:
-                    mean = x.mean(axis=axes, keepdims=True)
-                    var = ((x - mean) ** 2).mean(axis=axes, keepdims=True)
-                else:
-                    m = DArray(mask)
-                    count = float(mask.sum())
-                    mean = (x * m).sum(axis=axes, keepdims=True) / count
-                    var = (((x - mean) ** 2) * m).sum(axis=axes, keepdims=True) / count
-                rm, rv = store[f"{bn_prefix}.run_mean"], store[f"{bn_prefix}.run_var"]
-                rm.data[...] = 0.9 * rm.data + 0.1 * mean.data.reshape(-1)
-                rv.data[...] = 0.9 * rv.data + 0.1 * var.data.reshape(-1)
-                x = (x - mean) / ((var + 1e-5) ** 0.5)
-            else:
-                x = (x - store[f"{bn_prefix}.run_mean"]) / (
-                    (store[f"{bn_prefix}.run_var"] + DArray(1e-5)) ** 0.5
-                )
-            x = store[f"{bn_prefix}.gamma"] * x + store[f"{bn_prefix}.beta"]
-    return x
-
-
 class MLP:
-    """Configured multi-layer perceptron bound to a ParamStore prefix."""
+    """Multi-layer perceptron registered under a ParamStore prefix.
+
+    Each (width, activation, normalize) triple of `layer_spec` is one
+    layer: affine -> activation -> batch norm when normalize is set.
+    """
 
     def __init__(self, store: ParamStore, prefix: str, n_in: int,
                  layer_spec: list[tuple[int, Activation, bool]], rng: RngStream):
-        self.store = store
         self.prefix = prefix
-        self.layer_spec = list(layer_spec)
-        mlp_init(store, prefix, n_in, self.layer_spec, rng)
+        self.layers = []
+        d = n_in
+        for i, (width, act, norm) in enumerate(layer_spec):
+            affine = Affine(store, f"{prefix}.{i}", d, width, rng)
+            bn = BatchNorm(store, f"{prefix}.{i}.bn", width) if norm else None
+            self.layers.append((affine, _ACTIVATIONS[act], bn))
+            d = width
 
-    def __call__(self, x: DArray, train: bool = True,
-                 mask: np.ndarray | None = None) -> DArray:
-        return mlp_forward(x, self.layer_spec, self.store, self.prefix, train, mask)
+    def __call__(self, x: DArray, train: bool = True) -> DArray:
+        n_in = self.layers[0][0].n_in
+        if x.shape[-1] != n_in:
+            raise ShapeError(f"mlp {self.prefix}: input last dim {x.shape[-1]} != {n_in}")
+        for affine, act, bn in self.layers:
+            x = act(affine(x))
+            if bn is not None:
+                x = bn(x, train)
+        return x
 
 
-def gru_cell(x: DArray, h: DArray, store: ParamStore, prefix: str) -> DArray:
-    """Standard GRU update with reset/update gates.
+class GRUGates(NamedTuple):
+    """GRU weights split per gate: reset (r), update (z), candidate (n)."""
 
-    Gate blocks are stored as (reset, update, candidate) slices of the
-    fused weight matrices.
+    w_ir: DArray
+    w_iz: DArray
+    w_in: DArray
+    w_hr: DArray
+    w_hz: DArray
+    w_hn: DArray
+    b_r: DArray     # b_ir + b_hr
+    b_z: DArray     # b_iz + b_hz
+    b_in: DArray
+    b_hn: DArray    # stays inside the reset product
+
+
+def gru_gates(w_ih: DArray, w_hh: DArray, b_ih: DArray, b_hh: DArray) -> GRUGates:
+    """Split fused (reset, update, candidate) weight blocks along the last
+    axis. Works on one GRU's (F, 3H) weights with (3H,) biases and on C
+    GRUs stacked as (C, F, 3H) weights with (C, 1, 3H) biases."""
+    h = w_hh.shape[-2]
+    r, z, n = slice(0, h), slice(h, 2 * h), slice(2 * h, 3 * h)
+    return GRUGates(
+        w_ih[..., r], w_ih[..., z], w_ih[..., n],
+        w_hh[..., r], w_hh[..., z], w_hh[..., n],
+        b_ih[..., r] + b_hh[..., r], b_ih[..., z] + b_hh[..., z],
+        b_ih[..., n], b_hh[..., n])
+
+
+def gru_step(x: DArray, h: DArray, g: GRUGates) -> DArray:
+    """One GRU update in six GEMMs, one per gate and input.
+
+    x (R, F) and h (R, H) go with plain gates; (C, R, F) and (C, R, H)
+    go with C-stacked gates, each row block through its own GRU.
     """
-    W_ih, W_hh = store[f"{prefix}.W_ih"], store[f"{prefix}.W_hh"]
-    b_ih, b_hh = store[f"{prefix}.b_ih"], store[f"{prefix}.b_hh"]
-    H = W_hh.shape[0]
-    if h.shape[-1] != H:
-        raise ShapeError(f"gru {prefix}: hidden width {h.shape[-1]} != {H}")
-    if x.shape[-1] != W_ih.shape[0]:
-        raise ShapeError(f"gru {prefix}: input width {x.shape[-1]} != {W_ih.shape[0]}")
-    gi = linear(x, W_ih, b_ih)
-    gh = linear(h, W_hh, b_hh)
-    r = ad.sigmoid(gi[..., 0:H] + gh[..., 0:H])
-    z = ad.sigmoid(gi[..., H:2 * H] + gh[..., H:2 * H])
-    n = ad.tanh(gi[..., 2 * H:] + r * gh[..., 2 * H:])
+    r = ad.sigmoid(x @ g.w_ir + h @ g.w_hr + g.b_r)
+    z = ad.sigmoid(x @ g.w_iz + h @ g.w_hz + g.b_z)
+    n = ad.tanh(x @ g.w_in + g.b_in + r * (h @ g.w_hn + g.b_hn))
     return (1.0 - z) * n + z * h
 
 
-class GRUCell:
-    def __init__(self, store: ParamStore, prefix: str, n_in: int, n_hidden: int,
-                 rng: RngStream):
-        self.store = store
-        self.prefix = prefix
-        self.n_hidden = n_hidden
-        store.add(f"{prefix}.W_ih", _uniform_init(rng, (n_in, 3 * n_hidden), n_in))
-        store.add(f"{prefix}.W_hh", _uniform_init(rng, (n_hidden, 3 * n_hidden), n_hidden))
-        store.add(f"{prefix}.b_ih", _uniform_init(rng, (3 * n_hidden,), n_in))
-        store.add(f"{prefix}.b_hh", _uniform_init(rng, (3 * n_hidden,), n_hidden))
-
-    def __call__(self, x: DArray, h: DArray) -> DArray:
-        return gru_cell(x, h, self.store, self.prefix)
-
-
 class GRUStack:
-    """Stacked GRU cells; layer i feeds its new hidden state to layer i+1."""
+    """Stacked GRU layers under `{prefix}.l{i}`; layer i feeds its new
+    hidden state to layer i+1. `params[i]` holds layer i's fused
+    (W_ih, W_hh, b_ih, b_hh) with gate blocks (reset, update, candidate)."""
 
     def __init__(self, store: ParamStore, prefix: str, n_in: int, n_hidden: int,
                  n_layers: int, rng: RngStream):
         self.n_hidden = n_hidden
-        self.n_layers = n_layers
-        self.cells = []
+        self.params = []
         d = n_in
         for i in range(n_layers):
-            self.cells.append(GRUCell(store, f"{prefix}.l{i}", d, n_hidden, rng))
+            p = f"{prefix}.l{i}"
+            self.params.append((
+                store.add(f"{p}.W_ih", _uniform_init(rng, (d, 3 * n_hidden), d)),
+                store.add(f"{p}.W_hh", _uniform_init(rng, (n_hidden, 3 * n_hidden), n_hidden)),
+                store.add(f"{p}.b_ih", _uniform_init(rng, (3 * n_hidden,), d)),
+                store.add(f"{p}.b_hh", _uniform_init(rng, (3 * n_hidden,), n_hidden)),
+            ))
             d = n_hidden
 
     def init_state(self, lead_shape: tuple) -> list[DArray]:
-        return [DArray(np.zeros(lead_shape + (self.n_hidden,))) for _ in self.cells]
+        return [DArray(np.zeros(lead_shape + (self.n_hidden,))) for _ in self.params]
 
     def __call__(self, x: DArray, state: list[DArray]) -> tuple[DArray, list[DArray]]:
         new_state = []
-        inp = x
-        for cell, h in zip(self.cells, state):
-            h_new = cell(inp, h)
-            new_state.append(h_new)
-            inp = h_new
-        return inp, new_state
+        for params, h in zip(self.params, state):
+            x = gru_step(x, h, gru_gates(*params))
+            new_state.append(x)
+        return x, new_state
 
 
 def softmax(x: DArray, axis: int = -1) -> DArray:

@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import DArray
 from .data import Scene
 from .errors import ConfigError, ContractError, NumericalError, ShapeError
-from .graph_complexity import regularized_loss
+from .graph_complexity import r_density, regularized_loss, relaxed_graph_entropy
 from .model import TrajectoryModel
 from .nn import gradients
 from .optim import Adam
@@ -125,16 +125,9 @@ def mix(pred, truth, lam: float):
 
 def relaxed_graph_stats(graphs) -> tuple[float, float]:
     """Mean (entropy, density) of the sampled adjacencies, for logging."""
-    ent, den = [], []
-    for g in graphs:
-        z = g.z.data
-        n = z.shape[-1]
-        d = z.sum(axis=-2)
-        total = d.sum(axis=-1, keepdims=True)
-        p = d / np.maximum(total, 1e-12)
-        plogp = np.where(p > 0, p * np.log(np.maximum(p, 1e-300)), 0.0)
-        ent.append((-plogp.sum(axis=-1) / math.log(n)).mean())
-        den.append(z.sum(axis=(-2, -1)).mean() / (n * (n - 1)))
+    with ad.no_grad():
+        ent = [relaxed_graph_entropy(g.z).data.mean() for g in graphs]
+        den = [r_density(g.z).data.mean() for g in graphs]
     return float(np.mean(ent)), float(np.mean(den))
 
 

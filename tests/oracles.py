@@ -27,14 +27,25 @@ def finite_difference(f, x, eps=1e-6):
     return grad
 
 
+def fd_step(loss_value, atol, floor=1e-6):
+    """Central-difference step for a loss of this size.
+
+    One ulp of the loss divided by 2 * eps is the round-off floor of the
+    difference quotient; a step of 10 ulp / atol keeps it at atol / 20.
+    """
+    return max(floor, 10.0 * np.spacing(abs(loss_value)) / atol)
+
+
 def fd_probe_check(loss_fn, arrays, rng, n_probes=20, eps=1e-6, rtol=1e-4, atol=1e-7):
     """Compare backward() gradients against finite differences at random
     coordinates of the given DArrays. Returns the worst relative error seen.
 
     `loss_fn` rebuilds the graph from the arrays' current data each call.
+    `eps` is the smallest step; `fd_step` widens it for large losses.
     """
     loss = loss_fn()
     loss.backward()
+    eps = fd_step(loss.item(), atol, eps)
     analytic = [a.grad if a.grad is not None else np.zeros_like(a.data) for a in arrays]
     worst = 0.0
     for _ in range(n_probes):
@@ -59,6 +70,82 @@ def fd_probe_check(loss_fn, arrays, rng, n_probes=20, eps=1e-6, rtol=1e-4, atol=
     for a in arrays:
         a.grad = None
     return worst
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def fused_gru_reference(x, h, w_ih, w_hh, b_ih, b_hh):
+    """GRU update with fused gate GEMMs: gi = x W_ih + b_ih and
+    gh = h W_hh + b_hh, gate blocks (reset, update, candidate). Plain
+    (F, 3H) weights with (3H,) biases, or C-stacked (C, F, 3H) weights
+    with (C, 1, 3H) biases on (C, R, F) inputs."""
+    H = w_hh.shape[-2]
+    gi = x @ w_ih + b_ih
+    gh = h @ w_hh + b_hh
+    r = _sigmoid(gi[..., :H] + gh[..., :H])
+    z = _sigmoid(gi[..., H:2 * H] + gh[..., H:2 * H])
+    n = np.tanh(gi[..., 2 * H:] + r * gh[..., 2 * H:])
+    return (1.0 - z) * n + z * h
+
+
+def masked_mlp_reference(params, prefix, x, train, mask):
+    """An encoder MLP on dense rows. Each layer is affine; a layer with a
+    `.bn` entry adds ELU and batch norm, one without adds nothing. In train
+    mode the statistics cover the rows where `mask` is 1, and the running
+    buffers in `params` advance in place."""
+    lead = tuple(range(x.ndim - 1))
+    i = 0
+    while f"{prefix}.{i}.W" in params:
+        x = x @ params[f"{prefix}.{i}.W"] + params[f"{prefix}.{i}.b"]
+        bn = f"{prefix}.{i}.bn"
+        if f"{bn}.gamma" in params:
+            x = np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+            if train:
+                count = np.broadcast_to(mask, x.shape[:-1] + (1,)).sum()
+                mean = (x * mask).sum(axis=lead) / count
+                var = (((x - mean) ** 2) * mask).sum(axis=lead) / count
+                params[f"{bn}.run_mean"] = 0.9 * params[f"{bn}.run_mean"] + 0.1 * mean
+                params[f"{bn}.run_var"] = 0.9 * params[f"{bn}.run_var"] + 0.1 * var
+            else:
+                mean, var = params[f"{bn}.run_mean"], params[f"{bn}.run_var"]
+            x = params[f"{bn}.gamma"] * (x - mean) / np.sqrt(var + 1e-5) \
+                + params[f"{bn}.beta"]
+        i += 1
+    return x
+
+
+def dense_encoder_reference(params, v, state, train):
+    """GraphEncoder.gnn_pass followed by update_relations, computed on all
+    N^2 pairs with the self-pairs masked out of batch norm, of messages,
+    of edge embeddings and of logits.
+
+    `params` maps names to arrays and its running statistics advance in
+    train mode; `state` is None or the per-layer (B*N*N, H) edge-GRU
+    state. Returns (v_t, e_t, logits, new_state).
+    """
+    b, n, _ = v.shape
+    mask = np.broadcast_to((1.0 - np.eye(n))[None, :, :, None], (b, n, n, 1))
+    diffs = v[:, :, None] - v[:, None]
+    msg = masked_mlp_reference(params, "enc.edge1", diffs, train, mask) * mask
+    v_t = masked_mlp_reference(params, "enc.node", msg.sum(axis=1), train, 1.0)
+    tdiffs = v_t[:, :, None] - v_t[:, None]
+    e_t = masked_mlp_reference(params, "enc.edge2", tdiffs, train, mask) * mask
+    x = e_t.reshape(b * n * n, -1)
+    layers = sum(1 for k in params if k.endswith(".W_hh") and k.startswith("enc.edgegru."))
+    if state is None:
+        width = params["enc.edgegru.l0.W_hh"].shape[0]
+        state = [np.zeros((b * n * n, width))] * layers
+    new_state = []
+    for i in range(layers):
+        p = f"enc.edgegru.l{i}"
+        x = fused_gru_reference(x, state[i], params[f"{p}.W_ih"], params[f"{p}.W_hh"],
+                                params[f"{p}.b_ih"], params[f"{p}.b_hh"])
+        new_state.append(x)
+    flat_mask = mask.reshape(b * n * n, 1)
+    logits = masked_mlp_reference(params, "enc.proj", x, train, flat_mask) * flat_mask
+    return v_t, e_t, logits.reshape(b, n, n), new_state
 
 
 def naive_ade_fde(truth, pred):

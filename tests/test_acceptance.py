@@ -32,7 +32,7 @@ from trajgraph.rng import RngStream
 from trajgraph.training import (TrainConfig, decay_alpha, mix,
                                 reconstruction_loss, train)
 
-from oracles import (brute_force_min_entropy, naive_ade_fde,
+from oracles import (brute_force_min_entropy, fd_step, naive_ade_fde,
                      naive_reconstruction_loss)
 
 R = np.random.default_rng(20240)
@@ -48,9 +48,10 @@ def report(criterion: int, passed: bool, detail: str):
 # finite differences, >= 20 probes each, 1e-4 relative, < 2 min.
 # ---------------------------------------------------------------------------
 
-def _probe(loss_fn, arrays, n_probes=20, eps=1e-6, rtol=1e-4, atol=1e-8):
+def _probe(loss_fn, arrays, n_probes=20, rtol=1e-4, atol=1e-8):
     loss = loss_fn()
     loss.backward()
+    eps = fd_step(loss.item(), atol)
     analytic = [a.grad if a.grad is not None else np.zeros_like(a.data)
                 for a in arrays]
     worst = 0.0

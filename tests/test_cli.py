@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trajgraph.checkpoint import load_checkpoint, save_checkpoint
 from trajgraph.cli import main
 from trajgraph.data import load_csv
 
@@ -139,6 +140,22 @@ def test_evaluate_missing_data_exit_code(workspace, tmp_path):
                  "--checkpoint", str(run / "model.ckpt"),
                  "--data", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "e")]) == 2
+
+
+def test_evaluate_corrupt_checkpoint_exit_code(workspace, tmp_path, capsys):
+    root, cfg, data, run = workspace
+    raw = (run / "model.ckpt").read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    index_out_of_range = load_checkpoint(run / "model.ckpt")
+    index_out_of_range["cfg.strategy_index"] = np.array([-1.0])
+    save_checkpoint(tmp_path / "index.ckpt", index_out_of_range)
+    cases = [raw[:size] for size in (6, 10, 30, len(raw) // 2, len(raw) - 3)]
+    cases.append((tmp_path / "index.ckpt").read_bytes())
+    for content in cases:
+        bad.write_bytes(content)
+        assert main(["evaluate", "--config", str(cfg), "--checkpoint", str(bad),
+                     "--data", str(data), "--out", str(tmp_path / "e")]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
 
 
 def test_verify_theory_passes(capsys):

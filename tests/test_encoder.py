@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from trajgraph.autodiff import DArray
-from trajgraph.encoder import EncoderRun, GraphEncoder
+from trajgraph.encoder import EncoderRun, GraphEncoder, dense_pairs, offdiag_pairs
 from trajgraph.errors import ConfigError, ContractError
 from trajgraph.nn import ParamStore, gradients
 from trajgraph.rng import RngStream
+
+from oracles import dense_encoder_reference
 
 rng_np = np.random.default_rng(41)
 
@@ -90,6 +92,42 @@ def test_gnn_permutation_equivariance():
     np.testing.assert_allclose(vt2.data[0], vt1.data[0, perm], atol=1e-10)
     np.testing.assert_allclose(e2.data[0], e1.data[0][np.ix_(perm, perm)],
                                atol=1e-10)
+
+
+def test_offdiag_pairs_gather_row_major_and_scatter_back():
+    b, n = 2, 5
+    x = rng_np.normal(size=(b, n, n, 3))
+    off = ~np.eye(n, dtype=bool)
+    pairs = offdiag_pairs(DArray(x))
+    assert pairs.shape == (b, n - 1, n, 3)
+    np.testing.assert_array_equal(pairs.data.reshape(b, -1, 3), x[:, off])
+    back = dense_pairs(pairs).data
+    np.testing.assert_array_equal(back[:, off], x[:, off])
+    assert not back[:, ~off].any()
+
+
+def test_encoder_matches_dense_masked_reference():
+    """The off-diagonal encoder equals a dense N^2 pass whose batch norm
+    masks the self-pairs out: outputs, edge-GRU state and, after train
+    calls, the running statistics, in train and then eval mode."""
+    enc, store = make_encoder()
+    params = {k: v.data.copy() for k, v in store.items()}
+    b, n = 2, 4
+    off = ~np.eye(n, dtype=bool)
+    state = ref_state = None
+    for train in (True, True, False):
+        v = rng_np.normal(size=(b, n, 10))
+        v_t, e_t = enc.gnn_pass(DArray(v), train=train)
+        logits, state = enc.update_relations(e_t, state, train=train)
+        ref = dense_encoder_reference(params, v, ref_state, train)
+        ref_vt, ref_et, ref_logits, ref_state = ref
+        for ours, theirs in ((v_t, ref_vt), (e_t, ref_et), (logits, ref_logits)):
+            np.testing.assert_allclose(ours.data, theirs, rtol=0, atol=1e-12)
+        for ours, theirs in zip(state, ref_state):
+            dense = theirs.reshape(b, n, n, -1)[:, off].reshape(b * n * (n - 1), -1)
+            np.testing.assert_allclose(ours.data, dense, rtol=0, atol=1e-12)
+        for k, value in params.items():
+            np.testing.assert_allclose(store[k].data, value, rtol=0, atol=1e-12)
 
 
 def test_edge_feature_noise_toggle_and_determinism():

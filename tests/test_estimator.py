@@ -3,7 +3,11 @@ import pytest
 
 from trajgraph.data import Scene
 from trajgraph.errors import ConfigError, ContractError, DataError
+from trajgraph import cli
+from trajgraph.config import load_config
 from trajgraph.estimator import TrajectoryForecaster, check_scenes
+from trajgraph.model import ModelConfig
+from trajgraph.training import TrainConfig
 
 
 def small_forecaster(**kw):
@@ -11,6 +15,17 @@ def small_forecaster(**kw):
                 batch_size=8, seed=1, n_samples=2, learning_rate=3e-3)
     base.update(kw)
     return TrajectoryForecaster(**base)
+
+
+def test_defaults_equal_the_dataclass_defaults(tmp_path):
+    empty = tmp_path / "empty.ini"
+    empty.write_text("")
+    cfg = load_config(empty)
+    assert cli._model_config(cfg) == ModelConfig()
+    assert cli._train_config(cfg) == TrainConfig()
+    est = TrajectoryForecaster()
+    assert est._model_config() == ModelConfig()
+    assert est._train_config() == TrainConfig()
 
 
 def test_get_params_round_trip():

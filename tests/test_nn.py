@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,12 @@ from trajgraph import autodiff as ad
 from trajgraph.autodiff import DArray
 from trajgraph.checkpoint import load_checkpoint, save_checkpoint
 from trajgraph.errors import ContractError, DataError, ShapeError
-from trajgraph.nn import (MLP, Affine, BatchNorm, GRUCell, GRUStack, ParamStore,
-                          gradients, gru_cell, mlp_forward, softmax)
+from trajgraph.nn import (MLP, Affine, BatchNorm, GRUStack, ParamStore,
+                          gradients, gru_gates, gru_step, softmax)
 from trajgraph.optim import Adam
 from trajgraph.rng import RngStream
 
-from oracles import fd_probe_check
+from oracles import fd_probe_check, fused_gru_reference
 
 rng_np = np.random.default_rng(11)
 
@@ -78,39 +80,70 @@ def test_mlp_gradient_matches_finite_differences():
                    n_probes=25, eps=1e-6, rtol=1e-5, atol=1e-8)
 
 
+def _one_gru(store, rng, n_in=3, n_hidden=4, prefix="g"):
+    """Registers a one-layer GRU; returns its gate blocks and fused params."""
+    params = GRUStack(store, prefix, n_in, n_hidden, 1, rng).params[0]
+    return gru_gates(*params), params
+
+
 def test_gru_zero_everything_gives_zero_hidden():
     store, rng = _store_rng()
-    GRUCell(store, "g", 3, 4, rng)
-    for k in ["g.W_ih", "g.W_hh", "g.b_ih", "g.b_hh"]:
-        store[k].data[...] = 0.0
-    out = gru_cell(DArray(np.zeros((2, 3))), DArray(np.zeros((2, 4))), store, "g")
+    gates, params = _one_gru(store, rng)
+    for p in params:
+        p.data[...] = 0.0
+    out = gru_step(DArray(np.zeros((2, 3))), DArray(np.zeros((2, 4))), gates)
     np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
 
 
 def test_gru_width_mismatch_raises():
     store, rng = _store_rng()
-    GRUCell(store, "g", 3, 4, rng)
+    gates, _ = _one_gru(store, rng)
     with pytest.raises(ShapeError):
-        gru_cell(DArray(np.zeros((2, 3))), DArray(np.zeros((2, 5))), store, "g")
+        gru_step(DArray(np.zeros((2, 3))), DArray(np.zeros((2, 5))), gates)
+    with pytest.raises(ShapeError):
+        gru_step(DArray(np.zeros((2, 5))), DArray(np.zeros((2, 4))), gates)
 
 
 def test_gru_gradient_matches_finite_differences():
     store, rng = _store_rng()
-    cell = GRUCell(store, "g", 3, 4, rng)
+    _, params = _one_gru(store, rng)
     x = DArray(rng_np.normal(size=(5, 3)), requires_grad=True)
     h = DArray(rng_np.normal(size=(5, 4)), requires_grad=True)
     arrays = [x, h] + [store[k] for k, _ in store.trainable_items()]
-    fd_probe_check(lambda: (cell(x, h) ** 2).sum(), arrays, rng_np,
-                   n_probes=25, eps=1e-6, rtol=1e-5, atol=1e-8)
+    fd_probe_check(lambda: (gru_step(x, h, gru_gates(*params)) ** 2).sum(), arrays,
+                   rng_np, n_probes=25, eps=1e-6, rtol=1e-5, atol=1e-8)
+
+
+def test_gru_step_matches_fused_reference_plain_and_stacked():
+    store, rng = _store_rng()
+    gates, params = _one_gru(store, rng)
+    x, h = rng_np.normal(size=(5, 3)), rng_np.normal(size=(5, 4))
+    out = gru_step(DArray(x), DArray(h), gates).data
+    ref = fused_gru_reference(x, h, *(p.data for p in params))
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+    # C = 3 GRUs stacked on a leading axis, each row block through its own
+    per_cat = [params] + [_one_gru(store, rng, prefix=f"c{c}")[1] for c in (1, 2)]
+    w_ih, w_hh, b_ih, b_hh = (ad.stack([p[i] for p in per_cat]) for i in range(4))
+    stacked = gru_gates(w_ih, w_hh, b_ih.reshape(3, 1, 12), b_hh.reshape(3, 1, 12))
+    xs, hs = rng_np.normal(size=(3, 5, 3)), rng_np.normal(size=(3, 5, 4))
+    out = gru_step(DArray(xs), DArray(hs), stacked).data
+    for c, p in enumerate(per_cat):
+        ref = fused_gru_reference(xs[c], hs[c], *(a.data for a in p))
+        np.testing.assert_allclose(out[c], ref, rtol=0, atol=1e-12)
 
 
 def test_two_stacked_gru_cells_compose():
     store, rng = _store_rng()
     stack = GRUStack(store, "s", 6, 4, 2, rng)
     state = stack.init_state((3,))
-    out, new_state = stack(DArray(rng_np.normal(size=(3, 6))), state)
+    x = rng_np.normal(size=(3, 6))
+    out, new_state = stack(DArray(x), state)
     assert out.shape == (3, 4)
     assert len(new_state) == 2
+    h1 = fused_gru_reference(x, np.zeros((3, 4)), *(p.data for p in stack.params[0]))
+    h2 = fused_gru_reference(h1, np.zeros((3, 4)), *(p.data for p in stack.params[1]))
+    np.testing.assert_allclose(new_state[0].data, h1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.data, h2, rtol=0, atol=1e-12)
 
 
 def test_batchnorm_train_normalizes_eval_uses_running():
@@ -126,16 +159,6 @@ def test_batchnorm_train_normalizes_eval_uses_running():
     single = bn(DArray(np.zeros((1, 3))), train=False)
     expected = -bn.run_mean.data / np.sqrt(bn.run_var.data + 1e-5)
     np.testing.assert_allclose(single.data[0], expected)
-
-
-def test_batchnorm_masked_stats_ignore_masked_rows():
-    store, rng = _store_rng()
-    bn = BatchNorm(store, "bn", 2)
-    x = np.ones((4, 2))
-    x[2:] = 100.0  # rows that must not contaminate the statistics
-    mask = np.array([[1.0], [1.0], [0.0], [0.0]])
-    bn(DArray(x), train=True, mask=mask)
-    np.testing.assert_allclose(bn.run_mean.data, 0.9 * 0.0 + 0.1 * 1.0)
 
 
 def test_softmax_rows_sum_to_one():
@@ -196,7 +219,7 @@ def test_adam_ten_steps_bitwise_deterministic():
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     store, rng = _store_rng()
     MLP(store, "f", 5, [(8, "elu", True), (3, None, False)], rng)
-    GRUCell(store, "g", 3, 4, rng)
+    GRUStack(store, "g", 3, 4, 1, rng)
     state = store.state_dict()
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, state)
@@ -215,6 +238,36 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+def test_checkpoint_truncations_raise_data_error(tmp_path):
+    """A cut inside the header or a record is a DataError; a cut on the
+    record boundary leaves a shorter valid file with the leading record."""
+    path = tmp_path / "full.ckpt"
+    save_checkpoint(path, {"a": np.arange(6.0).reshape(2, 3), "b\u00e9": np.array(2.5)})
+    raw = path.read_bytes()
+    boundary = 8 + (4 + 1) + (4 + 8) + 6 * 8   # header, key "a", rank 2, values
+    cut = tmp_path / "cut.ckpt"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        if size == boundary:
+            assert list(load_checkpoint(cut)) == ["a"]
+        else:
+            with pytest.raises(DataError):
+                load_checkpoint(cut)
+
+
+def test_checkpoint_rejects_bad_key_and_overrunning_dims(tmp_path):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, {"k": np.zeros(2)})
+    raw = path.read_bytes()
+    # layout: magic, version, key length, key "k" at byte 12, rank, dims[0] at 17
+    for corrupt in (raw[:12] + b"\xff" + raw[13:],
+                    raw[:17] + struct.pack("<I", 1000) + raw[21:],
+                    raw[:13] + struct.pack("<I", 2 ** 31) + raw[17:]):
+        path.write_bytes(corrupt)
+        with pytest.raises(DataError):
+            load_checkpoint(path)
 
 
 def test_load_state_dict_restores_exactly():
