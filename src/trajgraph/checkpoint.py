@@ -7,11 +7,16 @@ Layout (all integers little-endian u32, floats little-endian float64):
 
 Record order follows the mapping's iteration order, so writing the same
 state twice produces byte-identical files.
+
+The CLI writes checkpoints and result tables through `atomic_open`, so a
+crash never leaves a cut file in place of a complete one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -23,9 +28,31 @@ MAGIC = b"HMRA"
 VERSION = 1
 
 
-def save_checkpoint(path, arrays: dict[str, np.ndarray]):
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write `path` all at once or not at all.
+
+    Yields a temporary file in the same directory (created like `open`
+    would create `path`, so with the same permissions); when the block
+    ends without an exception it is flushed, synced to disk and renamed
+    over `path`. Otherwise it is deleted and `path` is left as it was.
+    """
     path = Path(path)
-    with open(path, "wb") as f:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def save_checkpoint(path, arrays: dict[str, np.ndarray]):
+    with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         for key, value in arrays.items():

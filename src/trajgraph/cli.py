@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import DEFAULTS, RunConfig, load_config, parse_float_list
 from .data import (Normalizer, Scene, SyntheticConfig, generate_synthetic,
                    load_csv, save_csv, split_scenes)
@@ -136,6 +136,8 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
 
 
 def _threads(cfg: RunConfig, flag: int | None) -> int:
+    """Resolved `--threads` / `[eval] threads` (0: CPU count); accepted and
+    ignored, and kept because the benchmark reads it."""
     value = flag if flag is not None else cfg["eval"]["threads"]
     return value if value and value > 0 else (os.cpu_count() or 1)
 
@@ -187,7 +189,13 @@ def cmd_train(args) -> int:
                               "model configuration")
         model.load_state_dict(params)
         optimizer_state = {k: v for k, v in state.items() if k.startswith("opt.")}
-        start_epoch = int(state["meta.epoch"][0])
+        for key in ("meta.epoch", "meta.best_val", "meta.alpha"):
+            if key not in state or state[key].shape != (1,):
+                raise DataError(f"resume checkpoint lacks the one-number record {key}")
+        start_epoch = float(state["meta.epoch"][0])
+        if not start_epoch.is_integer() or start_epoch < 0:
+            raise DataError(f"resume checkpoint epoch {start_epoch:g} is not a count")
+        start_epoch = int(start_epoch)
         prev_best = float(state["meta.best_val"][0])
         mix_state = MixState(alpha=float(state["meta.alpha"][0]),
                              epoch=start_epoch,
@@ -235,17 +243,17 @@ def cmd_evaluate(args) -> int:
     model, strategy, gamma = load_model(args.checkpoint)
     split = cfg["eval"]["split"] if args.split is None else args.split
     scenes, norm = _load_split(args.data, split, model.cfg.n_categories)
-    threads = _threads(cfg, args.threads)
     record = sampled_metrics(model, scenes, norm,
                              n_samples=cfg["eval"]["samples"],
-                             seed=cfg["eval"]["seed"], threads=threads)
+                             seed=cfg["eval"]["seed"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset = Path(args.data).name
     main_row, cat_rows = metrics_csv_rows(record, dataset, strategy, gamma)
-    (out / "metrics.csv").write_text(METRICS_HEADER + "\n" + main_row + "\n")
-    (out / "metrics_by_category.csv").write_text(
-        CATEGORY_HEADER + "\n" + "\n".join(cat_rows) + "\n")
+    with atomic_open(out / "metrics.csv") as f:
+        f.write(METRICS_HEADER + "\n" + main_row + "\n")
+    with atomic_open(out / "metrics_by_category.csv") as f:
+        f.write(CATEGORY_HEADER + "\n" + "\n".join(cat_rows) + "\n")
     if args.export_trajectories:
         _export_trajectories(model, scenes, norm, cfg["eval"]["samples"],
                              cfg["eval"]["seed"], out / "trajectories.csv")
@@ -259,22 +267,21 @@ def _export_trajectories(model: TrajectoryModel, scenes: list[Scene],
     root = RngStream(seed).child(STREAM_EVAL)
     t_hist = model.cfg.t_history
     lines = ["scene_id,sample_id,agent_id,t,x,y"]
-    rows = {}
+    preds = [None] * len(scenes)
     for pos, cats, idx in TrajectoryModel.batch_scenes(scenes):
-        for k in range(n_samples):
-            out, _ = model.predict_batch(pos, cats, root.child(pos.shape[1], k))
-            denorm = norm.denormalize(out[:, :, t_hist:])
-            for row, scene_index in enumerate(idx):
-                rows.setdefault(scene_index, []).append(denorm[row])
-    for scene_index in sorted(rows):
-        scene = scenes[scene_index]
-        for k, pred in enumerate(rows[scene_index]):
+        out, _ = model.sample_rollouts(
+            pos, cats, [root.child(pos.shape[1], k) for k in range(n_samples)])
+        for row, scene_index in enumerate(idx):
+            preds[scene_index] = norm.denormalize(out[:, row, :, t_hist:])
+    for scene, samples in zip(scenes, preds):
+        for k, pred in enumerate(samples):
             for a in range(scene.n_agents):
                 for t in range(pred.shape[1]):
                     lines.append(
                         f"{scene.scene_id},{k},{a},{t_hist + t},"
                         f"{float(pred[a, t, 0])!r},{float(pred[a, t, 1])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def cmd_verify_theory(args) -> int:
@@ -372,7 +379,8 @@ def cmd_analyze_graphs(args) -> int:
             z = g.z.data[0]
             lines.append(f"{scene.scene_id},{w},{int(z.sum())},"
                          f"{r_density(z)!r},{graph_entropy(z)!r}")
-    (out / "graph_stats.csv").write_text("\n".join(lines) + "\n")
+    with atomic_open(out / "graph_stats.csv") as f:
+        f.write("\n".join(lines) + "\n")
 
     # edge quality audit on a capped number of scenes
     quality_scenes = scenes[:args.quality_scenes]
@@ -388,15 +396,18 @@ def cmd_analyze_graphs(args) -> int:
         f"redundant_rate,{report.redundant_rate!r}",
         f"missing_rate,{report.missing_rate!r}",
     ]
-    (out / "quality.csv").write_text("\n".join(q_lines) + "\n")
+    with atomic_open(out / "quality.csv") as f:
+        f.write("\n".join(q_lines) + "\n")
 
     if args.svg:
         for si, scene in enumerate(scenes[:args.svg_scenes]):
-            pos, cats = scene.positions[None], scene.categories[None]
+            streams = [root.child(9000 + si, k)
+                       for k in range(min(cfg["eval"]["samples"], 10))]
             samples = []
-            for k in range(min(cfg["eval"]["samples"], 10)):
-                pred, _ = model.predict_batch(pos, cats, root.child(9000 + si, k))
-                samples.append(norm.denormalize(pred[0, :, model.cfg.t_history:]))
+            if streams:   # --samples 0 plots the truth alone
+                pred, _ = model.sample_rollouts(scene.positions[None],
+                                                scene.categories[None], streams)
+                samples = list(norm.denormalize(pred[:, 0, :, model.cfg.t_history:]))
             trajectory_svg(norm.denormalize(scene.positions), samples,
                            model.cfg.t_history, out / f"{scene.scene_id}.svg")
     print(f"graph analysis written to {out} (redundant rate "
@@ -429,15 +440,15 @@ def cmd_sweep_gamma(args) -> int:
         model.load_state_dict(result.best_state)
         record = sampled_metrics(model, test_scenes, norm,
                                  n_samples=cfg["eval"]["samples"],
-                                 seed=cfg["eval"]["seed"],
-                                 threads=_threads(cfg, args.threads))
+                                 seed=cfg["eval"]["seed"])
         rows.append(",".join(repr(v) for v in [
             gamma, record.mean_ade, record.min_ade, record.mean_fde,
             record.min_fde, record.avg_entropy, record.avg_density,
             result.history[-1]["train_loss"]]))
         print(f"gamma={gamma}: mean ADE {record.mean_ade:.4f}, "
               f"density {record.avg_density:.4f}")
-    (out / "sweep.csv").write_text("\n".join(rows) + "\n")
+    with atomic_open(out / "sweep.csv") as f:
+        f.write("\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -454,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="sectioned key=value file")
         p.add_argument("--seed", type=int, default=None, help="override seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker cap for evaluation/generation")
+                       help="accepted and ignored (evaluation batches its samples)")
         if out_required:
             p.add_argument("--out", required=True, help="output directory")
 

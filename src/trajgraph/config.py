@@ -43,7 +43,7 @@ DEFAULTS: dict[str, dict] = {
     "train": {f.name: f.default for f in fields(TrainConfig)},
     "eval": {
         "samples": 20,
-        "threads": 0,        # 0: use available cores
+        "threads": 0,        # accepted and ignored
         "split": "test",
         "seed": 0,
     },

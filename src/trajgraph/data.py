@@ -113,12 +113,19 @@ class Normalizer:
     @classmethod
     def from_file(cls, path) -> "Normalizer":
         values = {}
-        for line in Path(path).read_text().splitlines():
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
+            raise DataError(f"{path}: cannot read normalization sidecar ({e})") from e
+        for line_no, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
             key, _, val = line.partition("=")
-            values[key.strip()] = float(val)
+            try:
+                values[key.strip()] = float(val)
+            except ValueError as e:
+                raise DataError(f"{path}:{line_no}: expected key = number") from e
         try:
             return cls(values["min_x"], values["max_x"], values["min_y"], values["max_y"])
         except KeyError as e:
@@ -188,51 +195,53 @@ def load_csv(path, n_categories: int | None = None) -> list[Scene]:
     rows_by_scene: dict[str, dict[int, dict[int, tuple]]] = {}
     cats_by_scene: dict[str, dict[int, int]] = {}
     order: list[str] = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise DataError(f"{path}: expected header {','.join(CSV_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                sid, agent, cat, t = row[0], int(row[1]), int(row[2]), int(row[3])
-                x, y = float(row[4]), float(row[5])
-            except (ValueError, IndexError) as e:
-                raise DataError(f"{path}:{line_no}: malformed row") from e
-            if n_categories is not None and not 0 <= cat < n_categories:
-                raise ConfigError(f"{path}:{line_no}: category {cat} out of range "
-                                  f"[0, {n_categories})")
-            if sid not in rows_by_scene:
-                rows_by_scene[sid] = {}
-                cats_by_scene[sid] = {}
-                order.append(sid)
-            agents = rows_by_scene[sid]
-            if agent not in agents:
-                agents[agent] = {}
-                cats_by_scene[sid][agent] = cat
-            elif cats_by_scene[sid][agent] != cat:
-                raise DataError(f"{path}:{line_no}: agent {agent} in scene {sid} "
-                                f"changes category")
-            if t in agents[agent]:
-                raise DataError(f"{path}:{line_no}: duplicate timestep {t}")
-            agents[agent][t] = (x, y)
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"{path}: not a readable UTF-8 CSV file ({e})") from e
+    if rows[:1] != [CSV_HEADER]:
+        raise DataError(f"{path}: expected header {','.join(CSV_HEADER)}")
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        try:
+            sid, agent, cat, t = row[0], int(row[1]), int(row[2]), int(row[3])
+            x, y = float(row[4]), float(row[5])
+        except (ValueError, IndexError) as e:
+            raise DataError(f"{path}:{line_no}: malformed row") from e
+        if n_categories is not None and not 0 <= cat < n_categories:
+            raise ConfigError(f"{path}:{line_no}: category {cat} out of range "
+                              f"[0, {n_categories})")
+        if t < 0 or not 0 <= cat < 2 ** 31:
+            raise DataError(f"{path}:{line_no}: negative timestep or category "
+                            f"out of range")
+        if sid not in rows_by_scene:
+            rows_by_scene[sid] = {}
+            cats_by_scene[sid] = {}
+            order.append(sid)
+        agents = rows_by_scene[sid]
+        if agent not in agents:
+            agents[agent] = {}
+            cats_by_scene[sid][agent] = cat
+        elif cats_by_scene[sid][agent] != cat:
+            raise DataError(f"{path}:{line_no}: agent {agent} in scene {sid} "
+                            f"changes category")
+        if t in agents[agent]:
+            raise DataError(f"{path}:{line_no}: duplicate timestep {t}")
+        agents[agent][t] = (x, y)
 
     scenes = []
     for sid in order:
         agents = rows_by_scene[sid]
         agent_ids = sorted(agents)
         t_count = max(max(steps) for steps in agents.values()) + 1
-        positions = np.empty((len(agent_ids), t_count, 2))
-        categories = np.empty(len(agent_ids), dtype=np.int64)
-        for i, a in enumerate(agent_ids):
-            steps = agents[a]
-            for t in range(t_count):
-                if t not in steps:
-                    raise DataError(f"{path}: scene {sid} agent {a} missing t={t}")
-            positions[i] = [steps[t] for t in range(t_count)]
-            categories[i] = cats_by_scene[sid][a]
+        for a in agent_ids:
+            if len(agents[a]) != t_count:
+                t = next(t for t in range(t_count) if t not in agents[a])
+                raise DataError(f"{path}: scene {sid} agent {a} missing t={t}")
+        positions = np.array([[agents[a][t] for t in range(t_count)] for a in agent_ids])
+        categories = [cats_by_scene[sid][a] for a in agent_ids]
         scenes.append(Scene(sid, categories, positions))
     return scenes
 

@@ -167,23 +167,15 @@ class TrajectoryForecaster:
         root = RngStream(self.seed if seed is None else seed).child(STREAM_EVAL)
         outputs: list[np.ndarray | None] = [None] * len(scenes)
         for pos, cats, idx in TrajectoryModel.batch_scenes(scenes):
-            draws = []
-            for s in range(k):
-                out, _ = self.model_.predict_batch(
-                    pos, cats, root.child(pos.shape[1], s))
-                draws.append(out[:, :, self.t_history:])
-            stacked = np.stack(draws, axis=1)      # (B, K, N, T_f, 2)
+            out, _ = self.model_.sample_rollouts(
+                pos, cats, [root.child(pos.shape[1], s) for s in range(k)])
             for row, scene_index in enumerate(idx):
-                outputs[scene_index] = stacked[row]
+                outputs[scene_index] = out[:, row, :, self.t_history:]
         return outputs
 
     def score(self, scenes: list[Scene], n_samples: int | None = None) -> float:
         """Negative mean ADE (normalized units) over stochastic samples."""
         self._require_fitted()
         preds = self.predict(scenes, n_samples=n_samples)
-        ades = []
-        for scene, draws in zip(scenes, preds):
-            truth = scene.positions[:, self.t_history:]
-            sample_ades = [ade_fde(truth, d)[0].mean() for d in draws]
-            ades.append(np.mean(sample_ades))
-        return -float(np.mean(ades))
+        return -float(np.mean([ade_fde(scene.positions[:, self.t_history:], draws)[0].mean()
+                               for scene, draws in zip(scenes, preds)]))

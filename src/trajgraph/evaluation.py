@@ -4,14 +4,14 @@ Monte-Carlo verifier for the recursive error bounds.
 
 Displacement metrics are reported in denormalized (source) units. All
 sampling is reproducible: every (scene group, sample) pair draws from its
-own derived stream, so thread scheduling cannot change any number.
+own derived stream, so batching the samples of a group together cannot
+change any number beyond the reordering of floating-point sums.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,11 +28,12 @@ from .rng import STREAM_EVAL, STREAM_THEORY, RngStream
 
 
 def ade_fde(truth: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-agent average and final displacement error over (N, T_f, 2)."""
-    if truth.shape != pred.shape:
+    """Per-agent average and final displacement error over (N, T_f, 2);
+    `pred` may carry leading sample axes, over which `truth` broadcasts."""
+    if truth.shape != pred.shape[pred.ndim - truth.ndim:]:
         raise ContractError(f"shape mismatch: {truth.shape} vs {pred.shape}")
-    dist = np.linalg.norm(truth - pred, axis=-1)      # (N, T_f)
-    return dist.mean(axis=-1), dist[:, -1]
+    dist = np.linalg.norm(truth - pred, axis=-1)      # (..., N, T_f)
+    return dist.mean(axis=-1), dist[..., -1]
 
 
 @dataclass
@@ -48,15 +49,6 @@ class MetricsRecord:
     n_samples: int = 0
 
 
-def _hard_graph_stats(graphs: list[InteractionGraphSample], scene_row: int) -> tuple[float, float]:
-    ents, dens = [], []
-    for g in graphs:
-        z = g.z.data[scene_row]
-        ents.append(graph_entropy(z))
-        dens.append(r_density(z))
-    return float(np.mean(ents)), float(np.mean(dens))
-
-
 def sampled_metrics(model: TrajectoryModel, scenes: list[Scene],
                     normalizer: Normalizer, n_samples: int = 20,
                     seed: int = 0, threads: int = 1,
@@ -65,81 +57,49 @@ def sampled_metrics(model: TrajectoryModel, scenes: list[Scene],
 
     Per scene, each sample redraws relations, edge features, and head
     noise; the minimum and mean are taken over samples of the scene-level
-    (agent-averaged) errors, then averaged over scenes.
+    (agent-averaged) errors, then averaged over scenes. All samples of a
+    same-size group run as one batch; `threads` is accepted and ignored.
     """
     if n_samples < 1:
         raise ConfigError("need at least one evaluation sample")
     root = RngStream(seed).child(STREAM_EVAL)
-    groups = TrajectoryModel.batch_scenes(scenes)
     t_hist = model.cfg.t_history
-
-    def run_one(args):
-        gi, k = args
-        pos, cats, _ = groups[gi]
-        n = pos.shape[1]
-        out, graphs = model.predict_batch(pos, cats, root.child(n, k),
-                                          sample_mode=sample_mode)
-        truth_d = normalizer.denormalize(pos[:, :, t_hist:])
-        pred_d = normalizer.denormalize(out[:, :, t_hist:])
-        rows = []
-        for b in range(pos.shape[0]):
-            a, f = ade_fde(truth_d[b], pred_d[b])
-            ent, den = _hard_graph_stats(graphs, b)
-            rows.append((a, f, ent, den, cats[b]))
-        return gi, k, rows
-
-    jobs = [(gi, k) for gi in range(len(groups)) for k in range(n_samples)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(j) for j in jobs]
-
-    # organize per scene: ade/fde arrays (n_samples, N)
-    per_scene: dict[tuple[int, int], list] = {}
-    for gi, k, rows in results:
-        for b, row in enumerate(rows):
-            per_scene.setdefault((gi, b), [None] * n_samples)[k] = row
-
-    scene_min_ade, scene_mean_ade = [], []
-    scene_min_fde, scene_mean_fde = [], []
-    ent_all, den_all = [], []
+    scene_ade, scene_fde, graph_stats = [], [], []
     cat_acc: dict[int, dict[str, list]] = {}
-    for key in sorted(per_scene):
-        rows = per_scene[key]
-        ades = np.stack([r[0] for r in rows])        # (K, N)
-        fdes = np.stack([r[1] for r in rows])
-        ent_all.append(np.mean([r[2] for r in rows]))
-        den_all.append(np.mean([r[3] for r in rows]))
-        cats = rows[0][4]
-        scene_ade = ades.mean(axis=1)                # (K,)
-        scene_fde = fdes.mean(axis=1)
-        scene_min_ade.append(scene_ade.min())
-        scene_mean_ade.append(scene_ade.mean())
-        scene_min_fde.append(scene_fde.min())
-        scene_mean_fde.append(scene_fde.mean())
-        for c in np.unique(cats):
-            sel = cats == c
-            ca = ades[:, sel].mean(axis=1)
-            cf = fdes[:, sel].mean(axis=1)
-            acc = cat_acc.setdefault(int(c), {"min_ade": [], "mean_ade": [],
-                                              "min_fde": [], "mean_fde": []})
-            acc["min_ade"].append(ca.min())
-            acc["mean_ade"].append(ca.mean())
-            acc["min_fde"].append(cf.min())
-            acc["mean_fde"].append(cf.mean())
+    for pos, cats, _ in TrajectoryModel.batch_scenes(scenes):
+        k, b, n = n_samples, pos.shape[0], pos.shape[1]
+        out, graphs = model.sample_rollouts(
+            pos, cats, [root.child(n, s) for s in range(k)], sample_mode=sample_mode)
+        ades, fdes = ade_fde(normalizer.denormalize(pos[:, :, t_hist:]),
+                             normalizer.denormalize(out[:, :, :, t_hist:]))   # (K, B, N)
+        stats = np.array([[(graph_entropy(g.z.data[r]), r_density(g.z.data[r]))
+                           for g in graphs] for r in range(k * b)])   # (K*B, W, 2)
+        graph_stats.extend(stats.mean(axis=1).reshape(k, b, 2).mean(axis=0))
+        scene_ade.extend(ades.mean(axis=2).T)              # one (K,) row per scene
+        scene_fde.extend(fdes.mean(axis=2).T)
+        for row in range(b):
+            for c in np.unique(cats[row]):
+                acc = cat_acc.setdefault(int(c), {"min_ade": [], "mean_ade": [],
+                                                  "min_fde": [], "mean_fde": []})
+                for name, errs in (("ade", ades), ("fde", fdes)):
+                    per_sample = errs[:, row, cats[row] == c].mean(axis=1)
+                    acc["min_" + name].append(per_sample.min())
+                    acc["mean_" + name].append(per_sample.mean())
 
-    per_category = {c: {k: float(np.mean(v)) for k, v in acc.items()}
+    scene_ade = np.reshape(scene_ade, (-1, n_samples))
+    scene_fde = np.reshape(scene_fde, (-1, n_samples))
+    avg_entropy, avg_density = np.reshape(graph_stats, (-1, 2)).mean(axis=0)
+    per_category = {c: {key: float(np.mean(v)) for key, v in acc.items()}
                     for c, acc in sorted(cat_acc.items())}
     return MetricsRecord(
-        min_ade=float(np.mean(scene_min_ade)),
-        min_fde=float(np.mean(scene_min_fde)),
-        mean_ade=float(np.mean(scene_mean_ade)),
-        mean_fde=float(np.mean(scene_mean_fde)),
-        avg_entropy=float(np.mean(ent_all)),
-        avg_density=float(np.mean(den_all)),
+        min_ade=float(scene_ade.min(axis=1).mean()),
+        min_fde=float(scene_fde.min(axis=1).mean()),
+        mean_ade=float(scene_ade.mean(axis=1).mean()),
+        mean_fde=float(scene_fde.mean(axis=1).mean()),
+        avg_entropy=float(avg_entropy),
+        avg_density=float(avg_density),
         per_category=per_category,
-        n_scenes=len(per_scene), n_samples=n_samples)
+        n_scenes=len(scene_ade), n_samples=n_samples)
 
 
 METRICS_HEADER = ("dataset,strategy,gamma,min_ade,min_fde,mean_ade,mean_fde,"

@@ -29,7 +29,7 @@ from .encoder import (RK_STEP_NOISE, EncoderRun, GraphEncoder,
                       InteractionGraphSample)
 from .errors import ConfigError, ContractError
 from .nn import ParamStore
-from .rng import STREAM_INIT, RngStream
+from .rng import STREAM_INIT, RngStream, StackedStream
 
 
 @dataclass
@@ -213,6 +213,21 @@ class TrajectoryModel:
                 if t + 1 >= t_hist:
                     buffer[:, :, t + 1] = mu.data
         return buffer, graphs
+
+    def sample_rollouts(self, positions: np.ndarray, categories: np.ndarray,
+                        streams: list[RngStream], **predict_kw,
+                        ) -> tuple[np.ndarray, list[InteractionGraphSample]]:
+        """K = len(streams) `predict_batch` rollouts as one k-major batch.
+
+        Row k*B + b draws from streams[k] what sample k of scene b would draw
+        alone, and eval batch norm (running statistics) keeps rows apart.
+        Returns (K, B, N, T, 2) predictions and graphs with K*B rows.
+        """
+        k = len(streams)
+        out, graphs = self.predict_batch(
+            np.tile(positions, (k, 1, 1, 1)), np.tile(categories, (k, 1)),
+            StackedStream(streams), **predict_kw)
+        return out.reshape((k,) + positions.shape), graphs
 
     # ---------------------------------------------------------- persistence
     def state_dict(self) -> dict[str, np.ndarray]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, DataError
 from .nn import ParamStore
 
 
@@ -48,7 +48,20 @@ class Adam:
         return out
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
-        self.t = int(state["opt.t"][0])
+        """Restore `state_dict()` output; a missing or misshapen record is a DataError."""
+        expected = {"opt.t": (1,)}
+        for k, m in self.m.items():
+            expected[f"opt.m.{k}"] = expected[f"opt.v.{k}"] = m.shape
+        for key, shape in expected.items():
+            if key not in state:
+                raise DataError(f"optimizer state lacks record {key}")
+            if state[key].shape != shape:
+                raise DataError(f"optimizer record {key} has shape {state[key].shape}, "
+                                f"expected {shape}")
+        t = float(state["opt.t"][0])
+        if not t.is_integer() or t < 0:
+            raise DataError(f"optimizer step count {t:g} is not a count")
+        self.t = int(t)
         for k in self.m:
             self.m[k][...] = state[f"opt.m.{k}"]
             self.v[k][...] = state[f"opt.v.{k}"]

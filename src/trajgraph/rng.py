@@ -5,13 +5,15 @@ root seed plus a tuple of stream indices. Identical (seed, stream) pairs
 always produce identical draw sequences, which is what makes training runs
 and evaluation reports bit-reproducible. Child streams derived with
 different index tuples are statistically independent (PCG64 seeded through
-``SeedSequence``), so work can be farmed out across threads without any
-draw-order coupling.
+``SeedSequence``), so no draw depends on the order streams are used in; a
+:class:`StackedStream` lets K samples share one batch, each on its own stream.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ContractError
 
 # Fixed top-level stream indices, one per subsystem, so that consumers never
 # collide even when they draw in interleaved order.
@@ -59,3 +61,34 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
+
+
+class StackedStream:
+    """K member streams acting as one over a k-major batch axis: a draw of
+    leading size K*B is the members' (B, ...) draws concatenated, so row
+    k*B + b gets what member k alone draws at row b. It has only the draws
+    `TrajectoryModel.predict_batch` makes."""
+
+    def __init__(self, streams: list[RngStream]):
+        if not streams:
+            raise ContractError("a stacked stream needs at least one member")
+        self.streams = list(streams)
+
+    def child(self, *indices: int) -> "StackedStream":
+        return StackedStream([s.child(*indices) for s in self.streams])
+
+    def _stacked(self, draw, size) -> np.ndarray:
+        k = len(self.streams)
+        if size is None or size[0] % k:
+            raise ContractError(f"draw size {size} does not split over {k} streams")
+        member = (size[0] // k,) + tuple(size[1:])
+        return np.concatenate([draw(s, member) for s in self.streams])
+
+    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
+        return self._stacked(lambda s, m: s.uniform(low, high, m), size)
+
+    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
+        return self._stacked(lambda s, m: s.normal(loc, scale, m), size)
+
+    def logistic(self, size=None) -> np.ndarray:
+        return self._stacked(lambda s, m: s.logistic(m), size)

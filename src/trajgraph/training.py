@@ -58,8 +58,8 @@ class TrainConfig:
             raise ConfigError("alpha_init must be positive")
         if self.gamma < 0:
             raise ConfigError("gamma must be nonnegative")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
+        if self.epochs < 1 or self.batch_size < 1 or self.val_samples < 1:
+            raise ConfigError("epochs, batch_size and val_samples must be positive")
 
     @property
     def uses_mixup(self) -> bool:
@@ -213,15 +213,12 @@ def validation_scores(model: TrajectoryModel, scenes: list[Scene],
     t_hist = model.cfg.t_history
     losses, ades = [], []
     for pos, cats, idx in TrajectoryModel.batch_scenes(scenes):
-        batch_ades = []
-        for k in range(n_samples):
-            out, _ = model.predict_batch(pos, cats, rng.child(k, idx[0]))
-            err = np.linalg.norm(out[:, :, t_hist:] - pos[:, :, t_hist:], axis=-1)
-            batch_ades.append(err.mean(axis=(1, 2)))
-            if k == 0:
-                sq = ((out[:, :, t_hist:] - pos[:, :, t_hist:]) ** 2).sum(axis=(1, 2, 3))
-                losses.extend(sq / (pos.shape[1] * (pos.shape[2] - t_hist)))
-        ades.extend(np.mean(batch_ades, axis=0))
+        out, _ = model.sample_rollouts(
+            pos, cats, [rng.child(k, idx[0]) for k in range(n_samples)])
+        diff = out[:, :, :, t_hist:] - pos[:, :, t_hist:]       # (K, B, N, T_f, 2)
+        ades.extend(np.linalg.norm(diff, axis=-1).mean(axis=(2, 3)).mean(axis=0))
+        sq = (diff[0] ** 2).sum(axis=(1, 2, 3))                # the loss is sample 0's
+        losses.extend(sq / (pos.shape[1] * (pos.shape[2] - t_hist)))
     return float(np.mean(losses)), float(np.mean(ades))
 
 

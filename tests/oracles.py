@@ -220,3 +220,14 @@ def brute_force_min_entropy(n_nodes, n_edges):
     for vec in enumerate_degree_vectors(n_nodes, n_edges):
         best = min(best, entropy_of_degrees(vec, n_nodes))
     return best
+
+
+def per_sample_rollouts(model, positions, categories, streams, **predict_kw):
+    """One `predict_batch` call per stream: (K, B, N, T, 2) predictions and
+    the K per-sample lists of window graphs."""
+    outs, graphs = [], []
+    for stream in streams:
+        out, g = model.predict_batch(positions, categories, stream, **predict_kw)
+        outs.append(out)
+        graphs.append(g)
+    return np.stack(outs), graphs

@@ -112,6 +112,23 @@ def test_resume_continues_epoch_numbering(workspace, tmp_path):
     assert epochs == [0, 1, 2, 3]
 
 
+def test_resume_with_missing_records_exit_code(workspace, tmp_path, capsys):
+    root, cfg, data, _ = workspace
+    out = tmp_path / "resumable"
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(out)]) == 0
+    state = load_checkpoint(out / "last.ckpt")
+    one_moment = next(k for k in state if k.startswith("opt.m."))
+    for dropped in ({k for k in state if k.startswith("meta.")}, {one_moment}):
+        cut = tmp_path / "cut.ckpt"
+        save_checkpoint(cut, {k: v for k, v in state.items() if k not in dropped})
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(out), "--resume", str(cut)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and any(k in err for k in dropped)
+
+
 def test_evaluate_metrics_format_and_determinism(workspace, tmp_path):
     root, cfg, data, run = workspace
     out1, out2 = tmp_path / "e1", tmp_path / "e2"

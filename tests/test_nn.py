@@ -233,6 +233,22 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_failed_save_leaves_previous_checkpoint_and_no_temp_file(tmp_path):
+    path = tmp_path / "last.ckpt"
+    save_checkpoint(path, {"a": np.arange(3.0)})
+    before = path.read_bytes()
+
+    class Unconvertible:
+        def __array__(self, dtype=None, copy=None):
+            raise RuntimeError("disk full")
+
+    # the first record is written before the second one fails
+    with pytest.raises(RuntimeError, match="disk full"):
+        save_checkpoint(path, {"a": np.zeros(5), "b": Unconvertible()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["last.ckpt"]
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 16)

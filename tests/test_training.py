@@ -312,3 +312,5 @@ def test_train_config_validation():
         TrainConfig(alpha_init=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(gamma=-1.0)
+    with pytest.raises(ConfigError):
+        TrainConfig(val_samples=0)
