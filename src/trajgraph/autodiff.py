@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
-# Tape recording is toggled per thread: evaluation rollouts may run in a
-# worker pool while another thread keeps training.
+# Tape recording is toggled per thread, so a no_grad block in one thread
+# never stops another thread from recording.
 _STATE = threading.local()
 
 

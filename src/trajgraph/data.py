@@ -127,9 +127,13 @@ class Normalizer:
             except ValueError as e:
                 raise DataError(f"{path}:{line_no}: expected key = number") from e
         try:
-            return cls(values["min_x"], values["max_x"], values["min_y"], values["max_y"])
+            bounds = [values[k] for k in ("min_x", "max_x", "min_y", "max_y")]
         except KeyError as e:
             raise DataError(f"normalization sidecar missing key {e}") from e
+        if not (np.isfinite(bounds).all() and bounds[1] > bounds[0]
+                and bounds[3] > bounds[2]):
+            raise DataError(f"{path}: bounds must be finite with max > min per axis")
+        return cls(*bounds)
 
 
 @dataclass
@@ -210,6 +214,8 @@ def load_csv(path, n_categories: int | None = None) -> list[Scene]:
             x, y = float(row[4]), float(row[5])
         except (ValueError, IndexError) as e:
             raise DataError(f"{path}:{line_no}: malformed row") from e
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DataError(f"{path}:{line_no}: non-finite coordinate")
         if n_categories is not None and not 0 <= cat < n_categories:
             raise ConfigError(f"{path}:{line_no}: category {cat} out of range "
                               f"[0, {n_categories})")

@@ -12,8 +12,8 @@ Category dispatch runs every category's module on the whole batch and
 combines rows with one-hot masks, which is exactly category indexing at
 C-fold compute cost (cheap at desk scale and trivially differentiable).
 Edge-feature projections are constant within a window and cached per
-graph. When no in-edge qualifies (sampled weight <= 1/2) the aggregated
-message falls back to zero: no social influence.
+window index. When no in-edge qualifies (sampled weight <= 1/2) the
+aggregated message falls back to zero: no social influence.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class DecoderRun:
         self.state = [DArray(np.zeros((batch, n_agents, decoder.hidden)))
                       for _ in range(gru_layers)]
         self._zero_m = np.zeros((batch, n_agents, decoder.hidden))
-        self._graph_cache: dict[int, dict] = {}
+        self._window_caches: dict[int, dict] = {}
         store = decoder.store
         n_cat = decoder.n_categories
         h = decoder.hidden
@@ -127,10 +127,9 @@ class DecoderRun:
         return self._collapse(ad.tanh(hs @ w + b))
 
     # -------------------------------------------------------------- attention
-    def _window_cache(self, graph: InteractionGraphSample) -> dict:
+    def _window_cache(self, graph: InteractionGraphSample, window: int) -> dict:
         """Edge-feature projections and masks, constant within a window."""
-        key = id(graph)
-        cached = self._graph_cache.get(key)
+        cached = self._window_caches.get(window)
         if cached is not None:
             return cached
         store = self.decoder.store
@@ -145,16 +144,21 @@ class DecoderRun:
             "qualify": qualify.astype(np.float64),
             "has_in": qualify.any(axis=1),
         }
-        self._graph_cache[key] = cache
+        self._window_caches[window] = cache
         return cache
 
-    def attend(self, h: DArray, graph: InteractionGraphSample,
-               train: bool) -> DArray:
-        """Aggregated interacting effects m (B, N, H) for every target."""
+    def attention(self, h: DArray, graph: InteractionGraphSample,
+                  window: int) -> tuple[DArray, DArray]:
+        """Weights alpha (B, N, N), source by target, plus the value input.
+
+        Each target's weights over its qualifying in-edges sum to one; a
+        target without one gets all-zero weights. The second result is the
+        category-mapped hidden state the values are built from.
+        """
         dec = self.decoder
         store = dec.store
         b, n, hd = h.shape
-        cache = self._window_cache(graph)
+        cache = self._window_cache(graph, window)
 
         if dec.homogeneous:
             gq = gk = gv = h
@@ -171,57 +175,40 @@ class DecoderRun:
         k = ad.tanh(kh.reshape(b, 1, n, dec.attn_dim) + cache["ke"])
         scores = (q * k).sum(axis=-1) / math.sqrt(dec.attn_dim)   # (B, N, N)
 
-        # value: relative latent position concat edge feature, f_v split
-        gvh = linear(gv, store["dec.fv.0.W"][:hd])
-        v1 = ad.tanh(gvh.reshape(b, n, 1, hd) - gvh.reshape(b, 1, n, hd)
-                     + cache["ve"])
-        values = ad.tanh(linear(v1, store["dec.fv.1.W"], store["dec.fv.1.b"]))
-
-        z = graph.z
         qmask = cache["qualify"]
-        has_in = cache["has_in"]
         # stable weights: shift scores by the per-target max over qualifying
         # edges (a constant, so the ratio is unchanged)
         masked = np.where(qmask > 0, scores.data, -np.inf)
         shift = masked.max(axis=1, keepdims=True)
         shift = np.where(np.isfinite(shift), shift, 0.0)
         exp_scores = ad.exp((scores - DArray(shift)) * DArray(qmask))
-        weight_num = z * exp_scores * DArray(qmask)
+        weight_num = graph.z * exp_scores * DArray(qmask)
         denom = weight_num.sum(axis=1, keepdims=True)
-        denom = denom + DArray((~has_in).astype(np.float64)[:, None, :])
-        alpha = weight_num / denom
-        return (alpha.reshape(b, n, n, 1) * values).sum(axis=1)
+        denom = denom + DArray((~cache["has_in"]).astype(np.float64)[:, None, :])
+        return weight_num / denom, gv
 
-    def attention_weights(self, graph: InteractionGraphSample) -> np.ndarray:
-        """Evaluation-time alpha matrix (B, N, N) from the current hidden."""
-        dec = self.decoder
-        h = self.state[-1]
+    def attend(self, h: DArray, graph: InteractionGraphSample,
+               window: int) -> DArray:
+        """Aggregated interacting effects m (B, N, H) for every target."""
+        store = self.decoder.store
         b, n, hd = h.shape
-        with ad.no_grad():
-            cache = self._window_cache(graph)
-            gq = self._category_map("gq", h)
-            gk = self._category_map("gk", h)
-            q = ad.tanh(linear(gq, dec.store["dec.fq.W"][:hd])
-                        .reshape(b, n, 1, dec.attn_dim) + cache["qe"])
-            k = ad.tanh(linear(gk, dec.store["dec.fk.W"][:hd])
-                        .reshape(b, 1, n, dec.attn_dim) + cache["ke"])
-            scores = (q * k).sum(axis=-1).data / math.sqrt(dec.attn_dim)
-        qualify = cache["qualify"] > 0
-        shift = np.where(qualify.any(axis=1, keepdims=True),
-                         np.where(qualify, scores, -np.inf).max(axis=1, keepdims=True),
-                         0.0)
-        w = np.where(qualify, graph.z.data * np.exp((scores - shift) * qualify), 0.0)
-        denom = w.sum(axis=1, keepdims=True)
-        return w / np.where(denom > 0, denom, 1.0)
+        alpha, gv = self.attention(h, graph, window)
+        # value: relative latent position concat edge feature, f_v split
+        gvh = linear(gv, store["dec.fv.0.W"][:hd])
+        v1 = ad.tanh(gvh.reshape(b, n, 1, hd) - gvh.reshape(b, 1, n, hd)
+                     + self._window_cache(graph, window)["ve"])
+        values = ad.tanh(linear(v1, store["dec.fv.1.W"], store["dec.fv.1.b"]))
+        return (alpha.reshape(b, n, n, 1) * values).sum(axis=1)
 
     # ------------------------------------------------------------------ step
     def step(self, x: DArray, graph: InteractionGraphSample | None,
-             eps: np.ndarray | None, train: bool) -> DArray:
-        """One recursive update; returns the next-position mean."""
+             eps: np.ndarray | None, window: int) -> DArray:
+        """One recursive update on window `window`'s graph (None: no graph
+        yet); returns the next-position mean."""
         if graph is None:
             m = DArray(self._zero_m)
         else:
-            m = self.attend(self.state[-1], graph, train)
+            m = self.attend(self.state[-1], graph, window)
         inp = ad.concat([m, x], axis=-1)
         new_state = []
         for layer, gates in enumerate(self._gru):

@@ -153,8 +153,7 @@ class ModelGraphProbe:
             probs=g.probs, z=_tile_rows(g.z, k), edge_feats=_tile_rows(g.edge_feats, k),
             hard=g.hard) for g in graphs]
         with ad.no_grad():
-            preds = self.model.rollout(pos, cats, tiled, rng,
-                                       input_mode="free_run", train=False)
+            preds = self.model.rollout(pos, cats, tiled, rng, input_mode="free_run")
         t_hist = self.model.cfg.t_history
         err = np.linalg.norm(preds.data[:, :, t_hist:] - pos[:, :, t_hist:], axis=-1)
         return err.mean(axis=(1, 2))   # (K,)

@@ -185,7 +185,7 @@ def r_degree(z):
     return float(z.sum(axis=0).max()) / z.shape[-1]
 
 
-_PENALTIES = {
+PENALTIES = {
     "entropy": relaxed_graph_entropy,
     "density": r_density,
     "degree": r_degree,
@@ -203,9 +203,9 @@ def regularized_loss(recon_loss: DArray, graphs: list[DArray], gamma: float,
         raise ContractError("gamma must be nonnegative")
     if gamma == 0.0 or not graphs:
         return recon_loss
-    if penalty not in _PENALTIES:
+    if penalty not in PENALTIES:
         raise ContractError(f"unknown penalty kind: {penalty}")
-    fn = _PENALTIES[penalty]
+    fn = PENALTIES[penalty]
     total = None
     for z in graphs:
         term = fn(z)

@@ -1,11 +1,12 @@
 """Full forecasting model: latent-graph encoder plus recursive decoder.
 
-Training-time graph inference consumes ground-truth windows for the whole
-trajectory; evaluation interleaves encoder and decoder so future windows
-are embedded from the model's own predictions (history steps stay ground
-truth). Scenes of equal agent count are batched densely as (B, N, ...)
-tensors; scenes never exchange information, so this is equivalent to
-batching them as disconnected components of one large graph.
+One loop decodes the horizon step by step. Training (`rollout`) runs it on
+graphs inferred from ground-truth windows for the whole trajectory;
+evaluation (`predict_batch`) free-runs it and interleaves the encoder, so
+future windows are embedded from the model's own predictions (history
+steps stay ground truth). Scenes of equal agent count are batched densely
+as (B, N, ...) tensors; scenes never exchange information, so this is
+equivalent to batching them as disconnected components of one large graph.
 
 Rollout input modes:
   teacher    ground truth at every step (the TF baseline);
@@ -107,112 +108,103 @@ class TrajectoryModel:
             graphs.append(run.step(positions[:, :, lo:hi], rng, mode, train))
         return graphs
 
-    # --------------------------------------------------------------- rollout
+    # ---------------------------------------------------------------- decode
     def rollout(self, positions: np.ndarray, categories: np.ndarray,
                 graphs: list[InteractionGraphSample], rng: RngStream, *,
                 input_mode: str = "free_run", lam: float | None = None,
-                noise: bool | None = None, train: bool = True,
-                eps_schedule: list | None = None,
+                noise: bool | None = None,
                 boundary_probe: DArray | None = None) -> DArray:
         """Recursive decode over the full horizon with fixed graphs.
 
         Returns (B, N, T, 2) predictions; index 0 carries the observed
-        first step. `eps_schedule` lets two rollouts share identical head
-        noise; `boundary_probe` multiplies the pre-mix boundary prediction
-        (a test hook for the stop-gradient isolation check).
+        first step. Rollouts on one stream draw identical head noise;
+        `boundary_probe` multiplies the pre-mix boundary prediction (a test
+        hook for the stop-gradient isolation check).
         """
         self._check_steps(positions)
         if input_mode not in ("teacher", "free_run", "boundary"):
             raise ConfigError(f"unknown rollout input mode: {input_mode}")
         if input_mode == "boundary" and lam is None:
             raise ContractError("boundary mode needs a mixing coefficient")
-        plan = self.plan
-        t_total, t_hist = plan.t_total, self.cfg.t_history
-        needed = plan.graph_index_for_target(t_total - 1) + 1
+        needed = self.plan.graph_index_for_target(self.plan.t_total - 1) + 1
         if len(graphs) < needed:
             raise ContractError(
                 f"rollout needs {needed} window graphs, got {len(graphs)}")
-        use_noise = self.cfg.step_noise if noise is None else noise
-        b, n = positions.shape[0], positions.shape[1]
-        dec = DecoderRun(self.decoder, b, n, categories, self.cfg.gru_layers)
+        return self._decode(positions, categories, lambda w, inputs: graphs[w],
+                            rng, input_mode, lam, noise, boundary_probe)
 
-        preds: list[DArray] = [DArray(positions[:, :, 0])]
-        for t in range(t_total - 1):
-            truth_t = DArray(positions[:, :, t])
-            if input_mode == "teacher":
-                x_in = truth_t
-            elif input_mode == "free_run":
-                x_in = truth_t if t < t_hist else preds[t]
-            else:  # boundary
-                # mixing corrects each future window's final prediction; the
-                # historical steps stay pure burn-in so that lam = 1 recovers
-                # the free-run rollout exactly
-                at_boundary = (t + 1) % plan.tau == 0 and t >= t_hist
-                if t < t_hist:
-                    x_in = truth_t
-                elif at_boundary:
-                    pred_b = preds[t]
-                    if boundary_probe is not None:
-                        pred_b = pred_b * boundary_probe
-                    x_in = lam * pred_b.detach() + (1.0 - lam) * truth_t
-                else:
-                    x_in = preds[t]
-            gi = plan.graph_index_for_target(t + 1)
-            graph = graphs[gi] if gi >= 0 else None
-            if eps_schedule is not None:
-                eps = eps_schedule[t]
-            elif use_noise:
-                eps = rng.child(RK_STEP_NOISE, t).normal(
-                    size=(b, n, self.cfg.hidden_dim))
-            else:
-                eps = None
-            preds.append(dec.step(x_in, graph, eps, train))
-        return ad.stack(preds, axis=2)
-
-    def draw_eps_schedule(self, rng: RngStream, b: int, n: int) -> list[np.ndarray]:
-        """Pre-draw the residual-head noise so twin rollouts can share it."""
-        return [rng.child(RK_STEP_NOISE, t).normal(size=(b, n, self.cfg.hidden_dim))
-                for t in range(self.plan.t_total - 1)]
-
-    # ------------------------------------------------------------ prediction
     def predict_batch(self, positions: np.ndarray, categories: np.ndarray,
                       rng: RngStream, sample_mode: str = "sample",
                       noise: bool | None = None,
                       edge_noise_scale: float | None = None,
                       ) -> tuple[np.ndarray, list[InteractionGraphSample]]:
-        """Evaluation rollout with on-the-fly graph inference.
+        """Free-run decode on graphs re-inferred from its own predictions.
 
-        Future windows are embedded from the model's own predictions; the
+        Window w is embedded once the decoder has consumed its steps, from
+        those step inputs: ground truth in history, predictions after. The
         returned array carries ground truth history and predicted future.
         """
         self._check_steps(positions)
-        plan = self.plan
-        t_total, t_hist = plan.t_total, self.cfg.t_history
-        use_noise = self.cfg.step_noise if noise is None else noise
         scale = self.cfg.edge_noise_scale if edge_noise_scale is None else edge_noise_scale
-        b, n = positions.shape[0], positions.shape[1]
+        enc = EncoderRun(self.encoder, scale)
+        graphs: list[InteractionGraphSample] = []
+
+        def window_graph(w: int, inputs: list[DArray]) -> InteractionGraphSample:
+            if w == len(graphs):
+                lo, hi = self.plan.window_steps(w)
+                window = np.stack([x.data for x in inputs[lo:hi]], axis=2)
+                graphs.append(enc.step(window, rng, sample_mode, train=False))
+            return graphs[w]
+
         with ad.no_grad():
-            buffer = positions.copy()
-            enc = EncoderRun(self.encoder, scale)
-            dec = DecoderRun(self.decoder, b, n, categories, self.cfg.gru_layers)
-            graphs: list[InteractionGraphSample] = []
-            for t in range(t_total - 1):
-                gi = plan.graph_index_for_target(t + 1)
-                while gi >= 0 and len(graphs) <= gi:
-                    w = len(graphs)
-                    lo, hi = plan.window_steps(w)
-                    graphs.append(enc.step(buffer[:, :, lo:hi], rng,
-                                           sample_mode, train=False))
-                graph = graphs[gi] if gi >= 0 else None
-                if use_noise:
-                    eps = rng.child(RK_STEP_NOISE, t).normal(
-                        size=(b, n, self.cfg.hidden_dim))
-                else:
-                    eps = None
-                mu = dec.step(DArray(buffer[:, :, t]), graph, eps, train=False)
-                if t + 1 >= t_hist:
-                    buffer[:, :, t + 1] = mu.data
-        return buffer, graphs
+            preds = self._decode(positions, categories, window_graph, rng,
+                                 "free_run", None, noise, None)
+        out = positions.copy()
+        t_hist = self.cfg.t_history
+        out[:, :, t_hist:] = preds.data[:, :, t_hist:]
+        return out, graphs
+
+    def _decode(self, positions: np.ndarray, categories: np.ndarray,
+                window_graph, rng: RngStream, input_mode: str,
+                lam: float | None, noise: bool | None,
+                boundary_probe: DArray | None) -> DArray:
+        """The one recursive loop behind `rollout` and `predict_batch`.
+
+        `window_graph(w, inputs)` returns window w's graph, given the
+        decoder inputs of the steps so far.
+        """
+        plan = self.plan
+        t_hist = self.cfg.t_history
+        use_noise = self.cfg.step_noise if noise is None else noise
+        b, n = positions.shape[0], positions.shape[1]
+        dec = DecoderRun(self.decoder, b, n, categories, self.cfg.gru_layers)
+
+        preds: list[DArray] = [DArray(positions[:, :, 0])]
+        inputs: list[DArray] = []
+        for t in range(plan.t_total - 1):
+            truth_t = DArray(positions[:, :, t])
+            if input_mode == "teacher" or t < t_hist:
+                x_in = truth_t
+            elif input_mode == "boundary" and (t + 1) % plan.tau == 0:
+                # mixing corrects each future window's final prediction; the
+                # historical steps stay pure burn-in so that lam = 1 recovers
+                # the free-run rollout exactly
+                pred_b = preds[t]
+                if boundary_probe is not None:
+                    pred_b = pred_b * boundary_probe
+                x_in = lam * pred_b.detach() + (1.0 - lam) * truth_t
+            else:
+                x_in = preds[t]
+            inputs.append(x_in)
+            gi = plan.graph_index_for_target(t + 1)
+            graph = window_graph(gi, inputs) if gi >= 0 else None
+            if use_noise:
+                eps = rng.child(RK_STEP_NOISE, t).normal(
+                    size=(b, n, self.cfg.hidden_dim))
+            else:
+                eps = None
+            preds.append(dec.step(x_in, graph, eps, gi))
+        return ad.stack(preds, axis=2)
 
     def sample_rollouts(self, positions: np.ndarray, categories: np.ndarray,
                         streams: list[RngStream], **predict_kw,

@@ -1,15 +1,14 @@
 """Loss assembly, the two-update mixup strategy, teacher-forcing baselines,
 and the outer training loop with best-checkpoint retention.
 
-Strategies:
-  plain     free-run reconstruction loss only;
-  GE        plain plus the graph-complexity penalty;
-  mixup     two updates per batch: (1) reconstruction of the rollout whose
-            window seeds are mixed with ground truth, (2) the free-run
-            rollout imitating a stop-gradient copy of the mixed rollout;
-  GE_mixup  mixup with the penalty added to the first update;
-  TF        ground truth fed at every step;
-  TF_plus   ground truth fed only at window boundaries.
+Strategies, as the (rollout input mode, lam) of the update every batch gets:
+  plain     (free_run, -);
+  GE        (free_run, -) plus the graph-complexity penalty;
+  TF        (teacher, -): ground truth fed at every step;
+  TF_plus   (boundary, 0): ground truth fed only at window boundaries;
+  mixup     (boundary, lam ~ Beta(alpha, alpha)), then a second update: the
+            free-run rollout imitates a stop-gradient copy of the mixed one;
+  GE_mixup  mixup plus the penalty in the first update.
 
 All losses are normalized like the reconstruction loss (per agent, per
 future step) so the logged columns are directly comparable.
@@ -26,13 +25,19 @@ from . import autodiff as ad
 from .autodiff import DArray
 from .data import Scene
 from .errors import ConfigError, ContractError, NumericalError, ShapeError
-from .graph_complexity import r_density, regularized_loss, relaxed_graph_entropy
+from .graph_complexity import (PENALTIES, r_density, regularized_loss,
+                               relaxed_graph_entropy)
 from .model import TrajectoryModel
 from .nn import gradients
 from .optim import Adam
 from .rng import STREAM_EVAL, STREAM_TRAIN, RngStream
 
-STRATEGIES = ("plain", "mixup", "TF", "TF_plus", "GE", "GE_mixup")
+# strategy -> (rollout input mode, lam) of the first update; None for
+# mixup: lam is drawn per batch
+STRATEGY_INPUTS = {"plain": ("free_run", None), "mixup": ("boundary", None),
+                   "TF": ("teacher", None), "TF_plus": ("boundary", 0.0),
+                   "GE": ("free_run", None), "GE_mixup": ("boundary", None)}
+STRATEGIES = tuple(STRATEGY_INPUTS)
 
 
 @dataclass
@@ -54,6 +59,9 @@ class TrainConfig:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; "
                               f"expected one of {STRATEGIES}")
+        if self.penalty not in PENALTIES:
+            raise ConfigError(f"unknown penalty {self.penalty!r}; "
+                              f"expected one of {tuple(PENALTIES)}")
         if self.alpha_init <= 0:
             raise ConfigError("alpha_init must be positive")
         if self.gamma < 0:
@@ -136,49 +144,34 @@ def _strategy_losses(model: TrajectoryModel, pos: np.ndarray, cats: np.ndarray,
                      optimizer: Adam) -> dict:
     """Run one batch under the configured strategy; returns logged scalars."""
     t_hist = model.cfg.t_history
-    gamma = cfg.effective_gamma
-    b, n = pos.shape[0], pos.shape[1]
-
+    input_mode, lam = STRATEGY_INPUTS[cfg.strategy]
     if cfg.uses_mixup:
         lam = sample_beta(alpha, rng.child(0))
-        # first update: reconstruct from boundary-corrected rollouts
-        graphs = model.infer_graphs_from_truth(pos, rng.child(1))
-        preds = model.rollout(pos, cats, graphs, rng.child(2),
-                              input_mode="boundary", lam=lam)
-        l1 = reconstruction_loss(pos, preds, t_hist)
-        loss1 = regularized_loss(l1, [g.z for g in graphs], gamma, cfg.penalty)
-        _finite_or_raise(loss1)
-        optimizer.step(gradients(loss1, model.store))
-        # second update: free-run imitates the corrected rollout (frozen)
-        graphs2 = model.infer_graphs_from_truth(pos, rng.child(3))
-        eps = model.draw_eps_schedule(rng.child(4), b, n)
-        free = model.rollout(pos, cats, graphs2, rng.child(4),
-                             input_mode="free_run", eps_schedule=eps)
-        with ad.no_grad():
-            target = model.rollout(pos, cats, graphs2, rng.child(4),
-                                   input_mode="boundary", lam=lam,
-                                   eps_schedule=eps)
-        l2 = reconstruction_loss(target.data, free, t_hist)
-        _finite_or_raise(l2)
-        optimizer.step(gradients(l2, model.store))
-        ent, den = relaxed_graph_stats(graphs)
-        return {"loss": l1.item(), "l1": l1.item(), "l2": l2.item(),
-                "entropy": ent, "density": den}
-
+    # first update: reconstruct the rollout under the strategy's inputs
     graphs = model.infer_graphs_from_truth(pos, rng.child(1))
-    if cfg.strategy == "TF":
-        preds = model.rollout(pos, cats, graphs, rng.child(2), input_mode="teacher")
-    elif cfg.strategy == "TF_plus":
-        preds = model.rollout(pos, cats, graphs, rng.child(2),
-                              input_mode="boundary", lam=0.0)
-    else:  # plain / GE
-        preds = model.rollout(pos, cats, graphs, rng.child(2), input_mode="free_run")
+    preds = model.rollout(pos, cats, graphs, rng.child(2),
+                          input_mode=input_mode, lam=lam)
     recon = reconstruction_loss(pos, preds, t_hist)
-    loss = regularized_loss(recon, [g.z for g in graphs], gamma, cfg.penalty)
+    loss = regularized_loss(recon, [g.z for g in graphs], cfg.effective_gamma,
+                            cfg.penalty)
     _finite_or_raise(loss)
     optimizer.step(gradients(loss, model.store))
+    l2 = 0.0
+    if cfg.uses_mixup:
+        # second update: free-run imitates the corrected rollout (frozen);
+        # one stream gives both rollouts the same head noise
+        graphs2 = model.infer_graphs_from_truth(pos, rng.child(3))
+        free = model.rollout(pos, cats, graphs2, rng.child(4),
+                             input_mode="free_run")
+        with ad.no_grad():
+            target = model.rollout(pos, cats, graphs2, rng.child(4),
+                                   input_mode="boundary", lam=lam)
+        imitation = reconstruction_loss(target.data, free, t_hist)
+        _finite_or_raise(imitation)
+        optimizer.step(gradients(imitation, model.store))
+        l2 = imitation.item()
     ent, den = relaxed_graph_stats(graphs)
-    return {"loss": recon.item(), "l1": recon.item(), "l2": 0.0,
+    return {"loss": recon.item(), "l1": recon.item(), "l2": l2,
             "entropy": ent, "density": den}
 
 

@@ -1,3 +1,4 @@
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -173,6 +174,40 @@ def test_evaluate_corrupt_checkpoint_exit_code(workspace, tmp_path, capsys):
         assert main(["evaluate", "--config", str(cfg), "--checkpoint", str(bad),
                      "--data", str(data), "--out", str(tmp_path / "e")]) == 2
         assert capsys.readouterr().err.startswith("data error: ")
+
+
+def _nan_first_x(text):
+    lines = text.splitlines(keepends=True)
+    row = lines[1].split(",")
+    row[4] = "nan"
+    lines[1] = ",".join(row)
+    return "".join(lines)
+
+
+def _set_bound(key, value):
+    return lambda text: re.sub(rf"^{key} = .*$", f"{key} = {value}", text,
+                               flags=re.M)
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("test.csv", _nan_first_x),
+    ("normalization.txt", _set_bound("min_x", "nan")),
+    ("normalization.txt", _set_bound("max_x", "inf")),
+    ("normalization.txt", _set_bound("min_x", "1e9")),
+], ids=["csv_nan_x", "min_x_nan", "max_x_inf", "min_x_above_max"])
+def test_evaluate_bad_data_values_exit_code(workspace, tmp_path, capsys,
+                                            name, corrupt):
+    root, cfg, data, run = workspace
+    bad = tmp_path / "data"
+    bad.mkdir()
+    for f in ("test.csv", "normalization.txt"):
+        (bad / f).write_text((data / f).read_text())
+    (bad / name).write_text(corrupt((data / name).read_text()))
+    assert (bad / name).read_text() != (data / name).read_text()
+    assert main(["evaluate", "--config", str(cfg),
+                 "--checkpoint", str(run / "model.ckpt"),
+                 "--data", str(bad), "--out", str(tmp_path / "e")]) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
 
 
 def test_verify_theory_passes(capsys):

@@ -53,7 +53,7 @@ def test_empty_neighborhood_gives_zero_message():
     z = np.zeros((1, 3, 3))
     run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]), 2)
     run.state = [DArray(rng_np.normal(size=(1, 3, H))) for _ in range(2)]
-    m = run.attend(run.state[-1], make_graph(z), train=False)
+    m = run.attend(run.state[-1], make_graph(z), 0)
     np.testing.assert_array_equal(m.data, np.zeros((1, 3, H)))
 
 
@@ -64,12 +64,12 @@ def test_singleton_edge_attention_weight_one():
     graph = make_graph(z)
     run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]), 2)
     run.state = [DArray(rng_np.normal(size=(1, 3, H))) for _ in range(2)]
-    weights = run.attention_weights(graph)
+    weights = run.attention(run.state[-1], graph, 0)[0].data
     assert weights[0, 1, 2] == pytest.approx(1.0)
     assert weights[0].sum() == pytest.approx(1.0)
     # the message for target 2 equals that single value vector: with weight
     # one, m_2 must be invariant to the attention score scale
-    m = run.attend(run.state[-1], graph, train=False)
+    m = run.attend(run.state[-1], graph, 0)
     np.testing.assert_array_equal(m.data[0, 0], np.zeros(H))
     np.testing.assert_array_equal(m.data[0, 1], np.zeros(H))
     assert np.abs(m.data[0, 2]).max() > 0
@@ -83,7 +83,7 @@ def test_attention_weights_sum_to_one_per_connected_target():
     graph = make_graph(z)
     run = DecoderRun(dec, 2, 5, rng_np.integers(0, 3, size=(2, 5)), 2)
     run.state = [DArray(rng_np.normal(size=(2, 5, H))) for _ in range(2)]
-    weights = run.attention_weights(graph)
+    weights = run.attention(run.state[-1], graph, 0)[0].data
     sums = weights.sum(axis=1)
     connected = z.sum(axis=1) > 0
     np.testing.assert_allclose(sums[connected], 1.0, atol=1e-12)
@@ -101,7 +101,7 @@ def test_train_mode_uses_relaxed_weights_above_half_only():
     run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]), 2)
     state = [DArray(rng_np.normal(size=(1, 3, H))) for _ in range(2)]
     run.state = state
-    m = run.attend(state[-1], graph, train=True)
+    m = run.attend(state[-1], graph, 0)
     # target 2 aggregates only source 1; removing source 0's edge weight
     # entirely must not change anything
     z2 = z.copy()
@@ -110,7 +110,7 @@ def test_train_mode_uses_relaxed_weights_above_half_only():
                                     hard=False)
     run2 = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]), 2)
     run2.state = state
-    m2 = run2.attend(state[-1], graph2, train=True)
+    m2 = run2.attend(state[-1], graph2, 0)
     np.testing.assert_allclose(m.data, m2.data, atol=1e-14)
 
 
@@ -124,7 +124,7 @@ def test_step_noise_disabled_is_deterministic():
     outs = []
     for _ in range(2):
         run = DecoderRun(dec, 1, 4, cats, 2)
-        outs.append(run.step(x, graph, None, train=False).data)
+        outs.append(run.step(x, graph, None, 0).data)
     np.testing.assert_array_equal(outs[0], outs[1])
 
 
@@ -136,7 +136,7 @@ def test_zero_out_head_gives_stationary_prediction():
     run = DecoderRun(dec, 1, 3, cats, 2)
     x = rng_np.normal(size=(1, 3, 2))
     mu = run.step(DArray(x), make_graph(np.ones((1, 3, 3)) - np.eye(3)),
-                  eps=rng_np.normal(size=(1, 3, H)), train=False)
+                  eps=rng_np.normal(size=(1, 3, H)), window=0)
     np.testing.assert_array_equal(mu.data, x)
 
 
@@ -150,8 +150,8 @@ def test_decoder_gradients_match_finite_differences():
 
     def loss():
         run = DecoderRun(dec, 1, 2, cats, 2)
-        mu = run.step(x, graph, None, train=True)
-        mu = run.step(mu, graph, None, train=True)
+        mu = run.step(x, graph, None, 0)
+        mu = run.step(mu, graph, None, 0)
         return ((mu - DArray(target)) ** 2).sum()
 
     arrays = [store[k] for k, _ in store.trainable_items()]
@@ -184,8 +184,8 @@ def test_all_same_category_equals_single_category_decoder():
     eps = rng_np.normal(size=(1, 4, H))
     run3 = DecoderRun(dec3, 1, 4, np.zeros((1, 4), dtype=int), 2)
     run1 = DecoderRun(dec1, 1, 4, np.zeros((1, 4), dtype=int), 2)
-    mu3 = run3.step(x, graph, eps, train=False)
-    mu1 = run1.step(x, graph, eps, train=False)
+    mu3 = run3.step(x, graph, eps, 0)
+    mu1 = run1.step(x, graph, eps, 0)
     np.testing.assert_allclose(mu3.data, mu1.data, atol=1e-12)
 
 
@@ -198,5 +198,5 @@ def test_homogeneous_flag_bypasses_category_maps():
     z = np.ones((1, 3, 3)) - np.eye(3)
     run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]), 2)
     run.state = [DArray(rng_np.normal(size=(1, 3, H))) for _ in range(2)]
-    m = run.attend(run.state[-1], make_graph(z), train=False)
+    m = run.attend(run.state[-1], make_graph(z), 0)
     assert np.abs(m.data).max() > 0   # still attends via raw hidden states

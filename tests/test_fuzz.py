@@ -1,4 +1,5 @@
-"""Any byte string given to a file reader yields a value or a TrajGraphError.
+"""Any byte string given to a file reader yields a value or a TrajGraphError;
+the data-file readers raise a DataError, the CLI's exit code 2.
 
 Each reader is fed raw bytes, and bytes that start like a valid file so
 the fuzz reaches past the header checks.
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from trajgraph.checkpoint import MAGIC, VERSION, load_checkpoint
 from trajgraph.data import Normalizer, load_csv
-from trajgraph.errors import TrajGraphError
+from trajgraph.errors import DataError, TrajGraphError
 
 FUZZ = settings(max_examples=300, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -23,11 +24,11 @@ def target(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "file"
 
 
-def _reads_or_rejects(read, path, content: bytes):
+def _reads_or_rejects(read, path, content: bytes, error=TrajGraphError):
     path.write_bytes(content)
     try:
         read(path)
-    except TrajGraphError:
+    except error:
         pass
 
 
@@ -53,7 +54,7 @@ csv_bytes = st.one_of(
 @FUZZ
 @given(content=csv_bytes)
 def test_load_csv_never_raises_raw(target, content):
-    _reads_or_rejects(load_csv, target, content)
+    _reads_or_rejects(load_csv, target, content, DataError)
 
 
 normalizer_bytes = st.one_of(
@@ -69,7 +70,7 @@ normalizer_bytes = st.one_of(
 @FUZZ
 @given(content=normalizer_bytes)
 def test_normalizer_from_file_never_raises_raw(target, content):
-    _reads_or_rejects(Normalizer.from_file, target, content)
+    _reads_or_rejects(Normalizer.from_file, target, content, DataError)
 
 
 CKPT_HEADER = MAGIC + struct.pack("<I", VERSION)

@@ -94,15 +94,15 @@ def test_teacher_mode_feeds_truth_everywhere(tiny_scenes):
     np.testing.assert_array_equal(preds[:, :, 1:], pos[:, :, :-1])
 
 
-def test_eps_schedule_makes_rollouts_identical(small_model, tiny_scenes):
+def test_one_stream_makes_rollouts_identical(small_model, tiny_scenes):
     scenes, _ = tiny_scenes
     pos, cats = batch_from(scenes, scenes[0].n_agents)
     graphs = small_model.infer_graphs_from_truth(pos, RngStream(1).child(0))
-    eps = small_model.draw_eps_schedule(RngStream(3).child(0), pos.shape[0],
-                                        pos.shape[1])
-    a = small_model.rollout(pos, cats, graphs, RngStream(4), eps_schedule=eps)
-    b = small_model.rollout(pos, cats, graphs, RngStream(5), eps_schedule=eps)
+    a = small_model.rollout(pos, cats, graphs, RngStream(4))
+    b = small_model.rollout(pos, cats, graphs, RngStream(4))
+    c = small_model.rollout(pos, cats, graphs, RngStream(5))
     np.testing.assert_array_equal(a.data, b.data)
+    assert np.abs(a.data - c.data).max() > 0
 
 
 def test_window_graph_ablation_changes_predictions(trained_small):
@@ -120,10 +120,8 @@ def test_window_graph_ablation_changes_predictions(trained_small):
     zeroed[1] = InteractionGraphSample(
         graphs[1].probs, DArray(np.zeros_like(graphs[1].z.data)),
         graphs[1].edge_feats, True)
-    kept = model.rollout(pos, cats, graphs, RngStream(6), noise=False,
-                         train=False).data
-    cut = model.rollout(pos, cats, zeroed, RngStream(6), noise=False,
-                        train=False).data
+    kept = model.rollout(pos, cats, graphs, RngStream(6), noise=False).data
+    cut = model.rollout(pos, cats, zeroed, RngStream(6), noise=False).data
     assert np.abs(kept - cut).max() > 1e-9
 
 
@@ -143,6 +141,27 @@ def test_predict_batch_deterministic_given_stream(small_model, tiny_scenes):
     a, _ = small_model.predict_batch(pos, cats, RngStream(9).child(1))
     b, _ = small_model.predict_batch(pos, cats, RngStream(9).child(1))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("mode", ["sample", "map"])
+def test_predict_batch_is_free_run_rollout_on_its_graphs(small_model,
+                                                         tiny_scenes, mode):
+    # one loop: evaluation is the free-run rollout on graphs inferred from
+    # its own output (ground truth history, predicted future)
+    scenes, _ = tiny_scenes
+    pos, cats = batch_from(scenes, scenes[0].n_agents)
+    rng = RngStream(9).child(2)
+    out, graphs = small_model.predict_batch(pos, cats, rng, sample_mode=mode,
+                                            noise=True)
+    preds = small_model.rollout(pos, cats, graphs, rng, input_mode="free_run",
+                                noise=True).data
+    t_hist = small_model.cfg.t_history
+    assert np.abs(out[:, :, t_hist:] - pos[:, :, t_hist:]).max() > 0
+    np.testing.assert_array_equal(out[:, :, t_hist:], preds[:, :, t_hist:])
+    again = small_model.infer_graphs_from_truth(out, rng, mode=mode, train=False)
+    for g, h in zip(graphs, again):
+        np.testing.assert_array_equal(g.z.data, h.z.data)
+        np.testing.assert_array_equal(g.edge_feats.data, h.edge_feats.data)
 
 
 def test_full_rollout_permutation_equivariance(tiny_scenes):

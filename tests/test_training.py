@@ -123,13 +123,11 @@ def test_lambda_one_makes_imitation_loss_exactly_zero():
     model, pos, cats = _mixup_fixture()
     rng = RngStream(11).child(0)
     graphs = model.infer_graphs_from_truth(pos, rng.child(1))
-    eps = model.draw_eps_schedule(rng.child(2), pos.shape[0], pos.shape[1])
-    free = model.rollout(pos, cats, graphs, rng.child(3),
-                         input_mode="free_run", eps_schedule=eps)
+    # one stream: both rollouts draw the same head noise
+    free = model.rollout(pos, cats, graphs, rng.child(3), input_mode="free_run")
     with ad.no_grad():
         target = model.rollout(pos, cats, graphs, rng.child(3),
-                               input_mode="boundary", lam=1.0,
-                               eps_schedule=eps)
+                               input_mode="boundary", lam=1.0)
     l2 = reconstruction_loss(target.data, free, model.cfg.t_history)
     assert l2.item() == 0.0
 
@@ -138,13 +136,11 @@ def test_lambda_one_imitation_gradients_exactly_zero():
     model, pos, cats = _mixup_fixture()
     rng = RngStream(12).child(0)
     graphs = model.infer_graphs_from_truth(pos, rng.child(1))
-    eps = model.draw_eps_schedule(rng.child(2), pos.shape[0], pos.shape[1])
-    free = model.rollout(pos, cats, graphs, rng.child(3),
-                         input_mode="free_run", eps_schedule=eps)
+    # one stream: both rollouts draw the same head noise
+    free = model.rollout(pos, cats, graphs, rng.child(3), input_mode="free_run")
     with ad.no_grad():
         target = model.rollout(pos, cats, graphs, rng.child(3),
-                               input_mode="boundary", lam=1.0,
-                               eps_schedule=eps)
+                               input_mode="boundary", lam=1.0)
     grads = gradients(reconstruction_loss(target.data, free,
                                           model.cfg.t_history), model.store)
     assert all(np.abs(g).max() == 0.0 for g in grads.values())
@@ -204,11 +200,9 @@ def test_tf_plus_single_window_equals_free_run():
     pos = np.stack([s.positions for s in scenes])
     cats = np.stack([s.categories for s in scenes])
     graphs = model.infer_graphs_from_truth(pos, RngStream(3).child(0))
-    eps = model.draw_eps_schedule(RngStream(4).child(0), 2, 3)
-    free = model.rollout(pos, cats, graphs, RngStream(5),
-                         input_mode="free_run", eps_schedule=eps)
+    free = model.rollout(pos, cats, graphs, RngStream(5), input_mode="free_run")
     tf_plus = model.rollout(pos, cats, graphs, RngStream(5),
-                            input_mode="boundary", lam=0.0, eps_schedule=eps)
+                            input_mode="boundary", lam=0.0)
     np.testing.assert_array_equal(free.data, tf_plus.data)
 
 
@@ -273,9 +267,9 @@ def test_free_run_error_at_least_single_step_error(trained_small):
         graphs = model.infer_graphs_from_truth(pos, RngStream(2).child(0),
                                                mode="sample", train=False)
         free = model.rollout(pos, cats, graphs, RngStream(3), noise=False,
-                             train=False, input_mode="free_run")
+                             input_mode="free_run")
         teach = model.rollout(pos, cats, graphs, RngStream(3), noise=False,
-                              train=False, input_mode="teacher")
+                              input_mode="teacher")
         ratios.append(
             reconstruction_loss(pos, free, model.cfg.t_history).item()
             - reconstruction_loss(pos, teach, model.cfg.t_history).item())
@@ -314,3 +308,5 @@ def test_train_config_validation():
         TrainConfig(gamma=-1.0)
     with pytest.raises(ConfigError):
         TrainConfig(val_samples=0)
+    with pytest.raises(ConfigError):
+        TrainConfig(penalty="entropyy")
