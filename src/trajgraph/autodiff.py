@@ -2,7 +2,9 @@
 
 A :class:`DArray` wraps an ndarray plus an optional gradient buffer. Every
 operation records a backward closure on its output, so the tape is rebuilt
-on each forward pass and freed with the outputs; graphs are never reused.
+on each forward pass. Backward consumes the tape: interior nodes drop their
+closure, parents and gradient as it runs them (leaves keep `.grad`), and a
+later backward that reaches a consumed node raises ContractError.
 All values are float64 throughout, which keeps finite-difference gradient
 checks unambiguous at desk scale.
 
@@ -75,7 +77,7 @@ class DArray:
         self.grad = None
 
     def backward(self):
-        """Populate .grad on every tracked array reachable from this scalar."""
+        """Populate .grad on the tracked leaves reachable from this scalar."""
         if self.data.size != 1:
             raise ContractError("backward requires a scalar loss")
         if not self.requires_grad:
@@ -90,15 +92,19 @@ class DArray:
                 continue
             if id(node) in visited:
                 continue
+            if node._bw is _consumed:
+                raise ContractError("backward through a tape an earlier backward consumed")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._bw is not None:
                 node._bw(node.grad)
+                node._bw, node._parents, node.grad = _consumed, (), None
 
     # Operator sugar; every overload defers to the module-level ops.
     def __add__(self, other):
@@ -152,6 +158,10 @@ class DArray:
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"DArray(shape={self.data.shape}{flag})"
+
+
+def _consumed(g):   # the closure of a node whose tape a backward has freed
+    raise ContractError("backward through a tape an earlier backward consumed")
 
 
 def _coerce(x) -> DArray:
@@ -424,18 +434,6 @@ def stack(arrays, axis=0) -> DArray:
                 _accum_view(x, part)
 
     return _track(np.stack([x.data for x in arrays], axis=axis), arrays, bw)
-
-
-def broadcast_to(a, shape) -> DArray:
-    a = _coerce(a)
-    shape = tuple(shape)
-
-    def bw(g):
-        if a.requires_grad:
-            ga = _unbroadcast(g, a.data.shape)
-            _accum_view(a, ga) if ga is g else _accum_owned(a, ga)
-
-    return _track(np.broadcast_to(a.data, shape).copy(), (a,), bw)
 
 
 def exp(a) -> DArray:

@@ -70,7 +70,8 @@ class DecoderRun:
 
     Per-category weights are stacked along a leading category axis and
     split into GRU gate blocks once per rollout; each step then runs one
-    batched GEMM per gate and input and collapses the result with one-hot
+    batched GEMM per gate and input, broadcasting the (1, B*N, F) rows
+    against the (C, F, H) weights, and collapses the result with one-hot
     masks, which equals per-agent weight indexing exactly.
     """
 
@@ -108,10 +109,8 @@ class DecoderRun:
             for layer in range(gru_layers)]
 
     def _stack_rows(self, x: DArray) -> DArray:
-        """(B, N, F) -> (C, B*N, F) with the rows repeated per category."""
-        flat = x.reshape(1, self.batch * self.n_agents, x.shape[-1])
-        return ad.broadcast_to(
-            flat, (self.decoder.n_categories,) + flat.shape[1:])
+        """(B, N, F) -> (1, B*N, F) rows, broadcast against C-stacked weights."""
+        return x.reshape(1, self.batch * self.n_agents, x.shape[-1])
 
     def _collapse(self, stacked: DArray) -> DArray:
         """(C, B*N, F) -> (B, N, F), each agent keeping its own category row."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DArray
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NumericalError, ShapeError
 from .rng import RngStream
 
 Activation = str | None
@@ -100,13 +100,18 @@ def gradients(loss: DArray, store: ParamStore) -> dict[str, np.ndarray]:
 
     Parameters that did not contribute to the loss get zero gradients. The
     store's grad buffers are cleared afterwards so each optimizer step sees
-    exactly one backward pass.
+    exactly one backward pass. Raises NumericalError naming the first
+    parameter, in store order, whose gradient is not finite.
     """
     loss.backward()
     out = {}
     for name, p in store.trainable_items():
         out[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
     store.zero_grad()
+    for name, g in out.items():
+        if not np.isfinite(g).all():
+            raise NumericalError(f"gradient of parameter {name} became non-finite; "
+                                 "try a lower learning rate or weaker coupling")
     return out
 
 
@@ -234,8 +239,8 @@ def gru_gates(w_ih: DArray, w_hh: DArray, b_ih: DArray, b_hh: DArray) -> GRUGate
 def gru_step(x: DArray, h: DArray, g: GRUGates) -> DArray:
     """One GRU update in six GEMMs, one per gate and input.
 
-    x (R, F) and h (R, H) go with plain gates; (C, R, F) and (C, R, H)
-    go with C-stacked gates, each row block through its own GRU.
+    x (R, F) and h (R, H) go with plain gates; with C-stacked gates,
+    (1, R, F) and (1, R, H) broadcast to every category's GRU.
     """
     r = ad.sigmoid(x @ g.w_ir + h @ g.w_hr + g.b_r)
     z = ad.sigmoid(x @ g.w_iz + h @ g.w_hz + g.b_z)

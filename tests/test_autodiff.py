@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,15 @@ def test_batched_matmul_gradients():
     fd_probe_check(lambda: (a @ b).sum(), [a, b], rng, n_probes=10, rtol=1e-5)
 
 
+@pytest.mark.parametrize("op, shapes", [
+    (lambda x, w: x @ w, ((1, 5, 4), (3, 4, 2))),   # rows against C-stacked weights
+    (lambda h, z: z * h, ((1, 5, 2), (3, 5, 2))),   # GRU's z * h on C-stacked gates
+], ids=["matmul", "mul"])
+def test_category_broadcast_gradients(op, shapes):
+    a, b = _rand(*shapes[0]), _rand(*shapes[1])
+    fd_probe_check(lambda: (op(a, b) ** 2).sum(), [a, b], rng, n_probes=10, rtol=1e-5)
+
+
 def test_reduction_and_reshape_gradients():
     x = _rand(4, 6)
     fd_probe_check(
@@ -141,3 +152,38 @@ def test_deep_chain_no_recursion_error():
         y = y + 1.0
     y.sum().backward()
     np.testing.assert_array_equal(x.grad, np.ones(4))
+
+
+def test_backward_releases_the_tape():
+    x = _rand(3, 4)
+    h = ad.tanh(x)
+    only_on_tape = weakref.ref(h.data)
+    loss = (h * h).sum()
+    del h
+    loss.backward()
+    assert only_on_tape() is None
+
+
+def test_backward_frees_interior_grads_and_keeps_leaf_grads():
+    x = _rand(3)
+    y = x * 2.0
+    loss = (y * y).sum()
+    loss.backward()
+    assert y.grad is None and loss.grad is None
+    np.testing.assert_allclose(x.grad, 8.0 * x.data)
+
+
+def test_second_backward_through_a_consumed_graph_raises():
+    x = DArray(np.array(1.0), requires_grad=True)
+    y = x * 2.0
+    y.sum().backward()
+    assert x.grad == 2.0
+    x.grad = None
+    # y's stale gradient would make this 8 instead of 6
+    with pytest.raises(ContractError):
+        (y * 3.0).sum().backward()
+    assert x.grad is None
+    loss = (x * x).sum()
+    loss.backward()
+    with pytest.raises(ContractError):
+        loss.backward()

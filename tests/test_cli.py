@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trajgraph.autodiff import DArray
 from trajgraph.checkpoint import load_checkpoint, save_checkpoint
 from trajgraph.cli import main
 from trajgraph.data import load_csv
+from trajgraph.nn import ParamStore
 
 SMOKE_INI = """
 [data]
@@ -99,6 +101,35 @@ def test_train_deterministic_checkpoints(workspace, tmp_path):
     assert (rerun / "model.ckpt").read_bytes() == (run / "model.ckpt").read_bytes()
     assert (rerun / "train_log.csv").read_bytes() == \
         (run / "train_log.csv").read_bytes()
+
+
+def test_train_non_finite_gradient_exit_code(workspace, tmp_path, capsys,
+                                            monkeypatch):
+    """NaN planted in two parameters' gradients after every backward: train
+    exits 3 and names the first of them in store order."""
+    root, cfg, data, _ = workspace
+    names = ("dec.fout.0.W", "dec.fout.2.b")
+    planted = []
+    add, backward = ParamStore.add, DArray.backward
+
+    def recording_add(store, name, value, trainable=True):
+        arr = add(store, name, value, trainable)
+        if name in names:
+            planted.append(arr)
+        return arr
+
+    def nan_backward(loss):
+        backward(loss)
+        for p in planted:
+            p.grad.flat[0] = np.nan
+
+    monkeypatch.setattr(ParamStore, "add", recording_add)
+    monkeypatch.setattr(DArray, "backward", nan_backward)
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(tmp_path / "nan")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert names[0] in err and names[1] not in err
 
 
 def test_resume_continues_epoch_numbering(workspace, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from trajgraph import autodiff as ad
 from trajgraph.autodiff import DArray
 from trajgraph.checkpoint import load_checkpoint, save_checkpoint
-from trajgraph.errors import ContractError, DataError, ShapeError
+from trajgraph.errors import ContractError, DataError, NumericalError, ShapeError
 from trajgraph.nn import (MLP, Affine, BatchNorm, GRUStack, ParamStore,
                           gradients, gru_gates, gru_step, softmax)
 from trajgraph.optim import Adam
@@ -43,6 +43,17 @@ def test_gradients_cover_untouched_params_with_zeros():
     np.testing.assert_allclose(grads["used"], 2 * used.data)
     np.testing.assert_array_equal(grads["unused"], np.zeros(2))
     assert used.grad is None  # cleared after collection
+
+
+def test_gradients_name_the_first_non_finite_parameter():
+    store, rng = _store_rng()
+    a = store.add("a", rng.normal(size=(3,)))
+    b = store.add("b", np.array([1.0, np.inf, 2.0]))
+    c = store.add("c", rng.normal(size=(2,)))
+    loss = (a * b).sum() + (c * c).sum() + (b * np.nan).sum()
+    with pytest.raises(NumericalError, match="parameter a "):
+        gradients(loss, store)
+    assert all(p.grad is None for p in (a, b, c))
 
 
 def test_mlp_zero_final_affine_gives_zero_output():

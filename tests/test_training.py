@@ -1,18 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from trajgraph import autodiff as ad
 from trajgraph.autodiff import DArray
 from trajgraph.checkpoint import load_checkpoint, save_checkpoint
-from trajgraph.data import Scene
+from trajgraph.data import Scene, SyntheticConfig, generate_synthetic
 from trajgraph.errors import (ConfigError, ContractError, NumericalError,
                               ShapeError)
 from trajgraph.model import ModelConfig, TrajectoryModel
 from trajgraph.nn import gradients
+from trajgraph.optim import Adam
 from trajgraph.rng import RngStream
-from trajgraph.training import (MixState, TrainConfig, decay_alpha,
-                                make_batches, mix, reconstruction_loss,
-                                sample_beta, train)
+from trajgraph.training import (MixState, TrainConfig, _strategy_losses,
+                                decay_alpha, make_batches, mix,
+                                reconstruction_loss, sample_beta, train)
 
 from conftest import small_model_config
 from oracles import naive_reconstruction_loss
@@ -286,6 +289,34 @@ def test_nan_loss_aborts_with_advice(tiny_scenes):
     model = TrajectoryModel(small_model_config(), seed=1)
     with pytest.raises(NumericalError):
         train(model, TrainConfig(epochs=1, batch_size=4, seed=1), bad, [])
+
+
+def test_mixup_batch_holds_one_tape_at_a_time():
+    """The second mixup update starts after the first one's tape is freed,
+    so a GE_mixup batch peaks about where a single-update GE batch does."""
+    scenes, _ = generate_synthetic(SyntheticConfig(
+        n_scenes=8, n_agents_min=4, n_agents_max=4, seed=3))
+    pos = np.stack([s.positions for s in scenes])
+    cats = np.stack([s.categories for s in scenes])
+
+    def peak_bytes(strategy):
+        model = TrajectoryModel(small_model_config(
+            hidden_dim=16, edge_dim=16, attn_dim=16), seed=0)
+        cfg = TrainConfig(strategy=strategy, gamma=0.1)
+        optimizer = Adam(model.store, lr=1e-3)
+
+        def batch():
+            _strategy_losses(model, pos, cats, RngStream(1), cfg, 1.0, optimizer)
+
+        batch()   # warm: Adam moments exist before measuring
+        tracemalloc.start()
+        try:
+            batch()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes("GE_mixup") < 1.5 * peak_bytes("GE")
 
 
 def test_make_batches_groups_by_size(tiny_scenes):
