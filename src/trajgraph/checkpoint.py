@@ -8,8 +8,8 @@ Layout (all integers little-endian u32, floats little-endian float64):
 Record order follows the mapping's iteration order, so writing the same
 state twice produces byte-identical files.
 
-The CLI writes checkpoints and result tables through `atomic_open`, so a
-crash never leaves a cut file in place of a complete one.
+Checkpoints, datasets and result tables are written through `atomic_open`,
+so a crash never leaves a cut file in place of a complete one.
 """
 
 from __future__ import annotations
@@ -29,18 +29,19 @@ VERSION = 1
 
 
 @contextlib.contextmanager
-def atomic_open(path, mode: str = "w"):
+def atomic_open(path, mode: str = "w", **open_kw):
     """Write `path` all at once or not at all.
 
-    Yields a temporary file in the same directory (created like `open`
-    would create `path`, so with the same permissions); when the block
-    ends without an exception it is flushed, synced to disk and renamed
-    over `path`. Otherwise it is deleted and `path` is left as it was.
+    Yields a temporary file in the same directory (opened as
+    `open(path, mode, **open_kw)` would open `path`, so with the same
+    permissions); when the block ends without an exception it is flushed,
+    synced to disk and renamed over `path`. Otherwise it is deleted and
+    `path` is left as it was.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode) as f:
+        with open(tmp, mode, **open_kw) as f:
             yield f
             f.flush()
             os.fsync(f.fileno())

@@ -19,14 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
-from .config import DEFAULTS, RunConfig, load_config, parse_float_list
+from .config import RunConfig, load_config, parse_float_list
 from .data import (Normalizer, Scene, SyntheticConfig, generate_synthetic,
                    load_csv, save_csv, split_scenes)
 from .errors import (ConfigError, ContractError, DataError, GenerationError,
-                     NumericalError, ShapeError, TrajGraphError)
+                     NumericalError, ShapeError)
 from .evaluation import (CATEGORY_HEADER, METRICS_HEADER, ModelGraphProbe,
-                         graph_quality, metrics_csv_rows, sampled_metrics,
-                         select_graph, verify_bounds)
+                         eval_rollouts, graph_quality, metrics_csv_rows,
+                         rollout_metrics, sampled_metrics, verify_bounds)
 from .graph_complexity import (graph_entropy, min_graph_entropy, r_density,
                                random_majorizing_pair, verify_hlp)
 from .model import ModelConfig, TrajectoryModel
@@ -115,14 +115,10 @@ def _synthetic_config(cfg: RunConfig) -> SyntheticConfig:
     c = d["n_categories"]
     coupling = parse_float_list(d["coupling"], c * c, "[data] coupling")
     damping = parse_float_list(d["damping"], c, "[data] damping")
-    return SyntheticConfig(
-        n_scenes=d["n_scenes"], n_agents_min=d["n_agents_min"],
-        n_agents_max=d["n_agents_max"], n_categories=c,
-        t_history=d["t_history"], t_future=d["t_future"],
-        coupling=None if coupling is None else np.array(coupling).reshape(c, c),
-        damping=None if damping is None else np.array(damping),
-        edge_prob=d["edge_prob"], dt=d["dt"], seed=d["seed"],
-        init_box=d["init_box"], init_vel=d["init_vel"])
+    kw = {f.name: d[f.name] for f in dataclasses.fields(SyntheticConfig)}
+    kw["coupling"] = None if coupling is None else np.array(coupling).reshape(c, c)
+    kw["damping"] = None if damping is None else np.array(damping)
+    return SyntheticConfig(**kw)
 
 
 def _model_config(cfg: RunConfig) -> ModelConfig:
@@ -142,18 +138,22 @@ def _threads(cfg: RunConfig, flag: int | None) -> int:
     return value if value and value > 0 else (os.cpu_count() or 1)
 
 
+def _at_least(value: int, low: int, what: str) -> int:
+    if value < low:
+        raise ConfigError(f"{what} must be at least {low}, got {value}")
+    return value
+
+
 # --------------------------------------------------------------- subcommands
 
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config, {("data", "seed"): args.seed})
     d = cfg["data"]
-    ratios = (d["split_train"], d["split_val"], d["split_test"])
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must sum to 1, got {ratios}")
+    scenes, norm = generate_synthetic(_synthetic_config(cfg))
+    train_s, val_s, test_s = split_scenes(
+        scenes, (d["split_train"], d["split_val"], d["split_test"]), seed=d["seed"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scenes, norm = generate_synthetic(_synthetic_config(cfg))
-    train_s, val_s, test_s = split_scenes(scenes, ratios, seed=d["seed"])
     save_csv(train_s, out / "train.csv")
     save_csv(val_s, out / "val.csv")
     save_csv(test_s, out / "test.csv")
@@ -243,9 +243,9 @@ def cmd_evaluate(args) -> int:
     model, strategy, gamma = load_model(args.checkpoint)
     split = cfg["eval"]["split"] if args.split is None else args.split
     scenes, norm = _load_split(args.data, split, model.cfg.n_categories)
-    record = sampled_metrics(model, scenes, norm,
-                             n_samples=cfg["eval"]["samples"],
-                             seed=cfg["eval"]["seed"])
+    rollouts, graphs = eval_rollouts(model, scenes, cfg["eval"]["samples"],
+                                     cfg["eval"]["seed"])
+    record = rollout_metrics(scenes, rollouts, graphs, norm, model.cfg.t_history)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset = Path(args.data).name
@@ -255,31 +255,22 @@ def cmd_evaluate(args) -> int:
     with atomic_open(out / "metrics_by_category.csv") as f:
         f.write(CATEGORY_HEADER + "\n" + "\n".join(cat_rows) + "\n")
     if args.export_trajectories:
-        _export_trajectories(model, scenes, norm, cfg["eval"]["samples"],
-                             cfg["eval"]["seed"], out / "trajectories.csv")
+        _export_trajectories(scenes, rollouts, norm, model.cfg.t_history,
+                             out / "trajectories.csv")
     print(f"min ADE {record.min_ade:.4f}, mean ADE {record.mean_ade:.4f}, "
           f"min FDE {record.min_fde:.4f}, mean FDE {record.mean_fde:.4f}")
     return EXIT_OK
 
 
-def _export_trajectories(model: TrajectoryModel, scenes: list[Scene],
-                         norm: Normalizer, n_samples: int, seed: int, path):
-    root = RngStream(seed).child(STREAM_EVAL)
-    t_hist = model.cfg.t_history
+def _export_trajectories(scenes: list[Scene], rollouts: list[np.ndarray],
+                         norm: Normalizer, t_hist: int, path):
+    """Write the (K, N, T, 2) rollouts of each scene, future steps only."""
     lines = ["scene_id,sample_id,agent_id,t,x,y"]
-    preds = [None] * len(scenes)
-    for pos, cats, idx in TrajectoryModel.batch_scenes(scenes):
-        out, _ = model.sample_rollouts(
-            pos, cats, [root.child(pos.shape[1], k) for k in range(n_samples)])
-        for row, scene_index in enumerate(idx):
-            preds[scene_index] = norm.denormalize(out[:, row, :, t_hist:])
-    for scene, samples in zip(scenes, preds):
-        for k, pred in enumerate(samples):
-            for a in range(scene.n_agents):
-                for t in range(pred.shape[1]):
-                    lines.append(
-                        f"{scene.scene_id},{k},{a},{t_hist + t},"
-                        f"{float(pred[a, t, 0])!r},{float(pred[a, t, 1])!r}")
+    for scene, out in zip(scenes, rollouts):
+        pred = norm.denormalize(out[:, :, t_hist:])                # (K, N, T_f, 2)
+        lines.extend(f"{scene.scene_id},{k},{a},{t_hist + t},{x!r},{y!r}"
+                     for (k, a, t), (x, y) in zip(np.ndindex(pred.shape[:3]),
+                                                  pred.reshape(-1, 2).tolist()))
     with atomic_open(path) as f:
         f.write("\n".join(lines) + "\n")
 
@@ -289,10 +280,11 @@ def cmd_verify_theory(args) -> int:
     unknown = set(checks) - {"entropy", "bounds", "majorization"}
     if unknown:
         raise ConfigError(f"unknown theory checks: {sorted(unknown)}")
+    _at_least(args.max_nodes, 2, "--max-nodes")
+    _at_least(args.trials, 1, "--trials")
     ok = True
 
     if "entropy" in checks:
-        from .graph_complexity import min_entropy_degree_profile
         print("graph entropy minimizer: closed form vs brute force")
         print(f"{'N':>3} {'|E|':>4} {'closed':>12} {'brute':>12} match")
         for n in range(2, args.max_nodes + 1):
@@ -361,6 +353,9 @@ def _brute_force_min_entropy(n_nodes: int, n_edges: int) -> float:
 def cmd_analyze_graphs(args) -> int:
     cfg = load_config(args.config, {("eval", "samples"): args.samples,
                                     ("eval", "seed"): args.seed})
+    samples = _at_least(cfg["eval"]["samples"], 1, "--samples / [eval] samples")
+    _at_least(args.quality_scenes, 0, "--quality-scenes")
+    _at_least(args.svg_scenes, 0, "--svg-scenes")
     model, _, _ = load_model(args.checkpoint)
     split = cfg["eval"]["split"] if args.split is None else args.split
     scenes, norm = _load_split(args.data, split, model.cfg.n_categories)
@@ -368,14 +363,12 @@ def cmd_analyze_graphs(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg["eval"]["seed"]
     root = RngStream(seed).child(STREAM_EVAL, 31)
+    probe = ModelGraphProbe(model, n_rollouts=samples)
 
     # per-scene per-window hard-graph statistics (MAP inference)
     lines = ["scene_id,window,n_edges,density,entropy"]
     for si, scene in enumerate(scenes):
-        pos, cats = scene.positions[None], scene.categories[None]
-        _, graphs = model.predict_batch(pos, cats, root.child(si),
-                                        sample_mode="map", edge_noise_scale=0.0)
-        for w, g in enumerate(graphs):
+        for w, g in enumerate(probe.infer_graphs(scene, root.child(si))):
             z = g.z.data[0]
             lines.append(f"{scene.scene_id},{w},{int(z.sum())},"
                          f"{r_density(z)!r},{graph_entropy(z)!r}")
@@ -383,9 +376,7 @@ def cmd_analyze_graphs(args) -> int:
         f.write("\n".join(lines) + "\n")
 
     # edge quality audit on a capped number of scenes
-    quality_scenes = scenes[:args.quality_scenes]
-    probe = ModelGraphProbe(model, n_rollouts=cfg["eval"]["samples"])
-    report = graph_quality(probe, quality_scenes, seed=seed)
+    report = graph_quality(probe, scenes[:args.quality_scenes], seed=seed)
     q_lines = [
         "metric,value",
         f"scenes,{report.n_scenes}",
@@ -400,16 +391,14 @@ def cmd_analyze_graphs(args) -> int:
         f.write("\n".join(q_lines) + "\n")
 
     if args.svg:
+        t_hist = model.cfg.t_history
         for si, scene in enumerate(scenes[:args.svg_scenes]):
-            streams = [root.child(9000 + si, k)
-                       for k in range(min(cfg["eval"]["samples"], 10))]
-            samples = []
-            if streams:   # --samples 0 plots the truth alone
-                pred, _ = model.sample_rollouts(scene.positions[None],
-                                                scene.categories[None], streams)
-                samples = list(norm.denormalize(pred[:, 0, :, model.cfg.t_history:]))
-            trajectory_svg(norm.denormalize(scene.positions), samples,
-                           model.cfg.t_history, out / f"{scene.scene_id}.svg")
+            (pred,), _ = model.sample_scenes(
+                [scene], lambda *_: [root.child(9000 + si, k)
+                                     for k in range(min(samples, 10))])
+            trajectory_svg(norm.denormalize(scene.positions),
+                           list(norm.denormalize(pred[:, :, t_hist:])),
+                           t_hist, out / f"{scene.scene_id}.svg")
     print(f"graph analysis written to {out} (redundant rate "
           f"{report.redundant_rate:.4f}, missing rate {report.missing_rate:.4f})")
     return EXIT_OK

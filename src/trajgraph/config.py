@@ -3,9 +3,10 @@
 An absent file or omitted key falls back to the defaults below, which
 reproduce the reference training setup (window size 5, hidden width 128,
 batch 128 for 200 epochs, Adam at 1e-3, concrete temperature 0.5, mixup
-concentration 10 halving every 10 epochs); the [model] and [train] ones
-are the ModelConfig and TrainConfig defaults. Unknown sections or keys are
-rejected for typo safety. Command-line flags override file values.
+concentration 10 halving every 10 epochs); the [data], [model] and
+[train] ones are the SyntheticConfig, ModelConfig and TrainConfig
+defaults. Unknown sections or keys are rejected for typo safety.
+Command-line flags override file values.
 """
 
 from __future__ import annotations
@@ -14,29 +15,17 @@ import configparser
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .data import SyntheticConfig
 from .errors import ConfigError
 from .model import ModelConfig
 from .training import TrainConfig
 
 DEFAULTS: dict[str, dict] = {
-    "data": {
-        "n_scenes": 200,
-        "n_agents_min": 4,
-        "n_agents_max": 8,
-        "n_categories": 3,
-        "t_history": 5,
-        "t_future": 10,
-        "edge_prob": 0.35,
-        "dt": 0.2,
-        "init_box": 1.0,
-        "init_vel": 0.6,
-        "coupling": "",      # optional C*C comma-separated row-major floats
-        "damping": "",       # optional C comma-separated floats
-        "split_train": 0.65,
-        "split_val": 0.10,
-        "split_test": 0.25,
-        "seed": 0,
-    },
+    # the SyntheticConfig defaults, its optional arrays as comma-separated
+    # floats ("": the generator's default); then the CLI's split ratios
+    "data": {**{f.name: "" if f.name in ("coupling", "damping") else f.default
+                for f in fields(SyntheticConfig)},
+             "split_train": 0.65, "split_val": 0.10, "split_test": 0.25},
     # the dataclass defaults; the scene shape stays in [data]
     "model": {f.name: f.default for f in fields(ModelConfig)
               if f.name not in ("n_categories", "t_history", "t_future")},

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .errors import ConfigError, ContractError, DataError, GenerationError
 from .rng import STREAM_DATA, RngStream
 
@@ -108,7 +109,8 @@ class Normalizer:
     def to_file(self, path):
         lines = [f"min_x = {self.min_x!r}", f"max_x = {self.max_x!r}",
                  f"min_y = {self.min_y!r}", f"max_y = {self.max_y!r}"]
-        Path(path).write_text("\n".join(lines) + "\n")
+        with atomic_open(path) as f:
+            f.write("\n".join(lines) + "\n")
 
     @classmethod
     def from_file(cls, path) -> "Normalizer":
@@ -180,8 +182,7 @@ def _format_float(v: float) -> str:
 
 
 def save_csv(scenes: list[Scene], path):
-    path = Path(path)
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_HEADER)
         for scene in scenes:
@@ -356,8 +357,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[list[Scene], Normalizer]:
 def split_scenes(scenes: list[Scene], ratios: tuple[float, float, float],
                  seed: int) -> tuple[list[Scene], list[Scene], list[Scene]]:
     """Shuffle deterministically and split into train/val/test."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must sum to 1, got {ratios}")
+    if not all(0.0 <= r <= 1.0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"split ratios must lie in [0, 1] and sum to 1, got {ratios}")
     perm = RngStream(seed).child(STREAM_DATA, 999_983).permutation(len(scenes))
     shuffled = [scenes[i] for i in perm]
     n = len(scenes)

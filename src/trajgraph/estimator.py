@@ -19,9 +19,8 @@ import numpy as np
 
 from .data import Scene, split_scenes
 from .errors import ConfigError, ContractError, DataError
-from .evaluation import ade_fde
+from .evaluation import ade_fde, eval_rollouts
 from .model import ModelConfig, TrajectoryModel
-from .rng import STREAM_EVAL, RngStream
 from .training import TrainConfig, train
 
 # dataclass defaults, read by the explicit signature get_params inspects
@@ -164,14 +163,9 @@ class TrajectoryForecaster:
         t_total = self.t_history + self.t_future
         check_scenes(scenes, self.n_categories, t_total)
         k = self.n_samples if n_samples is None else n_samples
-        root = RngStream(self.seed if seed is None else seed).child(STREAM_EVAL)
-        outputs: list[np.ndarray | None] = [None] * len(scenes)
-        for pos, cats, idx in TrajectoryModel.batch_scenes(scenes):
-            out, _ = self.model_.sample_rollouts(
-                pos, cats, [root.child(pos.shape[1], s) for s in range(k)])
-            for row, scene_index in enumerate(idx):
-                outputs[scene_index] = out[:, row, :, self.t_history:]
-        return outputs
+        rollouts, _ = eval_rollouts(self.model_, scenes, k,
+                                    self.seed if seed is None else seed)
+        return [out[:, :, self.t_history:] for out in rollouts]
 
     def score(self, scenes: list[Scene], n_samples: int | None = None) -> float:
         """Negative mean ADE (normalized units) over stochastic samples."""

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import DArray
 from .data import Normalizer, Scene
 from .encoder import InteractionGraphSample
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DataError
 from .graph_complexity import graph_entropy, r_density
 from .model import TrajectoryModel
 from .rng import STREAM_EVAL, STREAM_THEORY, RngStream
@@ -49,46 +49,50 @@ class MetricsRecord:
     n_samples: int = 0
 
 
-def sampled_metrics(model: TrajectoryModel, scenes: list[Scene],
-                    normalizer: Normalizer, n_samples: int = 20,
-                    seed: int = 0, threads: int = 1,
-                    sample_mode: str = "sample") -> MetricsRecord:
-    """Min/mean ADE and FDE over stochastic rollouts, plus graph statistics.
-
-    Per scene, each sample redraws relations, edge features, and head
-    noise; the minimum and mean are taken over samples of the scene-level
-    (agent-averaged) errors, then averaged over scenes. All samples of a
-    same-size group run as one batch; `threads` is accepted and ignored.
-    """
+def eval_rollouts(model: TrajectoryModel, scenes: list[Scene], n_samples: int,
+                  seed: int = 0, sample_mode: str = "sample",
+                  ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """`TrajectoryModel.sample_scenes` with the evaluation streams: sample k
+    of an N-agent scene redraws relations, edge features and head noise
+    from stream (STREAM_EVAL, N, k) of `seed`."""
     if n_samples < 1:
         raise ConfigError("need at least one evaluation sample")
+    if not scenes:
+        raise DataError("no scenes to evaluate")
     root = RngStream(seed).child(STREAM_EVAL)
-    t_hist = model.cfg.t_history
+    return model.sample_scenes(
+        scenes, lambda n, _: [root.child(n, k) for k in range(n_samples)],
+        sample_mode=sample_mode)
+
+
+def rollout_metrics(scenes: list[Scene], rollouts: list[np.ndarray],
+                    graphs: list[np.ndarray], normalizer: Normalizer,
+                    t_history: int) -> MetricsRecord:
+    """Min/mean ADE and FDE and graph statistics of `eval_rollouts` output.
+
+    The minimum and mean are taken over samples of the scene-level
+    (agent-averaged) errors, then averaged over scenes.
+    """
     scene_ade, scene_fde, graph_stats = [], [], []
     cat_acc: dict[int, dict[str, list]] = {}
-    for pos, cats, _ in TrajectoryModel.batch_scenes(scenes):
-        k, b, n = n_samples, pos.shape[0], pos.shape[1]
-        out, graphs = model.sample_rollouts(
-            pos, cats, [root.child(n, s) for s in range(k)], sample_mode=sample_mode)
-        ades, fdes = ade_fde(normalizer.denormalize(pos[:, :, t_hist:]),
-                             normalizer.denormalize(out[:, :, :, t_hist:]))   # (K, B, N)
-        stats = np.array([[(graph_entropy(g.z.data[r]), r_density(g.z.data[r]))
-                           for g in graphs] for r in range(k * b)])   # (K*B, W, 2)
-        graph_stats.extend(stats.mean(axis=1).reshape(k, b, 2).mean(axis=0))
-        scene_ade.extend(ades.mean(axis=2).T)              # one (K,) row per scene
-        scene_fde.extend(fdes.mean(axis=2).T)
-        for row in range(b):
-            for c in np.unique(cats[row]):
-                acc = cat_acc.setdefault(int(c), {"min_ade": [], "mean_ade": [],
-                                                  "min_fde": [], "mean_fde": []})
-                for name, errs in (("ade", ades), ("fde", fdes)):
-                    per_sample = errs[:, row, cats[row] == c].mean(axis=1)
-                    acc["min_" + name].append(per_sample.min())
-                    acc["mean_" + name].append(per_sample.mean())
+    for scene, out, z in zip(scenes, rollouts, graphs):
+        ades, fdes = ade_fde(normalizer.denormalize(scene.positions[:, t_history:]),
+                             normalizer.denormalize(out[:, :, t_history:]))   # (K, N)
+        stats = np.array([[(graph_entropy(zw), r_density(zw)) for zw in zk]
+                          for zk in z])                                     # (K, W, 2)
+        graph_stats.append(stats.mean(axis=1).mean(axis=0))
+        scene_ade.append(ades.mean(axis=1))
+        scene_fde.append(fdes.mean(axis=1))
+        for c in np.unique(scene.categories):
+            acc = cat_acc.setdefault(int(c), {"min_ade": [], "mean_ade": [],
+                                              "min_fde": [], "mean_fde": []})
+            for name, errs in (("ade", ades), ("fde", fdes)):
+                per_sample = errs[:, scene.categories == c].mean(axis=1)
+                acc["min_" + name].append(per_sample.min())
+                acc["mean_" + name].append(per_sample.mean())
 
-    scene_ade = np.reshape(scene_ade, (-1, n_samples))
-    scene_fde = np.reshape(scene_fde, (-1, n_samples))
-    avg_entropy, avg_density = np.reshape(graph_stats, (-1, 2)).mean(axis=0)
+    scene_ade, scene_fde = np.array(scene_ade), np.array(scene_fde)   # (S, K)
+    avg_entropy, avg_density = np.array(graph_stats).mean(axis=0)
     per_category = {c: {key: float(np.mean(v)) for key, v in acc.items()}
                     for c, acc in sorted(cat_acc.items())}
     return MetricsRecord(
@@ -99,7 +103,17 @@ def sampled_metrics(model: TrajectoryModel, scenes: list[Scene],
         avg_entropy=float(avg_entropy),
         avg_density=float(avg_density),
         per_category=per_category,
-        n_scenes=len(scene_ade), n_samples=n_samples)
+        n_scenes=len(scene_ade), n_samples=scene_ade.shape[1])
+
+
+def sampled_metrics(model: TrajectoryModel, scenes: list[Scene],
+                    normalizer: Normalizer, n_samples: int = 20,
+                    seed: int = 0, threads: int = 1,
+                    sample_mode: str = "sample") -> MetricsRecord:
+    """`rollout_metrics` of `eval_rollouts`; `threads` is accepted and ignored."""
+    rollouts, graphs = eval_rollouts(model, scenes, n_samples, seed, sample_mode)
+    return rollout_metrics(scenes, rollouts, graphs, normalizer,
+                           model.cfg.t_history)
 
 
 METRICS_HEADER = ("dataset,strategy,gamma,min_ade,min_fde,mean_ade,mean_fde,"
@@ -137,11 +151,8 @@ class ModelGraphProbe:
         self.n_rollouts = n_rollouts
 
     def infer_graphs(self, scene: Scene, rng: RngStream) -> list[InteractionGraphSample]:
-        pos = scene.positions[None]
-        cats = scene.categories[None]
-        _, graphs = self.model.predict_batch(pos, cats, rng, sample_mode="map",
-                                             edge_noise_scale=0.0)
-        return graphs
+        return self.model.predict_batch(scene.positions[None], scene.categories[None],
+                                        rng, sample_mode="map", edge_noise_scale=0.0)[1]
 
     def rollout_ades(self, scene: Scene, graphs: list[InteractionGraphSample],
                      rng: RngStream) -> np.ndarray:

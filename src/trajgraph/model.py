@@ -7,6 +7,8 @@ future windows are embedded from the model's own predictions (history
 steps stay ground truth). Scenes of equal agent count are batched densely
 as (B, N, ...) tensors; scenes never exchange information, so this is
 equivalent to batching them as disconnected components of one large graph.
+`sample_scenes` draws K stochastic rollouts of every scene of a list: one
+batched `sample_rollouts` call per same-size group, results in input order.
 
 Rollout input modes:
   teacher    ground truth at every step (the TF baseline);
@@ -18,7 +20,7 @@ Rollout input modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,18 +76,20 @@ class TrajectoryModel:
 
     # ------------------------------------------------------------- batching
     @staticmethod
-    def batch_scenes(scenes: list[Scene]) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
-        """Group same-size scenes into dense (positions, categories, indices)."""
+    def batch_scenes(scenes: list[Scene], order=None, batch_size: int | None = None):
+        """Yield dense (positions, categories, indices) batches of same-size
+        scenes: sizes ascending, scenes in `order` (default: input order)
+        within a size, at most `batch_size` (default: all) per batch."""
         by_n: dict[int, list[int]] = {}
-        for i, s in enumerate(scenes):
-            by_n.setdefault(s.n_agents, []).append(i)
-        out = []
+        for i in range(len(scenes)) if order is None else order:
+            by_n.setdefault(scenes[i].n_agents, []).append(int(i))
         for n in sorted(by_n):
             idx = by_n[n]
-            pos = np.stack([scenes[i].positions for i in idx])
-            cats = np.stack([scenes[i].categories for i in idx])
-            out.append((pos, cats, idx))
-        return out
+            step = batch_size or len(idx)
+            for lo in range(0, len(idx), step):
+                chunk = idx[lo:lo + step]
+                yield (np.stack([scenes[i].positions for i in chunk]),
+                       np.stack([scenes[i].categories for i in chunk]), chunk)
 
     def _check_steps(self, positions: np.ndarray):
         if positions.shape[2] != self.plan.t_total:
@@ -220,6 +224,26 @@ class TrajectoryModel:
             np.tile(positions, (k, 1, 1, 1)), np.tile(categories, (k, 1)),
             StackedStream(streams), **predict_kw)
         return out.reshape((k,) + positions.shape), graphs
+
+    def sample_scenes(self, scenes: list[Scene], streams, **predict_kw,
+                      ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """K stochastic rollouts of every scene, one `sample_rollouts` call
+        per same-size group.
+
+        `streams(n_agents, indices)` gives the K streams of the group of
+        those scenes. Returns, in input order, each scene's (K, N, T, 2)
+        rollouts and (K, W, N, N) sampled window adjacencies.
+        """
+        rollouts: list = [None] * len(scenes)
+        graphs: list = [None] * len(scenes)
+        for pos, cats, idx in self.batch_scenes(scenes):
+            out, sampled = self.sample_rollouts(pos, cats, streams(pos.shape[1], idx),
+                                                **predict_kw)
+            z = np.stack([g.z.data.reshape(out.shape[:2] + g.z.shape[1:])
+                          for g in sampled], axis=2)       # (K, B, W, N, N)
+            for row, i in enumerate(idx):
+                rollouts[i], graphs[i] = out[:, row], z[:, row]
+        return rollouts, graphs
 
     # ---------------------------------------------------------- persistence
     def state_dict(self) -> dict[str, np.ndarray]:

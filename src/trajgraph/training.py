@@ -17,7 +17,7 @@ future step) so the logged columns are directly comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,37 +181,20 @@ def _finite_or_raise(loss: DArray):
             "loss became non-finite; try a lower learning rate or weaker coupling")
 
 
-def make_batches(scenes: list[Scene], batch_size: int, rng: RngStream):
-    """Shuffle scenes, then batch same-size scenes densely."""
-    order = rng.permutation(len(scenes))
-    by_n: dict[int, list[int]] = {}
-    for i in order:
-        by_n.setdefault(scenes[i].n_agents, []).append(int(i))
-    batches = []
-    for n in sorted(by_n):
-        idx = by_n[n]
-        for lo in range(0, len(idx), batch_size):
-            chunk = idx[lo:lo + batch_size]
-            pos = np.stack([scenes[i].positions for i in chunk])
-            cats = np.stack([scenes[i].categories for i in chunk])
-            batches.append((pos, cats))
-    return batches
-
-
 def validation_scores(model: TrajectoryModel, scenes: list[Scene],
                       n_samples: int, rng: RngStream) -> tuple[float, float]:
-    """(free-run loss, mean ADE over samples) on normalized coordinates."""
+    """(free-run loss, mean ADE over samples) on normalized coordinates;
+    the loss is sample 0's."""
     if not scenes:
         return math.nan, math.nan
     t_hist = model.cfg.t_history
+    rollouts, _ = model.sample_scenes(
+        scenes, lambda n, idx: [rng.child(k, idx[0]) for k in range(n_samples)])
     losses, ades = [], []
-    for pos, cats, idx in TrajectoryModel.batch_scenes(scenes):
-        out, _ = model.sample_rollouts(
-            pos, cats, [rng.child(k, idx[0]) for k in range(n_samples)])
-        diff = out[:, :, :, t_hist:] - pos[:, :, t_hist:]       # (K, B, N, T_f, 2)
-        ades.extend(np.linalg.norm(diff, axis=-1).mean(axis=(2, 3)).mean(axis=0))
-        sq = (diff[0] ** 2).sum(axis=(1, 2, 3))                # the loss is sample 0's
-        losses.extend(sq / (pos.shape[1] * (pos.shape[2] - t_hist)))
+    for scene, out in zip(scenes, rollouts):
+        diff = out[:, :, t_hist:] - scene.positions[:, t_hist:]   # (K, N, T_f, 2)
+        ades.append(np.linalg.norm(diff, axis=-1).mean(axis=(1, 2)).mean())
+        losses.append((diff[0] ** 2).sum() / (diff.shape[1] * diff.shape[2]))
     return float(np.mean(losses)), float(np.mean(ades))
 
 
@@ -249,10 +232,12 @@ def train(model: TrajectoryModel, cfg: TrainConfig, train_scenes: list[Scene],
 
     for epoch in range(start_epoch, start_epoch + cfg.epochs):
         batch_rng = root.child(STREAM_TRAIN, epoch)
-        batches = make_batches(train_scenes, cfg.batch_size, batch_rng.child(0))
+        batches = TrajectoryModel.batch_scenes(
+            train_scenes, batch_rng.child(0).permutation(len(train_scenes)),
+            cfg.batch_size)
         sums = {"loss": 0.0, "l1": 0.0, "l2": 0.0, "entropy": 0.0, "density": 0.0}
         n_scenes = 0
-        for bi, (pos, cats) in enumerate(batches):
+        for bi, (pos, cats, _) in enumerate(batches):
             metrics = _strategy_losses(model, pos, cats, batch_rng.child(1 + bi),
                                        cfg, state.alpha, optimizer)
             w = pos.shape[0]

@@ -9,6 +9,7 @@ from trajgraph.autodiff import DArray
 from trajgraph.checkpoint import load_checkpoint, save_checkpoint
 from trajgraph.cli import main
 from trajgraph.data import load_csv
+from trajgraph.model import TrajectoryModel
 from trajgraph.nn import ParamStore
 
 SMOKE_INI = """
@@ -183,6 +184,24 @@ def test_evaluate_metrics_format_and_determinism(workspace, tmp_path):
     assert len(traj) > 1
 
 
+def test_evaluate_draws_each_sample_once_for_metrics_and_export(
+        workspace, tmp_path, monkeypatch):
+    """metrics.csv and trajectories.csv come from one draw: one batched
+    sampler call per group of same-size scenes."""
+    root, cfg, data, run = workspace
+    sizes, sample_rollouts = [], TrajectoryModel.sample_rollouts
+
+    def counted(model, positions, *args, **kwargs):
+        sizes.append(positions.shape[1])
+        return sample_rollouts(model, positions, *args, **kwargs)
+
+    monkeypatch.setattr(TrajectoryModel, "sample_rollouts", counted)
+    assert main(["evaluate", "--config", str(cfg),
+                 "--checkpoint", str(run / "model.ckpt"), "--data", str(data),
+                 "--out", str(tmp_path / "e"), "--export-trajectories"]) == 0
+    assert sizes == sorted({s.n_agents for s in load_csv(data / "test.csv")})
+
+
 def test_evaluate_missing_data_exit_code(workspace, tmp_path):
     root, cfg, data, run = workspace
     assert main(["evaluate", "--config", str(cfg),
@@ -246,6 +265,33 @@ def test_verify_theory_passes(capsys):
     out = capsys.readouterr().out
     assert "overall: PASS" in out
     assert "match" in out   # the entropy table header
+
+
+@pytest.mark.parametrize("argv, ini", [
+    (["analyze-graphs", "--samples", "0", "--svg"], None),
+    (["analyze-graphs"], "[eval]\nsamples = 0\n"),
+    (["analyze-graphs", "--samples", "-2"], None),
+    (["analyze-graphs", "--quality-scenes", "-1"], None),
+    (["analyze-graphs", "--svg", "--svg-scenes", "-1"], None),
+    (["verify-theory", "--trials", "-5"], None),
+    (["verify-theory", "--max-nodes", "1"], None),
+    (["gen-data"], "[data]\nn_scenes = 14\nsplit_train = 1.5\n"
+                   "split_val = -0.5\nsplit_test = 0.0\n"),
+], ids=["samples_0", "eval_samples_0", "samples_negative", "quality_scenes_negative",
+        "svg_scenes_negative", "trials_negative", "max_nodes_1", "split_out_of_range"])
+def test_hostile_counts_are_config_errors(workspace, tmp_path, capsys, argv, ini):
+    root, cfg, data, run = workspace
+    if ini is not None:
+        cfg = tmp_path / "hostile.ini"
+        cfg.write_text(ini)
+    if argv[0] == "analyze-graphs":
+        argv = argv + ["--checkpoint", str(run / "model.ckpt"), "--data", str(data)]
+    if argv[0] != "verify-theory":
+        argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("config error: ") and "PASS" not in out.out
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_graphs_outputs(workspace, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajgraph import checkpoint
 from trajgraph.data import (Normalizer, Scene, SyntheticConfig,
                             generate_synthetic, load_csv, plan_windows,
                             save_csv, simulate_scene, split_scenes)
@@ -153,6 +154,37 @@ def test_csv_round_trip(tmp_path):
         assert a.scene_id == b.scene_id
         np.testing.assert_array_equal(a.categories, b.categories)
         np.testing.assert_array_equal(a.positions, b.positions)
+
+
+def test_failed_dataset_writes_leave_previous_files_and_no_temp_file(
+        tmp_path, monkeypatch):
+    path = tmp_path / "train.csv"
+    save_csv(_random_scenes(2), path)
+    before = path.read_bytes()
+
+    class Unreadable:
+        @property
+        def n_agents(self):
+            raise RuntimeError("disk full")
+
+    # the first scene's rows are written before the second one fails
+    with pytest.raises(RuntimeError, match="disk full"):
+        save_csv([_random_scenes(1)[0], Unreadable()], path)
+    assert path.read_bytes() == before
+
+    sidecar = tmp_path / "normalization.txt"
+    Normalizer(0.0, 1.0, 0.0, 1.0).to_file(sidecar)
+    before_sidecar = sidecar.read_bytes()
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint.os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        Normalizer(-5.0, 5.0, -5.0, 5.0).to_file(sidecar)
+    assert sidecar.read_bytes() == before_sidecar
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["normalization.txt",
+                                                           "train.csv"]
 
 
 def test_csv_missing_timestep_rejected(tmp_path):

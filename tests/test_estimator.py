@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from trajgraph.data import Scene
+from trajgraph.data import Scene, SyntheticConfig
 from trajgraph.errors import ConfigError, ContractError, DataError
 from trajgraph import cli
 from trajgraph.config import load_config
@@ -26,6 +28,11 @@ def test_defaults_equal_the_dataclass_defaults(tmp_path):
     est = TrajectoryForecaster()
     assert est._model_config() == ModelConfig()
     assert est._train_config() == TrainConfig()
+    synthetic, reference = cli._synthetic_config(cfg), SyntheticConfig()
+    for f in dataclasses.fields(SyntheticConfig):
+        np.testing.assert_array_equal(getattr(synthetic, f.name),
+                                      getattr(reference, f.name))
+        assert type(getattr(synthetic, f.name)) is type(getattr(reference, f.name))
 
 
 def test_get_params_round_trip():

@@ -14,7 +14,7 @@ from trajgraph.autodiff import DArray
 from trajgraph.encoder import InteractionGraphSample
 from trajgraph.errors import ContractError
 from trajgraph.estimator import TrajectoryForecaster
-from trajgraph.evaluation import sampled_metrics
+from trajgraph.evaluation import eval_rollouts, sampled_metrics
 from trajgraph.model import TrajectoryModel
 from trajgraph.rng import STREAM_EVAL, RngStream, StackedStream
 from trajgraph.training import validation_scores
@@ -146,7 +146,8 @@ def test_exported_trajectories_match_per_sample_loop(trained_small, looped, tmp_
 
     def run():
         path = tmp_path / "trajectories.csv"
-        cli._export_trajectories(model, scenes[:6], norm, 3, 2, path)
+        rollouts, _ = eval_rollouts(model, scenes[:6], 3, 2)
+        cli._export_trajectories(scenes[:6], rollouts, norm, model.cfg.t_history, path)
         lines = path.read_text().splitlines()
         return lines[0], [line.split(",")[:4] for line in lines[1:]], \
             np.array([[float(v) for v in line.split(",")[4:]] for line in lines[1:]])

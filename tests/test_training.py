@@ -14,7 +14,7 @@ from trajgraph.nn import gradients
 from trajgraph.optim import Adam
 from trajgraph.rng import RngStream
 from trajgraph.training import (MixState, TrainConfig, _strategy_losses,
-                                decay_alpha, make_batches, mix,
+                                decay_alpha, mix,
                                 reconstruction_loss, sample_beta, train)
 
 from conftest import small_model_config
@@ -319,15 +319,20 @@ def test_mixup_batch_holds_one_tape_at_a_time():
     assert peak_bytes("GE_mixup") < 1.5 * peak_bytes("GE")
 
 
-def test_make_batches_groups_by_size(tiny_scenes):
-    scenes, _ = tiny_scenes
-    batches = make_batches(scenes, 4, RngStream(0).child(0))
-    total = 0
-    for pos, cats in batches:
-        assert pos.shape[0] <= 4
-        assert len(set(s.shape for s in [pos])) == 1
-        total += pos.shape[0]
-    assert total == len(scenes)
+def test_batch_scenes_groups_by_size_in_order():
+    scenes = [Scene(f"s{i}", np.zeros(n, dtype=int), np.full((n, 3, 2), float(i)))
+              for i, n in enumerate([3, 4, 3, 3, 4])]
+
+    def batches(*args):
+        out = list(TrajectoryModel.batch_scenes(scenes, *args))
+        for pos, cats, idx in out:
+            np.testing.assert_array_equal(pos, [scenes[i].positions for i in idx])
+            assert cats.shape == pos.shape[:2]
+        return [idx for _, _, idx in out]
+
+    assert batches() == [[0, 2, 3], [1, 4]]
+    # sizes ascending; the given order within a size, cut into batch_size chunks
+    assert batches(np.array([4, 2, 0, 3, 1]), 2) == [[2, 0], [3], [4, 1]]
 
 
 def test_train_config_validation():
