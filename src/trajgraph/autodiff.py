@@ -480,10 +480,14 @@ def tanh(a) -> DArray:
     return _track(out_data, (a,), bw)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(a) -> DArray:
     a = _coerce(a)
-    with np.errstate(over="ignore"):
-        out_data = 1.0 / (1.0 + np.exp(-a.data))
+    out_data = _sigmoid(a.data)
 
     def bw(g):
         if a.requires_grad:
@@ -514,3 +518,85 @@ def elu(a) -> DArray:
             _accum_owned(a, g * np.where(pos, 1.0, out_data + 1.0))
 
     return _track(out_data, (a,), bw)
+
+
+def _pick_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(C, R, F) -> (R, F): row r of category rows[r]. A (C, 1, F) array
+    gives every row its category's single row."""
+    return x[rows, 0] if x.shape[1] == 1 else x[rows, np.arange(len(rows))]
+
+
+def _scatter_rows(g: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """Adjoint of `_pick_rows`: (R, F) back to `shape`, zero in the rows of
+    the other categories, or summed per category for a (C, 1, F) shape."""
+    if shape[1] == 1:
+        onehot = (np.arange(shape[0])[:, None] == rows).astype(np.float64)
+        return (onehot @ g).reshape(shape)
+    out = np.zeros(shape)
+    out[rows, np.arange(len(rows))] = g
+    return out
+
+
+def pick(a, rows) -> DArray:
+    """Per-row category pick, (C, R, F) -> (R, F): row r of category
+    rows[r]. A (C, 1, F) input (a stacked bias) gives each row its
+    category's row."""
+    a = _coerce(a)
+    rows = np.asarray(rows)
+
+    def bw(g):
+        if a.requires_grad:
+            _accum_owned(a, _scatter_rows(g, rows, a.data.shape))
+
+    return _track(_pick_rows(a.data, rows), (a,), bw)
+
+
+def gru_cell(pre, bias, h, rows=None) -> DArray:
+    """The GRU gate math as one tape node with a hand-written backward.
+
+    `pre` holds the six gate GEMM outputs (x W_ir, h W_hr, x W_iz, h W_hz,
+    x W_in, h W_hn), `bias` holds (b_r, b_z, b_in, b_hn) with b_r = b_ir +
+    b_hr and b_z = b_iz + b_hz, and `h` is the (R, H) state:
+
+        r = sigmoid(x W_ir + h W_hr + b_r)
+        z = sigmoid(x W_iz + h W_hz + b_z)
+        n = tanh(x W_in + b_in + r * (h W_hn + b_hn))
+        h' = (1 - z) * n + z * h
+
+    Without `rows` the operands broadcast elementwise. With `rows`, an (R,)
+    category index, `pre` is (C, R, H) and `bias` (C, 1, H): row r reads
+    category rows[r]'s copy, every gate op runs on (R, H), and backward
+    scatters the gradients back into (C, R, H), zero in the other rows.
+    """
+    pre = [_coerce(p) for p in pre]
+    bias = [_coerce(b) for b in bias]
+    h = _coerce(h)
+    if rows is None:
+        xr, hr, xz, hz, xn, hn, b_r, b_z, b_in, b_hn = (t.data for t in pre + bias)
+    else:
+        rows = np.asarray(rows)
+        xr, hr, xz, hz, xn, hn, b_r, b_z, b_in, b_hn = (
+            _pick_rows(t.data, rows) for t in pre + bias)
+    r = _sigmoid(xr + hr + b_r)
+    z = _sigmoid(xz + hz + b_z)
+    hn_b = hn + b_hn
+    n = np.tanh(xn + b_in + r * hn_b)
+    out_data = (1.0 - z) * n + z * h.data
+
+    def bw(g):
+        da_n = g * (1.0 - z) * (1.0 - n * n)
+        da_r = da_n * hn_b * r * (1.0 - r)
+        da_z = g * (h.data - n) * z * (1.0 - z)
+        d_hn = da_n * r
+        for t, gt in zip(pre + bias, (da_r, da_r, da_z, da_z, da_n, d_hn,
+                                      da_r, da_z, da_n, d_hn)):
+            if not t.requires_grad:
+                continue
+            if rows is not None:
+                _accum_owned(t, _scatter_rows(gt, rows, t.data.shape))
+            else:   # the gradients are shared between parents: copy
+                _accum(t, _unbroadcast(gt, t.data.shape))
+        if h.requires_grad:
+            _accum_owned(h, _unbroadcast(g * z, h.data.shape))
+
+    return _track(out_data, pre + bias + [h], bw)

@@ -415,6 +415,7 @@ def cmd_sweep_gamma(args) -> int:
     tcfg = _train_config(cfg)
     if tcfg.strategy not in ("GE", "GE_mixup"):
         tcfg = dataclasses.replace(tcfg, strategy="GE")
+    run_cfgs = [dataclasses.replace(tcfg, gamma=gamma) for gamma in gammas]
     train_scenes, _ = _load_split(args.data, "train", mcfg.n_categories)
     val_scenes, _ = _load_split(args.data, "val", mcfg.n_categories)
     test_scenes, norm = _load_split(args.data, "test", mcfg.n_categories)
@@ -422,8 +423,7 @@ def cmd_sweep_gamma(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = ["gamma,mean_ade,min_ade,mean_fde,min_fde,avg_entropy,avg_density,"
             "final_train_loss"]
-    for gamma in gammas:
-        run_cfg = dataclasses.replace(tcfg, gamma=gamma)
+    for run_cfg in run_cfgs:
         model = TrajectoryModel(mcfg, seed=run_cfg.seed)
         result = train(model, run_cfg, train_scenes, val_scenes)
         model.load_state_dict(result.best_state)
@@ -431,10 +431,10 @@ def cmd_sweep_gamma(args) -> int:
                                  n_samples=cfg["eval"]["samples"],
                                  seed=cfg["eval"]["seed"])
         rows.append(",".join(repr(v) for v in [
-            gamma, record.mean_ade, record.min_ade, record.mean_fde,
+            run_cfg.gamma, record.mean_ade, record.min_ade, record.mean_fde,
             record.min_fde, record.avg_entropy, record.avg_density,
             result.history[-1]["train_loss"]]))
-        print(f"gamma={gamma}: mean ADE {record.mean_ade:.4f}, "
+        print(f"gamma={run_cfg.gamma}: mean ADE {record.mean_ade:.4f}, "
               f"density {record.avg_density:.4f}")
     with atomic_open(out / "sweep.csv") as f:
         f.write("\n".join(rows) + "\n")

@@ -281,6 +281,8 @@ class SyntheticConfig:
             raise ConfigError("edge_prob must lie in [0, 1]")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
+        if not 0.0 <= self.init_vel < math.inf:
+            raise ConfigError(f"init_vel must be finite and nonnegative, got {self.init_vel}")
         if self.coupling is None:
             # Asymmetric defaults: each category pair pulls with a distinct
             # strength so directed, heterogeneous effects are identifiable.

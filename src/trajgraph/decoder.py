@@ -8,12 +8,14 @@ Category-aware GRUs (`nn.gru_step` on weights stacked per category) then
 update the per-agent hidden state, and a residual head emits the change in
 position.
 
-Category dispatch runs every category's module on the whole batch and
-combines rows with one-hot masks, which is exactly category indexing at
-C-fold compute cost (cheap at desk scale and trivially differentiable).
-Edge-feature projections are constant within a window and cached per
-window index. When no in-edge qualifies (sampled weight <= 1/2) the
-aggregated message falls back to zero: no social influence.
+Category dispatch: each category GEMM multiplies every agent's row by all
+C categories' weights (C-stacked until benchmark v2, see ROADMAP), and an
+`autodiff.pick` or the fused GRU gate node right after it keeps each
+agent's own category row. Everything after the GEMMs runs on one row per
+agent. Edge-feature projections are constant within a
+window and cached per window index. When no in-edge qualifies (sampled
+weight <= 1/2) the aggregated message falls back to zero: no social
+influence.
 """
 
 from __future__ import annotations
@@ -55,42 +57,40 @@ class TrajectoryDecoder:
         self.grus = [GRUStack(store, f"dec.gru.{c}", h + 2, h, gru_layers, rng)
                      for c in range(n_categories)]
 
-    def category_masks(self, categories: np.ndarray) -> list[np.ndarray]:
-        """One (B, N, 1) float mask per category; validates the labels."""
+    def category_rows(self, categories: np.ndarray) -> np.ndarray:
+        """Flattened (B*N,) category index of a (B, N) label array;
+        validates the labels."""
         categories = np.asarray(categories)
         if categories.min() < 0 or categories.max() >= self.n_categories:
             raise ConfigError(
                 f"category labels must lie in [0, {self.n_categories})")
-        return [(categories == c)[..., None].astype(np.float64)
-                for c in range(self.n_categories)]
+        return categories.reshape(-1)
 
 
 class DecoderRun:
     """Per-rollout decoder state: hidden layers plus per-window caches.
 
-    Per-category weights are stacked along a leading category axis and
-    split into GRU gate blocks once per rollout; each step then runs one
-    batched GEMM per gate and input, broadcasting the (1, B*N, F) rows
-    against the (C, F, H) weights, and collapses the result with one-hot
-    masks, which equals per-agent weight indexing exactly.
+    The hidden state holds one (B*N, H) row per agent. Per-category weights
+    are stacked along a leading category axis and split into GRU gate
+    blocks once per rollout. Each step runs one batched GEMM per gate and
+    input, broadcasting the (B*N, F) rows against the (C, F, H) weights
+    (C-stacked until benchmark v2, see ROADMAP); the pick right after keeps
+    each row's own category, so every later op runs on (B*N, H).
     """
 
     def __init__(self, decoder: TrajectoryDecoder, batch: int, n_agents: int,
                  categories: np.ndarray, gru_layers: int):
         self.decoder = decoder
-        self.cat_masks = decoder.category_masks(categories)
+        self.rows = decoder.category_rows(categories)
         self.n_agents = n_agents
         self.batch = batch
-        self.state = [DArray(np.zeros((batch, n_agents, decoder.hidden)))
+        self.state = [DArray(np.zeros((batch * n_agents, decoder.hidden)))
                       for _ in range(gru_layers)]
         self._zero_m = np.zeros((batch, n_agents, decoder.hidden))
         self._window_caches: dict[int, dict] = {}
         store = decoder.store
         n_cat = decoder.n_categories
         h = decoder.hidden
-        # (C, B*N, 1) selection masks over flattened agents
-        self._mask_stack = np.stack(
-            [m.reshape(batch * n_agents, 1) for m in self.cat_masks])
 
         def stack_params(pattern):
             return ad.stack([store[pattern.format(c=c)] for c in range(n_cat)])
@@ -100,7 +100,7 @@ class DecoderRun:
             for kind in ("gq", "gk", "gv"):
                 w = stack_params("dec." + kind + ".{c}.W")
                 b = stack_params("dec." + kind + ".{c}.b").reshape(n_cat, 1, h)
-                self._gmaps[kind] = (w, b)
+                self._gmaps[kind] = (w, ad.pick(b, self.rows))
         self._gru = [
             gru_gates(stack_params(f"dec.gru.{{c}}.l{layer}.W_ih"),
                       stack_params(f"dec.gru.{{c}}.l{layer}.W_hh"),
@@ -108,22 +108,12 @@ class DecoderRun:
                       stack_params(f"dec.gru.{{c}}.l{layer}.b_hh").reshape(n_cat, 1, 3 * h))
             for layer in range(gru_layers)]
 
-    def _stack_rows(self, x: DArray) -> DArray:
-        """(B, N, F) -> (1, B*N, F) rows, broadcast against C-stacked weights."""
-        return x.reshape(1, self.batch * self.n_agents, x.shape[-1])
-
-    def _collapse(self, stacked: DArray) -> DArray:
-        """(C, B*N, F) -> (B, N, F), each agent keeping its own category row."""
-        out = (stacked * DArray(self._mask_stack)).sum(axis=0)
-        return out.reshape(self.batch, self.n_agents, stacked.shape[-1])
-
-    def _category_map(self, kind: str, h: DArray,
-                      h_stacked: DArray | None = None) -> DArray:
+    def _category_map(self, kind: str, h: DArray) -> DArray:
+        """tanh(h W_c + b_c) with each row's own category c: (B*N, H)."""
         if self.decoder.homogeneous:
             return h
         w, b = self._gmaps[kind]
-        hs = self._stack_rows(h) if h_stacked is None else h_stacked
-        return self._collapse(ad.tanh(hs @ w + b))
+        return ad.tanh(ad.pick(h @ w, self.rows) + b)
 
     # -------------------------------------------------------------- attention
     def _window_cache(self, graph: InteractionGraphSample, window: int) -> dict:
@@ -152,20 +142,13 @@ class DecoderRun:
 
         Each target's weights over its qualifying in-edges sum to one; a
         target without one gets all-zero weights. The second result is the
-        category-mapped hidden state the values are built from.
+        category-mapped (B*N, H) hidden state the values are built from.
         """
         dec = self.decoder
         store = dec.store
-        b, n, hd = h.shape
+        b, n, hd = self.batch, self.n_agents, h.shape[-1]
         cache = self._window_cache(graph, window)
-
-        if dec.homogeneous:
-            gq = gk = gv = h
-        else:
-            hs = self._stack_rows(h)
-            gq = self._category_map("gq", h, hs)
-            gk = self._category_map("gk", h, hs)
-            gv = self._category_map("gv", h, hs)
+        gq, gk, gv = (self._category_map(kind, h) for kind in ("gq", "gk", "gv"))
 
         # query/key: node-level projection plus cached edge-feature part
         qh = linear(gq, store["dec.fq.W"][:hd])
@@ -188,9 +171,10 @@ class DecoderRun:
 
     def attend(self, h: DArray, graph: InteractionGraphSample,
                window: int) -> DArray:
-        """Aggregated interacting effects m (B, N, H) for every target."""
+        """Aggregated interacting effects m (B, N, H) for every target,
+        given the (B*N, H) hidden rows."""
         store = self.decoder.store
-        b, n, hd = h.shape
+        b, n, hd = self.batch, self.n_agents, h.shape[-1]
         alpha, gv = self.attention(h, graph, window)
         # value: relative latent position concat edge feature, f_v split
         gvh = linear(gv, store["dec.fv.0.W"][:hd])
@@ -208,15 +192,12 @@ class DecoderRun:
             m = DArray(self._zero_m)
         else:
             m = self.attend(self.state[-1], graph, window)
-        inp = ad.concat([m, x], axis=-1)
+        inp = ad.concat([m, x], axis=-1).reshape(self.batch * self.n_agents, -1)
         new_state = []
         for layer, gates in enumerate(self._gru):
-            xs = self._stack_rows(inp)
-            hs = self._stack_rows(self.state[layer])
-            h_new = self._collapse(gru_step(xs, hs, gates))
-            new_state.append(h_new)
-            inp = h_new
+            inp = gru_step(inp, self.state[layer], gates, self.rows)
+            new_state.append(inp)
         self.state = new_state
-        h_top = new_state[-1]
-        pre = h_top + DArray(eps) if eps is not None else h_top
-        return x + self.decoder.f_out(pre)   # residual head: position change
+        pre = inp + DArray(eps.reshape(inp.shape)) if eps is not None else inp
+        # residual head: position change
+        return x + self.decoder.f_out(pre).reshape(x.shape)

@@ -70,8 +70,9 @@ class GraphEncoder:
     def __init__(self, store: ParamStore, n_categories: int, tau: int,
                  hidden_dim: int, edge_dim: int, gru_layers: int,
                  temperature: float, rng: RngStream):
-        if temperature <= 0:
-            raise ConfigError("relation sampling temperature must be positive")
+        if not temperature > 0:
+            raise ConfigError(
+                f"relation sampling temperature must be positive, got {temperature}")
         self.tau = tau
         self.hidden = hidden_dim
         self.edge_dim = edge_dim

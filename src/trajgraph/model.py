@@ -55,8 +55,8 @@ class ModelConfig:
             raise ConfigError("need at least one category")
         if min(self.hidden_dim, self.edge_dim, self.attn_dim, self.gru_layers) < 1:
             raise ConfigError("model dimensions must be positive")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
+        if not self.temperature > 0:
+            raise ConfigError(f"temperature must be positive, got {self.temperature}")
 
 
 class TrajectoryModel:

@@ -11,7 +11,9 @@ Batch norm takes its statistics over every row it is given, so callers
 pass only the rows that belong in them (the encoder passes the N(N-1)
 off-diagonal pairs, never the self-pairs). There is one GRU: `gru_step`
 on per-gate weight blocks from `gru_gates`, used for the encoder's edge
-GRU and, with weights stacked per category, the decoder's.
+GRU and, with weights stacked per category, the decoder's. The decoder's
+GEMMs stay C-stacked until benchmark v2 (see ROADMAP); everything after
+them runs on each row's own category only.
 """
 
 from __future__ import annotations
@@ -236,16 +238,18 @@ def gru_gates(w_ih: DArray, w_hh: DArray, b_ih: DArray, b_hh: DArray) -> GRUGate
         b_ih[..., n], b_hh[..., n])
 
 
-def gru_step(x: DArray, h: DArray, g: GRUGates) -> DArray:
-    """One GRU update in six GEMMs, one per gate and input.
+def gru_step(x: DArray, h: DArray, g: GRUGates, rows=None) -> DArray:
+    """One GRU update: six GEMMs, one per gate and input, then the gate
+    math as one `autodiff.gru_cell` node.
 
-    x (R, F) and h (R, H) go with plain gates; with C-stacked gates,
-    (1, R, F) and (1, R, H) broadcast to every category's GRU.
+    x (R, F) and h (R, H) go with plain gates. With C-stacked gates every
+    GEMM computes each row for all C categories, giving (C, R, H) outputs
+    (the benchmark pins that row count until its v2, see ROADMAP), and
+    `rows`, each row's category, makes the gate node keep that category's
+    row only.
     """
-    r = ad.sigmoid(x @ g.w_ir + h @ g.w_hr + g.b_r)
-    z = ad.sigmoid(x @ g.w_iz + h @ g.w_hz + g.b_z)
-    n = ad.tanh(x @ g.w_in + g.b_in + r * (h @ g.w_hn + g.b_hn))
-    return (1.0 - z) * n + z * h
+    pre = (x @ g.w_ir, h @ g.w_hr, x @ g.w_iz, h @ g.w_hz, x @ g.w_in, h @ g.w_hn)
+    return ad.gru_cell(pre, (g.b_r, g.b_z, g.b_in, g.b_hn), h, rows)
 
 
 class GRUStack:

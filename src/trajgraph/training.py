@@ -64,8 +64,11 @@ class TrainConfig:
                               f"expected one of {tuple(PENALTIES)}")
         if self.alpha_init <= 0:
             raise ConfigError("alpha_init must be positive")
-        if self.gamma < 0:
-            raise ConfigError("gamma must be nonnegative")
+        if not self.gamma >= 0:
+            raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1 or self.val_samples < 1:
             raise ConfigError("epochs, batch_size and val_samples must be positive")
 

@@ -6,6 +6,10 @@ never calling back into the code paths they are meant to check.
 
 import numpy as np
 
+from trajgraph import autodiff as ad
+from trajgraph.autodiff import DArray
+from trajgraph.decoder import DecoderRun
+
 
 def finite_difference(f, x, eps=1e-6):
     """Central-difference gradient of a scalar function of one array.
@@ -88,6 +92,67 @@ def fused_gru_reference(x, h, w_ih, w_hh, b_ih, b_hh):
     z = _sigmoid(gi[..., H:2 * H] + gh[..., H:2 * H])
     n = np.tanh(gi[..., 2 * H:] + r * gh[..., 2 * H:])
     return (1.0 - z) * n + z * h
+
+
+def composed_gru_step(x, h, g):
+    """The GRU gate math op by op on the tape (one node per op), as the
+    decoder ran it before the fused gate node; broadcasts like numpy."""
+    r = ad.sigmoid(x @ g.w_ir + h @ g.w_hr + g.b_r)
+    z = ad.sigmoid(x @ g.w_iz + h @ g.w_hz + g.b_z)
+    n = ad.tanh(x @ g.w_in + g.b_in + r * (h @ g.w_hn + g.b_hn))
+    return (1.0 - z) * n + z * h
+
+
+class MaskCollapseDecoderRun(DecoderRun):
+    """The decoder's category dispatch before the row pick: every op after
+    a category GEMM runs on all C copies of each row, and one-hot masks
+    collapse the copies to each agent's own category. The hidden state is
+    (B, N, H). The attention scores and the head are the decoder's own;
+    only the category maps, the GRU gate math and the step are replaced."""
+
+    def __init__(self, decoder, batch, n_agents, categories, gru_layers):
+        super().__init__(decoder, batch, n_agents, categories, gru_layers)
+        n_cat, h = decoder.n_categories, decoder.hidden
+        cats = np.asarray(categories).reshape(batch * n_agents)
+        self.state = [DArray(np.zeros((batch, n_agents, h))) for _ in range(gru_layers)]
+        # (C, B*N, 1) selection masks over flattened agents
+        self._mask_stack = np.stack([(cats == c)[:, None].astype(np.float64)
+                                     for c in range(n_cat)])
+        self._stacked_b = {
+            kind: ad.stack([decoder.store[f"dec.{kind}.{c}.b"] for c in range(n_cat)]
+                           ).reshape(n_cat, 1, h)
+            for kind in ("gq", "gk", "gv")}
+
+    def _stack_rows(self, x):
+        return x.reshape(1, self.batch * self.n_agents, x.shape[-1])
+
+    def _collapse(self, stacked):
+        out = (stacked * DArray(self._mask_stack)).sum(axis=0)
+        return out.reshape(self.batch, self.n_agents, stacked.shape[-1])
+
+    def _category_map(self, kind, h):
+        if self.decoder.homogeneous:
+            return h
+        w = self._gmaps[kind][0]
+        return self._collapse(ad.tanh(self._stack_rows(h) @ w + self._stacked_b[kind]))
+
+    def step(self, x, graph, eps, window):
+        if graph is None:
+            m = DArray(self._zero_m)
+        else:
+            m = self.attend(self.state[-1], graph, window)
+        inp = ad.concat([m, x], axis=-1)
+        new_state = []
+        for layer, gates in enumerate(self._gru):
+            xs = self._stack_rows(inp)
+            hs = self._stack_rows(self.state[layer])
+            h_new = self._collapse(composed_gru_step(xs, hs, gates))
+            new_state.append(h_new)
+            inp = h_new
+        self.state = new_state
+        h_top = new_state[-1]
+        pre = h_top + DArray(eps) if eps is not None else h_top
+        return x + self.decoder.f_out(pre)
 
 
 def masked_mlp_reference(params, prefix, x, train, mask):

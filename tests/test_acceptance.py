@@ -123,7 +123,7 @@ def test_criterion_1_gradient_suite():
         return (m * m).sum()
 
     global HAM_HIDDEN
-    HAM_HIDDEN = R.normal(size=(1, 3, 6))
+    HAM_HIDDEN = R.normal(size=(3, 6))
     arrays = [model.store[k] for k, _ in model.store.trainable_items()]
     worst = max(worst, _probe(ham_loss, arrays))
 

@@ -84,11 +84,60 @@ def test_batched_matmul_gradients():
 
 @pytest.mark.parametrize("op, shapes", [
     (lambda x, w: x @ w, ((1, 5, 4), (3, 4, 2))),   # rows against C-stacked weights
-    (lambda h, z: z * h, ((1, 5, 2), (3, 5, 2))),   # GRU's z * h on C-stacked gates
-], ids=["matmul", "mul"])
+    (lambda h, z: z * h, ((1, 5, 2), (3, 5, 2))),   # rows against C-stacked arrays
+    (lambda x, w: x @ w, ((5, 4), (3, 4, 2))),      # the decoder's (R, F) rows
+], ids=["matmul", "mul", "matmul_rows"])
 def test_category_broadcast_gradients(op, shapes):
     a, b = _rand(*shapes[0]), _rand(*shapes[1])
     fd_probe_check(lambda: (op(a, b) ** 2).sum(), [a, b], rng, n_probes=10, rtol=1e-5)
+
+
+def _gru_cell_operands(lead, bias_shape, h_rows):
+    pre = [_rand(*lead) for _ in range(6)]
+    bias = [_rand(*bias_shape) for _ in range(4)]
+    return pre, bias, _rand(h_rows, lead[-1])
+
+
+@pytest.mark.parametrize("rows", [None, np.array([2, 0, 2, 2, 0])],
+                         ids=["plain", "rows_category_1_absent"])
+def test_gru_cell_gradients(rows):
+    if rows is None:
+        pre, bias, h = _gru_cell_operands((5, 3), (3,), 5)
+    else:
+        pre, bias, h = _gru_cell_operands((3, 5, 3), (3, 1, 3), 5)
+    weights = rng.normal(size=(5, 3))
+    fd_probe_check(lambda: (ad.gru_cell(pre, bias, h, rows) * weights).sum(),
+                   pre + bias + [h], rng, n_probes=40, rtol=1e-5)
+    if rows is not None:   # the absent category and the unpicked rows get zeros
+        (ad.gru_cell(pre, bias, h, rows) * weights).sum().backward()
+        for t in pre:
+            for r, c in enumerate(rows):
+                assert not np.delete(t.grad[:, r], c, axis=0).any()
+        assert all(not b.grad[1].any() for b in bias)
+
+
+def test_gru_cell_matches_composed_ops():
+    pre, bias, h = _gru_cell_operands((3, 4, 2), (3, 1, 2), 4)
+    rows = np.array([1, 0, 1, 2])
+    xr, hr, xz, hz, xn, hn = (ad.pick(p, rows) for p in pre)
+    b_r, b_z, b_in, b_hn = (ad.pick(b, rows) for b in bias)
+    r = ad.sigmoid(xr + hr + b_r)
+    z = ad.sigmoid(xz + hz + b_z)
+    n = ad.tanh(xn + b_in + r * (hn + b_hn))
+    composed = (1.0 - z) * n + z * h
+    np.testing.assert_array_equal(ad.gru_cell(pre, bias, h, rows).data, composed.data)
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 4), (3, 1, 4)], ids=["rows", "bias"])
+def test_pick_gradients(shape):
+    a = _rand(*shape)
+    rows = np.array([0, 2, 2, 0, 2])   # category 1 absent
+    weights = rng.normal(size=(5, 4))
+    fd_probe_check(lambda: (ad.pick(a, rows) * weights).sum(), [a], rng,
+                   n_probes=20, rtol=1e-5)
+    out = ad.pick(a, rows)
+    for r, c in enumerate(rows):
+        np.testing.assert_array_equal(out.data[r], a.data[c, r if shape[1] > 1 else 0])
 
 
 def test_reduction_and_reshape_gradients():

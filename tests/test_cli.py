@@ -277,20 +277,33 @@ def test_verify_theory_passes(capsys):
     (["verify-theory", "--max-nodes", "1"], None),
     (["gen-data"], "[data]\nn_scenes = 14\nsplit_train = 1.5\n"
                    "split_val = -0.5\nsplit_test = 0.0\n"),
+    (["gen-data"], "[data]\ninit_vel = -1\n"),
+    (["gen-data"], "[data]\ninit_vel = nan\n"),
+    (["train"], SMOKE_INI.replace("learning_rate = 0.003", "learning_rate = -1")),
+    (["train"], SMOKE_INI.replace("learning_rate = 0.003", "learning_rate = nan")),
+    (["train"], SMOKE_INI.replace("gamma = 0.1", "gamma = nan")),
+    (["train"], SMOKE_INI.replace("attn_dim = 10", "attn_dim = 10\ntemperature = nan")),
+    (["sweep-gamma", "--gammas", "nan"], None),
 ], ids=["samples_0", "eval_samples_0", "samples_negative", "quality_scenes_negative",
-        "svg_scenes_negative", "trials_negative", "max_nodes_1", "split_out_of_range"])
+        "svg_scenes_negative", "trials_negative", "max_nodes_1", "split_out_of_range",
+        "init_vel_negative", "init_vel_nan", "learning_rate_negative",
+        "learning_rate_nan", "gamma_nan", "temperature_nan", "sweep_gamma_nan"])
 def test_hostile_counts_are_config_errors(workspace, tmp_path, capsys, argv, ini):
     root, cfg, data, run = workspace
     if ini is not None:
         cfg = tmp_path / "hostile.ini"
         cfg.write_text(ini)
     if argv[0] == "analyze-graphs":
-        argv = argv + ["--checkpoint", str(run / "model.ckpt"), "--data", str(data)]
+        argv = argv + ["--checkpoint", str(run / "model.ckpt")]
+    if argv[0] in ("analyze-graphs", "train", "sweep-gamma"):
+        argv = argv + ["--data", str(data)]
     if argv[0] != "verify-theory":
         argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     out = capsys.readouterr()
     assert out.err.startswith("config error: ") and "PASS" not in out.out
+    if "nan" in argv or "= nan" in (ini or ""):
+        assert "got nan" in out.err   # the message names the value
     assert not (tmp_path / "out").exists()
 
 

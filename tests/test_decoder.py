@@ -8,7 +8,7 @@ from trajgraph.errors import ConfigError
 from trajgraph.nn import ParamStore, gradients
 from trajgraph.rng import RngStream
 
-from oracles import fd_probe_check
+from oracles import MaskCollapseDecoderRun, fd_probe_check
 
 rng_np = np.random.default_rng(53)
 
@@ -31,10 +31,14 @@ def make_graph(z: np.ndarray, seed=1) -> InteractionGraphSample:
                                   edge_feats=DArray(e), hard=True)
 
 
-def test_category_masks_validate_labels():
+def test_category_rows_validate_labels():
     dec, _ = make_decoder()
     with pytest.raises(ConfigError):
-        dec.category_masks(np.array([[0, 3]]))
+        dec.category_rows(np.array([[0, 3]]))
+    with pytest.raises(ConfigError):
+        dec.category_rows(np.array([[-1, 0]]))
+    np.testing.assert_array_equal(dec.category_rows(np.array([[0, 2], [1, 0]])),
+                                  [0, 2, 1, 0])
 
 
 def test_category_module_count_is_linear_in_categories():
@@ -52,7 +56,7 @@ def test_empty_neighborhood_gives_zero_message():
     dec, _ = make_decoder()
     z = np.zeros((1, 3, 3))
     run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]), 2)
-    run.state = [DArray(rng_np.normal(size=(1, 3, H))) for _ in range(2)]
+    run.state = [DArray(rng_np.normal(size=(3, H))) for _ in range(2)]
     m = run.attend(run.state[-1], make_graph(z), 0)
     np.testing.assert_array_equal(m.data, np.zeros((1, 3, H)))
 
@@ -63,7 +67,7 @@ def test_singleton_edge_attention_weight_one():
     z[0, 1, 2] = 1.0   # only edge: 1 -> 2
     graph = make_graph(z)
     run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]), 2)
-    run.state = [DArray(rng_np.normal(size=(1, 3, H))) for _ in range(2)]
+    run.state = [DArray(rng_np.normal(size=(3, H))) for _ in range(2)]
     weights = run.attention(run.state[-1], graph, 0)[0].data
     assert weights[0, 1, 2] == pytest.approx(1.0)
     assert weights[0].sum() == pytest.approx(1.0)
@@ -82,7 +86,7 @@ def test_attention_weights_sum_to_one_per_connected_target():
         np.fill_diagonal(z[b], 0.0)
     graph = make_graph(z)
     run = DecoderRun(dec, 2, 5, rng_np.integers(0, 3, size=(2, 5)), 2)
-    run.state = [DArray(rng_np.normal(size=(2, 5, H))) for _ in range(2)]
+    run.state = [DArray(rng_np.normal(size=(10, H))) for _ in range(2)]
     weights = run.attention(run.state[-1], graph, 0)[0].data
     sums = weights.sum(axis=1)
     connected = z.sum(axis=1) > 0
@@ -99,7 +103,7 @@ def test_train_mode_uses_relaxed_weights_above_half_only():
                                    DArray(rng_np.normal(size=(1, 3, 3, D))),
                                    hard=False)
     run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]), 2)
-    state = [DArray(rng_np.normal(size=(1, 3, H))) for _ in range(2)]
+    state = [DArray(rng_np.normal(size=(3, H))) for _ in range(2)]
     run.state = state
     m = run.attend(state[-1], graph, 0)
     # target 2 aggregates only source 1; removing source 0's edge weight
@@ -160,7 +164,7 @@ def test_decoder_gradients_match_finite_differences():
 
 
 def test_all_same_category_equals_single_category_decoder():
-    # dispatching through masks must equal using category 0's weights alone
+    # dispatching by category must equal using category 0's weights alone
     dec3, store3 = make_decoder(n_categories=3, seed=9)
     dec1, store1 = make_decoder(n_categories=1, seed=10)
     for kind in ("gq", "gk", "gv"):
@@ -197,6 +201,52 @@ def test_homogeneous_flag_bypasses_category_maps():
             store[f"dec.{kind}.{c}.W"].data[...] = 0.0
     z = np.ones((1, 3, 3)) - np.eye(3)
     run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]), 2)
-    run.state = [DArray(rng_np.normal(size=(1, 3, H))) for _ in range(2)]
+    run.state = [DArray(rng_np.normal(size=(3, H))) for _ in range(2)]
     m = run.attend(run.state[-1], make_graph(z), 0)
     assert np.abs(m.data).max() > 0   # still attends via raw hidden states
+
+
+def _tape(out):
+    seen, stack, nodes = set(), [out], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_row_pick_step_matches_mask_collapse_oracle():
+    dec, store = make_decoder(seed=8)
+    b, n, c = 2, 4, 3
+    cats = np.array([[0, 1, 2, 0], [2, 2, 1, 0]])
+    z = (rng_np.uniform(size=(b, n, n)) < 0.6).astype(float)
+    for i in range(b):
+        np.fill_diagonal(z[i], 0.0)
+    graph = make_graph(z)
+    x = DArray(rng_np.normal(size=(b, n, 2)))
+    eps = rng_np.normal(size=(b, n, H))
+    target = DArray(rng_np.normal(size=(b, n, 2)))
+
+    def three_steps(cls):
+        run = cls(dec, b, n, cats, 2)
+        mu = run.step(x, None, eps, -1)
+        mu = run.step(mu, graph, eps, 0)
+        return run.step(mu, graph, None, 0)
+
+    mu, mu_ref = three_steps(DecoderRun), three_steps(MaskCollapseDecoderRun)
+    np.testing.assert_array_equal(mu.data, mu_ref.data)
+
+    tape = [t for t in _tape(mu) if t._bw is not None]
+    gate_nodes = [t for t in tape if t._bw.__qualname__.startswith("gru_cell")]
+    assert len(gate_nodes) == 3 * 2   # one per GRU layer and step
+    for t in tape:   # only GEMM outputs keep all C copies of each row
+        if t.ndim == 3 and t.shape[:2] == (c, b * n):
+            assert t._bw.__qualname__.startswith("matmul")
+
+    grads = gradients(((mu - target) ** 2).sum(), store)
+    grads_ref = gradients(((mu_ref - target) ** 2).sum(), store)
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, grads_ref[name], rtol=0, atol=1e-12,
+                                   err_msg=name)

@@ -132,15 +132,17 @@ def test_gru_step_matches_fused_reference_plain_and_stacked():
     out = gru_step(DArray(x), DArray(h), gates).data
     ref = fused_gru_reference(x, h, *(p.data for p in params))
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
-    # C = 3 GRUs stacked on a leading axis, each row block through its own
+    # C = 3 GRUs stacked on a leading axis; each row goes through the GRU
+    # of its own category
     per_cat = [params] + [_one_gru(store, rng, prefix=f"c{c}")[1] for c in (1, 2)]
     w_ih, w_hh, b_ih, b_hh = (ad.stack([p[i] for p in per_cat]) for i in range(4))
     stacked = gru_gates(w_ih, w_hh, b_ih.reshape(3, 1, 12), b_hh.reshape(3, 1, 12))
-    xs, hs = rng_np.normal(size=(3, 5, 3)), rng_np.normal(size=(3, 5, 4))
-    out = gru_step(DArray(xs), DArray(hs), stacked).data
-    for c, p in enumerate(per_cat):
-        ref = fused_gru_reference(xs[c], hs[c], *(a.data for a in p))
-        np.testing.assert_allclose(out[c], ref, rtol=0, atol=1e-12)
+    rows = np.array([2, 0, 1, 2, 0])
+    out = gru_step(DArray(x), DArray(h), stacked, rows).data
+    assert out.shape == (5, 4)
+    for r, c in enumerate(rows):
+        ref = fused_gru_reference(x[r:r + 1], h[r:r + 1], *(a.data for a in per_cat[c]))
+        np.testing.assert_allclose(out[r:r + 1], ref, rtol=0, atol=1e-12)
 
 
 def test_two_stacked_gru_cells_compose():
