@@ -10,6 +10,13 @@ checks unambiguous at desk scale.
 
 Only the ops the model actually needs are implemented. Broadcasting follows
 numpy rules; backward passes sum gradients back over broadcast axes.
+
+Fused nodes record a chain of elementwise ops as one tape node with a
+hand-written backward, so the tape keeps one array per chain rather than
+one per op: `gru_cell` (the GRU gate math), `batch_norm`, `tanh_add`
+(tanh of a broadcast sum) and `mul_sum` (a product summed over one axis).
+GEMMs stay separate `matmul` nodes until benchmark v2 (see ROADMAP),
+because the benchmark's tape walk counts them.
 """
 
 from __future__ import annotations
@@ -478,6 +485,84 @@ def tanh(a) -> DArray:
             _accum_owned(a, g * (1.0 - out_data * out_data))
 
     return _track(out_data, (a,), bw)
+
+
+def tanh_add(*terms) -> DArray:
+    """tanh(terms[0] + terms[1] + ...) with numpy broadcasting, summed left
+    to right, as one tape node that keeps only its output."""
+    terms = [_coerce(t) for t in terms]
+    pre = terms[0].data
+    for t in terms[1:]:
+        pre = pre + t.data
+    out_data = np.tanh(pre)
+
+    def bw(g):
+        d = g * (1.0 - out_data * out_data)
+        for t in terms:
+            if t.requires_grad:
+                gt = _unbroadcast(d, t.data.shape)
+                _accum(t, gt) if gt is d else _accum_owned(t, gt)
+
+    return _track(out_data, terms, bw)
+
+
+def mul_sum(a, b, axis: int) -> DArray:
+    """(a * b).sum(axis) with broadcasting, as one tape node that keeps
+    no product: backward multiplies the gradient by the other factor."""
+    a, b = _coerce(a), _coerce(b)
+    out_data = (a.data * b.data).sum(axis=axis)
+
+    def bw(g):
+        g = np.expand_dims(g, axis)
+        if a.requires_grad:
+            _accum_owned(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum_owned(b, _unbroadcast(g * a.data, b.data.shape))
+
+    return _track(out_data, (a, b), bw)
+
+
+def batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-feature mean and biased variance over every leading axis, (F,)
+    each, in the summation order the composed-op batch norm used."""
+    axes = tuple(range(x.ndim - 1))
+    inv_m = 1.0 / int(np.prod(x.shape[:-1]))
+    mean = x.sum(axis=axes) * inv_m
+    var = ((x - mean) ** 2.0).sum(axis=axes) * inv_m
+    return mean, var
+
+
+def batch_norm(x, gamma, beta, mean: np.ndarray, var: np.ndarray,
+               eps: float, train: bool) -> DArray:
+    """gamma * (x - mean) / (var + eps)**0.5 + beta over the last axis, as
+    one tape node with a hand-written backward.
+
+    `mean` and `var` are (F,) arrays. In train mode they must be
+    `batch_stats(x.data)`, and backward differentiates through them; in
+    eval mode they are constants (the running statistics). The node keeps
+    only its output: backward recomputes the normalized input from `x`
+    and the statistics, so neither may change before backward runs.
+    """
+    x, gamma, beta = _coerce(x), _coerce(gamma), _coerce(beta)
+    std = (var + eps) ** 0.5
+    out_data = gamma.data * ((x.data - mean) / std) + beta.data
+
+    def bw(g):
+        axes = tuple(range(g.ndim - 1))
+        xn = (x.data - mean) / std
+        if gamma.requires_grad:
+            _accum_owned(gamma, (g * xn).sum(axis=axes))
+        if beta.requires_grad:
+            _accum_owned(beta, g.sum(axis=axes))
+        if x.requires_grad:
+            d_xn = g * gamma.data
+            if train:
+                inv_m = 1.0 / int(np.prod(g.shape[:-1]))
+                d_xn = (d_xn - d_xn.sum(axis=axes) * inv_m
+                        - xn * ((d_xn * xn).sum(axis=axes) * inv_m))
+            _accum_owned(x, d_xn / std)
+
+    return _track(out_data, (x, gamma, beta), bw)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

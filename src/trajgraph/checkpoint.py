@@ -68,9 +68,13 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint; any malformed or truncated content is a DataError."""
+    """Read a checkpoint; an unreadable path or any malformed or truncated
+    content is a DataError."""
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as e:
+        raise DataError(f"{path}: cannot read checkpoint: {e.strerror}") from e
     if raw[:4] != MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
     pos = 4

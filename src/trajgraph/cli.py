@@ -171,9 +171,6 @@ def cmd_train(args) -> int:
     mcfg = _model_config(cfg)
     train_scenes, _ = _load_split(args.data, "train", mcfg.n_categories)
     val_scenes, _ = _load_split(args.data, "val", mcfg.n_categories)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    log_path = out / "train_log.csv"
 
     model = TrajectoryModel(mcfg, seed=tcfg.seed)
     start_epoch = 0
@@ -203,6 +200,9 @@ def cmd_train(args) -> int:
                              decay_factor=tcfg.alpha_decay_factor,
                              floor=tcfg.alpha_floor)
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    log_path = out / "train_log.csv"
     mode = "a" if args.resume and log_path.exists() else "w"
     with open(log_path, mode) as log_file:
         if mode == "w":

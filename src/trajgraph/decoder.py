@@ -113,7 +113,7 @@ class DecoderRun:
         if self.decoder.homogeneous:
             return h
         w, b = self._gmaps[kind]
-        return ad.tanh(ad.pick(h @ w, self.rows) + b)
+        return ad.tanh_add(ad.pick(h @ w, self.rows), b)
 
     # -------------------------------------------------------------- attention
     def _window_cache(self, graph: InteractionGraphSample, window: int) -> dict:
@@ -153,9 +153,9 @@ class DecoderRun:
         # query/key: node-level projection plus cached edge-feature part
         qh = linear(gq, store["dec.fq.W"][:hd])
         kh = linear(gk, store["dec.fk.W"][:hd])
-        q = ad.tanh(qh.reshape(b, n, 1, dec.attn_dim) + cache["qe"])
-        k = ad.tanh(kh.reshape(b, 1, n, dec.attn_dim) + cache["ke"])
-        scores = (q * k).sum(axis=-1) / math.sqrt(dec.attn_dim)   # (B, N, N)
+        q = ad.tanh_add(qh.reshape(b, n, 1, dec.attn_dim), cache["qe"])
+        k = ad.tanh_add(kh.reshape(b, 1, n, dec.attn_dim), cache["ke"])
+        scores = ad.mul_sum(q, k, -1) / math.sqrt(dec.attn_dim)   # (B, N, N)
 
         qmask = cache["qualify"]
         # stable weights: shift scores by the per-target max over qualifying
@@ -178,10 +178,10 @@ class DecoderRun:
         alpha, gv = self.attention(h, graph, window)
         # value: relative latent position concat edge feature, f_v split
         gvh = linear(gv, store["dec.fv.0.W"][:hd])
-        v1 = ad.tanh(gvh.reshape(b, n, 1, hd) - gvh.reshape(b, 1, n, hd)
-                     + self._window_cache(graph, window)["ve"])
-        values = ad.tanh(linear(v1, store["dec.fv.1.W"], store["dec.fv.1.b"]))
-        return (alpha.reshape(b, n, n, 1) * values).sum(axis=1)
+        v1 = ad.tanh_add(gvh.reshape(b, n, 1, hd), -gvh.reshape(b, 1, n, hd),
+                         self._window_cache(graph, window)["ve"])
+        values = ad.tanh_add(linear(v1, store["dec.fv.1.W"]), store["dec.fv.1.b"])
+        return ad.mul_sum(alpha.reshape(b, n, n, 1), values, 1)
 
     # ------------------------------------------------------------------ step
     def step(self, x: DArray, graph: InteractionGraphSample | None,

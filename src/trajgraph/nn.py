@@ -14,6 +14,12 @@ on per-gate weight blocks from `gru_gates`, used for the encoder's edge
 GRU and, with weights stacked per category, the decoder's. The decoder's
 GEMMs stay C-stacked until benchmark v2 (see ROADMAP); everything after
 them runs on each row's own category only.
+
+Layers record their elementwise math through the fused tape nodes of
+`autodiff` (`gru_cell` behind `gru_step`, `batch_norm` behind
+`BatchNorm`; the decoder's attention uses `tanh_add` and `mul_sum`).
+Every GEMM stays its own `matmul` node until benchmark v2, whose tape
+walk counts them.
 """
 
 from __future__ import annotations
@@ -152,12 +158,13 @@ class Affine:
 
 
 class BatchNorm:
-    """Per-feature batch normalization over all leading axes.
+    """Per-feature batch normalization over all leading axes, as one
+    `autodiff.batch_norm` tape node.
 
     Train mode normalizes with the statistics of every row it is given
-    and advances the running buffers (0.9 * running + 0.1 * batch); eval
-    mode uses the running statistics only. The mode is always an explicit
-    argument.
+    and advances the running buffers (0.9 * running + 0.1 * batch) with
+    the same statistics; eval mode uses the running statistics only. The
+    mode is always an explicit argument.
     """
 
     eps = 1e-5
@@ -170,15 +177,12 @@ class BatchNorm:
 
     def __call__(self, x: DArray, train: bool) -> DArray:
         if train:
-            axes = tuple(range(x.ndim - 1))
-            mean = x.mean(axis=axes, keepdims=True)
-            var = ((x - mean) ** 2).mean(axis=axes, keepdims=True)
-            self.run_mean.data[...] = 0.9 * self.run_mean.data + 0.1 * mean.data.reshape(-1)
-            self.run_var.data[...] = 0.9 * self.run_var.data + 0.1 * var.data.reshape(-1)
-            xn = (x - mean) / ((var + self.eps) ** 0.5)
-        else:
-            xn = (x - self.run_mean) / ((self.run_var + DArray(self.eps)) ** 0.5)
-        return self.gamma * xn + self.beta
+            mean, var = ad.batch_stats(x.data)
+            self.run_mean.data[...] = 0.9 * self.run_mean.data + 0.1 * mean
+            self.run_var.data[...] = 0.9 * self.run_var.data + 0.1 * var
+        else:   # copies: a later train call advances the buffers in place
+            mean, var = self.run_mean.data.copy(), self.run_var.data.copy()
+        return ad.batch_norm(x, self.gamma, self.beta, mean, var, self.eps, train)
 
 
 class MLP:

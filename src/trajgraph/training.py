@@ -62,10 +62,18 @@ class TrainConfig:
         if self.penalty not in PENALTIES:
             raise ConfigError(f"unknown penalty {self.penalty!r}; "
                               f"expected one of {tuple(PENALTIES)}")
-        if self.alpha_init <= 0:
-            raise ConfigError("alpha_init must be positive")
-        if not self.gamma >= 0:
-            raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
+        for name in ("alpha_init", "alpha_floor"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if not 0.0 <= self.alpha_decay_factor < math.inf:
+            raise ConfigError("alpha_decay_factor must be nonnegative and finite, "
+                              f"got {self.alpha_decay_factor}")
+        if not self.alpha_decay_interval >= 1:
+            raise ConfigError("alpha_decay_interval must be at least 1, "
+                              f"got {self.alpha_decay_interval}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ConfigError(f"gamma must be nonnegative and finite, got {self.gamma}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}")

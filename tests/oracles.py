@@ -4,11 +4,14 @@ These stay deliberately naive: plain loops and central finite differences,
 never calling back into the code paths they are meant to check.
 """
 
+import math
+
 import numpy as np
 
 from trajgraph import autodiff as ad
 from trajgraph.autodiff import DArray
 from trajgraph.decoder import DecoderRun
+from trajgraph.nn import linear
 
 
 def finite_difference(f, x, eps=1e-6):
@@ -153,6 +156,66 @@ class MaskCollapseDecoderRun(DecoderRun):
         h_top = new_state[-1]
         pre = h_top + DArray(eps) if eps is not None else h_top
         return x + self.decoder.f_out(pre)
+
+
+def composed_batch_norm(bn, x, train):
+    """`nn.BatchNorm.__call__` op by op on the tape (one node per op), as
+    it ran before the batch-norm node; advances `bn`'s running buffers in
+    train mode."""
+    if train:
+        axes = tuple(range(x.ndim - 1))
+        mean = x.mean(axis=axes, keepdims=True)
+        var = ((x - mean) ** 2).mean(axis=axes, keepdims=True)
+        bn.run_mean.data[...] = 0.9 * bn.run_mean.data + 0.1 * mean.data.reshape(-1)
+        bn.run_var.data[...] = 0.9 * bn.run_var.data + 0.1 * var.data.reshape(-1)
+        xn = (x - mean) / ((var + bn.eps) ** 0.5)
+    else:
+        xn = (x - bn.run_mean) / ((bn.run_var + DArray(bn.eps)) ** 0.5)
+    return bn.gamma * xn + bn.beta
+
+
+class ComposedAttentionDecoderRun(DecoderRun):
+    """The decoder's attention op by op on the tape, as it ran before the
+    fused `tanh_add` and `mul_sum` nodes: every add, tanh and product of
+    the pairwise chains is its own node. The GRU and the head are the
+    decoder's own."""
+
+    def _category_map(self, kind, h):
+        if self.decoder.homogeneous:
+            return h
+        w, b = self._gmaps[kind]
+        return ad.tanh(ad.pick(h @ w, self.rows) + b)
+
+    def attention(self, h, graph, window):
+        dec = self.decoder
+        store = dec.store
+        b, n, hd = self.batch, self.n_agents, h.shape[-1]
+        cache = self._window_cache(graph, window)
+        gq, gk, gv = (self._category_map(kind, h) for kind in ("gq", "gk", "gv"))
+        qh = linear(gq, store["dec.fq.W"][:hd])
+        kh = linear(gk, store["dec.fk.W"][:hd])
+        q = ad.tanh(qh.reshape(b, n, 1, dec.attn_dim) + cache["qe"])
+        k = ad.tanh(kh.reshape(b, 1, n, dec.attn_dim) + cache["ke"])
+        scores = (q * k).sum(axis=-1) / math.sqrt(dec.attn_dim)
+        qmask = cache["qualify"]
+        masked = np.where(qmask > 0, scores.data, -np.inf)
+        shift = masked.max(axis=1, keepdims=True)
+        shift = np.where(np.isfinite(shift), shift, 0.0)
+        exp_scores = ad.exp((scores - DArray(shift)) * DArray(qmask))
+        weight_num = graph.z * exp_scores * DArray(qmask)
+        denom = weight_num.sum(axis=1, keepdims=True)
+        denom = denom + DArray((~cache["has_in"]).astype(np.float64)[:, None, :])
+        return weight_num / denom, gv
+
+    def attend(self, h, graph, window):
+        store = self.decoder.store
+        b, n, hd = self.batch, self.n_agents, h.shape[-1]
+        alpha, gv = self.attention(h, graph, window)
+        gvh = linear(gv, store["dec.fv.0.W"][:hd])
+        v1 = ad.tanh(gvh.reshape(b, n, 1, hd) - gvh.reshape(b, 1, n, hd)
+                     + self._window_cache(graph, window)["ve"])
+        values = ad.tanh(linear(v1, store["dec.fv.1.W"], store["dec.fv.1.b"]))
+        return (alpha.reshape(b, n, n, 1) * values).sum(axis=1)
 
 
 def masked_mlp_reference(params, prefix, x, train, mask):

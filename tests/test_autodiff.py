@@ -1,4 +1,6 @@
+import ast
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +66,7 @@ def test_binary_op_gradients(op):
     lambda x: ad.log(x * x + 1.0),
     lambda x: x ** 3,
     lambda x: ad.clamp_min(x, 0.1),
+    lambda x: -x * x,
 ])
 def test_unary_op_gradients(fn):
     x = _rand(3, 4)
@@ -158,6 +161,55 @@ def test_concat_stack_take_gradients():
     fd_probe_check(loss, [a, b], rng, n_probes=10, rtol=1e-5)
 
 
+@pytest.mark.parametrize("axis", [None, 1])
+def test_reduce_max_gradients(axis):
+    x = _rand(3, 4)   # continuous values: no ties, so the max is differentiable
+    weights = rng.normal(size=(3,) if axis == 1 else ())
+    fd_probe_check(lambda: (ad.reduce_max(x, axis=axis) * weights).sum(), [x], rng,
+                   n_probes=10, rtol=1e-5)
+
+
+def test_advanced_index_take_gradients():
+    x = _rand(4, 3)
+    rows = np.array([2, 0, 2, 3])   # a repeated row accumulates
+    weights = rng.normal(size=(4, 3))
+    fd_probe_check(lambda: (x[rows] * weights).sum(), [x], rng, n_probes=12, rtol=1e-5)
+    fd_probe_check(lambda: (x[rows, np.array([0, 1, 1, 2])] * weights[:, 0]).sum(),
+                   [x], rng, n_probes=12, rtol=1e-5)
+
+
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("shape", [(6, 3), (2, 3, 4, 3)], ids=["2d", "4d"])
+def test_batch_norm_gradients(shape, train):
+    x, gamma, beta = _rand(*shape), _rand(shape[-1]), _rand(shape[-1])
+    # weights: in train mode a plain sum has zero gradient with respect to x
+    weights = rng.normal(size=shape)
+    running = rng.normal(size=shape[-1]), rng.uniform(0.5, 2.0, size=shape[-1])
+
+    def loss():
+        mean, var = ad.batch_stats(x.data) if train else running
+        return (ad.batch_norm(x, gamma, beta, mean, var, 1e-5, train) * weights).sum()
+
+    fd_probe_check(loss, [x, gamma, beta], rng, n_probes=30, rtol=1e-5)
+
+
+def test_tanh_add_gradients():
+    a, b, c = _rand(2, 3, 1, 4), _rand(2, 1, 3, 4), _rand(4)
+    weights = rng.normal(size=(2, 3, 3, 4))
+    fd_probe_check(lambda: (ad.tanh_add(a, b, c) * weights).sum(), [a, b, c], rng,
+                   n_probes=30, rtol=1e-5)
+
+
+@pytest.mark.parametrize("shapes, axis", [
+    (((2, 4, 4, 1), (2, 4, 4, 3)), 1),   # attention's alpha-weighted aggregation
+    (((2, 4, 1, 3), (2, 1, 4, 3)), -1),  # attention's scores
+], ids=["middle_axis", "last_axis"])
+def test_mul_sum_gradients(shapes, axis):
+    a, b = _rand(*shapes[0]), _rand(*shapes[1])
+    fd_probe_check(lambda: (ad.mul_sum(a, b, axis) ** 2).sum(), [a, b], rng,
+                   n_probes=30, rtol=1e-5)
+
+
 def test_reduce_max_first_argmax_subgradient():
     x = DArray(np.array([[1.0, 3.0, 3.0], [0.5, 0.1, 0.2]]), requires_grad=True)
     ad.reduce_max(x, axis=1).sum().backward()
@@ -236,3 +288,93 @@ def test_second_backward_through_a_consumed_graph_raises():
     loss.backward()
     with pytest.raises(ContractError):
         loss.backward()
+
+
+# --------------------------------------------------------------- coverage
+# Every function of autodiff.py that records a tape node (calls `_track`)
+# needs a finite-difference check in this file. A check covers the ops its
+# loss function uses, and the ops of a `pytest.mark.parametrize` list of
+# the test that makes it: named as `ad.<op>`, or written with an operator
+# or method of DArray, which `DArray` forwards to a module-level op.
+
+_OPERATORS = {ast.Add: "__add__", ast.Sub: "__sub__", ast.Mult: "__mul__",
+              ast.Div: "__truediv__", ast.Pow: "__pow__", ast.MatMult: "__matmul__",
+              ast.USub: "__neg__"}
+
+
+def tracked_ops(source: str) -> set[str]:
+    """Module-level functions whose body calls `_track`."""
+    return {f.name for f in ast.parse(source).body if isinstance(f, ast.FunctionDef)
+            and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_track"
+                    for n in ast.walk(f))}
+
+
+def darray_forwarding(source: str) -> dict[str, str]:
+    """DArray method name -> the module-level op its `return` calls."""
+    cls = next(c for c in ast.parse(source).body
+               if isinstance(c, ast.ClassDef) and c.name == "DArray")
+    out = {}
+    for f in cls.body:
+        if isinstance(f, ast.FunctionDef):
+            ret = f.body[-1]
+            if isinstance(ret, ast.Return) and isinstance(ret.value, ast.Call) \
+                    and isinstance(ret.value.func, ast.Name):
+                out[f.name] = ret.value.func.id
+    return out
+
+
+def fd_checked_ops(test_source: str, forwarding: dict[str, str]) -> set[str]:
+    """Ops used by the finite-difference checks of a test module."""
+    def ops(node) -> set[str]:
+        found = set()
+        for n in ast.walk(node):
+            method = None
+            if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "ad":
+                found.add(n.attr)
+            elif isinstance(n, (ast.BinOp, ast.UnaryOp)):
+                method = _OPERATORS.get(type(n.op))
+            elif isinstance(n, ast.Subscript):
+                method = "__getitem__"
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+                method = n.func.attr
+            if method in forwarding:
+                found.add(forwarding[method])
+        return found
+
+    checked = set()
+    for test in ast.parse(test_source).body:
+        if not isinstance(test, ast.FunctionDef):
+            continue
+        local_defs = {f.name: f for f in ast.walk(test) if isinstance(f, ast.FunctionDef)}
+        calls = [n for n in ast.walk(test) if isinstance(n, ast.Call)
+                 and getattr(n.func, "id", None) == "fd_probe_check"]
+        for call in calls:
+            loss = call.args[0]
+            checked |= ops(local_defs.get(getattr(loss, "id", None), loss))
+        if calls:
+            for deco in test.decorator_list:
+                checked |= ops(deco)
+    return checked
+
+
+def unchecked_ops(autodiff_source: str, test_source: str) -> list[str]:
+    forwarding = darray_forwarding(autodiff_source)
+    return sorted(tracked_ops(autodiff_source) - fd_checked_ops(test_source, forwarding))
+
+
+def test_coverage_checker_finds_unchecked_ops():
+    autodiff_source = ("class DArray:\n    def __neg__(self):\n        return neg(self)\n"
+                       "    def sum(self):\n        return reduce_sum(self)\n"
+                       "def neg(a):\n    return _track(-a, (a,), None)\n"
+                       "def exp(a):\n    return _track(a, (a,), None)\n"
+                       "def tanh(a):\n    return _track(a, (a,), None)\n"
+                       "def reduce_sum(a):\n    return _track(a, (a,), None)\n"
+                       "def _coerce(x):\n    return x\n")
+    test_source = ("@pytest.mark.parametrize('fn', [ad.exp])\n"
+                   "def test_a(fn):\n    fd_probe_check(lambda: fn(x).sum(), [x], rng)\n"
+                   "def test_b():\n    y = -x\n    ad.tanh(x)\n")
+    assert unchecked_ops(autodiff_source, test_source) == ["neg", "tanh"]
+
+
+def test_every_tape_op_has_a_finite_difference_check():
+    assert unchecked_ops(Path(ad.__file__).read_text(), Path(__file__).read_text()) == []

@@ -226,6 +226,23 @@ def test_evaluate_corrupt_checkpoint_exit_code(workspace, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("data error: ")
 
 
+@pytest.mark.parametrize("cmd, flag, name", [
+    ("evaluate", "--checkpoint", "nope.ckpt"),
+    ("analyze-graphs", "--checkpoint", "nope.ckpt"),
+    ("train", "--resume", "nope.ckpt"),
+    ("evaluate", "--checkpoint", ""),     # the directory itself
+], ids=["evaluate_missing", "analyze_graphs_missing", "resume_missing",
+        "evaluate_directory"])
+def test_unreadable_checkpoint_exit_code(workspace, tmp_path, capsys, cmd, flag, name):
+    root, cfg, data, run = workspace
+    path = tmp_path / name
+    assert main([cmd, "--config", str(cfg), flag, str(path), "--data", str(data),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err
+    assert not (tmp_path / "out").exists()
+
+
 def _nan_first_x(text):
     lines = text.splitlines(keepends=True)
     row = lines[1].split(",")
@@ -267,6 +284,10 @@ def test_verify_theory_passes(capsys):
     assert "match" in out   # the entropy table header
 
 
+def _train_ini(lines):
+    return SMOKE_INI.replace("val_samples = 2", "val_samples = 2\n" + lines)
+
+
 @pytest.mark.parametrize("argv, ini", [
     (["analyze-graphs", "--samples", "0", "--svg"], None),
     (["analyze-graphs"], "[eval]\nsamples = 0\n"),
@@ -284,10 +305,18 @@ def test_verify_theory_passes(capsys):
     (["train"], SMOKE_INI.replace("gamma = 0.1", "gamma = nan")),
     (["train"], SMOKE_INI.replace("attn_dim = 10", "attn_dim = 10\ntemperature = nan")),
     (["sweep-gamma", "--gammas", "nan"], None),
+    (["train"], SMOKE_INI.replace("gamma = 0.1", "gamma = inf")),
+    (["train"], _train_ini("alpha_decay_interval = 0")),
+    (["train"], _train_ini("alpha_init = nan")),
+    (["train"], _train_ini("alpha_init = inf")),
+    (["train"], _train_ini("alpha_floor = 0\nalpha_decay_factor = 0")),
+    (["train"], _train_ini("alpha_decay_factor = nan")),
 ], ids=["samples_0", "eval_samples_0", "samples_negative", "quality_scenes_negative",
         "svg_scenes_negative", "trials_negative", "max_nodes_1", "split_out_of_range",
         "init_vel_negative", "init_vel_nan", "learning_rate_negative",
-        "learning_rate_nan", "gamma_nan", "temperature_nan", "sweep_gamma_nan"])
+        "learning_rate_nan", "gamma_nan", "temperature_nan", "sweep_gamma_nan",
+        "gamma_inf", "alpha_decay_interval_0", "alpha_init_nan", "alpha_init_inf",
+        "alpha_floor_0", "alpha_decay_factor_nan"])
 def test_hostile_counts_are_config_errors(workspace, tmp_path, capsys, argv, ini):
     root, cfg, data, run = workspace
     if ini is not None:

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
+from trajgraph import model as model_mod
 from trajgraph.autodiff import DArray
 from trajgraph.checkpoint import load_checkpoint, save_checkpoint
 from trajgraph.encoder import InteractionGraphSample
 from trajgraph.errors import ConfigError, ContractError
+from trajgraph.graph_complexity import regularized_loss
 from trajgraph.model import ModelConfig, TrajectoryModel
+from trajgraph.nn import BatchNorm, gradients
 from trajgraph.rng import RngStream
+from trajgraph.training import reconstruction_loss
 
 from conftest import small_model_config
+from oracles import ComposedAttentionDecoderRun, composed_batch_norm
 
 rng_np = np.random.default_rng(61)
 
@@ -197,3 +202,34 @@ def test_scene_step_mismatch_rejected(small_model):
     with pytest.raises(ContractError):
         small_model.infer_graphs_from_truth(np.zeros((1, 3, 12, 2)),
                                             RngStream(0))
+
+
+def test_fused_nodes_match_composed_ops_end_to_end(tiny_scenes, monkeypatch):
+    """A GE_mixup boundary update and a sampled prediction with the
+    batch-norm node and the fused attention nodes equal the op-by-op
+    model: outputs and running buffers bit for bit, gradients within
+    1e-12."""
+    pos, cats = batch_from(tiny_scenes[0], 4)
+
+    def run():
+        model = TrajectoryModel(small_model_config(), seed=7)
+        graphs = model.infer_graphs_from_truth(pos, RngStream(5).child(1))
+        preds = model.rollout(pos, cats, graphs, RngStream(5).child(2),
+                              input_mode="boundary", lam=0.4)
+        loss = regularized_loss(reconstruction_loss(pos, preds, model.cfg.t_history),
+                                [g.z for g in graphs], 0.1, "entropy")
+        grads = gradients(loss, model.store)
+        sampled, _ = model.predict_batch(pos, cats, RngStream(9))
+        return preds.data, grads, sampled, model.state_dict()
+
+    preds, grads, sampled, state = run()
+    with monkeypatch.context() as m:
+        m.setattr(BatchNorm, "__call__", composed_batch_norm)
+        m.setattr(model_mod, "DecoderRun", ComposedAttentionDecoderRun)
+        preds_ref, grads_ref, sampled_ref, state_ref = run()
+    np.testing.assert_array_equal(preds, preds_ref)
+    np.testing.assert_array_equal(sampled, sampled_ref)
+    for name, value in state.items():
+        np.testing.assert_array_equal(value, state_ref[name], err_msg=name)
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, grads_ref[name], rtol=0, atol=1e-12, err_msg=name)

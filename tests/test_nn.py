@@ -12,7 +12,7 @@ from trajgraph.nn import (MLP, Affine, BatchNorm, GRUStack, ParamStore,
 from trajgraph.optim import Adam
 from trajgraph.rng import RngStream
 
-from oracles import fd_probe_check, fused_gru_reference
+from oracles import composed_batch_norm, fd_probe_check, fused_gru_reference
 
 rng_np = np.random.default_rng(11)
 
@@ -172,6 +172,37 @@ def test_batchnorm_train_normalizes_eval_uses_running():
     single = bn(DArray(np.zeros((1, 3))), train=False)
     expected = -bn.run_mean.data / np.sqrt(bn.run_var.data + 1e-5)
     np.testing.assert_allclose(single.data[0], expected)
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (2, 3, 4, 3)], ids=["2d", "4d"])
+def test_batchnorm_node_matches_composed_oracle(shape):
+    """One tape node; forward and running buffers equal to the composed
+    ops bit for bit, gradients within 1e-12."""
+    layers = []
+    for _ in range(2):
+        bn = BatchNorm(ParamStore(), "bn", shape[-1])
+        for arr in (bn.gamma, bn.beta, bn.run_mean):
+            arr.data[...] = np.random.default_rng(4).normal(size=shape[-1])
+        layers.append(bn)
+    x_data = rng_np.normal(loc=2.0, scale=3.0, size=shape)
+    weights = rng_np.normal(size=shape)
+    for train in (True, False, True):
+        outs, grads = [], []
+        for bn, call in zip(layers, (BatchNorm.__call__, composed_batch_norm)):
+            x = DArray(x_data, requires_grad=True)
+            out = call(bn, x, train)
+            if call is BatchNorm.__call__:
+                assert out._parents == (x, bn.gamma, bn.beta)
+            outs.append(out.data)
+            (out * weights).sum().backward()
+            grads.append([x.grad, bn.gamma.grad, bn.beta.grad])
+            bn.gamma.grad = bn.beta.grad = None
+        np.testing.assert_array_equal(outs[0], outs[1])
+        for a, b in zip(*grads):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        for name in ("run_mean", "run_var"):
+            np.testing.assert_array_equal(getattr(layers[0], name).data,
+                                          getattr(layers[1], name).data)
 
 
 def test_softmax_rows_sum_to_one():
