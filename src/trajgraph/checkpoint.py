@@ -106,7 +106,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         dims = u32s(rank)
         count = math.prod(dims)
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=take(8 * count))
-        out[key] = arr.reshape(dims).astype(np.float64, copy=True)
+        try:   # an empty record may still name a shape numpy cannot hold
+            out[key] = arr.reshape(dims).astype(np.float64, copy=True)
+        except ValueError as e:
+            raise DataError(f"{path}: record {key!r} has unusable dims {dims}") from e
     if not out:
         raise DataError(f"{path}: checkpoint holds no records")
     return out

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
-from .config import RunConfig, load_config, parse_float_list
+from .config import RunConfig, check_seed, load_config, parse_float_list
 from .data import (Normalizer, Scene, SyntheticConfig, generate_synthetic,
                    load_csv, save_csv, split_scenes)
 from .errors import (ConfigError, ContractError, DataError, GenerationError,
@@ -282,6 +282,7 @@ def cmd_verify_theory(args) -> int:
         raise ConfigError(f"unknown theory checks: {sorted(unknown)}")
     _at_least(args.max_nodes, 2, "--max-nodes")
     _at_least(args.trials, 1, "--trials")
+    check_seed(args.seed, "--seed")
     ok = True
 
     if "entropy" in checks:
@@ -480,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("verify-theory", help="run the theory checkers")
-    p.add_argument("--config", default=None)
     p.add_argument("--checks", default="entropy,bounds,majorization")
     p.add_argument("--max-nodes", type=int, default=6)
     p.add_argument("--trials", type=int, default=1000)

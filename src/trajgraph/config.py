@@ -6,7 +6,8 @@ batch 128 for 200 epochs, Adam at 1e-3, concrete temperature 0.5, mixup
 concentration 10 halving every 10 epochs); the [data], [model] and
 [train] ones are the SyntheticConfig, ModelConfig and TrainConfig
 defaults. Unknown sections or keys are rejected for typo safety.
-Command-line flags override file values.
+Command-line flags override file values. Every seed, from a file or a
+flag, must be a non-negative integer.
 """
 
 from __future__ import annotations
@@ -107,7 +108,16 @@ def load_config(path: str | Path | None = None,
             raise ConfigError(f"unknown override [{section}] {key}")
         if value is not None:
             sections[section][key] = value
+    for section, values in sections.items():
+        if "seed" in values:
+            check_seed(values["seed"], f"[{section}] seed")
     return RunConfig(sections)
+
+
+def check_seed(seed: int, what: str):
+    """ConfigError naming a negative seed, which no `RngStream` accepts."""
+    if seed < 0:
+        raise ConfigError(f"{what} must be a non-negative integer, got {seed}")
 
 
 def parse_float_list(raw: str, expected: int, what: str) -> list[float] | None:

@@ -8,6 +8,9 @@ Category-aware GRUs (`nn.gru_step` on weights stacked per category) then
 update the per-agent hidden state, and a residual head emits the change in
 position.
 
+`TrajectoryDecoder`'s layers hold every decoder parameter; the names and
+order they register are the checkpoint format.
+
 Category dispatch: each category GEMM multiplies every agent's row by all
 C categories' weights (C-stacked until benchmark v2, see ROADMAP), and an
 `autodiff.pick` or the fused GRU gate node right after it keeps each
@@ -37,12 +40,9 @@ class TrajectoryDecoder:
     def __init__(self, store: ParamStore, n_categories: int, hidden_dim: int,
                  edge_dim: int, attn_dim: int, gru_layers: int,
                  homogeneous: bool, rng: RngStream):
-        self.store = store
         self.n_categories = n_categories
         self.hidden = hidden_dim
-        self.edge_dim = edge_dim
         self.attn_dim = attn_dim
-        self.gru_layers = gru_layers
         self.homogeneous = homogeneous
         h, d = hidden_dim, edge_dim
         self.g_q = [Affine(store, f"dec.gq.{c}", h, h, rng) for c in range(n_categories)]
@@ -50,8 +50,8 @@ class TrajectoryDecoder:
         self.g_v = [Affine(store, f"dec.gv.{c}", h, h, rng) for c in range(n_categories)]
         self.f_q = Affine(store, "dec.fq", h + d, attn_dim, rng)
         self.f_k = Affine(store, "dec.fk", h + d, attn_dim, rng)
-        self.f_v = MLP(store, "dec.fv", h + d,
-                       [(h, "tanh", False), (h, "tanh", False)], rng)
+        self.f_v = (Affine(store, "dec.fv.0", h + d, h, rng),
+                    Affine(store, "dec.fv.1", h, h, rng))
         self.f_out = MLP(store, "dec.fout", h,
                          [(h, "relu", False), (h, "relu", False), (2, None, False)], rng)
         self.grus = [GRUStack(store, f"dec.gru.{c}", h + 2, h, gru_layers, rng)
@@ -70,50 +70,48 @@ class TrajectoryDecoder:
 class DecoderRun:
     """Per-rollout decoder state: hidden layers plus per-window caches.
 
-    The hidden state holds one (B*N, H) row per agent. Per-category weights
-    are stacked along a leading category axis and split into GRU gate
-    blocks once per rollout. Each step runs one batched GEMM per gate and
-    input, broadcasting the (B*N, F) rows against the (C, F, H) weights
-    (C-stacked until benchmark v2, see ROADMAP); the pick right after keeps
-    each row's own category, so every later op runs on (B*N, H).
+    Every weight, and the layer count, comes from the decoder's layers.
+    Once per rollout, per-category weights are stacked along a leading
+    category axis and split into GRU gate blocks, and the [h, e] weights of
+    `f_q`, `f_k` and `f_v[0]` are split into node and edge rows. The hidden
+    state holds one (B*N, H) row per agent. Each step runs one batched GEMM
+    per gate and input, broadcasting the (B*N, F) rows against the (C, F, H)
+    weights (C-stacked until benchmark v2, see ROADMAP); the pick right
+    after keeps each row's own category, so later ops run on (B*N, H).
     """
 
     def __init__(self, decoder: TrajectoryDecoder, batch: int, n_agents: int,
-                 categories: np.ndarray, gru_layers: int):
+                 categories: np.ndarray):
         self.decoder = decoder
         self.rows = decoder.category_rows(categories)
         self.n_agents = n_agents
         self.batch = batch
-        self.state = [DArray(np.zeros((batch * n_agents, decoder.hidden)))
-                      for _ in range(gru_layers)]
         self._zero_m = np.zeros((batch, n_agents, decoder.hidden))
         self._window_caches: dict[int, dict] = {}
-        store = decoder.store
         n_cat = decoder.n_categories
         h = decoder.hidden
 
-        def stack_params(pattern):
-            return ad.stack([store[pattern.format(c=c)] for c in range(n_cat)])
-
         if not decoder.homogeneous:
-            self._gmaps = {}
-            for kind in ("gq", "gk", "gv"):
-                w = stack_params("dec." + kind + ".{c}.W")
-                b = stack_params("dec." + kind + ".{c}.b").reshape(n_cat, 1, h)
-                self._gmaps[kind] = (w, ad.pick(b, self.rows))
-        self._gru = [
-            gru_gates(stack_params(f"dec.gru.{{c}}.l{layer}.W_ih"),
-                      stack_params(f"dec.gru.{{c}}.l{layer}.W_hh"),
-                      stack_params(f"dec.gru.{{c}}.l{layer}.b_ih").reshape(n_cat, 1, 3 * h),
-                      stack_params(f"dec.gru.{{c}}.l{layer}.b_hh").reshape(n_cat, 1, 3 * h))
-            for layer in range(gru_layers)]
+            self._gmaps = [
+                (ad.stack([a.W for a in maps]),
+                 ad.pick(ad.stack([a.b for a in maps]).reshape(n_cat, 1, h), self.rows))
+                for maps in (decoder.g_q, decoder.g_k, decoder.g_v)]
+        self._gru = []
+        for layer in zip(*(gru.params for gru in decoder.grus)):
+            w_ih, w_hh, b_ih, b_hh = (ad.stack(list(p)) for p in zip(*layer))
+            self._gru.append(gru_gates(w_ih, w_hh, b_ih.reshape(n_cat, 1, 3 * h),
+                                       b_hh.reshape(n_cat, 1, 3 * h)))
+        self.state = [DArray(np.zeros((batch * n_agents, h))) for _ in self._gru]
+        self._wq, self._wq_e = decoder.f_q.W[:h], decoder.f_q.W[h:]
+        self._wk, self._wk_e = decoder.f_k.W[:h], decoder.f_k.W[h:]
+        self._wv, self._wv_e = decoder.f_v[0].W[:h], decoder.f_v[0].W[h:]
 
-    def _category_map(self, kind: str, h: DArray) -> DArray:
-        """tanh(h W_c + b_c) with each row's own category c: (B*N, H)."""
+    def _category_maps(self, h: DArray) -> list[DArray]:
+        """tanh(h W_c + b_c) of the query, key and value maps, with each
+        row's own category c: three (B*N, H)."""
         if self.decoder.homogeneous:
-            return h
-        w, b = self._gmaps[kind]
-        return ad.tanh_add(ad.pick(h @ w, self.rows), b)
+            return [h, h, h]
+        return [ad.tanh_add(ad.pick(h @ w, self.rows), b) for w, b in self._gmaps]
 
     # -------------------------------------------------------------- attention
     def _window_cache(self, graph: InteractionGraphSample, window: int) -> dict:
@@ -121,15 +119,14 @@ class DecoderRun:
         cached = self._window_caches.get(window)
         if cached is not None:
             return cached
-        store = self.decoder.store
-        h = self.decoder.hidden
+        dec = self.decoder
         e = graph.edge_feats
         n = self.n_agents
         qualify = (graph.z.data > 0.5) & ~np.eye(n, dtype=bool)
         cache = {
-            "qe": linear(e, store["dec.fq.W"][h:], store["dec.fq.b"]),
-            "ke": linear(e, store["dec.fk.W"][h:], store["dec.fk.b"]),
-            "ve": linear(e, store["dec.fv.0.W"][h:], store["dec.fv.0.b"]),
+            "qe": linear(e, self._wq_e, dec.f_q.b),
+            "ke": linear(e, self._wk_e, dec.f_k.b),
+            "ve": linear(e, self._wv_e, dec.f_v[0].b),
             "qualify": qualify.astype(np.float64),
             "has_in": qualify.any(axis=1),
         }
@@ -145,14 +142,13 @@ class DecoderRun:
         category-mapped (B*N, H) hidden state the values are built from.
         """
         dec = self.decoder
-        store = dec.store
-        b, n, hd = self.batch, self.n_agents, h.shape[-1]
+        b, n = self.batch, self.n_agents
         cache = self._window_cache(graph, window)
-        gq, gk, gv = (self._category_map(kind, h) for kind in ("gq", "gk", "gv"))
+        gq, gk, gv = self._category_maps(h)
 
         # query/key: node-level projection plus cached edge-feature part
-        qh = linear(gq, store["dec.fq.W"][:hd])
-        kh = linear(gk, store["dec.fk.W"][:hd])
+        qh = linear(gq, self._wq)
+        kh = linear(gk, self._wk)
         q = ad.tanh_add(qh.reshape(b, n, 1, dec.attn_dim), cache["qe"])
         k = ad.tanh_add(kh.reshape(b, 1, n, dec.attn_dim), cache["ke"])
         scores = ad.mul_sum(q, k, -1) / math.sqrt(dec.attn_dim)   # (B, N, N)
@@ -173,14 +169,14 @@ class DecoderRun:
                window: int) -> DArray:
         """Aggregated interacting effects m (B, N, H) for every target,
         given the (B*N, H) hidden rows."""
-        store = self.decoder.store
+        f_v1 = self.decoder.f_v[1]
         b, n, hd = self.batch, self.n_agents, h.shape[-1]
         alpha, gv = self.attention(h, graph, window)
         # value: relative latent position concat edge feature, f_v split
-        gvh = linear(gv, store["dec.fv.0.W"][:hd])
+        gvh = linear(gv, self._wv)
         v1 = ad.tanh_add(gvh.reshape(b, n, 1, hd), -gvh.reshape(b, 1, n, hd),
                          self._window_cache(graph, window)["ve"])
-        values = ad.tanh_add(linear(v1, store["dec.fv.1.W"]), store["dec.fv.1.b"])
+        values = ad.tanh_add(linear(v1, f_v1.W), f_v1.b)
         return ad.mul_sum(alpha.reshape(b, n, n, 1), values, 1)
 
     # ------------------------------------------------------------------ step

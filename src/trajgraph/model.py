@@ -57,6 +57,9 @@ class ModelConfig:
             raise ConfigError("model dimensions must be positive")
         if not self.temperature > 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        if not 0.0 <= self.edge_noise_scale < np.inf:
+            raise ConfigError("edge_noise_scale must be nonnegative and finite, "
+                              f"got {self.edge_noise_scale}")
 
 
 class TrajectoryModel:
@@ -181,7 +184,7 @@ class TrajectoryModel:
         t_hist = self.cfg.t_history
         use_noise = self.cfg.step_noise if noise is None else noise
         b, n = positions.shape[0], positions.shape[1]
-        dec = DecoderRun(self.decoder, b, n, categories, self.cfg.gru_layers)
+        dec = DecoderRun(self.decoder, b, n, categories)
 
         preds: list[DArray] = [DArray(positions[:, :, 0])]
         inputs: list[DArray] = []

@@ -41,7 +41,6 @@ _ACTIVATIONS = {
     "elu": ad.elu,
     "relu": ad.relu,
     "tanh": ad.tanh,
-    "sigmoid": ad.sigmoid,
 }
 
 
@@ -63,12 +62,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> DArray:
         return self._items[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
     def keys(self):
         return self._items.keys()
 
@@ -77,9 +70,6 @@ class ParamStore:
 
     def trainable_items(self):
         return ((k, v) for k, v in self._items.items() if self._trainable[k])
-
-    def n_values(self) -> int:
-        return sum(v.size for v in self._items.values())
 
     def zero_grad(self):
         for v in self._items.values():
@@ -286,9 +276,3 @@ class GRUStack:
             new_state.append(x)
         return x, new_state
 
-
-def softmax(x: DArray, axis: int = -1) -> DArray:
-    """Numerically stable softmax; rows sum to 1 up to float64 rounding."""
-    shift = ad.reduce_max(x, axis=axis, keepdims=True).detach()
-    z = ad.exp(x - shift)
-    return z / z.sum(axis=axis, keepdims=True)

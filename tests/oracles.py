@@ -113,18 +113,16 @@ class MaskCollapseDecoderRun(DecoderRun):
     (B, N, H). The attention scores and the head are the decoder's own;
     only the category maps, the GRU gate math and the step are replaced."""
 
-    def __init__(self, decoder, batch, n_agents, categories, gru_layers):
-        super().__init__(decoder, batch, n_agents, categories, gru_layers)
+    def __init__(self, decoder, batch, n_agents, categories):
+        super().__init__(decoder, batch, n_agents, categories)
         n_cat, h = decoder.n_categories, decoder.hidden
         cats = np.asarray(categories).reshape(batch * n_agents)
-        self.state = [DArray(np.zeros((batch, n_agents, h))) for _ in range(gru_layers)]
+        self.state = [DArray(np.zeros((batch, n_agents, h))) for _ in self._gru]
         # (C, B*N, 1) selection masks over flattened agents
         self._mask_stack = np.stack([(cats == c)[:, None].astype(np.float64)
                                      for c in range(n_cat)])
-        self._stacked_b = {
-            kind: ad.stack([decoder.store[f"dec.{kind}.{c}.b"] for c in range(n_cat)]
-                           ).reshape(n_cat, 1, h)
-            for kind in ("gq", "gk", "gv")}
+        self._stacked_b = [ad.stack([a.b for a in maps]).reshape(n_cat, 1, h)
+                           for maps in (decoder.g_q, decoder.g_k, decoder.g_v)]
 
     def _stack_rows(self, x):
         return x.reshape(1, self.batch * self.n_agents, x.shape[-1])
@@ -133,11 +131,11 @@ class MaskCollapseDecoderRun(DecoderRun):
         out = (stacked * DArray(self._mask_stack)).sum(axis=0)
         return out.reshape(self.batch, self.n_agents, stacked.shape[-1])
 
-    def _category_map(self, kind, h):
+    def _category_maps(self, h):
         if self.decoder.homogeneous:
-            return h
-        w = self._gmaps[kind][0]
-        return self._collapse(ad.tanh(self._stack_rows(h) @ w + self._stacked_b[kind]))
+            return [h, h, h]
+        return [self._collapse(ad.tanh(self._stack_rows(h) @ w + b))
+                for (w, _), b in zip(self._gmaps, self._stacked_b)]
 
     def step(self, x, graph, eps, window):
         if graph is None:
@@ -180,20 +178,18 @@ class ComposedAttentionDecoderRun(DecoderRun):
     the pairwise chains is its own node. The GRU and the head are the
     decoder's own."""
 
-    def _category_map(self, kind, h):
+    def _category_maps(self, h):
         if self.decoder.homogeneous:
-            return h
-        w, b = self._gmaps[kind]
-        return ad.tanh(ad.pick(h @ w, self.rows) + b)
+            return [h, h, h]
+        return [ad.tanh(ad.pick(h @ w, self.rows) + b) for w, b in self._gmaps]
 
     def attention(self, h, graph, window):
         dec = self.decoder
-        store = dec.store
         b, n, hd = self.batch, self.n_agents, h.shape[-1]
         cache = self._window_cache(graph, window)
-        gq, gk, gv = (self._category_map(kind, h) for kind in ("gq", "gk", "gv"))
-        qh = linear(gq, store["dec.fq.W"][:hd])
-        kh = linear(gk, store["dec.fk.W"][:hd])
+        gq, gk, gv = self._category_maps(h)
+        qh = linear(gq, dec.f_q.W[:hd])
+        kh = linear(gk, dec.f_k.W[:hd])
         q = ad.tanh(qh.reshape(b, n, 1, dec.attn_dim) + cache["qe"])
         k = ad.tanh(kh.reshape(b, 1, n, dec.attn_dim) + cache["ke"])
         scores = (q * k).sum(axis=-1) / math.sqrt(dec.attn_dim)
@@ -208,13 +204,13 @@ class ComposedAttentionDecoderRun(DecoderRun):
         return weight_num / denom, gv
 
     def attend(self, h, graph, window):
-        store = self.decoder.store
+        f_v = self.decoder.f_v
         b, n, hd = self.batch, self.n_agents, h.shape[-1]
         alpha, gv = self.attention(h, graph, window)
-        gvh = linear(gv, store["dec.fv.0.W"][:hd])
+        gvh = linear(gv, f_v[0].W[:hd])
         v1 = ad.tanh(gvh.reshape(b, n, 1, hd) - gvh.reshape(b, 1, n, hd)
                      + self._window_cache(graph, window)["ve"])
-        values = ad.tanh(linear(v1, store["dec.fv.1.W"], store["dec.fv.1.b"]))
+        values = ad.tanh(linear(v1, f_v[1].W, f_v[1].b))
         return (alpha.reshape(b, n, n, 1) * values).sum(axis=1)
 
 

@@ -117,7 +117,7 @@ def test_criterion_1_gradient_suite():
 
     def ham_loss():
         graphs = model.infer_graphs_from_truth(pos, RngStream(5).child(1))
-        run = DecoderRun(model.decoder, 1, 3, cats, 2)
+        run = DecoderRun(model.decoder, 1, 3, cats)
         h = DArray(HAM_HIDDEN)
         m = run.attend(h, graphs[0], 0)
         return (m * m).sum()

@@ -311,12 +311,16 @@ def _train_ini(lines):
     (["train"], _train_ini("alpha_init = inf")),
     (["train"], _train_ini("alpha_floor = 0\nalpha_decay_factor = 0")),
     (["train"], _train_ini("alpha_decay_factor = nan")),
+    (["train"], SMOKE_INI.replace("attn_dim = 10", "attn_dim = 10\nedge_noise_scale = -1")),
+    (["train"], SMOKE_INI.replace("attn_dim = 10", "attn_dim = 10\nedge_noise_scale = nan")),
+    (["train"], SMOKE_INI.replace("attn_dim = 10", "attn_dim = 10\nedge_noise_scale = inf")),
 ], ids=["samples_0", "eval_samples_0", "samples_negative", "quality_scenes_negative",
         "svg_scenes_negative", "trials_negative", "max_nodes_1", "split_out_of_range",
         "init_vel_negative", "init_vel_nan", "learning_rate_negative",
         "learning_rate_nan", "gamma_nan", "temperature_nan", "sweep_gamma_nan",
         "gamma_inf", "alpha_decay_interval_0", "alpha_init_nan", "alpha_init_inf",
-        "alpha_floor_0", "alpha_decay_factor_nan"])
+        "alpha_floor_0", "alpha_decay_factor_nan", "edge_noise_scale_negative",
+        "edge_noise_scale_nan", "edge_noise_scale_inf"])
 def test_hostile_counts_are_config_errors(workspace, tmp_path, capsys, argv, ini):
     root, cfg, data, run = workspace
     if ini is not None:
@@ -334,6 +338,38 @@ def test_hostile_counts_are_config_errors(workspace, tmp_path, capsys, argv, ini
     if "nan" in argv or "= nan" in (ini or ""):
         assert "got nan" in out.err   # the message names the value
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd, section", [
+    ("gen-data", "data"), ("train", "train"), ("evaluate", "eval"),
+    ("analyze-graphs", "eval"), ("sweep-gamma", "train"), ("verify-theory", None)])
+def test_negative_seed_is_a_config_error(workspace, tmp_path, capsys, cmd, section):
+    root, cfg, data, run = workspace
+    argv = [cmd]
+    if cmd in ("evaluate", "analyze-graphs"):
+        argv += ["--checkpoint", str(run / "model.ckpt")]
+    if cmd not in ("gen-data", "verify-theory"):
+        argv += ["--data", str(data)]
+    if cmd == "verify-theory":
+        tries = [argv + ["--seed", "-1"]]
+    else:
+        ini = tmp_path / "seed.ini"
+        ini.write_text(SMOKE_INI.replace(f"[{section}]\n", f"[{section}]\nseed = -1\n")
+                       .replace("seed = 5\n", ""))
+        out = ["--out", str(tmp_path / "out")]
+        tries = [argv + ["--config", str(cfg), "--seed", "-1"] + out,
+                 argv + ["--config", str(ini)] + out]
+    for try_argv in tries:
+        assert main(try_argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "got -1" in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_verify_theory_takes_no_config():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-theory", "--config", "run.ini"])
+    assert exc.value.code == 2   # an argparse usage error
 
 
 def test_analyze_graphs_outputs(workspace, tmp_path):

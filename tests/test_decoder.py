@@ -16,9 +16,9 @@ H = 10
 D = 10
 
 
-def make_decoder(n_categories=3, homogeneous=False, seed=6):
+def make_decoder(n_categories=3, homogeneous=False, seed=6, gru_layers=2):
     store = ParamStore()
-    dec = TrajectoryDecoder(store, n_categories, H, D, H, gru_layers=2,
+    dec = TrajectoryDecoder(store, n_categories, H, D, H, gru_layers=gru_layers,
                             homogeneous=homogeneous, rng=RngStream(seed).child(0))
     return dec, store
 
@@ -52,10 +52,19 @@ def test_category_module_count_is_linear_in_categories():
         assert len(gru_groups) == c
 
 
+def test_run_takes_the_layer_count_from_the_decoder():
+    for layers in (1, 3):
+        dec, _ = make_decoder(gru_layers=layers)
+        run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]))
+        assert len(run.state) == len(run._gru) == layers
+        run.step(DArray(np.zeros((1, 3, 2))), None, None, -1)
+        assert len(run.state) == layers
+
+
 def test_empty_neighborhood_gives_zero_message():
     dec, _ = make_decoder()
     z = np.zeros((1, 3, 3))
-    run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]), 2)
+    run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]))
     run.state = [DArray(rng_np.normal(size=(3, H))) for _ in range(2)]
     m = run.attend(run.state[-1], make_graph(z), 0)
     np.testing.assert_array_equal(m.data, np.zeros((1, 3, H)))
@@ -66,7 +75,7 @@ def test_singleton_edge_attention_weight_one():
     z = np.zeros((1, 3, 3))
     z[0, 1, 2] = 1.0   # only edge: 1 -> 2
     graph = make_graph(z)
-    run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]), 2)
+    run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]))
     run.state = [DArray(rng_np.normal(size=(3, H))) for _ in range(2)]
     weights = run.attention(run.state[-1], graph, 0)[0].data
     assert weights[0, 1, 2] == pytest.approx(1.0)
@@ -85,7 +94,7 @@ def test_attention_weights_sum_to_one_per_connected_target():
     for b in range(2):
         np.fill_diagonal(z[b], 0.0)
     graph = make_graph(z)
-    run = DecoderRun(dec, 2, 5, rng_np.integers(0, 3, size=(2, 5)), 2)
+    run = DecoderRun(dec, 2, 5, rng_np.integers(0, 3, size=(2, 5)))
     run.state = [DArray(rng_np.normal(size=(10, H))) for _ in range(2)]
     weights = run.attention(run.state[-1], graph, 0)[0].data
     sums = weights.sum(axis=1)
@@ -102,7 +111,7 @@ def test_train_mode_uses_relaxed_weights_above_half_only():
     graph = InteractionGraphSample(DArray(z), DArray(z),
                                    DArray(rng_np.normal(size=(1, 3, 3, D))),
                                    hard=False)
-    run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]), 2)
+    run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]))
     state = [DArray(rng_np.normal(size=(3, H))) for _ in range(2)]
     run.state = state
     m = run.attend(state[-1], graph, 0)
@@ -112,7 +121,7 @@ def test_train_mode_uses_relaxed_weights_above_half_only():
     z2[0, 0, 2] = 0.0
     graph2 = InteractionGraphSample(DArray(z2), DArray(z2), graph.edge_feats,
                                     hard=False)
-    run2 = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]), 2)
+    run2 = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]))
     run2.state = state
     m2 = run2.attend(state[-1], graph2, 0)
     np.testing.assert_allclose(m.data, m2.data, atol=1e-14)
@@ -127,7 +136,7 @@ def test_step_noise_disabled_is_deterministic():
     x = DArray(rng_np.normal(size=(1, 4, 2)))
     outs = []
     for _ in range(2):
-        run = DecoderRun(dec, 1, 4, cats, 2)
+        run = DecoderRun(dec, 1, 4, cats)
         outs.append(run.step(x, graph, None, 0).data)
     np.testing.assert_array_equal(outs[0], outs[1])
 
@@ -137,7 +146,7 @@ def test_zero_out_head_gives_stationary_prediction():
     store["dec.fout.2.W"].data[...] = 0.0
     store["dec.fout.2.b"].data[...] = 0.0
     cats = np.array([[0, 1, 2]])
-    run = DecoderRun(dec, 1, 3, cats, 2)
+    run = DecoderRun(dec, 1, 3, cats)
     x = rng_np.normal(size=(1, 3, 2))
     mu = run.step(DArray(x), make_graph(np.ones((1, 3, 3)) - np.eye(3)),
                   eps=rng_np.normal(size=(1, 3, H)), window=0)
@@ -153,7 +162,7 @@ def test_decoder_gradients_match_finite_differences():
     target = rng_np.normal(size=(1, 2, 2))
 
     def loss():
-        run = DecoderRun(dec, 1, 2, cats, 2)
+        run = DecoderRun(dec, 1, 2, cats)
         mu = run.step(x, graph, None, 0)
         mu = run.step(mu, graph, None, 0)
         return ((mu - DArray(target)) ** 2).sum()
@@ -186,8 +195,8 @@ def test_all_same_category_equals_single_category_decoder():
     graph = make_graph(z)
     x = DArray(rng_np.normal(size=(1, 4, 2)))
     eps = rng_np.normal(size=(1, 4, H))
-    run3 = DecoderRun(dec3, 1, 4, np.zeros((1, 4), dtype=int), 2)
-    run1 = DecoderRun(dec1, 1, 4, np.zeros((1, 4), dtype=int), 2)
+    run3 = DecoderRun(dec3, 1, 4, np.zeros((1, 4), dtype=int))
+    run1 = DecoderRun(dec1, 1, 4, np.zeros((1, 4), dtype=int))
     mu3 = run3.step(x, graph, eps, 0)
     mu1 = run1.step(x, graph, eps, 0)
     np.testing.assert_allclose(mu3.data, mu1.data, atol=1e-12)
@@ -200,7 +209,7 @@ def test_homogeneous_flag_bypasses_category_maps():
         for c in range(3):
             store[f"dec.{kind}.{c}.W"].data[...] = 0.0
     z = np.ones((1, 3, 3)) - np.eye(3)
-    run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]), 2)
+    run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]))
     run.state = [DArray(rng_np.normal(size=(3, H))) for _ in range(2)]
     m = run.attend(run.state[-1], make_graph(z), 0)
     assert np.abs(m.data).max() > 0   # still attends via raw hidden states
@@ -230,7 +239,7 @@ def test_row_pick_step_matches_mask_collapse_oracle():
     target = DArray(rng_np.normal(size=(b, n, 2)))
 
     def three_steps(cls):
-        run = cls(dec, b, n, cats, 2)
+        run = cls(dec, b, n, cats)
         mu = run.step(x, None, eps, -1)
         mu = run.step(mu, graph, eps, 0)
         return run.step(mu, graph, None, 0)
@@ -269,7 +278,7 @@ def test_fused_attention_matches_composed_oracle(homogeneous):
     weights = rng_np.normal(size=(b, n, H))
     results = []
     for cls in (DecoderRun, ComposedAttentionDecoderRun):
-        m = cls(dec, b, n, cats, 2).attend(h, graph, 0)
+        m = cls(dec, b, n, cats).attend(h, graph, 0)
         nodes = sum(1 for t in _tape(m) if t._bw is not None)
         grads = gradients((m * weights).sum(), store)
         grads["h"], grads["edge_feats"] = h.grad, graph.edge_feats.grad

@@ -198,6 +198,49 @@ def test_model_state_checkpoint_round_trip(tmp_path, small_model):
         assert v.data.tobytes() == small_model.store[k].data.tobytes()
 
 
+def test_parameter_layout_is_the_checkpoint_format():
+    """Every parameter's name, position and shape, derived by hand for
+    C = 2, two GRU layers, H = 4, D = 3, attention width 5 and tau = 3.
+    Checkpoints are keyed by these names, so a change here breaks them."""
+    H, D, A, G = 4, 3, 5, 12   # G = 3H, the fused GRU gate width
+
+    def affine(name, n_in, n_out):
+        return [(f"{name}.W", (n_in, n_out)), (f"{name}.b", (n_out,))]
+
+    def norm(name, n):
+        return [(f"{name}.bn.{k}", (n,)) for k in ("gamma", "beta", "run_mean", "run_var")]
+
+    def bn_block(name, n_in, n):
+        return affine(name, n_in, n) + norm(name, n)
+
+    def gru(name, n_in):
+        return [(f"{name}.l0.W_ih", (n_in, G)), (f"{name}.l0.W_hh", (H, G)),
+                (f"{name}.l0.b_ih", (G,)), (f"{name}.l0.b_hh", (G,)),
+                (f"{name}.l1.W_ih", (H, G)), (f"{name}.l1.W_hh", (H, G)),
+                (f"{name}.l1.b_ih", (G,)), (f"{name}.l1.b_hh", (G,))]
+
+    expected = (
+        bn_block("enc.emb.0", 6, H) + bn_block("enc.emb.1", H, H)
+        + bn_block("enc.edge1.0", H, H) + bn_block("enc.edge1.1", H, H)
+        + bn_block("enc.node.0", H, H) + bn_block("enc.node.1", H, H)
+        + bn_block("enc.edge2.0", H, D) + bn_block("enc.edge2.1", D, D)
+        + gru("enc.edgegru", D)
+        + bn_block("enc.proj.0", H, H) + bn_block("enc.proj.1", H, H)
+        + affine("enc.proj.2", H, 1)
+        + affine("dec.gq.0", H, H) + affine("dec.gq.1", H, H)
+        + affine("dec.gk.0", H, H) + affine("dec.gk.1", H, H)
+        + affine("dec.gv.0", H, H) + affine("dec.gv.1", H, H)
+        + affine("dec.fq", H + D, A) + affine("dec.fk", H + D, A)
+        + affine("dec.fv.0", H + D, H) + affine("dec.fv.1", H, H)
+        + affine("dec.fout.0", H, H) + affine("dec.fout.1", H, H)
+        + affine("dec.fout.2", H, 2)
+        + gru("dec.gru.0", H + 2) + gru("dec.gru.1", H + 2))
+    model = TrajectoryModel(ModelConfig(n_categories=2, t_history=3, t_future=3,
+                                        tau=3, hidden_dim=H, edge_dim=D,
+                                        attn_dim=A, gru_layers=2))
+    assert [(k, v.shape) for k, v in model.store.items()] == expected
+
+
 def test_scene_step_mismatch_rejected(small_model):
     with pytest.raises(ContractError):
         small_model.infer_graphs_from_truth(np.zeros((1, 3, 12, 2)),

@@ -8,7 +8,7 @@ from trajgraph.autodiff import DArray
 from trajgraph.checkpoint import load_checkpoint, save_checkpoint
 from trajgraph.errors import ContractError, DataError, NumericalError, ShapeError
 from trajgraph.nn import (MLP, Affine, BatchNorm, GRUStack, ParamStore,
-                          gradients, gru_gates, gru_step, softmax)
+                          gradients, gru_gates, gru_step)
 from trajgraph.optim import Adam
 from trajgraph.rng import RngStream
 
@@ -205,20 +205,6 @@ def test_batchnorm_node_matches_composed_oracle(shape):
                                           getattr(layers[1], name).data)
 
 
-def test_softmax_rows_sum_to_one():
-    x = DArray(rng_np.normal(scale=30.0, size=(50, 7)))
-    out = softmax(x, axis=-1)
-    assert (out.data >= 0).all()
-    np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(50), atol=1e-12)
-
-
-def test_softmax_gradient():
-    x = DArray(rng_np.normal(size=(4, 5)), requires_grad=True)
-    w = DArray(rng_np.normal(size=(5,)))
-    fd_probe_check(lambda: (softmax(x) * w).sum(), [x], rng_np,
-                   n_probes=15, rtol=1e-5, atol=1e-8)
-
-
 def test_adam_zero_gradient_leaves_params_unchanged():
     store, rng = _store_rng()
     p = store.add("p", rng.normal(size=(4,)))
@@ -324,7 +310,10 @@ def test_checkpoint_rejects_bad_key_and_overrunning_dims(tmp_path):
     # layout: magic, version, key length, key "k" at byte 12, rank, dims[0] at 17
     for corrupt in (raw[:12] + b"\xff" + raw[13:],
                     raw[:17] + struct.pack("<I", 1000) + raw[21:],
-                    raw[:13] + struct.pack("<I", 2 ** 31) + raw[17:]):
+                    raw[:13] + struct.pack("<I", 2 ** 31) + raw[17:],
+                    # empty records whose shape numpy cannot represent
+                    raw[:13] + struct.pack("<4I", 3, 0, 2 ** 32 - 1, 2 ** 32 - 1),
+                    raw[:13] + struct.pack("<66I", 65, *[0] * 65)):
         path.write_bytes(corrupt)
         with pytest.raises(DataError):
             load_checkpoint(path)
