@@ -13,10 +13,14 @@ numpy rules; backward passes sum gradients back over broadcast axes.
 
 Fused nodes record a chain of elementwise ops as one tape node with a
 hand-written backward, so the tape keeps one array per chain rather than
-one per op: `gru_cell` (the GRU gate math), `batch_norm`, `tanh_add`
-(tanh of a broadcast sum) and `mul_sum` (a product summed over one axis).
-GEMMs stay separate `matmul` nodes until benchmark v2 (see ROADMAP),
-because the benchmark's tape walk counts them.
+one per op: `gru_cell` (the GRU gate math, whose backward recomputes the
+gates from the GEMM outputs instead of keeping them), `batch_norm`,
+`tanh_add` (tanh of a broadcast sum, whose terms may be row gathers) and
+`mul_sum` (a product summed over one axis). `segment_sum` adds rows into
+segments, optionally weighted, through the sparse incidence matrix that
+`segments` builds once per index; the decoder's attention uses it to run
+on its qualifying edges only. GEMMs stay separate `matmul` nodes until
+benchmark v2 (see ROADMAP), because the benchmark's tape walk counts them.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ContractError, ShapeError
 
@@ -487,21 +492,68 @@ def tanh(a) -> DArray:
     return _track(out_data, (a,), bw)
 
 
+def segments(index, n: int) -> scipy.sparse.csc_matrix:
+    """The (n, E) 0/1 incidence matrix of an (E,) index into n rows: a
+    product with it adds up the (E, ...) rows that share an index, the
+    adjoint of gathering rows by that index. Its `indices` is the index.
+    Built once per index, it serves every `segment_sum` and gathered
+    `tanh_add` term over that index."""
+    index = np.asarray(index, dtype=np.intp)
+    e = len(index)
+    return scipy.sparse.csc_matrix((np.ones(e), index, np.arange(e + 1)), shape=(n, e))
+
+
+def segment_sum(x, seg, weights=None) -> DArray:
+    """Row sums by segment, out[s] = sum of weights[e] * x[e] over the rows
+    e with seg.indices[e] == s, for an (E,) or (E, F) `x` and an (n, E)
+    `seg` from `segments`; an empty segment sums to zero. The weighted
+    product is not kept: backward multiplies the gradient by the other
+    factor."""
+    x = _coerce(x)
+    weights = None if weights is None else _coerce(weights)
+    index = seg.indices
+    w = None if weights is None else weights.data.reshape(
+        (-1,) + (1,) * (x.data.ndim - 1))
+    out_data = seg @ (x.data if w is None else w * x.data)
+
+    def bw(g):
+        ge = g[index]
+        if x.requires_grad:
+            _accum_owned(x, ge if w is None else ge * w)
+        if weights is not None and weights.requires_grad:
+            _accum_owned(weights, (ge * x.data).sum(axis=tuple(range(1, ge.ndim))))
+
+    return _track(out_data, (x,) if weights is None else (x, weights), bw)
+
+
 def tanh_add(*terms) -> DArray:
     """tanh(terms[0] + terms[1] + ...) with numpy broadcasting, summed left
-    to right, as one tape node that keeps only its output."""
-    terms = [_coerce(t) for t in terms]
-    pre = terms[0].data
-    for t in terms[1:]:
-        pre = pre + t.data
+    to right, as one tape node that keeps only its output.
+
+    A term may be a pair (x, seg) of an array and an (n, E) incidence
+    matrix from `segments`: it stands for the rows x[seg.indices], which
+    are read but never kept and must have the output's shape; backward
+    adds their gradient back into x's rows through `seg`.
+    """
+    pairs = [t if isinstance(t, tuple) else (t, None) for t in terms]
+    terms = [_coerce(t) for t, _ in pairs]
+    gathers = [seg for _, seg in pairs]
+    pre = None
+    for t, seg in zip(terms, gathers):
+        x = t.data if seg is None else t.data[seg.indices]
+        pre = x if pre is None else pre + x
     out_data = np.tanh(pre)
 
     def bw(g):
         d = g * (1.0 - out_data * out_data)
-        for t in terms:
-            if t.requires_grad:
+        for t, seg in zip(terms, gathers):
+            if not t.requires_grad:
+                continue
+            if seg is None:
                 gt = _unbroadcast(d, t.data.shape)
                 _accum(t, gt) if gt is d else _accum_owned(t, gt)
+            else:
+                _accum_owned(t, seg @ d)
 
     return _track(out_data, terms, bw)
 
@@ -636,6 +688,21 @@ def pick(a, rows) -> DArray:
     return _track(_pick_rows(a.data, rows), (a,), bw)
 
 
+def _gru_gates(pre, bias, rows):
+    """The reset, update and candidate gates of `gru_cell`, plus h W_hn +
+    b_hn, from the GEMM outputs and biases."""
+    if rows is None:
+        xr, hr, xz, hz, xn, hn, b_r, b_z, b_in, b_hn = (t.data for t in pre + bias)
+    else:
+        xr, hr, xz, hz, xn, hn, b_r, b_z, b_in, b_hn = (
+            _pick_rows(t.data, rows) for t in pre + bias)
+    r = _sigmoid(xr + hr + b_r)
+    z = _sigmoid(xz + hz + b_z)
+    hn_b = hn + b_hn
+    n = np.tanh(xn + b_in + r * hn_b)
+    return r, z, n, hn_b
+
+
 def gru_cell(pre, bias, h, rows=None) -> DArray:
     """The GRU gate math as one tape node with a hand-written backward.
 
@@ -652,23 +719,19 @@ def gru_cell(pre, bias, h, rows=None) -> DArray:
     category index, `pre` is (C, R, H) and `bias` (C, 1, H): row r reads
     category rows[r]'s copy, every gate op runs on (R, H), and backward
     scatters the gradients back into (C, R, H), zero in the other rows.
+    The node keeps no gate: backward recomputes them, by the same ops,
+    from `pre`, which the tape holds anyway.
     """
     pre = [_coerce(p) for p in pre]
     bias = [_coerce(b) for b in bias]
     h = _coerce(h)
-    if rows is None:
-        xr, hr, xz, hz, xn, hn, b_r, b_z, b_in, b_hn = (t.data for t in pre + bias)
-    else:
+    if rows is not None:
         rows = np.asarray(rows)
-        xr, hr, xz, hz, xn, hn, b_r, b_z, b_in, b_hn = (
-            _pick_rows(t.data, rows) for t in pre + bias)
-    r = _sigmoid(xr + hr + b_r)
-    z = _sigmoid(xz + hz + b_z)
-    hn_b = hn + b_hn
-    n = np.tanh(xn + b_in + r * hn_b)
+    _, z, n, _ = _gru_gates(pre, bias, rows)
     out_data = (1.0 - z) * n + z * h.data
 
     def bw(g):
+        r, z, n, hn_b = _gru_gates(pre, bias, rows)
         da_n = g * (1.0 - z) * (1.0 - n * n)
         da_r = da_n * hn_b * r * (1.0 - r)
         da_z = g * (h.data - n) * z * (1.0 - z)

@@ -15,15 +15,20 @@ Category dispatch: each category GEMM multiplies every agent's row by all
 C categories' weights (C-stacked until benchmark v2, see ROADMAP), and an
 `autodiff.pick` or the fused GRU gate node right after it keeps each
 agent's own category row. Everything after the GEMMs runs on one row per
-agent. Edge-feature projections are constant within a
-window and cached per window index. When no in-edge qualifies (sampled
-weight <= 1/2) the aggregated message falls back to zero: no social
-influence.
+agent.
+
+Attention runs on the window's qualifying edges only: the off-diagonal
+pairs whose sampled weight exceeds 1/2, listed once per window and sorted
+by target. Queries, keys and values are computed per edge, softmaxed per
+target and added into their targets with `autodiff.segment_sum`, so no
+array spans all B*N*N pairs. A target without a qualifying in-edge gets a
+zero message: no social influence.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +39,20 @@ from .nn import MLP, Affine, GRUStack, ParamStore, gru_gates, gru_step, linear
 from .rng import RngStream
 
 from .encoder import InteractionGraphSample
+
+
+class WindowEdges(NamedTuple):
+    """One window's E qualifying edges, sorted by target, and what the
+    attention reads of them at every step of the window."""
+
+    src: object          # (B*N, E) incidence matrices (`autodiff.segments`)
+    tgt: object          #   of each edge's source and target row
+    starts: np.ndarray   # first edge of each target that has one
+    counts: np.ndarray   # that target's edge count
+    z: DArray            # (E,) sampled edge weights
+    qe: DArray           # (E, A) edge-feature parts of the query,
+    ke: DArray           # (E, A) the key
+    ve: DArray           # (E, H) and the value
 
 
 class TrajectoryDecoder:
@@ -87,7 +106,7 @@ class DecoderRun:
         self.n_agents = n_agents
         self.batch = batch
         self._zero_m = np.zeros((batch, n_agents, decoder.hidden))
-        self._window_caches: dict[int, dict] = {}
+        self._window_caches: dict[int, WindowEdges] = {}
         n_cat = decoder.n_categories
         h = decoder.hidden
 
@@ -114,70 +133,70 @@ class DecoderRun:
         return [ad.tanh_add(ad.pick(h @ w, self.rows), b) for w, b in self._gmaps]
 
     # -------------------------------------------------------------- attention
-    def _window_cache(self, graph: InteractionGraphSample, window: int) -> dict:
-        """Edge-feature projections and masks, constant within a window."""
+    def _window_cache(self, graph: InteractionGraphSample, window: int) -> WindowEdges:
+        """The window's qualifying edges with their edge-feature
+        projections, constant within a window."""
         cached = self._window_caches.get(window)
         if cached is not None:
             return cached
         dec = self.decoder
-        e = graph.edge_feats
-        n = self.n_agents
+        n, n_rows = self.n_agents, self.batch * self.n_agents
         qualify = (graph.z.data > 0.5) & ~np.eye(n, dtype=bool)
-        cache = {
-            "qe": linear(e, self._wq_e, dec.f_q.b),
-            "ke": linear(e, self._wk_e, dec.f_k.b),
-            "ve": linear(e, self._wv_e, dec.f_v[0].b),
-            "qualify": qualify.astype(np.float64),
-            "has_in": qualify.any(axis=1),
-        }
-        self._window_caches[window] = cache
-        return cache
+        b, j, i = np.nonzero(qualify.transpose(0, 2, 1))   # by target, then source
+        tgt = b * n + j
+        starts = np.flatnonzero(np.diff(tgt, prepend=-1))
+        e = graph.edge_feats[b, i, j]
+        edges = WindowEdges(
+            src=ad.segments(b * n + i, n_rows), tgt=ad.segments(tgt, n_rows),
+            starts=starts, counts=np.diff(np.append(starts, len(tgt))),
+            z=graph.z[b, i, j],
+            qe=linear(e, self._wq_e, dec.f_q.b),
+            ke=linear(e, self._wk_e, dec.f_k.b),
+            ve=linear(e, self._wv_e, dec.f_v[0].b))
+        self._window_caches[window] = edges
+        return edges
 
     def attention(self, h: DArray, graph: InteractionGraphSample,
                   window: int) -> tuple[DArray, DArray]:
-        """Weights alpha (B, N, N), source by target, plus the value input.
+        """Weights alpha (E,) over the window's qualifying edges, in the
+        order of `_window_cache`, plus the value input.
 
-        Each target's weights over its qualifying in-edges sum to one; a
-        target without one gets all-zero weights. The second result is the
-        category-mapped (B*N, H) hidden state the values are built from.
+        Each target's weights over its qualifying in-edges sum to one. The
+        second result is the category-mapped (B*N, H) hidden state the
+        values are built from.
         """
         dec = self.decoder
-        b, n = self.batch, self.n_agents
-        cache = self._window_cache(graph, window)
+        edges = self._window_cache(graph, window)
         gq, gk, gv = self._category_maps(h)
 
-        # query/key: node-level projection plus cached edge-feature part
-        qh = linear(gq, self._wq)
-        kh = linear(gk, self._wk)
-        q = ad.tanh_add(qh.reshape(b, n, 1, dec.attn_dim), cache["qe"])
-        k = ad.tanh_add(kh.reshape(b, 1, n, dec.attn_dim), cache["ke"])
-        scores = ad.mul_sum(q, k, -1) / math.sqrt(dec.attn_dim)   # (B, N, N)
+        # query from the source, key from the target: node-level projection
+        # plus cached edge-feature part
+        q = ad.tanh_add((linear(gq, self._wq), edges.src), edges.qe)
+        k = ad.tanh_add((linear(gk, self._wk), edges.tgt), edges.ke)
+        scores = ad.mul_sum(q, k, -1) / math.sqrt(dec.attn_dim)   # (E,)
 
-        qmask = cache["qualify"]
-        # stable weights: shift scores by the per-target max over qualifying
-        # edges (a constant, so the ratio is unchanged)
-        masked = np.where(qmask > 0, scores.data, -np.inf)
-        shift = masked.max(axis=1, keepdims=True)
-        shift = np.where(np.isfinite(shift), shift, 0.0)
-        exp_scores = ad.exp((scores - DArray(shift)) * DArray(qmask))
-        weight_num = graph.z * exp_scores * DArray(qmask)
-        denom = weight_num.sum(axis=1, keepdims=True)
-        denom = denom + DArray((~cache["has_in"]).astype(np.float64)[:, None, :])
-        return weight_num / denom, gv
+        # stable weights: shift scores by the per-target max (a constant,
+        # so the ratio is unchanged)
+        shift = np.repeat(np.maximum.reduceat(scores.data, edges.starts), edges.counts)
+        weight_num = edges.z * ad.exp(scores - DArray(shift))
+        denom = ad.segment_sum(weight_num, edges.tgt)
+        return weight_num / denom[edges.tgt.indices], gv
 
     def attend(self, h: DArray, graph: InteractionGraphSample,
                window: int) -> DArray:
         """Aggregated interacting effects m (B, N, H) for every target,
         given the (B*N, H) hidden rows."""
+        edges = self._window_cache(graph, window)
+        if edges.z.shape[0] == 0:
+            return DArray(self._zero_m)
         f_v1 = self.decoder.f_v[1]
-        b, n, hd = self.batch, self.n_agents, h.shape[-1]
         alpha, gv = self.attention(h, graph, window)
         # value: relative latent position concat edge feature, f_v split
         gvh = linear(gv, self._wv)
-        v1 = ad.tanh_add(gvh.reshape(b, n, 1, hd), -gvh.reshape(b, 1, n, hd),
-                         self._window_cache(graph, window)["ve"])
+        v1 = ad.tanh_add((gvh, edges.src), (-gvh, edges.tgt), edges.ve)
         values = ad.tanh_add(linear(v1, f_v1.W), f_v1.b)
-        return ad.mul_sum(alpha.reshape(b, n, n, 1), values, 1)
+        m = ad.segment_sum(values, edges.tgt, weights=alpha)
+        return m.reshape(self.batch, self.n_agents, -1)
 
     # ------------------------------------------------------------------ step
     def step(self, x: DArray, graph: InteractionGraphSample | None,

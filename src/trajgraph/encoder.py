@@ -40,7 +40,6 @@ class InteractionGraphSample:
     probs: DArray        # (B, N, N), zero diagonal
     z: DArray            # (B, N, N); relaxed in train mode, {0,1} otherwise
     edge_feats: DArray   # (B, N, N, D), zero diagonal
-    hard: bool
 
     @property
     def n_agents(self) -> int:
@@ -178,4 +177,4 @@ class EncoderRun:
         logits, self.state = enc.update_relations(e_tilde, self.state, train=train)
         probs, z = enc.sample_relations(logits, mode, rng.child(RK_RELATION, w))
         self.window_index += 1
-        return InteractionGraphSample(probs, z, edge_feats, hard=(mode != "train"))
+        return InteractionGraphSample(probs, z, edge_feats)

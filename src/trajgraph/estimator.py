@@ -17,6 +17,7 @@ import inspect
 
 import numpy as np
 
+from .config import check_seed
 from .data import Scene, split_scenes
 from .errors import ConfigError, ContractError, DataError
 from .evaluation import ade_fde, eval_rollouts
@@ -126,6 +127,7 @@ class TrajectoryForecaster:
 
     def fit(self, scenes: list[Scene], val_scenes: list[Scene] | None = None
             ) -> "TrajectoryForecaster":
+        check_seed(self.seed, "seed")
         t_total = self.t_history + self.t_future
         check_scenes(scenes, self.n_categories, t_total)
         if val_scenes is None:
@@ -162,9 +164,10 @@ class TrajectoryForecaster:
         self._require_fitted()
         t_total = self.t_history + self.t_future
         check_scenes(scenes, self.n_categories, t_total)
+        seed = self.seed if seed is None else seed
+        check_seed(seed, "seed")
         k = self.n_samples if n_samples is None else n_samples
-        rollouts, _ = eval_rollouts(self.model_, scenes, k,
-                                    self.seed if seed is None else seed)
+        rollouts, _ = eval_rollouts(self.model_, scenes, k, seed)
         return [out[:, :, self.t_history:] for out in rollouts]
 
     def score(self, scenes: list[Scene], n_samples: int | None = None) -> float:

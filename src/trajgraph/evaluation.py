@@ -161,8 +161,8 @@ class ModelGraphProbe:
         pos = np.repeat(scene.positions[None], k, axis=0)
         cats = np.repeat(scene.categories[None], k, axis=0)
         tiled = [InteractionGraphSample(
-            probs=g.probs, z=_tile_rows(g.z, k), edge_feats=_tile_rows(g.edge_feats, k),
-            hard=g.hard) for g in graphs]
+            probs=g.probs, z=_tile_rows(g.z, k), edge_feats=_tile_rows(g.edge_feats, k))
+            for g in graphs]
         with ad.no_grad():
             preds = self.model.rollout(pos, cats, tiled, rng, input_mode="free_run")
         t_hist = self.model.cfg.t_history
@@ -180,7 +180,7 @@ def _edit_graphs(graphs: list[InteractionGraphSample], i: int, j: int,
     for g in graphs:
         z = g.z.data.copy()
         z[:, i, j] = value
-        out.append(InteractionGraphSample(g.probs, DArray(z), g.edge_feats, g.hard))
+        out.append(InteractionGraphSample(g.probs, DArray(z), g.edge_feats))
     return out
 
 

@@ -94,6 +94,12 @@ class TrajectoryModel:
                 yield (np.stack([scenes[i].positions for i in chunk]),
                        np.stack([scenes[i].categories for i in chunk]), chunk)
 
+    @property
+    def decoded_windows(self) -> int:
+        """How many window graphs a rollout reads: those up to the one that
+        drives the last step."""
+        return self.plan.graph_index_for_target(self.plan.t_total - 1) + 1
+
     def _check_steps(self, positions: np.ndarray):
         if positions.shape[2] != self.plan.t_total:
             raise ContractError(
@@ -133,7 +139,7 @@ class TrajectoryModel:
             raise ConfigError(f"unknown rollout input mode: {input_mode}")
         if input_mode == "boundary" and lam is None:
             raise ContractError("boundary mode needs a mixing coefficient")
-        needed = self.plan.graph_index_for_target(self.plan.t_total - 1) + 1
+        needed = self.decoded_windows
         if len(graphs) < needed:
             raise ContractError(
                 f"rollout needs {needed} window graphs, got {len(graphs)}")

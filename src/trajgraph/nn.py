@@ -16,10 +16,11 @@ GEMMs stay C-stacked until benchmark v2 (see ROADMAP); everything after
 them runs on each row's own category only.
 
 Layers record their elementwise math through the fused tape nodes of
-`autodiff` (`gru_cell` behind `gru_step`, `batch_norm` behind
-`BatchNorm`; the decoder's attention uses `tanh_add` and `mul_sum`).
-Every GEMM stays its own `matmul` node until benchmark v2, whose tape
-walk counts them.
+`autodiff` (`gru_cell` behind `gru_step`, whose backward recomputes the
+gates, and `batch_norm` behind `BatchNorm`; the decoder's attention over
+qualifying edges uses `tanh_add` with gathered rows, `mul_sum` and
+`segment_sum`). Every GEMM stays its own `matmul` node until benchmark
+v2, whose tape walk counts them.
 """
 
 from __future__ import annotations

@@ -170,8 +170,10 @@ def _strategy_losses(model: TrajectoryModel, pos: np.ndarray, cats: np.ndarray,
     l2 = 0.0
     if cfg.uses_mixup:
         # second update: free-run imitates the corrected rollout (frozen);
-        # one stream gives both rollouts the same head noise
-        graphs2 = model.infer_graphs_from_truth(pos, rng.child(3))
+        # one stream gives both rollouts the same head noise. Every window
+        # is encoded, so batch norm advances as in the first update, but
+        # the tape of a window no rollout reads is dropped at once.
+        graphs2 = model.infer_graphs_from_truth(pos, rng.child(3))[:model.decoded_windows]
         free = model.rollout(pos, cats, graphs2, rng.child(4),
                              input_mode="free_run")
         with ad.no_grad():

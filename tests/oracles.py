@@ -134,14 +134,16 @@ class MaskCollapseDecoderRun(DecoderRun):
     def _category_maps(self, h):
         if self.decoder.homogeneous:
             return [h, h, h]
-        return [self._collapse(ad.tanh(self._stack_rows(h) @ w + b))
+        return [self._collapse(ad.tanh(self._stack_rows(h) @ w + b)).reshape(h.shape)
                 for (w, _), b in zip(self._gmaps, self._stacked_b)]
 
     def step(self, x, graph, eps, window):
         if graph is None:
             m = DArray(self._zero_m)
-        else:
-            m = self.attend(self.state[-1], graph, window)
+        else:   # the attention reads one (B*N, H) row per agent
+            h = self.state[-1]
+            m = self.attend(h.reshape(self.batch * self.n_agents, h.shape[-1]),
+                            graph, window)
         inp = ad.concat([m, x], axis=-1)
         new_state = []
         for layer, gates in enumerate(self._gru):
@@ -172,8 +174,71 @@ def composed_batch_norm(bn, x, train):
     return bn.gamma * xn + bn.beta
 
 
-class ComposedAttentionDecoderRun(DecoderRun):
-    """The decoder's attention op by op on the tape, as it ran before the
+class DenseAttentionDecoderRun(DecoderRun):
+    """The decoder's attention on all B*N*N pair slots, as it ran before
+    it attended over qualifying edges only: masks zero the exponent and
+    the numerator of every pair that does not qualify (diagonal, or
+    sampled weight <= 1/2), and a target with no qualifying in-edge gets
+    a denominator of one. The GRU and the head are the decoder's own."""
+
+    def __init__(self, decoder, batch, n_agents, categories):
+        super().__init__(decoder, batch, n_agents, categories)
+        self._dense_caches = {}
+
+    def _dense_window_cache(self, graph, window):
+        cache = self._dense_caches.get(window)
+        if cache is None:
+            dec, hd = self.decoder, self.decoder.hidden
+            e = graph.edge_feats
+            qualify = (graph.z.data > 0.5) & ~np.eye(self.n_agents, dtype=bool)
+            cache = self._dense_caches[window] = {
+                "qe": linear(e, dec.f_q.W[hd:], dec.f_q.b),
+                "ke": linear(e, dec.f_k.W[hd:], dec.f_k.b),
+                "ve": linear(e, dec.f_v[0].W[hd:], dec.f_v[0].b),
+                "qualify": qualify.astype(np.float64),
+                "has_in": qualify.any(axis=1),
+            }
+        return cache
+
+    def _masked_softmax(self, scores, graph, cache):
+        qmask = cache["qualify"]
+        # stable weights: shift scores by the per-target max over qualifying
+        # edges (a constant, so the ratio is unchanged)
+        masked = np.where(qmask > 0, scores.data, -np.inf)
+        shift = masked.max(axis=1, keepdims=True)
+        shift = np.where(np.isfinite(shift), shift, 0.0)
+        exp_scores = ad.exp((scores - DArray(shift)) * DArray(qmask))
+        weight_num = graph.z * exp_scores * DArray(qmask)
+        denom = weight_num.sum(axis=1, keepdims=True)
+        denom = denom + DArray((~cache["has_in"]).astype(np.float64)[:, None, :])
+        return weight_num / denom
+
+    def attention(self, h, graph, window):
+        """Weights alpha (B, N, N), source by target, plus the value input."""
+        dec = self.decoder
+        b, n, hd = self.batch, self.n_agents, h.shape[-1]
+        cache = self._dense_window_cache(graph, window)
+        gq, gk, gv = self._category_maps(h)
+        qh = linear(gq, dec.f_q.W[:hd])
+        kh = linear(gk, dec.f_k.W[:hd])
+        q = ad.tanh_add(qh.reshape(b, n, 1, dec.attn_dim), cache["qe"])
+        k = ad.tanh_add(kh.reshape(b, 1, n, dec.attn_dim), cache["ke"])
+        scores = ad.mul_sum(q, k, -1) / math.sqrt(dec.attn_dim)
+        return self._masked_softmax(scores, graph, cache), gv
+
+    def attend(self, h, graph, window):
+        f_v = self.decoder.f_v
+        b, n, hd = self.batch, self.n_agents, h.shape[-1]
+        alpha, gv = self.attention(h, graph, window)
+        gvh = linear(gv, f_v[0].W[:hd])
+        v1 = ad.tanh_add(gvh.reshape(b, n, 1, hd), -gvh.reshape(b, 1, n, hd),
+                         self._dense_window_cache(graph, window)["ve"])
+        values = ad.tanh_add(linear(v1, f_v[1].W), f_v[1].b)
+        return ad.mul_sum(alpha.reshape(b, n, n, 1), values, 1)
+
+
+class ComposedAttentionDecoderRun(DenseAttentionDecoderRun):
+    """The dense attention op by op on the tape, as it ran before the
     fused `tanh_add` and `mul_sum` nodes: every add, tanh and product of
     the pairwise chains is its own node. The GRU and the head are the
     decoder's own."""
@@ -186,22 +251,14 @@ class ComposedAttentionDecoderRun(DecoderRun):
     def attention(self, h, graph, window):
         dec = self.decoder
         b, n, hd = self.batch, self.n_agents, h.shape[-1]
-        cache = self._window_cache(graph, window)
+        cache = self._dense_window_cache(graph, window)
         gq, gk, gv = self._category_maps(h)
         qh = linear(gq, dec.f_q.W[:hd])
         kh = linear(gk, dec.f_k.W[:hd])
         q = ad.tanh(qh.reshape(b, n, 1, dec.attn_dim) + cache["qe"])
         k = ad.tanh(kh.reshape(b, 1, n, dec.attn_dim) + cache["ke"])
         scores = (q * k).sum(axis=-1) / math.sqrt(dec.attn_dim)
-        qmask = cache["qualify"]
-        masked = np.where(qmask > 0, scores.data, -np.inf)
-        shift = masked.max(axis=1, keepdims=True)
-        shift = np.where(np.isfinite(shift), shift, 0.0)
-        exp_scores = ad.exp((scores - DArray(shift)) * DArray(qmask))
-        weight_num = graph.z * exp_scores * DArray(qmask)
-        denom = weight_num.sum(axis=1, keepdims=True)
-        denom = denom + DArray((~cache["has_in"]).astype(np.float64)[:, None, :])
-        return weight_num / denom, gv
+        return self._masked_softmax(scores, graph, cache), gv
 
     def attend(self, h, graph, window):
         f_v = self.decoder.f_v
@@ -209,9 +266,53 @@ class ComposedAttentionDecoderRun(DecoderRun):
         alpha, gv = self.attention(h, graph, window)
         gvh = linear(gv, f_v[0].W[:hd])
         v1 = ad.tanh(gvh.reshape(b, n, 1, hd) - gvh.reshape(b, 1, n, hd)
-                     + self._window_cache(graph, window)["ve"])
+                     + self._dense_window_cache(graph, window)["ve"])
         values = ad.tanh(linear(v1, f_v[1].W, f_v[1].b))
         return (alpha.reshape(b, n, n, 1) * values).sum(axis=1)
+
+
+def tape_arrays(out):
+    """The interior tape nodes reachable from `out`, the ndarrays they keep
+    alive (node outputs, arrays held by backward closures, and the values
+    of untracked constants those closures hold), and the parameters
+    (tracked leaves) they reach."""
+    seen, stack, nodes, arrays, params = set(), [out], [], [], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._bw is None:
+            params.append(node.data)
+            continue
+        nodes.append(node)
+        arrays.append(node.data)
+        for cell in node._bw.__closure__ or ():
+            held = cell.cell_contents
+            for item in held if isinstance(held, (list, tuple)) else (held,):
+                if isinstance(item, np.ndarray):
+                    arrays.append(item)
+                elif isinstance(item, DArray) and not item.requires_grad:
+                    arrays.append(item.data)
+        stack.extend(node._parents)
+    return nodes, arrays, params
+
+
+def _base(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def tape_bytes(out):
+    """Bytes of the distinct buffers that the tape below `out` owns: a view
+    counts once, as its base buffer, and a parameter's buffer (or a view
+    of it) is not the tape's."""
+    nodes, arrays, params = tape_arrays(out)
+    owned = {id(_base(a)): _base(a).nbytes for a in arrays}
+    for p in params:
+        owned.pop(id(_base(p)), None)
+    return sum(owned.values())
 
 
 def masked_mlp_reference(params, prefix, x, train, mask):

@@ -200,6 +200,51 @@ def test_tanh_add_gradients():
                    n_probes=30, rtol=1e-5)
 
 
+# an index into 5 rows that repeats rows 0, 2 and 3 and never names 1 or 4
+_SEGMENT_INDEX = np.array([3, 0, 2, 2, 3, 0, 3])
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+@pytest.mark.parametrize("width", [None, 3], ids=["vector", "rows"])
+def test_segment_sum_gradients(weighted, width):
+    e = len(_SEGMENT_INDEX)
+    seg = ad.segments(_SEGMENT_INDEX, 5)
+    x = _rand(e) if width is None else _rand(e, width)
+    w = _rand(e) if weighted else None
+    out_weights = rng.normal(size=(5,) if width is None else (5, width))
+    fd_probe_check(lambda: (ad.segment_sum(x, seg, weights=w) * out_weights).sum(),
+                   [x] + ([w] if weighted else []), rng, n_probes=30)
+
+    expect = np.zeros(out_weights.shape)
+    for row, s in enumerate(_SEGMENT_INDEX):   # plain loop, segments 1 and 4 empty
+        expect[s] += (w.data[row] if weighted else 1.0) * x.data[row]
+    np.testing.assert_allclose(ad.segment_sum(x, seg, weights=w).data, expect,
+                               rtol=1e-14, atol=0)
+    assert not expect[[1, 4]].any()
+
+
+def test_segment_sum_of_no_rows_is_zero():
+    x, w = _rand(0, 3), _rand(0)
+    out = ad.segment_sum(x, ad.segments(np.zeros(0, dtype=int), 4), weights=w)
+    np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
+    (out * rng.normal(size=(4, 3))).sum().backward()
+    assert x.grad.shape == (0, 3) and w.grad.shape == (0,)
+
+
+def test_tanh_add_gathered_term_gradients():
+    """Two gathered terms whose rows repeat, a plain term and a broadcast
+    one, as the attention's queries and values use them."""
+    a, b = _rand(4, 3), _rand(5, 3)
+    c, d = _rand(len(_SEGMENT_INDEX), 3), _rand(3)
+    rows_a = ad.segments(np.array([1, 1, 0, 3, 1, 0, 2]), 4)
+    rows_b = ad.segments(_SEGMENT_INDEX, 5)
+    weights = rng.normal(size=(len(_SEGMENT_INDEX), 3))
+    fd_probe_check(lambda: (ad.tanh_add((a, rows_a), (b, rows_b), c, d) * weights).sum(),
+                   [a, b, c, d], rng, n_probes=30)
+    expect = np.tanh(a.data[rows_a.indices] + b.data[_SEGMENT_INDEX] + c.data + d.data)
+    np.testing.assert_array_equal(ad.tanh_add((a, rows_a), (b, rows_b), c, d).data, expect)
+
+
 @pytest.mark.parametrize("shapes, axis", [
     (((2, 4, 4, 1), (2, 4, 4, 3)), 1),   # attention's alpha-weighted aggregation
     (((2, 4, 1, 3), (2, 1, 4, 3)), -1),  # attention's scores

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from trajgraph import autodiff as ad
+from trajgraph import model as model_mod
 from trajgraph.autodiff import DArray
 from trajgraph.decoder import DecoderRun, TrajectoryDecoder
 from trajgraph.encoder import InteractionGraphSample
 from trajgraph.errors import ConfigError
+from trajgraph.model import ModelConfig, TrajectoryModel
 from trajgraph.nn import ParamStore, gradients
 from trajgraph.rng import RngStream
 
-from oracles import ComposedAttentionDecoderRun, MaskCollapseDecoderRun, fd_probe_check
+from oracles import (ComposedAttentionDecoderRun, DenseAttentionDecoderRun,
+                     MaskCollapseDecoderRun, fd_probe_check, tape_arrays, tape_bytes)
 
 rng_np = np.random.default_rng(53)
 
@@ -28,7 +32,19 @@ def make_graph(z: np.ndarray, seed=1) -> InteractionGraphSample:
     e = np.random.default_rng(seed).normal(size=(b, n, n, D))
     e *= (1 - np.eye(n))[None, :, :, None]
     return InteractionGraphSample(probs=DArray(z), z=DArray(z.astype(float)),
-                                  edge_feats=DArray(e), hard=True)
+                                  edge_feats=DArray(e))
+
+
+def dense_weights(run, graph, window=0):
+    """`DecoderRun.attention`'s per-edge weights on the run's top hidden
+    state, scattered to (B, N, N), source by target."""
+    alpha = run.attention(run.state[-1], graph, window)[0].data
+    edges = run._window_cache(graph, window)
+    n = run.n_agents
+    src, tgt = edges.src.indices, edges.tgt.indices
+    out = np.zeros((run.batch, n, n))
+    out[tgt // n, src % n, tgt % n] = alpha
+    return out
 
 
 def test_category_rows_validate_labels():
@@ -70,6 +86,24 @@ def test_empty_neighborhood_gives_zero_message():
     np.testing.assert_array_equal(m.data, np.zeros((1, 3, H)))
 
 
+def test_window_without_qualifying_edge_gives_zero_message():
+    """E = 0: relaxed weights that never exceed 1/2 give every target a
+    zero message, and a step plus its backward run without error."""
+    dec, store = make_decoder()
+    z = np.full((2, 3, 3), 0.4)
+    graph = make_graph(z)
+    graph.z.requires_grad = graph.edge_feats.requires_grad = True
+    assert DecoderRun(dec, 2, 3, np.zeros((2, 3), dtype=int))._window_cache(
+        graph, 0).z.shape == (0,)
+    run = DecoderRun(dec, 2, 3, np.array([[0, 1, 2], [2, 1, 0]]))
+    h = DArray(rng_np.normal(size=(6, H)), requires_grad=True)
+    np.testing.assert_array_equal(run.attend(h, graph, 0).data, np.zeros((2, 3, H)))
+    mu = run.step(DArray(rng_np.normal(size=(2, 3, 2))), graph, None, 0)
+    grads = gradients((mu * mu).sum(), store)
+    assert all(np.isfinite(g).all() for g in grads.values())
+    assert graph.z.grad is None and graph.edge_feats.grad is None
+
+
 def test_singleton_edge_attention_weight_one():
     dec, _ = make_decoder()
     z = np.zeros((1, 3, 3))
@@ -77,7 +111,7 @@ def test_singleton_edge_attention_weight_one():
     graph = make_graph(z)
     run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]))
     run.state = [DArray(rng_np.normal(size=(3, H))) for _ in range(2)]
-    weights = run.attention(run.state[-1], graph, 0)[0].data
+    weights = dense_weights(run, graph)
     assert weights[0, 1, 2] == pytest.approx(1.0)
     assert weights[0].sum() == pytest.approx(1.0)
     # the message for target 2 equals that single value vector: with weight
@@ -96,7 +130,7 @@ def test_attention_weights_sum_to_one_per_connected_target():
     graph = make_graph(z)
     run = DecoderRun(dec, 2, 5, rng_np.integers(0, 3, size=(2, 5)))
     run.state = [DArray(rng_np.normal(size=(10, H))) for _ in range(2)]
-    weights = run.attention(run.state[-1], graph, 0)[0].data
+    weights = dense_weights(run, graph)
     sums = weights.sum(axis=1)
     connected = z.sum(axis=1) > 0
     np.testing.assert_allclose(sums[connected], 1.0, atol=1e-12)
@@ -109,8 +143,7 @@ def test_train_mode_uses_relaxed_weights_above_half_only():
     z[0, 1, 2] = 0.7    # qualifies
     z[0, 0, 2] = 0.4    # excluded: z <= 1/2
     graph = InteractionGraphSample(DArray(z), DArray(z),
-                                   DArray(rng_np.normal(size=(1, 3, 3, D))),
-                                   hard=False)
+                                   DArray(rng_np.normal(size=(1, 3, 3, D))))
     run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]))
     state = [DArray(rng_np.normal(size=(3, H))) for _ in range(2)]
     run.state = state
@@ -119,8 +152,7 @@ def test_train_mode_uses_relaxed_weights_above_half_only():
     # entirely must not change anything
     z2 = z.copy()
     z2[0, 0, 2] = 0.0
-    graph2 = InteractionGraphSample(DArray(z2), DArray(z2), graph.edge_feats,
-                                    hard=False)
+    graph2 = InteractionGraphSample(DArray(z2), DArray(z2), graph.edge_feats)
     run2 = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]))
     run2.state = state
     m2 = run2.attend(state[-1], graph2, 0)
@@ -263,8 +295,9 @@ def test_row_pick_step_matches_mask_collapse_oracle():
 
 @pytest.mark.parametrize("homogeneous", [False, True], ids=["categories", "homogeneous"])
 def test_fused_attention_matches_composed_oracle(homogeneous):
-    """attend is bit-identical to the op-by-op attention on fewer tape
-    nodes, with parameter gradients within 1e-12."""
+    """The dense attention with fused nodes is bit-identical to the
+    op-by-op one on fewer tape nodes, with parameter gradients within
+    1e-12."""
     dec, store = make_decoder(homogeneous=homogeneous, seed=9)
     b, n = 2, 5
     cats = np.array([[0, 1, 2, 0, 1], [2, 2, 1, 0, 0]])
@@ -277,7 +310,7 @@ def test_fused_attention_matches_composed_oracle(homogeneous):
     h = DArray(rng_np.normal(size=(b * n, H)), requires_grad=True)
     weights = rng_np.normal(size=(b, n, H))
     results = []
-    for cls in (DecoderRun, ComposedAttentionDecoderRun):
+    for cls in (DenseAttentionDecoderRun, ComposedAttentionDecoderRun):
         m = cls(dec, b, n, cats).attend(h, graph, 0)
         nodes = sum(1 for t in _tape(m) if t._bw is not None)
         grads = gradients((m * weights).sum(), store)
@@ -289,3 +322,144 @@ def test_fused_attention_matches_composed_oracle(homogeneous):
     assert nodes < nodes_ref
     for name, g in grads.items():
         np.testing.assert_allclose(g, grads_ref[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("relaxed", [True, False], ids=["relaxed", "hard"])
+@pytest.mark.parametrize("homogeneous", [False, True], ids=["categories", "homogeneous"])
+def test_edge_attention_matches_dense_oracle(homogeneous, relaxed):
+    """Attention over the qualifying edges only matches the dense masked
+    attention within 1e-12 (the sums run in another order): the message,
+    the scattered weights, and the gradients of every parameter, of the
+    hidden rows, of the edge features and of the relaxed weights z."""
+    dec, store = make_decoder(homogeneous=homogeneous, seed=11)
+    b, n = 3, 6
+    cats = rng_np.integers(0, 3, size=(b, n))
+    z = rng_np.uniform(size=(b, n, n))
+    if not relaxed:
+        z = (z > 0.5).astype(float)
+    for i in range(b):
+        np.fill_diagonal(z[i], 0.0)
+    z[1, :, 3] = 0.0   # a target with no qualifying in-edge
+    z[2, 4, 0] = 0.5   # exactly 1/2 does not qualify
+    graph = make_graph(z)
+    graph.edge_feats.requires_grad = graph.z.requires_grad = relaxed
+    h = DArray(rng_np.normal(size=(b * n, H)), requires_grad=True)
+    weights = rng_np.normal(size=(b, n, H))
+    results = []
+    for cls in (DecoderRun, DenseAttentionDecoderRun):
+        run = cls(dec, b, n, cats)
+        run.state = [h]
+        alpha = dense_weights(run, graph) if cls is DecoderRun else \
+            run.attention(h, graph, 0)[0].data
+        m = run.attend(h, graph, 0)
+        grads = gradients((m * weights).sum(), store)
+        grads["h"] = h.grad
+        if relaxed:
+            grads["edge_feats"], grads["z"] = graph.edge_feats.grad, graph.z.grad
+        h.grad = graph.edge_feats.grad = graph.z.grad = None
+        results.append((m.data, alpha, grads))
+    (m, alpha, grads), (m_ref, alpha_ref, grads_ref) = results
+    np.testing.assert_allclose(m, m_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(alpha, alpha_ref, rtol=0, atol=1e-12)
+    assert np.abs(m_ref).max() > 0.1 and np.abs(grads_ref["h"]).max() > 0.1
+    for name, g in grads_ref.items():
+        np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_boundary_rollout_tape_budget(monkeypatch):
+    """One boundary rollout on hand-built graphs in which each target has
+    2 qualifying in-edges (z = 0.9) out of its 8 off-diagonal in-pairs (the
+    other 6 carry z = 0.3 <= 1/2): E = 36 of the B*N*N = 162 pair slots,
+    a quarter of the off-diagonal pairs. Attention records no (B, N, N, ...)
+    node, the tape stays inside a budget derived by hand, the dense masked
+    attention breaks both, and no GRU gate node keeps a gate array."""
+    b, n, w, c, layers = 2, 9, 8, 3, 2
+    model = TrajectoryModel(ModelConfig(hidden_dim=w, edge_dim=w, attn_dim=w), seed=0)
+    pos = rng_np.normal(size=(b, n, 15, 2)) * 0.3
+    cats = rng_np.integers(0, c, size=(b, n))
+    offset = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n   # source - target
+    z = np.where(np.isin(offset, (1, 2)), 0.9, np.where(offset == 0, 0.0, 0.3))
+    edge_feats = rng_np.normal(size=(b, n, n, w)) * (1.0 - np.eye(n))[..., None]
+    graphs = [InteractionGraphSample(DArray(z[None].repeat(b, 0)),
+                                     DArray(z[None].repeat(b, 0)), DArray(edge_feats))
+              for _ in range(model.decoded_windows)]
+
+    inside, recorded = [], []
+    track = ad._track
+
+    def recording_track(data, parents, bw):
+        out = track(data, parents, bw)
+        if inside and out._bw is not None:
+            recorded.append(out.shape)
+        return out
+
+    def rollout(cls):
+        attend = cls.attend
+
+        def recording_attend(self, *args):
+            inside.append(True)
+            try:
+                return attend(self, *args)
+            finally:
+                inside.pop()
+
+        recorded.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "_track", recording_track)
+            patch.setattr(cls, "attend", recording_attend)
+            patch.setattr(model_mod, "DecoderRun", cls)
+            preds = model.rollout(pos, cats, graphs, RngStream(1),
+                                  input_mode="boundary", lam=0.5)
+        return ((preds - DArray(pos)) ** 2).sum(), list(recorded)
+
+    loss, shapes = rollout(DecoderRun)
+    dense_loss, dense_shapes = rollout(DenseAttentionDecoderRun)
+    np.testing.assert_allclose(loss.data, dense_loss.data, rtol=1e-12)
+    assert shapes and not any(s[:3] == (b, n, n) for s in shapes)
+    assert any(s[:3] == (b, n, n) for s in dense_shapes)
+
+    # Floats the tape owns, by hand. R = B*N = 18 agent rows, E = 36 edges
+    # per window, W = 8 = H = A = D, C = 3 categories, L = 2 GRU layers,
+    # T = 14 steps of which S = 10 (t = 4..13) read a graph, from 2 windows.
+    # Run set-up: per category map the stacked weights C*W^2, stacked biases
+    #   C*W and picked biases R*W; per GRU layer of input width F (W + 2,
+    #   then W) the stacked weights 3CW(F + W), biases 6CW and the summed
+    #   reset and update biases 2CW.
+    # Per window: gathered edge features E*W and weights z E, one
+    #   incidence index E, and the GEMM and bias outputs of qe, ke, ve 6EW.
+    # Per attended step: the category maps 3(C + 2)RW (GEMM, pick, tanh),
+    #   the node projections qh, kh, gvh and -gvh 4RW; per edge q, k, v1,
+    #   the value GEMM and the values 5EW, and 8 scalars (scores, scaled,
+    #   shift, shifted, exp, numerator, gathered denominator, alpha) 8E;
+    #   the denominators R, the message RW and the scale 1.
+    # Per step: the GRU input R(W + 2) and its 3 concat offsets; per layer
+    #   the 6 stacked GEMM outputs and the new state (6C + 1)RW; the head's
+    #   noise and noisy state 2RW, two hidden layers of GEMM, bias and relu
+    #   outputs 3RW plus a one-byte relu mask RW/8, and the output GEMM,
+    #   bias and residual sum 3 * 2R.
+    # Once: the positions, the stacked predictions, the loss's difference
+    #   and square 4 * 30R, the sum 1; the zero message RW, the zero initial
+    #   states L*R*W, the category rows R and one boundary-mixed input 2R.
+    r, e, steps, attended, windows = b * n, 36, 14, 10, 2
+    setup = (3 * (c * w * w + c * w + r * w)
+             + sum(3 * c * w * (f + w) + 6 * c * w + 2 * c * w for f in (w + 2, w)))
+    per_window = e * w + e + e + 6 * e * w
+    per_attended = 3 * (c + 2) * r * w + 4 * r * w + 5 * e * w + 8 * e + r + r * w + 1
+    per_step = (r * (w + 2) + 3 + layers * (6 * c + 1) * r * w
+                + 2 * r * w + 2 * (3 * r * w + r * w / 8) + 3 * 2 * r)
+    once = 4 * 30 * r + 1 + r * w + layers * r * w + r + 2 * r
+    budget = 8 * (setup + windows * per_window + attended * per_attended
+                  + steps * per_step + once)
+    assert budget == 1_234_552   # the dense attention keeps 1_828_024
+    assert tape_bytes(loss) <= budget < tape_bytes(dense_loss)
+
+    # the gate node keeps its GEMM outputs and state as parents, and no
+    # (R, H) gate array of its own: backward recomputes the gates
+    gate_nodes = [t for t in tape_arrays(loss)[0]
+                  if t._bw.__qualname__.startswith("gru_cell")]
+    assert len(gate_nodes) == steps * layers
+    for node in gate_nodes:
+        for cell in node._bw.__closure__:
+            held = cell.cell_contents
+            for item in held if isinstance(held, (list, tuple)) else (held,):
+                assert not (isinstance(item, np.ndarray) and item.shape == (r, w))

@@ -102,3 +102,18 @@ def test_fit_with_explicit_validation_set(tiny_scenes):
     est.fit(scenes[:8], val_scenes=scenes[8:10])
     assert len(est.history_) == 2
     assert np.isfinite(est.best_val_ade_)
+
+
+def test_negative_seed_is_a_config_error_at_fit(tiny_scenes):
+    scenes, _ = tiny_scenes
+    est = small_forecaster(seed=-1, epochs=1)   # stored verbatim, as sklearn does
+    assert est.get_params()["seed"] == -1
+    with pytest.raises(ConfigError, match="seed.*-1"):
+        est.fit(scenes[:4])
+
+
+def test_negative_seed_is_a_config_error_at_predict(tiny_scenes):
+    scenes, _ = tiny_scenes
+    est = small_forecaster(epochs=1).fit(scenes[:4])
+    with pytest.raises(ConfigError, match="seed.*-3"):
+        est.predict(scenes[:4], seed=-3)
