@@ -11,16 +11,22 @@ checks unambiguous at desk scale.
 Only the ops the model actually needs are implemented. Broadcasting follows
 numpy rules; backward passes sum gradients back over broadcast axes.
 
-Fused nodes record a chain of elementwise ops as one tape node with a
-hand-written backward, so the tape keeps one array per chain rather than
-one per op: `gru_cell` (the GRU gate math, whose backward recomputes the
-gates from the GEMM outputs instead of keeping them), `batch_norm`,
-`tanh_add` (tanh of a broadcast sum, whose terms may be row gathers) and
-`mul_sum` (a product summed over one axis). `segment_sum` adds rows into
-segments, optionally weighted, through the sparse incidence matrix that
-`segments` builds once per index; the decoder's attention uses it to run
-on its qualifying edges only. GEMMs stay separate `matmul` nodes until
-benchmark v2 (see ROADMAP), because the benchmark's tape walk counts them.
+Fused nodes record a chain of ops as one tape node with a hand-written
+backward, so the tape keeps one array per chain rather than one per op:
+`gru_cell` (one GRU layer step, GEMMs included, keeping its four gate
+arrays), `category_map` (tanh of each row's own category map),
+`batch_norm`, `tanh_add` (tanh of a broadcast sum, whose terms may be row
+gathers) and `mul_sum` (a product summed over one axis). `segment_sum`
+adds rows into segments, optionally weighted, through the sparse
+incidence matrix that `segments` builds once per index; the decoder's
+attention uses it to run on its qualifying edges only.
+
+The two category nodes take C-stacked weights and an (R,) category index.
+Their forward still multiplies every row by all C categories' weights
+and keeps each row's own (the benchmark counts the decoder's rows that way
+until its v2, see ROADMAP); only the own rows stay on the tape, and
+backward multiplies each category's weights by that category's rows only.
+Every other GEMM is its own `matmul` node.
 """
 
 from __future__ import annotations
@@ -657,94 +663,113 @@ def elu(a) -> DArray:
     return _track(out_data, (a,), bw)
 
 
-def _pick_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(C, R, F) -> (R, F): row r of category rows[r]. A (C, 1, F) array
-    gives every row its category's single row."""
-    return x[rows, 0] if x.shape[1] == 1 else x[rows, np.arange(len(rows))]
+def _own_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(C, R, F) -> (R, F): row r of category rows[r]."""
+    return x[rows, np.arange(len(rows))]
 
 
-def _scatter_rows(g: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
-    """Adjoint of `_pick_rows`: (R, F) back to `shape`, zero in the rows of
-    the other categories, or summed per category for a (C, 1, F) shape."""
-    if shape[1] == 1:
-        onehot = (np.arange(shape[0])[:, None] == rows).astype(np.float64)
-        return (onehot @ g).reshape(shape)
-    out = np.zeros(shape)
-    out[rows, np.arange(len(rows))] = g
-    return out
-
-
-def pick(a, rows) -> DArray:
-    """Per-row category pick, (C, R, F) -> (R, F): row r of category
-    rows[r]. A (C, 1, F) input (a stacked bias) gives each row its
-    category's row."""
-    a = _coerce(a)
-    rows = np.asarray(rows)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum_owned(a, _scatter_rows(g, rows, a.data.shape))
-
-    return _track(_pick_rows(a.data, rows), (a,), bw)
-
-
-def _gru_gates(pre, bias, rows):
-    """The reset, update and candidate gates of `gru_cell`, plus h W_hn +
-    b_hn, from the GEMM outputs and biases."""
+def _linear_grads(x: DArray, w: DArray, g: np.ndarray, rows):
+    """Accumulate the gradients of `x` and `w` through y = x W given dy =
+    g, or, for C-stacked (C, F, H) weights and an (R,) category index
+    `rows`, through y[r] = x[r] W[rows[r]]: one GEMM each for dx and dW
+    per category present, on that category's rows only."""
     if rows is None:
-        xr, hr, xz, hz, xn, hn, b_r, b_z, b_in, b_hn = (t.data for t in pre + bias)
-    else:
-        xr, hr, xz, hz, xn, hn, b_r, b_z, b_in, b_hn = (
-            _pick_rows(t.data, rows) for t in pre + bias)
-    r = _sigmoid(xr + hr + b_r)
-    z = _sigmoid(xz + hz + b_z)
-    hn_b = hn + b_hn
-    n = np.tanh(xn + b_in + r * hn_b)
-    return r, z, n, hn_b
+        if x.requires_grad:
+            _accum_owned(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum_owned(w, x.data.T @ g)
+        return
+    dx = np.empty(x.data.shape) if x.requires_grad else None
+    dw = np.zeros_like(w.data) if w.requires_grad else None
+    for c in np.unique(rows):
+        idx = np.flatnonzero(rows == c)
+        if dx is not None:
+            dx[idx] = g[idx] @ w.data[c].T
+        if dw is not None:
+            dw[c] = x.data[idx].T @ g[idx]
+    if dx is not None:
+        _accum_owned(x, dx)
+    if dw is not None:
+        _accum_owned(w, dw)
 
 
-def gru_cell(pre, bias, h, rows=None) -> DArray:
-    """The GRU gate math as one tape node with a hand-written backward.
+def gru_cell(x, h, w_ih, w_hh, b_ih, b_hn, rows=None) -> DArray:
+    """One GRU layer step as one tape node with a hand-written backward.
 
-    `pre` holds the six gate GEMM outputs (x W_ir, h W_hr, x W_iz, h W_hz,
-    x W_in, h W_hn), `bias` holds (b_r, b_z, b_in, b_hn) with b_r = b_ir +
-    b_hr and b_z = b_iz + b_hz, and `h` is the (R, H) state:
+    The weights hold gate blocks (reset r, update z, candidate n) along
+    their last axis: w_ih is (F, 3H), w_hh (H, 3H), b_ih = (b_ir + b_hr,
+    b_iz + b_hz, b_in) broadcasts against (R, 3H) and b_hn against (R, H).
+    For x (R, F) and state h (R, H):
 
         r = sigmoid(x W_ir + h W_hr + b_r)
         z = sigmoid(x W_iz + h W_hz + b_z)
         n = tanh(x W_in + b_in + r * (h W_hn + b_hn))
         h' = (1 - z) * n + z * h
 
-    Without `rows` the operands broadcast elementwise. With `rows`, an (R,)
-    category index, `pre` is (C, R, H) and `bias` (C, 1, H): row r reads
-    category rows[r]'s copy, every gate op runs on (R, H), and backward
-    scatters the gradients back into (C, R, H), zero in the other rows.
-    The node keeps no gate: backward recomputes them, by the same ops,
-    from `pre`, which the tape holds anyway.
+    With `rows`, an (R,) category index, the weights are C-stacked, (C, F,
+    3H) and (C, H, 3H), and row r goes through the GRU of category
+    rows[r]. The forward runs the six gate GEMMs as untracked `matmul`
+    calls, each row against all C categories (the benchmark counts the
+    decoder's rows that way until its v2, see ROADMAP), and keeps each
+    row's own category. The node keeps r, z, n and h W_hn + b_hn, four
+    (R, H) arrays; backward runs one GEMM each for dW_ih, dW_hh, dx and dh
+    per category, on that category's rows only.
     """
-    pre = [_coerce(p) for p in pre]
-    bias = [_coerce(b) for b in bias]
-    h = _coerce(h)
+    x, h, w_ih, w_hh, b_ih, b_hn = (_coerce(t) for t in (x, h, w_ih, w_hh, b_ih, b_hn))
     if rows is not None:
         rows = np.asarray(rows)
-    _, z, n, _ = _gru_gates(pre, bias, rows)
+    hd = w_hh.data.shape[-2]
+    blocks = (slice(0, hd), slice(hd, 2 * hd), slice(2 * hd, 3 * hd))
+
+    def gemm(a, w, block):
+        out = matmul(a.data, w.data[..., block]).data
+        return out if rows is None else _own_rows(out, rows)
+
+    xr, hr, xz, hz, xn, hn = (gemm(a, w, block) for block in blocks
+                              for a, w in ((x, w_ih), (h, w_hh)))
+    b_r, b_z, b_in = (b_ih.data[..., block] for block in blocks)
+    r = _sigmoid(xr + hr + b_r)
+    z = _sigmoid(xz + hz + b_z)
+    hn_b = hn + b_hn.data
+    n = np.tanh(xn + b_in + r * hn_b)
     out_data = (1.0 - z) * n + z * h.data
 
     def bw(g):
-        r, z, n, hn_b = _gru_gates(pre, bias, rows)
         da_n = g * (1.0 - z) * (1.0 - n * n)
         da_r = da_n * hn_b * r * (1.0 - r)
         da_z = g * (h.data - n) * z * (1.0 - z)
         d_hn = da_n * r
-        for t, gt in zip(pre + bias, (da_r, da_r, da_z, da_z, da_n, d_hn,
-                                      da_r, da_z, da_n, d_hn)):
-            if not t.requires_grad:
-                continue
-            if rows is not None:
-                _accum_owned(t, _scatter_rows(gt, rows, t.data.shape))
-            else:   # the gradients are shared between parents: copy
-                _accum(t, _unbroadcast(gt, t.data.shape))
+        d_ih = np.concatenate([da_r, da_z, da_n], axis=-1)
+        _linear_grads(x, w_ih, d_ih, rows)
+        _linear_grads(h, w_hh, np.concatenate([da_r, da_z, d_hn], axis=-1), rows)
         if h.requires_grad:
-            _accum_owned(h, _unbroadcast(g * z, h.data.shape))
+            _accum_owned(h, g * z)
+        if b_ih.requires_grad:
+            _accum_owned(b_ih, _unbroadcast(d_ih, b_ih.data.shape))
+        if b_hn.requires_grad:
+            _accum_owned(b_hn, _unbroadcast(d_hn, b_hn.data.shape))
 
-    return _track(out_data, pre + bias + [h], bw)
+    return _track(out_data, (x, h, w_ih, w_hh, b_ih, b_hn), bw)
+
+
+def category_map(h, w, b, rows) -> DArray:
+    """tanh(h W_c + b) with each row's own category c = rows[r], as one
+    tape node that keeps only its output.
+
+    h is (R, F), w the C-stacked (C, F, H) weights and b broadcasts
+    against (R, H). The forward multiplies every row by all C weights and
+    keeps each row's own category, as the decoder did before this node;
+    backward runs one GEMM each for dh and dW per category, on that
+    category's rows only.
+    """
+    h, w, b = _coerce(h), _coerce(w), _coerce(b)
+    rows = np.asarray(rows)
+    out_data = np.tanh(_own_rows(matmul(h.data, w.data).data, rows) + b.data)
+
+    def bw(g):
+        d = g * (1.0 - out_data * out_data)
+        _linear_grads(h, w, d, rows)
+        if b.requires_grad:
+            _accum_owned(b, _unbroadcast(d, b.data.shape))
+
+    return _track(out_data, (h, w, b), bw)

@@ -72,7 +72,9 @@ def _split_meta(state: dict) -> tuple[ModelConfig, str, float, dict]:
         elif key == "cfg.gamma":
             gamma = float(value[0])
         elif key.startswith("cfg."):
-            cfg_kwargs[key[4:]] = value[0]
+            cfg_kwargs[key[4:]] = float(value[0])
+        elif not np.isfinite(value).all():
+            raise DataError(f"checkpoint record {key} holds a non-finite value")
         else:
             params[key] = value
     fields = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
@@ -82,11 +84,15 @@ def _split_meta(state: dict) -> tuple[ModelConfig, str, float, dict]:
             raise DataError(f"checkpoint carries unknown config field {name}")
         kind = fields[name]
         if kind == "bool":
+            if raw not in (0.0, 1.0):
+                raise DataError(f"checkpoint record cfg.{name} is {raw:g}, not 0 or 1")
             typed[name] = bool(raw)
         elif kind == "int":
+            if not raw.is_integer():
+                raise DataError(f"checkpoint record cfg.{name} is {raw:g}, not an integer")
             typed[name] = int(raw)
         else:
-            typed[name] = float(raw)
+            typed[name] = raw
     return ModelConfig(**typed), strategy, gamma, params
 
 

@@ -4,18 +4,20 @@ Per step, each target agent aggregates value vectors from its in-neighbors
 on the current window's inferred graph. Queries, keys, and values pass
 through per-category single-layer mappings before the shared projections,
 so heterogeneity costs only linear space in the number of categories.
-Category-aware GRUs (`nn.gru_step` on weights stacked per category) then
-update the per-agent hidden state, and a residual head emits the change in
-position.
+Category-aware GRUs (`autodiff.gru_cell` on weights stacked per category)
+then update the per-agent hidden state, and a residual head emits the
+change in position.
 
 `TrajectoryDecoder`'s layers hold every decoder parameter; the names and
 order they register are the checkpoint format.
 
-Category dispatch: each category GEMM multiplies every agent's row by all
-C categories' weights (C-stacked until benchmark v2, see ROADMAP), and an
-`autodiff.pick` or the fused GRU gate node right after it keeps each
-agent's own category row. Everything after the GEMMs runs on one row per
-agent.
+Category dispatch: the GRU layers and the g_q/g_k/g_v maps are the
+`autodiff.gru_cell` and `autodiff.category_map` nodes. Their forward
+multiplies every agent's row by all C categories' weights (C-stacked
+until benchmark v2, see ROADMAP) and keeps each agent's own category row;
+their backward multiplies each category's weights by its own agents' rows
+only. No C-stacked product stays on the tape, and everything after these
+nodes runs on one row per agent.
 
 Attention runs on the window's qualifying edges only: the off-diagonal
 pairs whose sampled weight exceeds 1/2, listed once per window and sorted
@@ -35,7 +37,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DArray
 from .errors import ConfigError
-from .nn import MLP, Affine, GRUStack, ParamStore, gru_gates, gru_step, linear
+from .nn import MLP, Affine, GRUStack, ParamStore, gru_bias, linear
 from .rng import RngStream
 
 from .encoder import InteractionGraphSample
@@ -91,12 +93,11 @@ class DecoderRun:
 
     Every weight, and the layer count, comes from the decoder's layers.
     Once per rollout, per-category weights are stacked along a leading
-    category axis and split into GRU gate blocks, and the [h, e] weights of
+    category axis, each agent's own category biases are picked (with the
+    GRU's reset and update biases folded), and the [h, e] weights of
     `f_q`, `f_k` and `f_v[0]` are split into node and edge rows. The hidden
-    state holds one (B*N, H) row per agent. Each step runs one batched GEMM
-    per gate and input, broadcasting the (B*N, F) rows against the (C, F, H)
-    weights (C-stacked until benchmark v2, see ROADMAP); the pick right
-    after keeps each row's own category, so later ops run on (B*N, H).
+    state holds one (B*N, H) row per agent; each step runs one
+    `autodiff.gru_cell` node per GRU layer on it.
     """
 
     def __init__(self, decoder: TrajectoryDecoder, batch: int, n_agents: int,
@@ -107,19 +108,17 @@ class DecoderRun:
         self.batch = batch
         self._zero_m = np.zeros((batch, n_agents, decoder.hidden))
         self._window_caches: dict[int, WindowEdges] = {}
-        n_cat = decoder.n_categories
         h = decoder.hidden
 
         if not decoder.homogeneous:
             self._gmaps = [
-                (ad.stack([a.W for a in maps]),
-                 ad.pick(ad.stack([a.b for a in maps]).reshape(n_cat, 1, h), self.rows))
+                (ad.stack([a.W for a in maps]), ad.stack([a.b for a in maps])[self.rows])
                 for maps in (decoder.g_q, decoder.g_k, decoder.g_v)]
         self._gru = []
         for layer in zip(*(gru.params for gru in decoder.grus)):
             w_ih, w_hh, b_ih, b_hh = (ad.stack(list(p)) for p in zip(*layer))
-            self._gru.append(gru_gates(w_ih, w_hh, b_ih.reshape(n_cat, 1, 3 * h),
-                                       b_hh.reshape(n_cat, 1, 3 * h)))
+            b_i, b_hn = gru_bias(b_ih, b_hh)
+            self._gru.append((w_ih, w_hh, b_i[self.rows], b_hn[self.rows]))
         self.state = [DArray(np.zeros((batch * n_agents, h))) for _ in self._gru]
         self._wq, self._wq_e = decoder.f_q.W[:h], decoder.f_q.W[h:]
         self._wk, self._wk_e = decoder.f_k.W[:h], decoder.f_k.W[h:]
@@ -130,7 +129,7 @@ class DecoderRun:
         row's own category c: three (B*N, H)."""
         if self.decoder.homogeneous:
             return [h, h, h]
-        return [ad.tanh_add(ad.pick(h @ w, self.rows), b) for w, b in self._gmaps]
+        return [ad.category_map(h, w, b, self.rows) for w, b in self._gmaps]
 
     # -------------------------------------------------------------- attention
     def _window_cache(self, graph: InteractionGraphSample, window: int) -> WindowEdges:
@@ -209,8 +208,8 @@ class DecoderRun:
             m = self.attend(self.state[-1], graph, window)
         inp = ad.concat([m, x], axis=-1).reshape(self.batch * self.n_agents, -1)
         new_state = []
-        for layer, gates in enumerate(self._gru):
-            inp = gru_step(inp, self.state[layer], gates, self.rows)
+        for h, weights in zip(self.state, self._gru):
+            inp = ad.gru_cell(inp, h, *weights, self.rows)
             new_state.append(inp)
         self.state = new_state
         pre = inp + DArray(eps.reshape(inp.shape)) if eps is not None else inp

@@ -35,9 +35,8 @@ RK_STEP_NOISE = 2
 
 @dataclass
 class InteractionGraphSample:
-    """One window's inferred graph: probabilities, sample, edge features."""
+    """One window's inferred graph: sampled adjacency and edge features."""
 
-    probs: DArray        # (B, N, N), zero diagonal
     z: DArray            # (B, N, N); relaxed in train mode, {0,1} otherwise
     edge_feats: DArray   # (B, N, N, D), zero diagonal
 
@@ -135,27 +134,24 @@ class GraphEncoder:
         logits = self.f_proj(out, train=train).reshape(b, n - 1, n, 1)
         return dense_pairs(logits).reshape(b, n, n), new_state
 
-    def sample_relations(self, logits: DArray, mode: str,
-                         rng: RngStream) -> tuple[DArray, DArray]:
-        """Relation probabilities plus a sampled adjacency.
+    def sample_relations(self, logits: DArray, mode: str, rng: RngStream) -> DArray:
+        """A sampled adjacency from relation logits, zero on the diagonal.
 
         train: relaxed binary-concrete sample (differentiable);
         sample: hard Bernoulli draw per ordered pair;
         map:    deterministic threshold at probability 1/2.
+        The hard modes draw from the relation probabilities as a plain
+        array: no gradient flows through a hard draw.
         """
         mask = 1.0 - np.eye(logits.shape[-1])
-        probs = ad.sigmoid(logits) * DArray(mask)
         if mode == "train":
             noise = rng.logistic(size=logits.shape) * mask
-            z = ad.sigmoid((logits + DArray(noise)) / self.temperature) * DArray(mask)
-        elif mode == "sample":
-            draw = rng.uniform(size=logits.shape)
-            z = DArray(((draw < probs.data) * mask).astype(np.float64))
-        elif mode == "map":
-            z = DArray(((probs.data > 0.5) * mask).astype(np.float64))
-        else:
+            return ad.sigmoid((logits + DArray(noise)) / self.temperature) * DArray(mask)
+        if mode not in ("sample", "map"):
             raise ConfigError(f"unknown relation sampling mode: {mode}")
-        return probs, z
+        probs = ad.sigmoid(logits.detach()).data * mask
+        edges = rng.uniform(size=logits.shape) < probs if mode == "sample" else probs > 0.5
+        return DArray((edges * mask).astype(np.float64))
 
 
 class EncoderRun:
@@ -175,6 +171,6 @@ class EncoderRun:
         edge_feats = enc.sample_edge_features(
             e_tilde, rng.child(RK_EDGE_NOISE, w), self.edge_noise_scale)
         logits, self.state = enc.update_relations(e_tilde, self.state, train=train)
-        probs, z = enc.sample_relations(logits, mode, rng.child(RK_RELATION, w))
+        z = enc.sample_relations(logits, mode, rng.child(RK_RELATION, w))
         self.window_index += 1
-        return InteractionGraphSample(probs, z, edge_feats)
+        return InteractionGraphSample(z, edge_feats)

@@ -160,9 +160,8 @@ class ModelGraphProbe:
         k = self.n_rollouts
         pos = np.repeat(scene.positions[None], k, axis=0)
         cats = np.repeat(scene.categories[None], k, axis=0)
-        tiled = [InteractionGraphSample(
-            probs=g.probs, z=_tile_rows(g.z, k), edge_feats=_tile_rows(g.edge_feats, k))
-            for g in graphs]
+        tiled = [InteractionGraphSample(_tile_rows(g.z, k), _tile_rows(g.edge_feats, k))
+                 for g in graphs]
         with ad.no_grad():
             preds = self.model.rollout(pos, cats, tiled, rng, input_mode="free_run")
         t_hist = self.model.cfg.t_history
@@ -180,7 +179,7 @@ def _edit_graphs(graphs: list[InteractionGraphSample], i: int, j: int,
     for g in graphs:
         z = g.z.data.copy()
         z[:, i, j] = value
-        out.append(InteractionGraphSample(g.probs, DArray(z), g.edge_feats))
+        out.append(InteractionGraphSample(DArray(z), g.edge_feats))
     return out
 
 

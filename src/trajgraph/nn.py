@@ -9,24 +9,22 @@ same store so they persist through checkpoints.
 
 Batch norm takes its statistics over every row it is given, so callers
 pass only the rows that belong in them (the encoder passes the N(N-1)
-off-diagonal pairs, never the self-pairs). There is one GRU: `gru_step`
-on per-gate weight blocks from `gru_gates`, used for the encoder's edge
-GRU and, with weights stacked per category, the decoder's. The decoder's
-GEMMs stay C-stacked until benchmark v2 (see ROADMAP); everything after
-them runs on each row's own category only.
+off-diagonal pairs, never the self-pairs). There is one GRU: the
+`autodiff.gru_cell` node, one layer step with its GEMMs, on fused (F, 3H)
+weights for the encoder's edge GRU (`GRUStack`) and on weights stacked
+per category for the decoder's. `gru_bias` folds the reset and update
+biases it adds.
 
-Layers record their elementwise math through the fused tape nodes of
-`autodiff` (`gru_cell` behind `gru_step`, whose backward recomputes the
-gates, and `batch_norm` behind `BatchNorm`; the decoder's attention over
-qualifying edges uses `tanh_add` with gathered rows, `mul_sum` and
-`segment_sum`). Every GEMM stays its own `matmul` node until benchmark
-v2, whose tape walk counts them.
+Layers record their math through the fused tape nodes of `autodiff`
+(`batch_norm` behind `BatchNorm`; the decoder uses `gru_cell`,
+`category_map`, and for its attention over qualifying edges `tanh_add`
+with gathered rows, `mul_sum` and `segment_sum`). `linear` stays a
+`matmul` node plus a bias add.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -205,46 +203,13 @@ class MLP:
         return x
 
 
-class GRUGates(NamedTuple):
-    """GRU weights split per gate: reset (r), update (z), candidate (n)."""
-
-    w_ir: DArray
-    w_iz: DArray
-    w_in: DArray
-    w_hr: DArray
-    w_hz: DArray
-    w_hn: DArray
-    b_r: DArray     # b_ir + b_hr
-    b_z: DArray     # b_iz + b_hz
-    b_in: DArray
-    b_hn: DArray    # stays inside the reset product
-
-
-def gru_gates(w_ih: DArray, w_hh: DArray, b_ih: DArray, b_hh: DArray) -> GRUGates:
-    """Split fused (reset, update, candidate) weight blocks along the last
-    axis. Works on one GRU's (F, 3H) weights with (3H,) biases and on C
-    GRUs stacked as (C, F, 3H) weights with (C, 1, 3H) biases."""
-    h = w_hh.shape[-2]
-    r, z, n = slice(0, h), slice(h, 2 * h), slice(2 * h, 3 * h)
-    return GRUGates(
-        w_ih[..., r], w_ih[..., z], w_ih[..., n],
-        w_hh[..., r], w_hh[..., z], w_hh[..., n],
-        b_ih[..., r] + b_hh[..., r], b_ih[..., z] + b_hh[..., z],
-        b_ih[..., n], b_hh[..., n])
-
-
-def gru_step(x: DArray, h: DArray, g: GRUGates, rows=None) -> DArray:
-    """One GRU update: six GEMMs, one per gate and input, then the gate
-    math as one `autodiff.gru_cell` node.
-
-    x (R, F) and h (R, H) go with plain gates. With C-stacked gates every
-    GEMM computes each row for all C categories, giving (C, R, H) outputs
-    (the benchmark pins that row count until its v2, see ROADMAP), and
-    `rows`, each row's category, makes the gate node keep that category's
-    row only.
-    """
-    pre = (x @ g.w_ir, h @ g.w_hr, x @ g.w_iz, h @ g.w_hz, x @ g.w_in, h @ g.w_hn)
-    return ad.gru_cell(pre, (g.b_r, g.b_z, g.b_in, g.b_hn), h, rows)
+def gru_bias(b_ih: DArray, b_hh: DArray) -> tuple[DArray, DArray]:
+    """The biases `autodiff.gru_cell` adds, from fused (reset, update,
+    candidate) blocks along the last axis: (b_ir + b_hr, b_iz + b_hz,
+    b_in) and b_hn, which stays inside the reset product."""
+    h2 = 2 * (b_hh.shape[-1] // 3)
+    return (ad.concat([b_ih[..., :h2] + b_hh[..., :h2], b_ih[..., h2:]], axis=-1),
+            b_hh[..., h2:])
 
 
 class GRUStack:
@@ -272,8 +237,8 @@ class GRUStack:
 
     def __call__(self, x: DArray, state: list[DArray]) -> tuple[DArray, list[DArray]]:
         new_state = []
-        for params, h in zip(self.params, state):
-            x = gru_step(x, h, gru_gates(*params))
+        for (w_ih, w_hh, b_ih, b_hh), h in zip(self.params, state):
+            x = ad.gru_cell(x, h, w_ih, w_hh, *gru_bias(b_ih, b_hh))
             new_state.append(x)
         return x, new_state
 

@@ -5,6 +5,7 @@ never calling back into the code paths they are meant to check.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +98,131 @@ def fused_gru_reference(x, h, w_ih, w_hh, b_ih, b_hh):
     return (1.0 - z) * n + z * h
 
 
+def _pick_rows(x, rows):
+    """(C, R, F) -> (R, F): row r of category rows[r]. A (C, 1, F) array
+    gives every row its category's single row."""
+    return x[rows, 0] if x.shape[1] == 1 else x[rows, np.arange(len(rows))]
+
+
+def _scatter_rows(g, rows, shape):
+    """Adjoint of `_pick_rows`: (R, F) back to `shape`, zero in the rows of
+    the other categories, or summed per category for a (C, 1, F) shape."""
+    if shape[1] == 1:
+        onehot = (np.arange(shape[0])[:, None] == rows).astype(np.float64)
+        return (onehot @ g).reshape(shape)
+    out = np.zeros(shape)
+    out[rows, np.arange(len(rows))] = g
+    return out
+
+
+def pick(a, rows):
+    """The per-row category pick as its own tape node, (C, R, F) -> (R, F):
+    row r of category rows[r]; a (C, 1, F) input (a stacked bias) gives
+    each row its category's row. Backward scatters into (C, R, F) zeros."""
+    a = ad._coerce(a)
+    rows = np.asarray(rows)
+
+    def bw(g):
+        if a.requires_grad:
+            ad._accum_owned(a, _scatter_rows(g, rows, a.data.shape))
+
+    return ad._track(_pick_rows(a.data, rows), (a,), bw)
+
+
+class GRUGates(NamedTuple):
+    """GRU weights split per gate: reset (r), update (z), candidate (n)."""
+
+    w_ir: DArray
+    w_iz: DArray
+    w_in: DArray
+    w_hr: DArray
+    w_hz: DArray
+    w_hn: DArray
+    b_r: DArray     # b_ir + b_hr
+    b_z: DArray     # b_iz + b_hz
+    b_in: DArray
+    b_hn: DArray    # stays inside the reset product
+
+
+def gru_gates(w_ih, w_hh, b_ih, b_hh):
+    """Split fused (reset, update, candidate) weight blocks along the last
+    axis into taped slices. Works on one GRU's (F, 3H) weights with (3H,)
+    biases and on C GRUs stacked as (C, F, 3H) weights with (C, 1, 3H)
+    biases."""
+    h = w_hh.shape[-2]
+    r, z, n = slice(0, h), slice(h, 2 * h), slice(2 * h, 3 * h)
+    return GRUGates(
+        w_ih[..., r], w_ih[..., z], w_ih[..., n],
+        w_hh[..., r], w_hh[..., z], w_hh[..., n],
+        b_ih[..., r] + b_hh[..., r], b_ih[..., z] + b_hh[..., z],
+        b_ih[..., n], b_hh[..., n])
+
+
+def _gate_values(pre, bias, rows):
+    if rows is None:
+        xr, hr, xz, hz, xn, hn, b_r, b_z, b_in, b_hn = (t.data for t in pre + bias)
+    else:
+        xr, hr, xz, hz, xn, hn, b_r, b_z, b_in, b_hn = (
+            _pick_rows(t.data, rows) for t in pre + bias)
+    r = _sigmoid(xr + hr + b_r)
+    z = _sigmoid(xz + hz + b_z)
+    hn_b = hn + b_hn
+    n = np.tanh(xn + b_in + r * hn_b)
+    return r, z, n, hn_b
+
+
+def gate_node(pre, bias, h, rows=None):
+    """The GRU gate math as one tape node over the six taped GEMM outputs
+    `pre` (x W_ir, h W_hr, x W_iz, h W_hz, x W_in, h W_hn) and the biases
+    (b_r, b_z, b_in, b_hn), as the decoder ran it before the GEMMs moved
+    into the node. With `rows`, `pre` is (C, R, H) and `bias` (C, 1, H):
+    row r reads category rows[r]'s copy, and backward scatters the
+    gradients back into (C, R, H) zeros. Backward recomputes the gates."""
+    pre = [ad._coerce(p) for p in pre]
+    bias = [ad._coerce(b) for b in bias]
+    h = ad._coerce(h)
+    _, z, n, _ = _gate_values(pre, bias, rows)
+    out_data = (1.0 - z) * n + z * h.data
+
+    def bw(g):
+        r, z, n, hn_b = _gate_values(pre, bias, rows)
+        da_n = g * (1.0 - z) * (1.0 - n * n)
+        da_r = da_n * hn_b * r * (1.0 - r)
+        da_z = g * (h.data - n) * z * (1.0 - z)
+        d_hn = da_n * r
+        for t, gt in zip(pre + bias, (da_r, da_r, da_z, da_z, da_n, d_hn,
+                                      da_r, da_z, da_n, d_hn)):
+            if not t.requires_grad:
+                continue
+            if rows is not None:
+                ad._accum_owned(t, _scatter_rows(gt, rows, t.data.shape))
+            else:
+                ad._accum(t, ad._unbroadcast(gt, t.data.shape))
+        if h.requires_grad:
+            ad._accum_owned(h, ad._unbroadcast(g * z, h.data.shape))
+
+    return ad._track(out_data, pre + bias + [h], bw)
+
+
+def composed_gru_cell(x, h, w_ih, w_hh, b_ih, b_hh, rows=None):
+    """One GRU layer step as the decoder ran it before `autodiff.gru_cell`
+    took in its GEMMs: taped gate slices (`gru_gates`), six taped `matmul`
+    nodes and `gate_node`. Plain (F, 3H) weights with (3H,) biases, or,
+    with `rows`, C-stacked (C, F, 3H) weights with (C, 3H) biases."""
+    if rows is not None:
+        c, width = b_ih.shape
+        b_ih, b_hh = b_ih.reshape(c, 1, width), b_hh.reshape(c, 1, width)
+    g = gru_gates(w_ih, w_hh, b_ih, b_hh)
+    pre = (x @ g.w_ir, h @ g.w_hr, x @ g.w_iz, h @ g.w_hz, x @ g.w_in, h @ g.w_hn)
+    return gate_node(pre, (g.b_r, g.b_z, g.b_in, g.b_hn), h, rows)
+
+
+def composed_category_map(h, w, b, rows):
+    """tanh(h W_c + b) as the decoder ran it before `autodiff.category_map`:
+    a taped C-stacked GEMM, a taped `pick` and a `tanh_add` node."""
+    return ad.tanh_add(pick(h @ w, rows), b)
+
+
 def composed_gru_step(x, h, g):
     """The GRU gate math op by op on the tape (one node per op), as the
     decoder ran it before the fused gate node; broadcasts like numpy."""
@@ -123,6 +249,11 @@ class MaskCollapseDecoderRun(DecoderRun):
                                      for c in range(n_cat)])
         self._stacked_b = [ad.stack([a.b for a in maps]).reshape(n_cat, 1, h)
                            for maps in (decoder.g_q, decoder.g_k, decoder.g_v)]
+        self._gates = []
+        for layer in zip(*(gru.params for gru in decoder.grus)):
+            w_ih, w_hh, b_ih, b_hh = (ad.stack(list(p)) for p in zip(*layer))
+            self._gates.append(gru_gates(w_ih, w_hh, b_ih.reshape(n_cat, 1, 3 * h),
+                                         b_hh.reshape(n_cat, 1, 3 * h)))
 
     def _stack_rows(self, x):
         return x.reshape(1, self.batch * self.n_agents, x.shape[-1])
@@ -146,7 +277,7 @@ class MaskCollapseDecoderRun(DecoderRun):
                             graph, window)
         inp = ad.concat([m, x], axis=-1)
         new_state = []
-        for layer, gates in enumerate(self._gru):
+        for layer, gates in enumerate(self._gates):
             xs = self._stack_rows(inp)
             hs = self._stack_rows(self.state[layer])
             h_new = self._collapse(composed_gru_step(xs, hs, gates))
@@ -246,7 +377,7 @@ class ComposedAttentionDecoderRun(DenseAttentionDecoderRun):
     def _category_maps(self, h):
         if self.decoder.homogeneous:
             return [h, h, h]
-        return [ad.tanh(ad.pick(h @ w, self.rows) + b) for w, b in self._gmaps]
+        return [ad.tanh(pick(h @ w, self.rows) + b) for w, b in self._gmaps]
 
     def attention(self, h, graph, window):
         dec = self.decoder

@@ -100,7 +100,7 @@ def test_criterion_1_gradient_suite():
         et = enc.embed_window(window, train=True)
         vt, e_t = enc.gnn_pass(et, train=True)
         logits, _ = enc.update_relations(e_t, None)
-        _, z = enc.sample_relations(logits, "train", RngStream(7).child(3))
+        z = enc.sample_relations(logits, "train", RngStream(7).child(3))
         return (z * DArray(R2_WEIGHTS[:z.shape[-1], :z.shape[-1]])).sum()
 
     global R2_WEIGHTS

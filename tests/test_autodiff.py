@@ -8,8 +8,9 @@ import pytest
 from trajgraph import autodiff as ad
 from trajgraph.autodiff import DArray
 from trajgraph.errors import ContractError, ShapeError
+from trajgraph.nn import gru_bias
 
-from oracles import fd_probe_check
+from oracles import composed_category_map, composed_gru_cell, fd_probe_check
 
 rng = np.random.default_rng(7)
 
@@ -95,52 +96,92 @@ def test_category_broadcast_gradients(op, shapes):
     fd_probe_check(lambda: (op(a, b) ** 2).sum(), [a, b], rng, n_probes=10, rtol=1e-5)
 
 
-def _gru_cell_operands(lead, bias_shape, h_rows):
-    pre = [_rand(*lead) for _ in range(6)]
-    bias = [_rand(*bias_shape) for _ in range(4)]
-    return pre, bias, _rand(h_rows, lead[-1])
+def _gru_cell_operands(rows, f=4, hd=3):
+    """x, h and fused GRU weights and biases: plain (F, 3H) weights with
+    (3H,) biases, or C = 3 stacked ones with (C, 3H) biases for `rows`."""
+    lead = () if rows is None else (3,)
+    x, h = _rand(5, f), _rand(5, hd)
+    params = [_rand(*lead, f, 3 * hd), _rand(*lead, hd, 3 * hd),
+              _rand(*lead, 3 * hd), _rand(*lead, 3 * hd)]
+    return x, h, params
 
 
-@pytest.mark.parametrize("rows", [None, np.array([2, 0, 2, 2, 0])],
-                         ids=["plain", "rows_category_1_absent"])
+def _folded(params, rows):
+    """The biases `ad.gru_cell` takes, folded by `gru_bias` and, for
+    C-stacked weights, picked per row, as `nn.GRUStack` and the decoder
+    pass them."""
+    b_i, b_hn = gru_bias(params[2], params[3])
+    return (b_i, b_hn) if rows is None else (b_i[rows], b_hn[rows])
+
+
+_ROWS = [None, np.array([2, 0, 2, 2, 0])]
+_ROW_IDS = ["plain", "rows_category_1_absent"]
+
+
+@pytest.mark.parametrize("rows", _ROWS, ids=_ROW_IDS)
 def test_gru_cell_gradients(rows):
-    if rows is None:
-        pre, bias, h = _gru_cell_operands((5, 3), (3,), 5)
-    else:
-        pre, bias, h = _gru_cell_operands((3, 5, 3), (3, 1, 3), 5)
+    x, h, params = _gru_cell_operands(rows)
     weights = rng.normal(size=(5, 3))
-    fd_probe_check(lambda: (ad.gru_cell(pre, bias, h, rows) * weights).sum(),
-                   pre + bias + [h], rng, n_probes=40, rtol=1e-5)
-    if rows is not None:   # the absent category and the unpicked rows get zeros
-        (ad.gru_cell(pre, bias, h, rows) * weights).sum().backward()
-        for t in pre:
-            for r, c in enumerate(rows):
-                assert not np.delete(t.grad[:, r], c, axis=0).any()
-        assert all(not b.grad[1].any() for b in bias)
+    arrays = [x, h] + params
+    fd_probe_check(lambda: (ad.gru_cell(x, h, params[0], params[1],
+                                        *_folded(params, rows), rows) * weights).sum(),
+                   arrays, rng, n_probes=40, rtol=1e-5)
+    if rows is not None:   # the absent category gets zero gradients
+        (ad.gru_cell(x, h, params[0], params[1], *_folded(params, rows), rows)
+         * weights).sum().backward()
+        assert all(not p.grad[1].any() for p in params)
 
 
 def test_gru_cell_matches_composed_ops():
-    pre, bias, h = _gru_cell_operands((3, 4, 2), (3, 1, 2), 4)
-    rows = np.array([1, 0, 1, 2])
-    xr, hr, xz, hz, xn, hn = (ad.pick(p, rows) for p in pre)
-    b_r, b_z, b_in, b_hn = (ad.pick(b, rows) for b in bias)
-    r = ad.sigmoid(xr + hr + b_r)
-    z = ad.sigmoid(xz + hz + b_z)
-    n = ad.tanh(xn + b_in + r * (hn + b_hn))
-    composed = (1.0 - z) * n + z * h
-    np.testing.assert_array_equal(ad.gru_cell(pre, bias, h, rows).data, composed.data)
+    """The node equals the six taped GEMMs plus the gate node it replaced
+    bit for bit, plain and C-stacked; every gradient agrees within 1e-12."""
+    for rows in _ROWS:
+        x, h, params = _gru_cell_operands(rows)
+        weights = rng.normal(size=(5, 3))
+        results = []
+        cells = (lambda: ad.gru_cell(x, h, params[0], params[1],
+                                     *_folded(params, rows), rows),
+                 lambda: composed_gru_cell(x, h, *params, rows))
+        for cell in cells:
+            out = cell()
+            (out * weights).sum().backward()
+            results.append((out.data, [t.grad for t in [x, h] + params]))
+            for t in [x, h] + params:
+                t.grad = None
+        (out, grads), (out_ref, grads_ref) = results
+        np.testing.assert_array_equal(out, out_ref)
+        for g, g_ref in zip(grads, grads_ref):
+            np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", [(3, 5, 4), (3, 1, 4)], ids=["rows", "bias"])
-def test_pick_gradients(shape):
-    a = _rand(*shape)
-    rows = np.array([0, 2, 2, 0, 2])   # category 1 absent
+def _category_map_operands():
+    """h (R, F), C-stacked weights and biases, and a category index in
+    which category 1 is absent."""
+    return _rand(5, 3), _rand(3, 3, 4), _rand(3, 4), np.array([0, 2, 2, 0, 2])
+
+
+def test_category_map_gradients():
+    h, w, stacked_b, rows = _category_map_operands()
     weights = rng.normal(size=(5, 4))
-    fd_probe_check(lambda: (ad.pick(a, rows) * weights).sum(), [a], rng,
-                   n_probes=20, rtol=1e-5)
-    out = ad.pick(a, rows)
-    for r, c in enumerate(rows):
-        np.testing.assert_array_equal(out.data[r], a.data[c, r if shape[1] > 1 else 0])
+    fd_probe_check(lambda: (ad.category_map(h, w, stacked_b[rows], rows) * weights).sum(),
+                   [h, w, stacked_b], rng, n_probes=30, rtol=1e-5)
+    (ad.category_map(h, w, stacked_b[rows], rows) * weights).sum().backward()
+    assert not w.grad[1].any() and not stacked_b.grad[1].any()
+
+
+def test_category_map_matches_composed_ops():
+    h, w, stacked_b, rows = _category_map_operands()
+    weights = rng.normal(size=(5, 4))
+    results = []
+    for fn in (ad.category_map, composed_category_map):
+        out = fn(h, w, stacked_b[rows], rows)
+        (out * weights).sum().backward()
+        results.append((out.data, [h.grad, w.grad, stacked_b.grad]))
+        h.grad = w.grad = stacked_b.grad = None
+    (out, grads), (out_ref, grads_ref) = results
+    np.testing.assert_array_equal(out, out_ref)
+    for g, g_ref in zip(grads, grads_ref):
+        np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12)
 
 
 def test_reduction_and_reshape_gradients():

@@ -226,6 +226,33 @@ def test_evaluate_corrupt_checkpoint_exit_code(workspace, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("data error: ")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("dec.gru.0.l0.W_ih", np.nan),
+    ("cfg.hidden_dim", 8.5),
+    ("cfg.homogeneous", 2.0),
+], ids=["non_finite_parameter", "non_integral_int_field", "bool_field_not_0_or_1"])
+def test_checkpoint_record_out_of_contract_exit_code(workspace, tmp_path, capsys,
+                                                     key, value):
+    """evaluate, analyze-graphs and a resumed train reject the checkpoint
+    with exit code 2, naming the record, and write no output."""
+    root, cfg, data, run = workspace
+    for cmd, flag, source in (("evaluate", "--checkpoint", "model.ckpt"),
+                              ("analyze-graphs", "--checkpoint", "model.ckpt"),
+                              ("train", "--resume", "last.ckpt")):
+        state = load_checkpoint(run / source)
+        state[key] = state[key].copy()
+        state[key].reshape(-1)[0] = value
+        bad = tmp_path / f"bad_{source}"
+        save_checkpoint(bad, state)
+        capsys.readouterr()
+        out = tmp_path / f"out_{cmd}"
+        assert main([cmd, "--config", str(cfg), flag, str(bad), "--data", str(data),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and key in err
+        assert not (out / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("cmd, flag, name", [
     ("evaluate", "--checkpoint", "nope.ckpt"),
     ("analyze-graphs", "--checkpoint", "nope.ckpt"),

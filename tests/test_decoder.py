@@ -31,8 +31,7 @@ def make_graph(z: np.ndarray, seed=1) -> InteractionGraphSample:
     b, n = z.shape[0], z.shape[1]
     e = np.random.default_rng(seed).normal(size=(b, n, n, D))
     e *= (1 - np.eye(n))[None, :, :, None]
-    return InteractionGraphSample(probs=DArray(z), z=DArray(z.astype(float)),
-                                  edge_feats=DArray(e))
+    return InteractionGraphSample(z=DArray(z.astype(float)), edge_feats=DArray(e))
 
 
 def dense_weights(run, graph, window=0):
@@ -142,8 +141,7 @@ def test_train_mode_uses_relaxed_weights_above_half_only():
     z = np.zeros((1, 3, 3))
     z[0, 1, 2] = 0.7    # qualifies
     z[0, 0, 2] = 0.4    # excluded: z <= 1/2
-    graph = InteractionGraphSample(DArray(z), DArray(z),
-                                   DArray(rng_np.normal(size=(1, 3, 3, D))))
+    graph = InteractionGraphSample(DArray(z), DArray(rng_np.normal(size=(1, 3, 3, D))))
     run = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]))
     state = [DArray(rng_np.normal(size=(3, H))) for _ in range(2)]
     run.state = state
@@ -152,7 +150,7 @@ def test_train_mode_uses_relaxed_weights_above_half_only():
     # entirely must not change anything
     z2 = z.copy()
     z2[0, 0, 2] = 0.0
-    graph2 = InteractionGraphSample(DArray(z2), DArray(z2), graph.edge_feats)
+    graph2 = InteractionGraphSample(DArray(z2), graph.edge_feats)
     run2 = DecoderRun(dec, 1, 3, np.array([[0, 1, 2]]))
     run2.state = state
     m2 = run2.attend(state[-1], graph2, 0)
@@ -279,12 +277,11 @@ def test_row_pick_step_matches_mask_collapse_oracle():
     mu, mu_ref = three_steps(DecoderRun), three_steps(MaskCollapseDecoderRun)
     np.testing.assert_array_equal(mu.data, mu_ref.data)
 
-    tape = [t for t in _tape(mu) if t._bw is not None]
-    gate_nodes = [t for t in tape if t._bw.__qualname__.startswith("gru_cell")]
-    assert len(gate_nodes) == 3 * 2   # one per GRU layer and step
-    for t in tape:   # only GEMM outputs keep all C copies of each row
-        if t.ndim == 3 and t.shape[:2] == (c, b * n):
-            assert t._bw.__qualname__.startswith("matmul")
+    nodes, arrays, _ = tape_arrays(mu)
+    gru_nodes = [t for t in nodes if t._bw.__qualname__.startswith("gru_cell")]
+    assert len(gru_nodes) == 3 * 2   # one per GRU layer and step
+    # no tape array keeps all C copies of each row
+    assert not any(a.shape[:2] == (c, b * n) for a in arrays)
 
     grads = gradients(((mu - target) ** 2).sum(), store)
     grads_ref = gradients(((mu_ref - target) ** 2).sum(), store)
@@ -372,7 +369,8 @@ def test_boundary_rollout_tape_budget(monkeypatch):
     other 6 carry z = 0.3 <= 1/2): E = 36 of the B*N*N = 162 pair slots,
     a quarter of the off-diagonal pairs. Attention records no (B, N, N, ...)
     node, the tape stays inside a budget derived by hand, the dense masked
-    attention breaks both, and no GRU gate node keeps a gate array."""
+    attention breaks both, no tape array keeps C copies of the agent rows,
+    and each GRU node keeps exactly its four gate arrays."""
     b, n, w, c, layers = 2, 9, 8, 3, 2
     model = TrajectoryModel(ModelConfig(hidden_dim=w, edge_dim=w, attn_dim=w), seed=0)
     pos = rng_np.normal(size=(b, n, 15, 2)) * 0.3
@@ -380,8 +378,7 @@ def test_boundary_rollout_tape_budget(monkeypatch):
     offset = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n   # source - target
     z = np.where(np.isin(offset, (1, 2)), 0.9, np.where(offset == 0, 0.0, 0.3))
     edge_feats = rng_np.normal(size=(b, n, n, w)) * (1.0 - np.eye(n))[..., None]
-    graphs = [InteractionGraphSample(DArray(z[None].repeat(b, 0)),
-                                     DArray(z[None].repeat(b, 0)), DArray(edge_feats))
+    graphs = [InteractionGraphSample(DArray(z[None].repeat(b, 0)), DArray(edge_feats))
               for _ in range(model.decoded_windows)]
 
     inside, recorded = [], []
@@ -418,48 +415,58 @@ def test_boundary_rollout_tape_budget(monkeypatch):
     assert shapes and not any(s[:3] == (b, n, n) for s in shapes)
     assert any(s[:3] == (b, n, n) for s in dense_shapes)
 
-    # Floats the tape owns, by hand. R = B*N = 18 agent rows, E = 36 edges
-    # per window, W = 8 = H = A = D, C = 3 categories, L = 2 GRU layers,
-    # T = 14 steps of which S = 10 (t = 4..13) read a graph, from 2 windows.
+    # Bytes the tape owns, by hand, in floats of 8 bytes. R = B*N = 18 agent
+    # rows, E = 36 edges per window, W = 8 = H = A = D, C = 3 categories,
+    # L = 2 GRU layers, T = 14 steps of which S = 10 (t = 4..13) read a
+    # graph, from 2 windows.
     # Run set-up: per category map the stacked weights C*W^2, stacked biases
-    #   C*W and picked biases R*W; per GRU layer of input width F (W + 2,
-    #   then W) the stacked weights 3CW(F + W), biases 6CW and the summed
-    #   reset and update biases 2CW.
-    # Per window: gathered edge features E*W and weights z E, one
-    #   incidence index E, and the GEMM and bias outputs of qe, ke, ve 6EW.
-    # Per attended step: the category maps 3(C + 2)RW (GEMM, pick, tanh),
-    #   the node projections qh, kh, gvh and -gvh 4RW; per edge q, k, v1,
-    #   the value GEMM and the values 5EW, and 8 scalars (scores, scaled,
-    #   shift, shifted, exp, numerator, gathered denominator, alpha) 8E;
-    #   the denominators R, the message RW and the scale 1.
-    # Per step: the GRU input R(W + 2) and its 3 concat offsets; per layer
-    #   the 6 stacked GEMM outputs and the new state (6C + 1)RW; the head's
-    #   noise and noisy state 2RW, two hidden layers of GEMM, bias and relu
-    #   outputs 3RW plus a one-byte relu mask RW/8, and the output GEMM,
-    #   bias and residual sum 3 * 2R.
+    #   C*W and each row's picked bias R*W; per GRU layer of input width F
+    #   (W + 2, then W) the stacked weights 3CW(F + W), stacked biases 6CW,
+    #   the folded biases (reset and update sum 2CW, concat 3CW and its 3
+    #   offsets) and each row's picked b_ih and b_hn 4RW.
+    # Per window: gathered edge features E*W and weights z E, one int32
+    #   incidence index E/2, and the GEMM and bias outputs of qe, ke, ve 6EW.
+    # Per attended step: the category maps' outputs 3RW, the node
+    #   projections qh, kh, gvh and -gvh 4RW; per edge q, k, v1, the value
+    #   GEMM and the values 5EW, and 8 scalars (scores, scaled, shift,
+    #   shifted, exp, numerator, gathered denominator, alpha) 8E; the
+    #   denominators R, the message RW, the scale 1 and the 3 offsets of the
+    #   GRU input's concat (before t = 4 neither the zero message nor the
+    #   true input is tracked, so that concat is no node).
+    # Per step: the GRU input R(W + 2); per layer the new state and the
+    #   gru_cell node's r, z, n and h W_hn + b_hn 5RW; the head's noise and
+    #   noisy state 2RW, two hidden layers of GEMM, bias and relu outputs 3RW
+    #   plus a one-byte relu mask RW/8, and the output GEMM, bias and
+    #   residual sum 3 * 2R.
     # Once: the positions, the stacked predictions, the loss's difference
-    #   and square 4 * 30R, the sum 1; the zero message RW, the zero initial
-    #   states L*R*W, the category rows R and one boundary-mixed input 2R.
+    #   and square 4 * 30R, the sum 1; the zero initial states L*R*W, the
+    #   category rows R and one boundary-mixed input 2R.
     r, e, steps, attended, windows = b * n, 36, 14, 10, 2
     setup = (3 * (c * w * w + c * w + r * w)
-             + sum(3 * c * w * (f + w) + 6 * c * w + 2 * c * w for f in (w + 2, w)))
-    per_window = e * w + e + e + 6 * e * w
-    per_attended = 3 * (c + 2) * r * w + 4 * r * w + 5 * e * w + 8 * e + r + r * w + 1
-    per_step = (r * (w + 2) + 3 + layers * (6 * c + 1) * r * w
+             + sum(3 * c * w * (f + w) + 6 * c * w + 2 * c * w + 3 * c * w + 3 + 4 * r * w
+                   for f in (w + 2, w)))
+    per_window = e * w + e + e / 2 + 6 * e * w
+    per_attended = 3 * r * w + 4 * r * w + 5 * e * w + 8 * e + r + r * w + 1 + 3
+    per_step = (r * (w + 2) + layers * 5 * r * w
                 + 2 * r * w + 2 * (3 * r * w + r * w / 8) + 3 * 2 * r)
-    once = 4 * 30 * r + 1 + r * w + layers * r * w + r + 2 * r
+    once = 4 * 30 * r + 1 + layers * r * w + r + 2 * r
     budget = 8 * (setup + windows * per_window + attended * per_attended
                   + steps * per_step + once)
-    assert budget == 1_234_552   # the dense attention keeps 1_828_024
-    assert tape_bytes(loss) <= budget < tape_bytes(dense_loss)
+    # 1_233_016 before the GRU and category-map nodes took in their GEMMs;
+    # the dense attention on these nodes keeps 1_248_616
+    assert budget == 653_608
+    assert tape_bytes(loss) == budget < tape_bytes(dense_loss)
 
-    # the gate node keeps its GEMM outputs and state as parents, and no
-    # (R, H) gate array of its own: backward recomputes the gates
-    gate_nodes = [t for t in tape_arrays(loss)[0]
-                  if t._bw.__qualname__.startswith("gru_cell")]
-    assert len(gate_nodes) == steps * layers
-    for node in gate_nodes:
-        for cell in node._bw.__closure__:
-            held = cell.cell_contents
-            for item in held if isinstance(held, (list, tuple)) else (held,):
-                assert not (isinstance(item, np.ndarray) and item.shape == (r, w))
+    # no tape array keeps all C copies of the agent rows, and each gru_cell
+    # node keeps exactly four (R, H) arrays of its own: r, z, n and
+    # h W_hn + b_hn
+    nodes, arrays, _ = tape_arrays(loss)
+    assert not any(a.shape[:2] == (c, r) for a in arrays)
+    gru_nodes = [t for t in nodes if t._bw.__qualname__.startswith("gru_cell")]
+    assert len(gru_nodes) == steps * layers
+    for node in gru_nodes:
+        own = [cell.cell_contents for cell in node._bw.__closure__
+               if isinstance(cell.cell_contents, np.ndarray)
+               and cell.cell_contents.shape == (r, w)]
+        assert len(own) == 4 and len({id(a) for a in own}) == 4
+        assert all(a.base is None and a is not node.data for a in own)

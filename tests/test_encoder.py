@@ -170,16 +170,18 @@ def test_relation_state_persists_across_windows():
 
 def test_relation_sampling_modes():
     enc, _ = make_encoder()
-    logits = DArray(rng_np.normal(scale=2.0, size=(2, 4, 4)))
-    probs, z_train = enc.sample_relations(logits, "train", RngStream(1).child(0))
+    logits = DArray(rng_np.normal(scale=2.0, size=(2, 4, 4)), requires_grad=True)
+    z_train = enc.sample_relations(logits, "train", RngStream(1).child(0))
     off = ~np.eye(4, dtype=bool)
     assert ((z_train.data[:, off] > 0) & (z_train.data[:, off] < 1)).all()
     assert np.abs(np.diagonal(z_train.data, axis1=1, axis2=2)).max() == 0
-    _, z_test = enc.sample_relations(logits, "sample", RngStream(1).child(1))
+    z_test = enc.sample_relations(logits, "sample", RngStream(1).child(1))
     assert set(np.unique(z_test.data)) <= {0.0, 1.0}
-    _, z_map = enc.sample_relations(logits, "map", RngStream(1).child(2))
-    expected = (probs.data > 0.5) & off
+    z_map = enc.sample_relations(logits, "map", RngStream(1).child(2))
+    expected = (1.0 / (1.0 + np.exp(-logits.data)) > 0.5) & off
     np.testing.assert_array_equal(z_map.data.astype(bool), expected)
+    # only the relaxed sample is differentiable; the hard draws record no node
+    assert z_train.requires_grad and not (z_test.requires_grad or z_map.requires_grad)
     with pytest.raises(ConfigError):
         enc.sample_relations(logits, "banana", RngStream(1))
 
@@ -187,7 +189,7 @@ def test_relation_sampling_modes():
 def test_relation_sampling_zero_noise_gives_half():
     enc, _ = make_encoder()
     logits = DArray(np.zeros((1, 3, 3)))
-    _, z = enc.sample_relations(logits, "train", ZeroLogisticRng(0))
+    z = enc.sample_relations(logits, "train", ZeroLogisticRng(0))
     off = ~np.eye(3, dtype=bool)
     np.testing.assert_allclose(z.data[0][off], 0.5)
 

@@ -117,8 +117,7 @@ class GraphBlindProbe:
     def infer_graphs(self, scene, rng):
         z = np.ones((1, self.n, self.n))
         np.fill_diagonal(z[0], 0.0)
-        return [InteractionGraphSample(DArray(z), DArray(z),
-                                       DArray(np.zeros((1, self.n, self.n, 4))))]
+        return [InteractionGraphSample(DArray(z), DArray(np.zeros((1, self.n, self.n, 4))))]
 
     def rollout_ades(self, scene, graphs, rng):
         return rng.normal(loc=1.0, scale=0.01, size=self.k) ** 2
@@ -138,8 +137,7 @@ class TruthDynamicsProbe:
     def infer_graphs(self, scene, rng):
         z = scene.truth_graph.astype(float)[None]
         return [InteractionGraphSample(
-            DArray(z), DArray(z),
-            DArray(np.zeros((1, scene.n_agents, scene.n_agents, 4))))]
+            DArray(z), DArray(np.zeros((1, scene.n_agents, scene.n_agents, 4))))]
 
     def rollout_ades(self, scene, graphs, rng):
         graph = graphs[0].z.data[0].astype(np.int64)

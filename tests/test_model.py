@@ -119,12 +119,10 @@ def test_window_graph_ablation_changes_predictions(trained_small):
     if graphs[1].z.data.sum() == 0:
         z = graphs[1].z.data.copy()
         z[:, 0, 1] = 1.0
-        graphs[1] = InteractionGraphSample(graphs[1].probs, DArray(z),
-                                           graphs[1].edge_feats)
+        graphs[1] = InteractionGraphSample(DArray(z), graphs[1].edge_feats)
     zeroed = [g for g in graphs]
-    zeroed[1] = InteractionGraphSample(
-        graphs[1].probs, DArray(np.zeros_like(graphs[1].z.data)),
-        graphs[1].edge_feats)
+    zeroed[1] = InteractionGraphSample(DArray(np.zeros_like(graphs[1].z.data)),
+                                       graphs[1].edge_feats)
     kept = model.rollout(pos, cats, graphs, RngStream(6), noise=False).data
     cut = model.rollout(pos, cats, zeroed, RngStream(6), noise=False).data
     assert np.abs(kept - cut).max() > 1e-9

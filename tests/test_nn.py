@@ -8,7 +8,7 @@ from trajgraph.autodiff import DArray
 from trajgraph.checkpoint import load_checkpoint, save_checkpoint
 from trajgraph.errors import ContractError, DataError, NumericalError, ShapeError
 from trajgraph.nn import (MLP, Affine, BatchNorm, GRUStack, ParamStore,
-                          gradients, gru_gates, gru_step)
+                          gradients, gru_bias)
 from trajgraph.optim import Adam
 from trajgraph.rng import RngStream
 
@@ -92,53 +92,57 @@ def test_mlp_gradient_matches_finite_differences():
 
 
 def _one_gru(store, rng, n_in=3, n_hidden=4, prefix="g"):
-    """Registers a one-layer GRU; returns its gate blocks and fused params."""
-    params = GRUStack(store, prefix, n_in, n_hidden, 1, rng).params[0]
-    return gru_gates(*params), params
+    """Registers a one-layer GRU; returns it and its fused params."""
+    stack = GRUStack(store, prefix, n_in, n_hidden, 1, rng)
+    return stack, stack.params[0]
+
+
+def _step(stack, x, h):
+    return stack(x, [h])[0]
 
 
 def test_gru_zero_everything_gives_zero_hidden():
     store, rng = _store_rng()
-    gates, params = _one_gru(store, rng)
+    stack, params = _one_gru(store, rng)
     for p in params:
         p.data[...] = 0.0
-    out = gru_step(DArray(np.zeros((2, 3))), DArray(np.zeros((2, 4))), gates)
+    out = _step(stack, DArray(np.zeros((2, 3))), DArray(np.zeros((2, 4))))
     np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
 
 
 def test_gru_width_mismatch_raises():
     store, rng = _store_rng()
-    gates, _ = _one_gru(store, rng)
+    stack, _ = _one_gru(store, rng)
     with pytest.raises(ShapeError):
-        gru_step(DArray(np.zeros((2, 3))), DArray(np.zeros((2, 5))), gates)
+        _step(stack, DArray(np.zeros((2, 3))), DArray(np.zeros((2, 5))))
     with pytest.raises(ShapeError):
-        gru_step(DArray(np.zeros((2, 5))), DArray(np.zeros((2, 4))), gates)
+        _step(stack, DArray(np.zeros((2, 5))), DArray(np.zeros((2, 4))))
 
 
 def test_gru_gradient_matches_finite_differences():
     store, rng = _store_rng()
-    _, params = _one_gru(store, rng)
+    stack, _ = _one_gru(store, rng)
     x = DArray(rng_np.normal(size=(5, 3)), requires_grad=True)
     h = DArray(rng_np.normal(size=(5, 4)), requires_grad=True)
     arrays = [x, h] + [store[k] for k, _ in store.trainable_items()]
-    fd_probe_check(lambda: (gru_step(x, h, gru_gates(*params)) ** 2).sum(), arrays,
+    fd_probe_check(lambda: (_step(stack, x, h) ** 2).sum(), arrays,
                    rng_np, n_probes=25, eps=1e-6, rtol=1e-5, atol=1e-8)
 
 
 def test_gru_step_matches_fused_reference_plain_and_stacked():
     store, rng = _store_rng()
-    gates, params = _one_gru(store, rng)
+    stack, params = _one_gru(store, rng)
     x, h = rng_np.normal(size=(5, 3)), rng_np.normal(size=(5, 4))
-    out = gru_step(DArray(x), DArray(h), gates).data
+    out = _step(stack, DArray(x), DArray(h)).data
     ref = fused_gru_reference(x, h, *(p.data for p in params))
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
-    # C = 3 GRUs stacked on a leading axis; each row goes through the GRU
-    # of its own category
+    # C = 3 GRUs stacked on a leading axis, with each row's own folded
+    # biases picked; each row goes through the GRU of its own category
     per_cat = [params] + [_one_gru(store, rng, prefix=f"c{c}")[1] for c in (1, 2)]
     w_ih, w_hh, b_ih, b_hh = (ad.stack([p[i] for p in per_cat]) for i in range(4))
-    stacked = gru_gates(w_ih, w_hh, b_ih.reshape(3, 1, 12), b_hh.reshape(3, 1, 12))
     rows = np.array([2, 0, 1, 2, 0])
-    out = gru_step(DArray(x), DArray(h), stacked, rows).data
+    b_i, b_hn = gru_bias(b_ih, b_hh)
+    out = ad.gru_cell(DArray(x), DArray(h), w_ih, w_hh, b_i[rows], b_hn[rows], rows).data
     assert out.shape == (5, 4)
     for r, c in enumerate(rows):
         ref = fused_gru_reference(x[r:r + 1], h[r:r + 1], *(a.data for a in per_cat[c]))

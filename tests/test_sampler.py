@@ -87,7 +87,7 @@ def looped(monkeypatch):
                                           **predict_kw)
         stacked = [InteractionGraphSample(
             *(DArray(np.concatenate([getattr(g[w], f).data for g in graphs]))
-              for f in ("probs", "z", "edge_feats")))
+              for f in ("z", "edge_feats")))
             for w in range(len(graphs[0]))]
         return out, stacked
 
