@@ -27,8 +27,8 @@ from .errors import (ConfigError, ContractError, DataError, GenerationError,
 from .evaluation import (CATEGORY_HEADER, METRICS_HEADER, ModelGraphProbe,
                          eval_rollouts, graph_quality, metrics_csv_rows,
                          rollout_metrics, sampled_metrics, verify_bounds)
-from .graph_complexity import (graph_entropy, min_graph_entropy, r_density,
-                               random_majorizing_pair, verify_hlp)
+from .graph_complexity import (degree_entropy, graph_entropy, min_graph_entropy,
+                               r_density, random_majorizing_pair, verify_hlp)
 from .model import ModelConfig, TrajectoryModel
 from .plots import trajectory_svg
 from .rng import STREAM_EVAL, STREAM_THEORY, RngStream
@@ -200,7 +200,14 @@ def cmd_train(args) -> int:
             raise DataError(f"resume checkpoint epoch {start_epoch:g} is not a count")
         start_epoch = int(start_epoch)
         prev_best = float(state["meta.best_val"][0])
-        mix_state = MixState(alpha=float(state["meta.alpha"][0]),
+        if not prev_best >= 0:      # an ADE, or +inf before any validation
+            raise DataError(f"resume checkpoint record meta.best_val is {prev_best:g}, "
+                            "not an ADE")
+        alpha = float(state["meta.alpha"][0])
+        if not 0 < alpha < math.inf:
+            raise DataError(f"resume checkpoint record meta.alpha is {alpha:g}, "
+                            "not positive and finite")
+        mix_state = MixState(alpha=alpha,
                              epoch=start_epoch,
                              decay_interval=tcfg.alpha_decay_interval,
                              decay_factor=tcfg.alpha_decay_factor,
@@ -335,18 +342,13 @@ def cmd_verify_theory(args) -> int:
 
 def _brute_force_min_entropy(n_nodes: int, n_edges: int) -> float:
     """Exhaustive minimum over in-degree vectors (the CLI's oracle route)."""
-    if n_edges == 0:
-        return 0.0
-    best = math.inf
+    profiles = []
 
     def rec(remaining, max_part, degrees):
-        nonlocal best
         slots = n_nodes - len(degrees)
         if slots == 0:
             if remaining == 0:
-                z = np.asarray(degrees, dtype=np.float64)
-                p = z[z > 0] / n_edges
-                best = min(best, float(-(p * np.log(p)).sum() / math.log(n_nodes)))
+                profiles.append(degrees)
             return
         if remaining > max_part * slots:
             return
@@ -354,7 +356,7 @@ def _brute_force_min_entropy(n_nodes: int, n_edges: int) -> float:
             rec(remaining - d, d, degrees + [d])
 
     rec(n_edges, n_nodes - 1, [])
-    return best
+    return float(degree_entropy(np.array(profiles, dtype=np.float64)).min())
 
 
 def cmd_analyze_graphs(args) -> int:
@@ -375,10 +377,10 @@ def cmd_analyze_graphs(args) -> int:
     # per-scene per-window hard-graph statistics (MAP inference)
     lines = ["scene_id,window,n_edges,density,entropy"]
     for si, scene in enumerate(scenes):
-        for w, g in enumerate(probe.infer_graphs(scene, root.child(si))):
-            z = g.z.data[0]
-            lines.append(f"{scene.scene_id},{w},{int(z.sum())},"
-                         f"{r_density(z)!r},{graph_entropy(z)!r}")
+        z = np.stack([g.z.data[0] for g in probe.infer_graphs(scene, root.child(si))])
+        stats = zip(z.sum(axis=(1, 2)), r_density(z).tolist(), graph_entropy(z).tolist())
+        lines.extend(f"{scene.scene_id},{w},{int(e)},{den!r},{ent!r}"
+                     for w, (e, den, ent) in enumerate(stats))
     with atomic_open(out / "graph_stats.csv") as f:
         f.write("\n".join(lines) + "\n")
 

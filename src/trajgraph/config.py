@@ -47,9 +47,6 @@ class RunConfig:
     def __getitem__(self, section: str) -> dict:
         return self.sections[section]
 
-    def get(self, section: str, key: str):
-        return self.sections[section][key]
-
 
 def _coerce(section: str, key: str, raw: str):
     default = DEFAULTS[section][key]

@@ -40,10 +40,6 @@ class InteractionGraphSample:
     z: DArray            # (B, N, N); relaxed in train mode, {0,1} otherwise
     edge_feats: DArray   # (B, N, N, D), zero diagonal
 
-    @property
-    def n_agents(self) -> int:
-        return self.z.shape[-1]
-
 
 def offdiag_pairs(x: DArray) -> DArray:
     """(B, N, N, F) -> (B, N-1, N, F): the pairs i != j in row-major order.

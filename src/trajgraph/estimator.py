@@ -17,7 +17,7 @@ import inspect
 
 import numpy as np
 
-from .config import check_seed
+from .config import DEFAULTS, check_seed
 from .data import Scene, split_scenes
 from .errors import ConfigError, ContractError, DataError
 from .evaluation import ade_fde, eval_rollouts
@@ -68,8 +68,8 @@ class TrajectoryForecaster:
                  learning_rate=_T["learning_rate"], alpha_init=_T["alpha_init"],
                  alpha_decay_interval=_T["alpha_decay_interval"],
                  alpha_decay_factor=_T["alpha_decay_factor"],
-                 alpha_floor=_T["alpha_floor"], n_samples=20, val_fraction=0.1,
-                 seed=_T["seed"]):
+                 alpha_floor=_T["alpha_floor"], n_samples=DEFAULTS["eval"]["samples"],
+                 val_fraction=0.1, seed=_T["seed"]):
         self.n_categories = n_categories
         self.t_history = t_history
         self.t_future = t_future

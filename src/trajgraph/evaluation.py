@@ -11,7 +11,6 @@ change any number beyond the reordering of floating-point sums.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from .autodiff import DArray
 from .data import Normalizer, Scene
 from .encoder import InteractionGraphSample
 from .errors import ConfigError, ContractError, DataError
-from .graph_complexity import graph_entropy, r_density
+from .graph_complexity import degree_entropy, graph_entropy, r_density
 from .model import TrajectoryModel
 from .rng import STREAM_EVAL, STREAM_THEORY, RngStream
 
@@ -78,8 +77,7 @@ def rollout_metrics(scenes: list[Scene], rollouts: list[np.ndarray],
     for scene, out, z in zip(scenes, rollouts, graphs):
         ades, fdes = ade_fde(normalizer.denormalize(scene.positions[:, t_history:]),
                              normalizer.denormalize(out[:, :, t_history:]))   # (K, N)
-        stats = np.array([[(graph_entropy(zw), r_density(zw)) for zw in zk]
-                          for zk in z])                                     # (K, W, 2)
+        stats = np.stack([graph_entropy(z), r_density(z)], axis=-1)         # (K, W, 2)
         graph_stats.append(stats.mean(axis=1).mean(axis=0))
         scene_ade.append(ades.mean(axis=1))
         scene_fde.append(fdes.mean(axis=1))
@@ -107,7 +105,7 @@ def rollout_metrics(scenes: list[Scene], rollouts: list[np.ndarray],
 
 
 def sampled_metrics(model: TrajectoryModel, scenes: list[Scene],
-                    normalizer: Normalizer, n_samples: int = 20,
+                    normalizer: Normalizer, n_samples: int,
                     seed: int = 0, threads: int = 1,
                     sample_mode: str = "sample") -> MetricsRecord:
     """`rollout_metrics` of `eval_rollouts`; `threads` is accepted and ignored."""
@@ -256,14 +254,24 @@ def graph_quality(probe, scenes: list[Scene], significance: float = 0.05,
 
 def select_graph(probs: np.ndarray, previous: np.ndarray | None = None,
                  theta_low: float = 0.2, theta_high: float = 0.8,
-                 heuristic: str = "entropy",
-                 max_exhaustive: int = 16) -> np.ndarray:
+                 heuristic: str = "entropy") -> np.ndarray:
     """Pick a hard graph from edge probabilities.
 
-    Edges with p < theta_low are excluded and p > theta_high included;
-    the uncertain rest are completed by exhaustive search (up to
-    max_exhaustive uncertain edges) minimizing the graph entropy, or by
-    l1-similarity to the previous window's graph.
+    Edges with p < theta_low are excluded and p > theta_high included. The
+    "similarity" heuristic completes the uncertain rest by l1-similarity
+    to the previous window's graph; "entropy" returns a minimum-entropy
+    completion, exact for any number of uncertain edges.
+
+    Entropy depends only on the in-degrees d, and column j's in-degree
+    ranges over [L_j, U_j] (its certain edges; those plus its uncertain
+    ones) independently of the other columns. Off d = 0 entropy is
+    quasi-concave in d: d / sum(d) of a mix of two vectors is a mix of
+    their normalized vectors, and entropy is concave on the simplex. So
+    its minimum over the box lies at a corner (d = 0, of entropy 0, is a
+    corner whenever the box holds it): each column takes none or all of
+    its uncertain edges. `_min_entropy_corner` scores all 2^k corners, k
+    the number of columns holding an uncertain edge; the cost grows with
+    k, not with the number of uncertain edges.
     """
     probs = np.asarray(probs, dtype=np.float64)
     n = probs.shape[0]
@@ -271,46 +279,35 @@ def select_graph(probs: np.ndarray, previous: np.ndarray | None = None,
         raise ContractError("probabilities must lie in [0, 1]")
     offdiag = ~np.eye(n, dtype=bool)
     certain = (probs > theta_high) & offdiag
-    uncertain = list(zip(*np.nonzero((probs >= theta_low)
-                                     & (probs <= theta_high) & offdiag)))
-    base = certain.astype(np.float64)
-    if not uncertain:
-        return base
+    uncertain = (probs >= theta_low) & (probs <= theta_high) & offdiag
+    if not uncertain.any():
+        return certain.astype(np.float64)
 
     if heuristic == "similarity":
         if previous is None:
             raise ContractError("similarity heuristic needs the previous graph")
         # l1 distance decomposes per edge: copy the previous decision
-        out = base.copy()
-        for i, j in uncertain:
-            out[i, j] = 1.0 if previous[i, j] > 0.5 else 0.0
-        return out
+        return (certain | uncertain & (np.asarray(previous) > 0.5)).astype(np.float64)
     if heuristic != "entropy":
         raise ConfigError(f"unknown selection heuristic: {heuristic}")
+    low = certain.sum(axis=0)
+    full = _min_entropy_corner(low, low + uncertain.sum(axis=0))
+    return (certain | uncertain & full).astype(np.float64)
 
-    if len(uncertain) > max_exhaustive:
-        warnings.warn(
-            f"{len(uncertain)} uncertain edges exceed the exhaustive limit "
-            f"({max_exhaustive}); falling back to greedy selection")
-        out = base.copy()
-        for i, j in uncertain:
-            with_edge = out.copy()
-            with_edge[i, j] = 1.0
-            if graph_entropy(with_edge) < graph_entropy(out):
-                out = with_edge
-        return out
 
-    best = None
-    best_h = math.inf
-    for mask in range(1 << len(uncertain)):
-        cand = base.copy()
-        for bit, (i, j) in enumerate(uncertain):
-            if mask >> bit & 1:
-                cand[i, j] = 1.0
-        h = graph_entropy(cand)
-        if h < best_h:
-            best_h = h
-            best = cand
+def _min_entropy_corner(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The (N,) mask of the columns at their upper bound in the corner of
+    the in-degree box [low, high] with the least `degree_entropy`."""
+    free = np.flatnonzero(high > low)
+    best, best_h = np.zeros(len(low), dtype=bool), math.inf
+    for start in range(0, 1 << len(free), 1 << 16):      # in chunks of 2^16 corners
+        corner = np.arange(start, min(start + (1 << 16), 1 << len(free)))
+        up = np.zeros((len(corner), len(low)), dtype=bool)
+        up[:, free] = corner[:, None] >> np.arange(len(free)) & 1
+        h = degree_entropy(np.where(up, high, low).astype(np.float64))
+        i = int(np.argmin(h))
+        if h[i] < best_h:
+            best, best_h = up[i], h[i]
     return best
 
 

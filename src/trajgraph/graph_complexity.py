@@ -2,16 +2,19 @@
 closed-form minimizer, majorization utilities behind the proofs, and the
 competing sparsity penalties.
 
-Entropy accepts either a plain ndarray (reporting path: exact boundary
-values via the 0*ln(0) = 0 branch) or a DArray of relaxed edge weights
-(training path: differentiable, with a clamped log so gradients stay
-finite when a relaxed degree underflows). Edge convention throughout:
-Z[i, j] is the weight of the directed edge i -> j, so in-degrees are
-column sums.
+Every graph statistic has one body, written in autodiff ops over batched
+(..., N, N) graphs, and the entropy is a function of the in-degree vector
+alone (`degree_entropy`). A DArray of relaxed edge weights (training)
+stays differentiable, with a clamped log so gradients stay finite when a
+relaxed degree underflows. A plain ndarray (hard graphs in reports) runs
+the same ops as an untracked constant and comes back as a plain value.
+Edge convention throughout: Z[i, j] is the weight of the directed edge
+i -> j, so in-degrees are column sums.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,60 +27,58 @@ from .rng import RngStream
 LOG_FLOOR = 1e-12
 
 
-def _check_square(z: np.ndarray):
+def _check_square(z):
     if z.ndim < 2 or z.shape[-1] != z.shape[-2]:
         raise ContractError(f"adjacency must be square, got {z.shape}")
     if z.shape[-1] < 2:
         raise ContractError("graph entropy needs at least 2 nodes")
 
 
-def _hard_entropy(z: np.ndarray) -> float:
-    _check_square(z)
-    if z.ndim != 2:
-        raise ContractError("reporting-path entropy expects a single (N, N) graph")
-    n = z.shape[0]
-    d = z.sum(axis=0)
-    total = d.sum()
-    if total == 0:
-        return 0.0
-    if np.all(d == d[0]):
-        # uniform in-degrees: the maximizer, exactly 1 by definition
-        return 1.0
-    p = d[d > 0] / total
-    return float(-(p * np.log(p)).sum() / math.log(n))
+def _also_plain(fn):
+    """Let `fn`, written in autodiff ops, take a plain array too: it runs on
+    an untracked constant and returns the value, a float when 0-d."""
+    @functools.wraps(fn)
+    def wrapped(x):
+        if isinstance(x, DArray):
+            return fn(x)
+        out = fn(DArray(x)).data
+        return float(out) if out.ndim == 0 else out
+    return wrapped
 
 
-def relaxed_graph_entropy(z: DArray) -> DArray:
-    """Differentiable entropy of (..., N, N) relaxed adjacencies.
+@_also_plain
+def degree_entropy(d: DArray) -> DArray:
+    """Normalized Shannon entropy of (..., N) in-degree vectors, in [0, 1].
 
-    Returns one entropy value per leading index. Degrees below LOG_FLOOR
-    hit a clamped log, which only affects essentially-empty columns.
+    Exactly 0 without edge mass and exactly 1 when all in-degrees are
+    equal; such rows pass no gradient, and only they add tape nodes.
+    Degrees below LOG_FLOOR hit a clamped log, which only affects
+    essentially-empty columns.
     """
-    _check_square(z.data)
-    n = z.shape[-1]
-    d = z.sum(axis=-2)                      # in-degrees, (..., N)
-    total = d.sum(axis=-1, keepdims=True)   # (..., 1)
+    n = d.shape[-1]
+    if n < 2:
+        raise ContractError("graph entropy needs at least 2 nodes")
+    total = d.sum(axis=-1, keepdims=True)
     p = d / ad.clamp_min(total, LOG_FLOOR)
-    plogp = p * ad.log(ad.clamp_min(p, LOG_FLOOR))
-    h = -plogp.sum(axis=-1) / math.log(n)
-    # graphs with no edge mass at all have zero entropy by convention
-    empty = (z.data.sum(axis=(-2, -1)) == 0)
-    if empty.any():
-        h = h * (~empty).astype(np.float64)
+    h = -(p * ad.log(ad.clamp_min(p, LOG_FLOOR))).sum(axis=-1) / math.log(n)
+    empty = total.data[..., 0] == 0
+    uniform = ~empty & (d.data == d.data[..., :1]).all(axis=-1)
+    if empty.any() or uniform.any():
+        h = h * ~(empty | uniform) + uniform
     return h
 
 
-def graph_entropy(z) -> float | DArray:
-    """Normalized in-degree Shannon entropy of one graph, in [0, 1]."""
-    if isinstance(z, DArray):
-        out = relaxed_graph_entropy(z)
-        return out
-    z = np.asarray(z, dtype=np.float64)
-    if (z < 0).any():
-        raise ContractError("adjacency entries must be nonnegative")
-    if np.abs(np.diagonal(z, axis1=-2, axis2=-1)).max(initial=0.0) != 0:
-        raise ContractError("adjacency diagonal must be zero")
-    return _hard_entropy(z)
+def graph_entropy(z) -> float | np.ndarray | DArray:
+    """`degree_entropy` of (..., N, N) graphs: one value per leading index.
+    A plain array must be nonnegative with a zero diagonal."""
+    if not isinstance(z, DArray):
+        z = np.asarray(z, dtype=np.float64)
+        if (z < 0).any():
+            raise ContractError("adjacency entries must be nonnegative")
+        if np.abs(np.diagonal(z, axis1=-2, axis2=-1)).max(initial=0.0) != 0:
+            raise ContractError("adjacency diagonal must be zero")
+    _check_square(z)
+    return degree_entropy(z.sum(axis=-2))
 
 
 def min_graph_entropy(n_nodes: int, n_edges: int) -> float:
@@ -161,32 +162,23 @@ def random_majorizing_pair(rng: RngStream, n: int,
     return x, y
 
 
-def r_density(z):
+@_also_plain
+def r_density(z: DArray) -> DArray:
     """Mean off-diagonal edge weight: |E| / (N (N - 1))."""
-    if isinstance(z, DArray):
-        n = z.shape[-1]
-        _check_square(z.data)
-        return z.sum(axis=(-2, -1)) / float(n * (n - 1))
-    z = np.asarray(z, dtype=np.float64)
     _check_square(z)
     n = z.shape[-1]
-    return float(z.sum()) / (n * (n - 1))
+    return z.sum(axis=(-2, -1)) / float(n * (n - 1))
 
 
-def r_degree(z):
+@_also_plain
+def r_degree(z: DArray) -> DArray:
     """Maximum in-degree over N; max ties break toward the lowest node."""
-    if isinstance(z, DArray):
-        _check_square(z.data)
-        n = z.shape[-1]
-        d = z.sum(axis=-2)
-        return ad.reduce_max(d, axis=-1) / float(n)
-    z = np.asarray(z, dtype=np.float64)
     _check_square(z)
-    return float(z.sum(axis=0).max()) / z.shape[-1]
+    return ad.reduce_max(z.sum(axis=-2), axis=-1) / float(z.shape[-1])
 
 
 PENALTIES = {
-    "entropy": relaxed_graph_entropy,
+    "entropy": graph_entropy,
     "density": r_density,
     "degree": r_degree,
 }

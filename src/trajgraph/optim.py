@@ -48,7 +48,8 @@ class Adam:
         return out
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
-        """Restore `state_dict()` output; a missing or misshapen record is a DataError."""
+        """Restore `state_dict()` output; a missing, misshapen or non-finite
+        record is a DataError."""
         expected = {"opt.t": (1,)}
         for k, m in self.m.items():
             expected[f"opt.m.{k}"] = expected[f"opt.v.{k}"] = m.shape
@@ -58,6 +59,8 @@ class Adam:
             if state[key].shape != shape:
                 raise DataError(f"optimizer record {key} has shape {state[key].shape}, "
                                 f"expected {shape}")
+            if not np.isfinite(state[key]).all():
+                raise DataError(f"optimizer record {key} holds a non-finite value")
         t = float(state["opt.t"][0])
         if not t.is_integer() or t < 0:
             raise DataError(f"optimizer step count {t:g} is not a count")

@@ -25,8 +25,7 @@ from . import autodiff as ad
 from .autodiff import DArray
 from .data import Scene
 from .errors import ConfigError, ContractError, NumericalError, ShapeError
-from .graph_complexity import (PENALTIES, r_density, regularized_loss,
-                               relaxed_graph_entropy)
+from .graph_complexity import PENALTIES, graph_entropy, r_density, regularized_loss
 from .model import TrajectoryModel
 from .nn import gradients
 from .optim import Adam
@@ -142,14 +141,6 @@ def mix(pred, truth, lam: float):
     return lam * pred + (1.0 - lam) * truth
 
 
-def relaxed_graph_stats(graphs) -> tuple[float, float]:
-    """Mean (entropy, density) of the sampled adjacencies, for logging."""
-    with ad.no_grad():
-        ent = [relaxed_graph_entropy(g.z).data.mean() for g in graphs]
-        den = [r_density(g.z).data.mean() for g in graphs]
-    return float(np.mean(ent)), float(np.mean(den))
-
-
 def _strategy_losses(model: TrajectoryModel, pos: np.ndarray, cats: np.ndarray,
                      rng: RngStream, cfg: TrainConfig, alpha: float,
                      optimizer: Adam) -> dict:
@@ -183,9 +174,10 @@ def _strategy_losses(model: TrajectoryModel, pos: np.ndarray, cats: np.ndarray,
         _finite_or_raise(imitation)
         optimizer.step(gradients(imitation, model.store))
         l2 = imitation.item()
-    ent, den = relaxed_graph_stats(graphs)
+    z = np.stack([g.z.data for g in graphs])          # (W, B, N, N)
     return {"loss": recon.item(), "l1": recon.item(), "l2": l2,
-            "entropy": ent, "density": den}
+            "entropy": float(graph_entropy(z).mean(axis=-1).mean()),
+            "density": float(r_density(z).mean(axis=-1).mean())}
 
 
 def _finite_or_raise(loss: DArray):

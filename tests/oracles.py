@@ -578,6 +578,58 @@ def brute_force_min_entropy(n_nodes, n_edges):
     return best
 
 
+def hard_entropy(z):
+    """Normalized in-degree entropy of one hard (N, N) graph, from its
+    positive in-degrees only; exactly 1 for equal in-degrees."""
+    d = np.asarray(z, dtype=np.float64).sum(axis=0)
+    total = d.sum()
+    if total == 0:
+        return 0.0
+    if np.all(d == d[0]):
+        return 1.0
+    p = d[d > 0] / total
+    return float(-(p * np.log(p)).sum() / math.log(len(d)))
+
+
+def _entropy_rows(d):
+    """Normalized entropy of each row of a (P, N) in-degree array; 0 for a
+    row without edges."""
+    total = d.sum(axis=1, keepdims=True)
+    p = np.divide(d, total, out=np.zeros_like(d), where=total > 0)
+    plogp = p * np.log(np.where(p > 0, p, 1.0))
+    return -plogp.sum(axis=1) / math.log(d.shape[1])
+
+
+def brute_force_selection_entropy(probs, theta_low, theta_high):
+    """Minimum entropy over every completion of the uncertain edges
+    (U <= 16): all 2^U graphs are built and their column sums scored."""
+    n = probs.shape[0]
+    offdiag = ~np.eye(n, dtype=bool)
+    certain = ((probs > theta_high) & offdiag).astype(np.float64)
+    rows, cols = np.nonzero((probs >= theta_low) & (probs <= theta_high) & offdiag)
+    if len(rows) > 16:
+        raise ValueError(f"{len(rows)} uncertain edges is too many to enumerate")
+    masks = np.arange(1 << len(rows))
+    graphs = np.repeat(certain[None], len(masks), axis=0)
+    for bit, (i, j) in enumerate(zip(rows, cols)):
+        graphs[:, i, j] = masks >> bit & 1
+    return float(_entropy_rows(graphs.sum(axis=1)).min())
+
+
+def degree_box_min_entropy(low, high):
+    """Minimum entropy over every integer in-degree vector with
+    low <= d <= high, two leading columns looped and the rest vectorized."""
+    n = len(low)
+    ranges = [np.arange(lo, hi + 1) for lo, hi in zip(low, high)]
+    tail = np.stack(np.meshgrid(*ranges[2:], indexing="ij"), axis=-1).reshape(-1, n - 2)
+    best = math.inf
+    for a in ranges[0]:
+        for b in ranges[1]:
+            d = np.column_stack([np.full(len(tail), a), np.full(len(tail), b), tail])
+            best = min(best, float(_entropy_rows(d.astype(np.float64)).min()))
+    return best
+
+
 def per_sample_rollouts(model, positions, categories, streams, **predict_kw):
     """One `predict_batch` call per stream: (K, B, N, T, 2) predictions and
     the K per-sample lists of window graphs."""

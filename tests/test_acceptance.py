@@ -24,8 +24,7 @@ from trajgraph.evaluation import (BoundScenario, ade_fde, sampled_metrics,
                                   select_graph, theorem_bounds, verify_bounds)
 from trajgraph.graph_complexity import (graph_entropy, min_graph_entropy,
                                         random_majorizing_pair,
-                                        regularized_loss,
-                                        relaxed_graph_entropy, verify_hlp)
+                                        regularized_loss, verify_hlp)
 from trajgraph.model import ModelConfig, TrajectoryModel
 from trajgraph.nn import ParamStore, gradients
 from trajgraph.rng import RngStream
@@ -138,7 +137,7 @@ def test_criterion_1_gradient_suite():
     z_soft = R.uniform(0.05, 0.95, size=(4, 4))
     np.fill_diagonal(z_soft, 0.0)
     zd = DArray(z_soft, requires_grad=True)
-    worst = max(worst, _probe(lambda: relaxed_graph_entropy(zd), [zd]))
+    worst = max(worst, _probe(lambda: graph_entropy(zd), [zd]))
 
     # (f) full loss: reconstruction + entropy penalty through the encoder
     def full_loss():

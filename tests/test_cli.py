@@ -162,6 +162,31 @@ def test_resume_with_missing_records_exit_code(workspace, tmp_path, capsys):
         assert err.startswith("data error: ") and any(k in err for k in dropped)
 
 
+@pytest.mark.parametrize("prefix, value", [
+    ("meta.best_val", np.nan),
+    ("meta.alpha", np.nan),
+    ("meta.alpha", 0.0),
+    ("opt.m.", np.nan),
+], ids=["best_val_nan", "alpha_nan", "alpha_zero", "adam_moment_nan"])
+def test_resume_non_finite_record_exit_code(workspace, tmp_path, capsys, prefix, value):
+    """A resume record out of its range is a data error naming the record,
+    and no checkpoint is written."""
+    root, cfg, data, run = workspace
+    state = load_checkpoint(run / "last.ckpt")
+    key = next(k for k in state if k.startswith(prefix))
+    state[key] = state[key].copy()
+    state[key].reshape(-1)[0] = value
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, state)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(out), "--resume", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and key in err
+    assert not (out / "model.ckpt").exists() and not (out / "last.ckpt").exists()
+
+
 def test_evaluate_metrics_format_and_determinism(workspace, tmp_path):
     root, cfg, data, run = workspace
     out1, out2 = tmp_path / "e1", tmp_path / "e2"

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from trajgraph.evaluation import (BoundScenario, GraphQualityReport,
 from trajgraph.graph_complexity import graph_entropy
 from trajgraph.rng import RngStream
 
-from oracles import naive_ade_fde
+from oracles import (brute_force_selection_entropy, degree_box_min_entropy,
+                     entropy_of_degrees, hard_entropy, naive_ade_fde)
 
 rng_np = np.random.default_rng(83)
 
@@ -262,13 +264,81 @@ def test_similarity_requires_previous():
         select_graph(probs, heuristic="similarity")
 
 
-def test_too_many_uncertain_edges_falls_back_to_greedy():
-    n = 6
-    probs = np.full((n, n), 0.5)
+def _edge_classes(probs, theta_low=0.2, theta_high=0.8):
+    offdiag = ~np.eye(len(probs), dtype=bool)
+    certain = (probs > theta_high) & offdiag
+    return certain, (probs >= theta_low) & (probs <= theta_high) & offdiag
+
+
+def _assert_corner_completion(probs, z):
+    """Certain edges kept, excluded ones left out, and each column takes
+    none or all of its uncertain edges."""
+    certain, uncertain = _edge_classes(probs)
+    assert (z[certain] == 1).all() and (z[~certain & ~uncertain] == 0).all()
+    for j in range(len(probs)):
+        assert len(set(z[uncertain[:, j], j])) <= 1, j
+
+
+def test_entropy_selection_matches_edge_subset_brute_force():
+    rng = np.random.default_rng(41)
+    checked = 0
+    while checked < 300:
+        n = int(rng.integers(3, 6))
+        probs = rng.uniform(size=(n, n))
+        np.fill_diagonal(probs, 0.0)
+        if _edge_classes(probs)[1].sum() > 16:    # beyond the oracle's reach
+            continue
+        z = select_graph(probs, theta_low=0.2, theta_high=0.8)
+        assert abs(hard_entropy(z) - brute_force_selection_entropy(probs, 0.2, 0.8)) <= 1e-12
+        _assert_corner_completion(probs, z)
+        checked += 1
+
+
+def test_entropy_selection_matches_degree_box_brute_force():
+    """8-node cases with at least 30 uncertain edges, where the search must
+    reach the minimum over every integer in-degree vector it could realize."""
+    rng = np.random.default_rng(43)
+    checked = 0
+    while checked < 10:
+        probs = rng.uniform(size=(8, 8))
+        np.fill_diagonal(probs, 0.0)
+        certain, uncertain = _edge_classes(probs)
+        if uncertain.sum() < 30:
+            continue
+        z = select_graph(probs, theta_low=0.2, theta_high=0.8)
+        low = certain.sum(axis=0)
+        best = degree_box_min_entropy(low, low + uncertain.sum(axis=0))
+        assert abs(hard_entropy(z) - best) <= 1e-12
+        _assert_corner_completion(probs, z)
+        checked += 1
+
+
+def test_fourteen_node_all_uncertain_selection_is_fast():
+    probs = np.full((14, 14), 0.5)
     np.fill_diagonal(probs, 0.0)
-    with pytest.warns(UserWarning, match="greedy"):
-        z = select_graph(probs, max_exhaustive=16)
-    assert z.shape == (n, n)
+    start = time.perf_counter()
+    z = select_graph(probs)
+    assert time.perf_counter() - start < 10.0
+    assert hard_entropy(z) == 0.0
+
+
+def test_selection_searches_every_corner_chunk():
+    """18 columns hold uncertain edges (2^18 corners, searched in chunks).
+    Columns 0-16 have one certain and one uncertain edge each; column 17
+    has 17 uncertain ones. By symmetry a corner is fixed by how many of
+    columns 0-16 take their edge and whether column 17 takes all of its."""
+    n = 18
+    probs = np.zeros((n, n))
+    for j in range(n - 1):
+        probs[(j + 1) % n, j] = 0.9
+        probs[(j + 2) % n, j] = 0.5
+    probs[:n - 1, n - 1] = 0.5
+    z = select_graph(probs)
+    best = min(entropy_of_degrees([2] * c + [1] * (n - 1 - c) + [top], n)
+               for c in range(n) for top in (0, n - 1))
+    assert abs(hard_entropy(z) - best) <= 1e-12
+    assert z[:n - 1, n - 1].all()      # the least-entropy corner sets the last column
+    _assert_corner_completion(probs, z)
 
 
 # ------------------------------------------------------------ theorem bounds
