@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
-from .config import RunConfig, check_seed, load_config, parse_float_list
+from .config import (SPLITS, RunConfig, check_seed, load_config,
+                     parse_float_list)
 from .data import (Normalizer, Scene, SyntheticConfig, generate_synthetic,
                    load_csv, save_csv, split_scenes)
 from .errors import (ConfigError, ContractError, DataError, GenerationError,
@@ -59,8 +60,7 @@ def _model_state_with_config(model: TrajectoryModel, strategy: str,
 def _split_meta(state: dict) -> tuple[ModelConfig, str, float, dict]:
     cfg_kwargs = {}
     params = {}
-    strategy = "plain"
-    gamma = 0.0
+    strategy, gamma = TrainConfig.strategy, TrainConfig.gamma
     for key, value in state.items():
         if key.startswith("cfg.") and (value.shape != (1,) or not np.isfinite(value[0])):
             raise DataError(f"checkpoint record {key} is not one finite number")
@@ -207,30 +207,28 @@ def cmd_train(args) -> int:
         if not 0 < alpha < math.inf:
             raise DataError(f"resume checkpoint record meta.alpha is {alpha:g}, "
                             "not positive and finite")
-        mix_state = MixState(alpha=alpha,
-                             epoch=start_epoch,
-                             decay_interval=tcfg.alpha_decay_interval,
-                             decay_factor=tcfg.alpha_decay_factor,
-                             floor=tcfg.alpha_floor)
+        mix_state = MixState(alpha)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     log_path = out / "train_log.csv"
-    mode = "a" if args.resume and log_path.exists() else "w"
-    with open(log_path, mode) as log_file:
-        if mode == "w":
-            log_file.write(LOG_HEADER + "\n")
+    fresh = not (args.resume and log_path.exists())
 
-        def log_fn(row):
-            log_file.write(",".join([
+    def log_fn(row):
+        # the first row creates --out and the log, so a resume whose
+        # optimizer records fail to load leaves no output behind
+        nonlocal fresh
+        out.mkdir(parents=True, exist_ok=True)
+        with open(log_path, "w" if fresh else "a") as log_file:
+            log_file.write((LOG_HEADER + "\n" if fresh else "") + ",".join([
                 str(row["epoch"]), row["strategy"], repr(row["train_loss"]),
                 repr(row["val_loss"]), repr(row["L1"]), repr(row["L2"]),
                 repr(row["entropy"]), repr(row["density"]), repr(row["alpha"]),
                 repr(row["gamma"])]) + "\n")
+        fresh = False
 
-        result = train(model, tcfg, train_scenes, val_scenes,
-                       start_epoch=start_epoch, optimizer_state=optimizer_state,
-                       mix_state=mix_state, log_fn=log_fn)
+    result = train(model, tcfg, train_scenes, val_scenes,
+                   start_epoch=start_epoch, optimizer_state=optimizer_state,
+                   mix_state=mix_state, log_fn=log_fn)
 
     # best-of-run checkpoint (kept from the previous run segment if better)
     if result.best_val_ade <= prev_best:
@@ -252,10 +250,10 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, {("eval", "samples"): args.samples,
+                                    ("eval", "split"): args.split,
                                     ("eval", "seed"): args.seed})
     model, strategy, gamma = load_model(args.checkpoint)
-    split = cfg["eval"]["split"] if args.split is None else args.split
-    scenes, norm = _load_split(args.data, split, model.cfg.n_categories)
+    scenes, norm = _load_split(args.data, cfg["eval"]["split"], model.cfg.n_categories)
     rollouts, graphs = eval_rollouts(model, scenes, cfg["eval"]["samples"],
                                      cfg["eval"]["seed"])
     record = rollout_metrics(scenes, rollouts, graphs, norm, model.cfg.t_history)
@@ -361,13 +359,13 @@ def _brute_force_min_entropy(n_nodes: int, n_edges: int) -> float:
 
 def cmd_analyze_graphs(args) -> int:
     cfg = load_config(args.config, {("eval", "samples"): args.samples,
+                                    ("eval", "split"): args.split,
                                     ("eval", "seed"): args.seed})
     samples = _at_least(cfg["eval"]["samples"], 1, "--samples / [eval] samples")
     _at_least(args.quality_scenes, 0, "--quality-scenes")
     _at_least(args.svg_scenes, 0, "--svg-scenes")
     model, _, _ = load_model(args.checkpoint)
-    split = cfg["eval"]["split"] if args.split is None else args.split
-    scenes, norm = _load_split(args.data, split, model.cfg.n_categories)
+    scenes, norm = _load_split(args.data, cfg["eval"]["split"], model.cfg.n_categories)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg["eval"]["seed"]
@@ -483,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", default=None, choices=["train", "val", "test"])
+    p.add_argument("--split", default=None, choices=SPLITS)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--export-trajectories", action="store_true")
     p.set_defaults(fn=cmd_evaluate)
@@ -499,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", default=None, choices=["train", "val", "test"])
+    p.add_argument("--split", default=None, choices=SPLITS)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--quality-scenes", type=int, default=4)
     p.add_argument("--svg", action="store_true")

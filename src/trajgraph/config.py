@@ -6,8 +6,8 @@ batch 128 for 200 epochs, Adam at 1e-3, concrete temperature 0.5, mixup
 concentration 10 halving every 10 epochs); the [data], [model] and
 [train] ones are the SyntheticConfig, ModelConfig and TrainConfig
 defaults. Unknown sections or keys are rejected for typo safety.
-Command-line flags override file values. Every seed, from a file or a
-flag, must be a non-negative integer.
+Command-line flags override file values. Every seed must be a non-negative
+integer, and `[eval] split` one of `SPLITS`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .data import SyntheticConfig
 from .errors import ConfigError
 from .model import ModelConfig
 from .training import TrainConfig
+
+SPLITS = ("train", "val", "test")
 
 DEFAULTS: dict[str, dict] = {
     # the SyntheticConfig defaults, its optional arrays as comma-separated
@@ -108,6 +110,9 @@ def load_config(path: str | Path | None = None,
     for section, values in sections.items():
         if "seed" in values:
             check_seed(values["seed"], f"[{section}] seed")
+    if sections["eval"]["split"] not in SPLITS:
+        raise ConfigError(f"[eval] split must be one of {', '.join(SPLITS)}, "
+                          f"got {sections['eval']['split']!r}")
     return RunConfig(sections)
 
 

@@ -301,7 +301,7 @@ class SyntheticConfig:
 def simulate_scene(rng: RngStream, n_agents: int, categories: np.ndarray,
                    truth_graph: np.ndarray, coupling: np.ndarray,
                    damping: np.ndarray, n_steps: int, dt: float,
-                   init_box: float = 1.0, init_vel: float = 0.6) -> np.ndarray:
+                   init_box: float, init_vel: float) -> np.ndarray:
     """Semi-implicit Euler rollout of spring-coupled, damped agents.
 
     Acceleration of agent j sums coupling[c_i, c_j] * (x_i - x_j) over

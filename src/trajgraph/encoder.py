@@ -107,7 +107,7 @@ class GraphEncoder:
         return v_t, e_t
 
     def sample_edge_features(self, e_tilde: DArray, rng: RngStream,
-                             noise_scale: float = 1.0) -> DArray:
+                             noise_scale: float) -> DArray:
         """Reparameterized Gaussian around the edge embeddings."""
         if noise_scale == 0.0:
             return e_tilde
@@ -153,7 +153,7 @@ class GraphEncoder:
 class EncoderRun:
     """Stateful window-by-window pass; edge GRU state persists per scene."""
 
-    def __init__(self, encoder: GraphEncoder, edge_noise_scale: float = 1.0):
+    def __init__(self, encoder: GraphEncoder, edge_noise_scale: float):
         self.encoder = encoder
         self.edge_noise_scale = edge_noise_scale
         self.state: list[DArray] | None = None

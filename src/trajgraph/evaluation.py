@@ -25,6 +25,8 @@ from .graph_complexity import degree_entropy, graph_entropy, r_density
 from .model import TrajectoryModel
 from .rng import STREAM_EVAL, STREAM_THEORY, RngStream
 
+SIGNIFICANCE = 0.05   # level of the edge audit's one-sided Mann-Whitney U tests
+
 
 def ade_fde(truth: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-agent average and final displacement error over (N, T_f, 2);
@@ -49,7 +51,7 @@ class MetricsRecord:
 
 
 def eval_rollouts(model: TrajectoryModel, scenes: list[Scene], n_samples: int,
-                  seed: int = 0, sample_mode: str = "sample",
+                  seed: int, sample_mode: str = "sample",
                   ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """`TrajectoryModel.sample_scenes` with the evaluation streams: sample k
     of an N-agent scene redraws relations, edge features and head noise
@@ -106,7 +108,7 @@ def rollout_metrics(scenes: list[Scene], rollouts: list[np.ndarray],
 
 def sampled_metrics(model: TrajectoryModel, scenes: list[Scene],
                     normalizer: Normalizer, n_samples: int,
-                    seed: int = 0, threads: int = 1,
+                    seed: int, threads: int = 1,
                     sample_mode: str = "sample") -> MetricsRecord:
     """`rollout_metrics` of `eval_rollouts`; `threads` is accepted and ignored."""
     rollouts, graphs = eval_rollouts(model, scenes, n_samples, seed, sample_mode)
@@ -204,14 +206,13 @@ class GraphQualityReport:
         return self.n_missing / d if d > 0 else math.inf if self.n_missing else 0.0
 
 
-def graph_quality(probe, scenes: list[Scene], significance: float = 0.05,
-                  seed: int = 0) -> GraphQualityReport:
+def graph_quality(probe, scenes: list[Scene], seed: int) -> GraphQualityReport:
     """Edge necessity/sufficiency audit via removal and addition probes.
 
     An inferred edge is redundant when removing it (from every window)
     does not significantly increase the rollout error distribution; an
     absent edge is missing when adding it significantly decreases it.
-    One-sided Mann-Whitney U at the given significance level.
+    One-sided Mann-Whitney U at level `SIGNIFICANCE`.
     """
     root = RngStream(seed).child(STREAM_EVAL, 777)
     e_total = e1 = e2 = skipped = 0
@@ -238,13 +239,13 @@ def graph_quality(probe, scenes: list[Scene], significance: float = 0.05,
                     edited = _edit_graphs(graphs, i, j, 0.0)
                     errs = probe.rollout_ades(scene, edited, rng.child(pair_idx))
                     p = sps.mannwhitneyu(errs, base, alternative="greater").pvalue
-                    if p >= significance:     # no significant increase
+                    if p >= SIGNIFICANCE:     # no significant increase
                         e1 += 1
                 else:
                     edited = _edit_graphs(graphs, i, j, 1.0)
                     errs = probe.rollout_ades(scene, edited, rng.child(pair_idx))
                     p = sps.mannwhitneyu(errs, base, alternative="less").pvalue
-                    if p < significance:      # significant decrease
+                    if p < SIGNIFICANCE:      # significant decrease
                         e2 += 1
     return GraphQualityReport(n_edges=e_total, n_redundant=e1, n_missing=e2,
                               n_scenes=len(scenes), n_skipped=skipped)
@@ -356,7 +357,7 @@ class BoundsReport:
                 and self.violations_imitation == 0 and self.violations_ordering == 0)
 
 
-def verify_bounds(seed: int = 0, trials: int = 1000, dim: int = 4,
+def verify_bounds(seed: int, trials: int, dim: int = 4,
                   lam_samples: int = 200, tol: float = 1e-9) -> BoundsReport:
     """Monte-Carlo check of the recursive error bounds on affine systems.
 

@@ -185,7 +185,7 @@ PENALTIES = {
 
 
 def regularized_loss(recon_loss: DArray, graphs: list[DArray], gamma: float,
-                     penalty: str = "entropy") -> DArray:
+                     penalty: str) -> DArray:
     """recon + (gamma / M) * sum over windows of the chosen penalty.
 
     Each graph may carry leading batch dims; the penalty is averaged over

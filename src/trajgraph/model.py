@@ -14,8 +14,11 @@ Rollout input modes:
   teacher    ground truth at every step (the TF baseline);
   free_run   ground truth during history, own predictions afterwards;
   boundary   free_run, but at each window boundary the next window is
-             seeded with lam * stop_grad(prediction) + (1 - lam) * truth
+             seeded with mix(stop_grad(prediction), truth, lam)
              (lam = 0 recovers the TF+ baseline).
+
+`ModelConfig.step_noise` is the one head-noise switch; only `predict_batch`
+overrides `edge_noise_scale` (the edge-quality audit sets it to 0).
 """
 
 from __future__ import annotations
@@ -62,8 +65,15 @@ class ModelConfig:
                               f"got {self.edge_noise_scale}")
 
 
+def mix(pred, truth, lam: float):
+    """Convex combination lam * pred + (1 - lam) * truth."""
+    if not 0.0 <= lam <= 1.0:
+        raise ContractError("mixing coefficient must lie in [0, 1]")
+    return lam * pred + (1.0 - lam) * truth
+
+
 class TrajectoryModel:
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
+    def __init__(self, cfg: ModelConfig, seed: int):
         self.cfg = cfg
         self.seed = seed
         self.plan: WindowPlan = plan_windows(cfg.t_history, cfg.t_future, cfg.tau)
@@ -109,12 +119,10 @@ class TrajectoryModel:
     # ------------------------------------------------------ graph inference
     def infer_graphs_from_truth(self, positions: np.ndarray, rng: RngStream,
                                 mode: str = "train", train: bool = True,
-                                edge_noise_scale: float | None = None,
                                 ) -> list[InteractionGraphSample]:
         """One graph per window, embedded from the given full trajectory."""
         self._check_steps(positions)
-        scale = self.cfg.edge_noise_scale if edge_noise_scale is None else edge_noise_scale
-        run = EncoderRun(self.encoder, scale)
+        run = EncoderRun(self.encoder, self.cfg.edge_noise_scale)
         graphs = []
         for w in range(self.plan.n_windows):
             lo, hi = self.plan.window_steps(w)
@@ -125,7 +133,6 @@ class TrajectoryModel:
     def rollout(self, positions: np.ndarray, categories: np.ndarray,
                 graphs: list[InteractionGraphSample], rng: RngStream, *,
                 input_mode: str = "free_run", lam: float | None = None,
-                noise: bool | None = None,
                 boundary_probe: DArray | None = None) -> DArray:
         """Recursive decode over the full horizon with fixed graphs.
 
@@ -144,11 +151,10 @@ class TrajectoryModel:
             raise ContractError(
                 f"rollout needs {needed} window graphs, got {len(graphs)}")
         return self._decode(positions, categories, lambda w, inputs: graphs[w],
-                            rng, input_mode, lam, noise, boundary_probe)
+                            rng, input_mode, lam, boundary_probe)
 
     def predict_batch(self, positions: np.ndarray, categories: np.ndarray,
                       rng: RngStream, sample_mode: str = "sample",
-                      noise: bool | None = None,
                       edge_noise_scale: float | None = None,
                       ) -> tuple[np.ndarray, list[InteractionGraphSample]]:
         """Free-run decode on graphs re-inferred from its own predictions.
@@ -171,7 +177,7 @@ class TrajectoryModel:
 
         with ad.no_grad():
             preds = self._decode(positions, categories, window_graph, rng,
-                                 "free_run", None, noise, None)
+                                 "free_run", None, None)
         out = positions.copy()
         t_hist = self.cfg.t_history
         out[:, :, t_hist:] = preds.data[:, :, t_hist:]
@@ -179,8 +185,7 @@ class TrajectoryModel:
 
     def _decode(self, positions: np.ndarray, categories: np.ndarray,
                 window_graph, rng: RngStream, input_mode: str,
-                lam: float | None, noise: bool | None,
-                boundary_probe: DArray | None) -> DArray:
+                lam: float | None, boundary_probe: DArray | None) -> DArray:
         """The one recursive loop behind `rollout` and `predict_batch`.
 
         `window_graph(w, inputs)` returns window w's graph, given the
@@ -188,7 +193,6 @@ class TrajectoryModel:
         """
         plan = self.plan
         t_hist = self.cfg.t_history
-        use_noise = self.cfg.step_noise if noise is None else noise
         b, n = positions.shape[0], positions.shape[1]
         dec = DecoderRun(self.decoder, b, n, categories)
 
@@ -205,13 +209,13 @@ class TrajectoryModel:
                 pred_b = preds[t]
                 if boundary_probe is not None:
                     pred_b = pred_b * boundary_probe
-                x_in = lam * pred_b.detach() + (1.0 - lam) * truth_t
+                x_in = mix(pred_b.detach(), truth_t, lam)
             else:
                 x_in = preds[t]
             inputs.append(x_in)
             gi = plan.graph_index_for_target(t + 1)
             graph = window_graph(gi, inputs) if gi >= 0 else None
-            if use_noise:
+            if self.cfg.step_noise:
                 eps = rng.child(RK_STEP_NOISE, t).normal(
                     size=(b, n, self.cfg.hidden_dim))
             else:

@@ -77,13 +77,11 @@ class ParamStore:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self._items.items()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True):
+    def load_state_dict(self, state: dict[str, np.ndarray]):
         """Restore values in place so existing layer references stay valid."""
         for k, v in self._items.items():
             if k not in state:
-                if strict:
-                    raise ContractError(f"checkpoint missing parameter: {k}")
-                continue
+                raise ContractError(f"checkpoint missing parameter: {k}")
             src = np.asarray(state[k], dtype=np.float64)
             if src.shape != v.data.shape:
                 raise ShapeError(

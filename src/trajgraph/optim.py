@@ -11,7 +11,7 @@ from .nn import ParamStore
 class Adam:
     """Standard Adam with bias correction; one exclusive step at a time."""
 
-    def __init__(self, store: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
+    def __init__(self, store: ParamStore, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.store = store
         self.lr = lr

@@ -10,6 +10,11 @@ Strategies, as the (rollout input mode, lam) of the update every batch gets:
             free-run rollout imitates a stop-gradient copy of the mixed one;
   GE_mixup  mixup plus the penalty in the first update.
 
+Mixup's alpha starts at `alpha_init` and, after every
+`alpha_decay_interval`-th epoch of the loop's numbering (continued across
+a resume), decays by `alpha_decay_factor` down to `alpha_floor`;
+`MixState` carries only the current alpha between run segments.
+
 All losses are normalized like the reconstruction loss (per agent, per
 future step) so the logged columns are directly comparable.
 """
@@ -90,29 +95,17 @@ class TrainConfig:
 
 @dataclass
 class MixState:
-    """Current Beta(alpha, alpha) concentration and its decay schedule."""
+    """Current Beta(alpha, alpha) concentration, carried between runs."""
 
     alpha: float
-    epoch: int = 0
-    decay_interval: int = 10
-    decay_factor: float = 0.5
-    floor: float = 0.1
-
-    @classmethod
-    def from_config(cls, cfg: TrainConfig) -> "MixState":
-        return cls(alpha=cfg.alpha_init, epoch=0,
-                   decay_interval=cfg.alpha_decay_interval,
-                   decay_factor=cfg.alpha_decay_factor, floor=cfg.alpha_floor)
 
 
-def decay_alpha(state: MixState) -> MixState:
-    """Advance one epoch; decay alpha on every interval boundary."""
-    epoch = state.epoch + 1
-    alpha = state.alpha
-    if epoch % state.decay_interval == 0:
-        alpha = max(alpha * state.decay_factor, state.floor)
-    return MixState(alpha, epoch, state.decay_interval, state.decay_factor,
-                    state.floor)
+def decay_alpha(alpha: float, epoch: int, cfg: TrainConfig) -> float:
+    """Alpha after epoch `epoch`: `alpha_decay_factor` times it, no lower
+    than `alpha_floor`, after every `alpha_decay_interval`-th epoch."""
+    if (epoch + 1) % cfg.alpha_decay_interval == 0:
+        return max(alpha * cfg.alpha_decay_factor, cfg.alpha_floor)
+    return alpha
 
 
 def reconstruction_loss(truth: np.ndarray, preds: DArray, t_history: int) -> DArray:
@@ -132,13 +125,6 @@ def sample_beta(alpha: float, rng: RngStream) -> float:
     if alpha <= 0:
         raise ContractError("beta concentration must be positive")
     return rng.beta(alpha, alpha)
-
-
-def mix(pred, truth, lam: float):
-    """Convex combination lam * pred + (1 - lam) * truth."""
-    if not 0.0 <= lam <= 1.0:
-        raise ContractError("mixing coefficient must lie in [0, 1]")
-    return lam * pred + (1.0 - lam) * truth
 
 
 def _strategy_losses(model: TrajectoryModel, pos: np.ndarray, cats: np.ndarray,
@@ -222,14 +208,16 @@ def train(model: TrajectoryModel, cfg: TrainConfig, train_scenes: list[Scene],
     """Run the selected strategy; keeps the best-validation parameters.
 
     `start_epoch`, `optimizer_state`, and `mix_state` allow resuming a run
-    with continued epoch numbering and identical downstream behavior.
+    with continued epoch numbering and identical downstream behavior; alpha
+    decays on the epoch numbers the log shows, so a resume without
+    `mix_state` starts from `alpha_init` at epoch `start_epoch`.
     """
     if not train_scenes:
         raise ContractError("training needs at least one scene")
     optimizer = Adam(model.store, lr=cfg.learning_rate)
     if optimizer_state is not None:
         optimizer.load_state_dict(optimizer_state)
-    state = mix_state if mix_state is not None else MixState.from_config(cfg)
+    alpha = mix_state.alpha if mix_state is not None else cfg.alpha_init
     root = RngStream(cfg.seed)
     history: list[dict] = []
     best_val = math.inf
@@ -244,7 +232,7 @@ def train(model: TrajectoryModel, cfg: TrainConfig, train_scenes: list[Scene],
         n_scenes = 0
         for bi, (pos, cats, _) in enumerate(batches):
             metrics = _strategy_losses(model, pos, cats, batch_rng.child(1 + bi),
-                                       cfg, state.alpha, optimizer)
+                                       cfg, alpha, optimizer)
             w = pos.shape[0]
             n_scenes += w
             for k in sums:
@@ -257,18 +245,19 @@ def train(model: TrajectoryModel, cfg: TrainConfig, train_scenes: list[Scene],
                "train_loss": means["loss"], "val_loss": val_loss,
                "L1": means["l1"], "L2": means["l2"],
                "entropy": means["entropy"], "density": means["density"],
-               "alpha": state.alpha, "gamma": cfg.effective_gamma}
+               "alpha": alpha, "gamma": cfg.effective_gamma}
         history.append(row)
         if log_fn is not None:
             log_fn(row)
         if val_scenes and val_ade < best_val:
             best_val = val_ade
             best_state = model.state_dict()
-        state = decay_alpha(state)
+        alpha = decay_alpha(alpha, epoch, cfg)
 
     if not val_scenes:
         best_state = model.state_dict()
     return TrainResult(history=history, best_state=best_state,
                        best_val_ade=best_val, final_state=model.state_dict(),
-                       optimizer_state=optimizer.state_dict(), mix_state=state,
+                       optimizer_state=optimizer.state_dict(),
+                       mix_state=MixState(alpha),
                        epochs_done=start_epoch + cfg.epochs)

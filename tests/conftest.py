@@ -1,4 +1,5 @@
-import numpy as np
+import dataclasses
+
 import pytest
 
 from trajgraph.data import SyntheticConfig, generate_synthetic
@@ -10,6 +11,14 @@ def small_model_config(**kw):
                 hidden_dim=12, edge_dim=12, attn_dim=12, gru_layers=2)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def reconfigured(model, **changes):
+    """A model holding `model`'s weights and buffers under a config with
+    `changes`; the shared fixtures' configs stay as they are."""
+    other = TrajectoryModel(dataclasses.replace(model.cfg, **changes), seed=model.seed)
+    other.load_state_dict(model.state_dict())
+    return other
 
 
 @pytest.fixture(scope="session")

@@ -5,31 +5,26 @@ directional synthetic experiment, is not implemented yet: it is pending
 (ROADMAP open item 5), so there is no test for it here.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
 from trajgraph import autodiff as ad
 from trajgraph.autodiff import DArray
 from trajgraph.checkpoint import load_checkpoint, save_checkpoint
 from trajgraph.cli import main as cli_main
-from trajgraph.data import (Scene, SyntheticConfig, generate_synthetic,
-                            split_scenes)
-from trajgraph.encoder import EncoderRun, GraphEncoder
+from trajgraph.data import SyntheticConfig, generate_synthetic, split_scenes
+from trajgraph.encoder import GraphEncoder
 from trajgraph.decoder import DecoderRun
-from trajgraph.errors import ContractError
-from trajgraph.evaluation import (BoundScenario, ade_fde, sampled_metrics,
-                                  select_graph, theorem_bounds, verify_bounds)
+from trajgraph.evaluation import (ade_fde, sampled_metrics, select_graph,
+                                  verify_bounds)
 from trajgraph.graph_complexity import (graph_entropy, min_graph_entropy,
                                         random_majorizing_pair,
                                         regularized_loss, verify_hlp)
-from trajgraph.model import ModelConfig, TrajectoryModel
+from trajgraph.model import ModelConfig, TrajectoryModel, mix
 from trajgraph.nn import ParamStore, gradients
 from trajgraph.rng import RngStream
-from trajgraph.training import (TrainConfig, decay_alpha, mix,
-                                reconstruction_loss, train)
+from trajgraph.training import TrainConfig, reconstruction_loss, train
 
 from oracles import (brute_force_min_entropy, fd_step, naive_ade_fde,
                      naive_reconstruction_loss)
@@ -110,7 +105,8 @@ def test_criterion_1_gradient_suite():
     # (c) heterogeneous attention + (d) category GRUs + head
     model = TrajectoryModel(ModelConfig(n_categories=2, t_history=2,
                                         t_future=2, tau=2, hidden_dim=6,
-                                        edge_dim=6, attn_dim=6), seed=3)
+                                        edge_dim=6, attn_dim=6,
+                                        step_noise=False), seed=3)
     pos = R.normal(size=(1, 3, 4, 2)) * 0.5
     cats = np.array([[0, 1, 0]])
 
@@ -128,7 +124,7 @@ def test_criterion_1_gradient_suite():
 
     def gru_head_loss():
         graphs = model.infer_graphs_from_truth(pos, RngStream(5).child(1))
-        preds = model.rollout(pos, cats, graphs, RngStream(6), noise=False)
+        preds = model.rollout(pos, cats, graphs, RngStream(6))
         return reconstruction_loss(pos, preds, 2)
 
     worst = max(worst, _probe(gru_head_loss, arrays))
@@ -142,7 +138,7 @@ def test_criterion_1_gradient_suite():
     # (f) full loss: reconstruction + entropy penalty through the encoder
     def full_loss():
         graphs = model.infer_graphs_from_truth(pos, RngStream(5).child(1))
-        preds = model.rollout(pos, cats, graphs, RngStream(6), noise=False)
+        preds = model.rollout(pos, cats, graphs, RngStream(6))
         recon = reconstruction_loss(pos, preds, 2)
         return regularized_loss(recon, [g.z for g in graphs], 0.5, "entropy")
 
@@ -301,18 +297,19 @@ def test_criterion_8_permutation_equivariance():
         rng = np.random.default_rng(4000 + case)
         n = int(rng.integers(3, 7))
         model = TrajectoryModel(ModelConfig(hidden_dim=10, edge_dim=10,
-                                            attn_dim=10), seed=case % 7)
+                                            attn_dim=10, step_noise=False),
+                                seed=case % 7)
         positions = np.cumsum(rng.normal(scale=0.05, size=(n, 15, 2)), axis=1)
         positions = np.clip(positions, -1.0, 1.0)
         categories = rng.integers(0, 3, size=n)
         perm = rng.permutation(n)
         base, _ = model.predict_batch(positions[None], categories[None],
                                       RngStream(0), sample_mode="map",
-                                      noise=False, edge_noise_scale=0.0)
+                                      edge_noise_scale=0.0)
         permuted, _ = model.predict_batch(positions[perm][None],
                                           categories[perm][None],
                                           RngStream(0), sample_mode="map",
-                                          noise=False, edge_noise_scale=0.0)
+                                          edge_noise_scale=0.0)
         worst = max(worst, float(np.abs(permuted[0] - base[0][perm]).max()))
     report(8, worst < 1e-9,
            f"50 random relabelings commute with the full rollout; "

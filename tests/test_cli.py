@@ -1,6 +1,5 @@
 import re
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +184,7 @@ def test_resume_non_finite_record_exit_code(workspace, tmp_path, capsys, prefix,
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and key in err
     assert not (out / "model.ckpt").exists() and not (out / "last.ckpt").exists()
+    assert not out.exists()
 
 
 def test_evaluate_metrics_format_and_determinism(workspace, tmp_path):
@@ -343,6 +343,7 @@ def _train_ini(lines):
 @pytest.mark.parametrize("argv, ini", [
     (["analyze-graphs", "--samples", "0", "--svg"], None),
     (["analyze-graphs"], "[eval]\nsamples = 0\n"),
+    (["analyze-graphs"], "[eval]\nsplit = bogus\n"),
     (["analyze-graphs", "--samples", "-2"], None),
     (["analyze-graphs", "--quality-scenes", "-1"], None),
     (["analyze-graphs", "--svg", "--svg-scenes", "-1"], None),
@@ -366,13 +367,13 @@ def _train_ini(lines):
     (["train"], SMOKE_INI.replace("attn_dim = 10", "attn_dim = 10\nedge_noise_scale = -1")),
     (["train"], SMOKE_INI.replace("attn_dim = 10", "attn_dim = 10\nedge_noise_scale = nan")),
     (["train"], SMOKE_INI.replace("attn_dim = 10", "attn_dim = 10\nedge_noise_scale = inf")),
-], ids=["samples_0", "eval_samples_0", "samples_negative", "quality_scenes_negative",
-        "svg_scenes_negative", "trials_negative", "max_nodes_1", "split_out_of_range",
-        "init_vel_negative", "init_vel_nan", "learning_rate_negative",
-        "learning_rate_nan", "gamma_nan", "temperature_nan", "sweep_gamma_nan",
-        "gamma_inf", "alpha_decay_interval_0", "alpha_init_nan", "alpha_init_inf",
-        "alpha_floor_0", "alpha_decay_factor_nan", "edge_noise_scale_negative",
-        "edge_noise_scale_nan", "edge_noise_scale_inf"])
+], ids=["samples_0", "eval_samples_0", "eval_split_bogus", "samples_negative",
+        "quality_scenes_negative", "svg_scenes_negative", "trials_negative",
+        "max_nodes_1", "split_out_of_range", "init_vel_negative", "init_vel_nan",
+        "learning_rate_negative", "learning_rate_nan", "gamma_nan", "temperature_nan",
+        "sweep_gamma_nan", "gamma_inf", "alpha_decay_interval_0", "alpha_init_nan",
+        "alpha_init_inf", "alpha_floor_0", "alpha_decay_factor_nan",
+        "edge_noise_scale_negative", "edge_noise_scale_nan", "edge_noise_scale_inf"])
 def test_hostile_counts_are_config_errors(workspace, tmp_path, capsys, argv, ini):
     root, cfg, data, run = workspace
     if ini is not None:

@@ -233,7 +233,7 @@ def test_two_agent_symmetric_coupling_conserves_momentum():
     coupling = np.array([[1.3]])
     damping = np.array([0.0])
     pos = simulate_scene(rng, 2, cats, graph, coupling, damping,
-                         n_steps=40, dt=0.05)
+                         n_steps=40, dt=0.05, init_box=1.0, init_vel=0.6)
     v = np.diff(pos, axis=1) / 0.05
     momentum = v.sum(axis=0)  # (T-1, 2)
     drift = np.abs(momentum - momentum[0]).max()

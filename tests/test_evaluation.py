@@ -8,13 +8,14 @@ from trajgraph.autodiff import DArray
 from trajgraph.data import Scene, simulate_scene
 from trajgraph.encoder import InteractionGraphSample
 from trajgraph.errors import ContractError
-from trajgraph.evaluation import (BoundScenario, GraphQualityReport,
-                                  ModelGraphProbe, ade_fde, graph_quality,
-                                  metrics_csv_rows, sampled_metrics,
-                                  select_graph, theorem_bounds, verify_bounds)
+from trajgraph.evaluation import (BoundScenario, GraphQualityReport, ade_fde,
+                                  graph_quality, metrics_csv_rows,
+                                  sampled_metrics, select_graph, theorem_bounds,
+                                  verify_bounds)
 from trajgraph.graph_complexity import graph_entropy
 from trajgraph.rng import RngStream
 
+from conftest import reconfigured
 from oracles import (brute_force_selection_entropy, degree_box_min_entropy,
                      entropy_of_degrees, hard_entropy, naive_ade_fde)
 
@@ -60,14 +61,9 @@ def test_single_sample_min_equals_mean(trained_small):
 def test_deterministic_model_min_equals_mean(trained_small):
     model, scenes, norm, _ = trained_small
     # all stochasticity off: map graphs, zero noises
-    saved = (model.cfg.step_noise, model.cfg.edge_noise_scale)
-    model.cfg.step_noise = False
-    model.cfg.edge_noise_scale = 0.0
-    try:
-        rec = sampled_metrics(model, scenes[:4], norm, n_samples=4, seed=3,
-                              sample_mode="map")
-    finally:
-        model.cfg.step_noise, model.cfg.edge_noise_scale = saved
+    model = reconfigured(model, step_noise=False, edge_noise_scale=0.0)
+    rec = sampled_metrics(model, scenes[:4], norm, n_samples=4, seed=3,
+                          sample_mode="map")
     assert rec.min_ade == pytest.approx(rec.mean_ade, abs=1e-12)
 
 
@@ -147,7 +143,8 @@ class TruthDynamicsProbe:
         for k in range(self.k):
             sim = simulate_scene(rng.child(k), scene.n_agents, scene.categories,
                                  graph, self.coupling, self.damping,
-                                 scene.n_steps, self.dt)
+                                 scene.n_steps, self.dt, init_box=1.0,
+                                 init_vel=0.6)
             sim += rng.child(1000 + k).normal(scale=1e-4, size=sim.shape)
             err = np.linalg.norm(sim[:, 5:] - self.scene.positions[:, 5:],
                                  axis=-1)
@@ -173,7 +170,8 @@ def test_truth_dynamics_probe_keeps_true_edges():
     damping = np.array([0.1])
     truth = np.zeros((n, n), dtype=np.int64)
     truth[0, 1] = truth[1, 2] = truth[2, 3] = truth[3, 0] = 1
-    positions = simulate_scene(rng, n, cats, truth, coupling, damping, 15, 0.2)
+    positions = simulate_scene(rng, n, cats, truth, coupling, damping, 15, 0.2,
+                               init_box=1.0, init_vel=0.6)
     scene = Scene("s", cats, positions, truth)
     probe = TruthDynamicsProbe(scene, coupling, damping, 0.2)
     report = graph_quality(probe, [scene], seed=5)

@@ -293,7 +293,7 @@ def test_penalty_gradients_match_fd():
 def test_regularized_loss_gamma_zero_is_identity_object():
     recon = DArray(np.array(1.25), requires_grad=True)
     z = DArray(rng_np.uniform(size=(3, 3)))
-    out = regularized_loss(recon, [z], gamma=0.0)
+    out = regularized_loss(recon, [z], gamma=0.0, penalty="entropy")
     assert out is recon
 
 

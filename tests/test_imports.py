@@ -1,6 +1,7 @@
-"""Every name a trajgraph module imports is used in that module, and every
-top-level def, class or assignment is named somewhere besides its own
-definition: in the package, the tests or the benchmark.
+"""Every name a trajgraph module or test file imports is used in that
+file; every top-level def, class or assignment is named somewhere besides
+its own definition: in the package, the tests or the benchmark; and no
+function signature restates a config default as a literal.
 
 No linter ships with the project, so this walks each module's syntax tree.
 The package `__init__` is exempt from the import rule: its imports are
@@ -9,14 +10,20 @@ re-exports.
 
 import ast
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import trajgraph
+from trajgraph.config import DEFAULTS
+from trajgraph.data import SyntheticConfig
+from trajgraph.model import ModelConfig
+from trajgraph.training import TrainConfig
 
 PACKAGE = Path(trajgraph.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((PACKAGE.parents[1] / "tests").glob("*.py"))
 READERS = [p for root in (PACKAGE, PACKAGE.parents[1] / "tests",
                           PACKAGE.parents[1] / "perfbench")
            for p in sorted(root.rglob("*.py"))]
@@ -41,7 +48,7 @@ def test_checker_finds_unused_imports():
     assert unused_imports(source) == ["c", "g", "sys"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.stem)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -96,3 +103,52 @@ def test_checker_finds_orphaned_definitions():
 def test_every_top_level_definition_is_named_elsewhere():
     readers = {str(p): p.read_text() for p in READERS}
     assert orphaned_definitions([str(p) for p in PACKAGE.glob("*.py")], readers) == []
+
+
+def restated_defaults(source: str, defaults: dict[str, list]) -> list[str]:
+    """`function(parameter)` for each parameter named in `defaults` whose
+    literal default equals one of that name's config defaults."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        pairs = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+        pairs += [(arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        for arg, default in pairs:
+            try:
+                value = ast.literal_eval(default)
+            except ValueError:
+                continue
+            # 1 == True in Python; a flag and a count are different values
+            if any(value == d and isinstance(value, bool) == isinstance(d, bool)
+                   for d in defaults.get(arg.arg, ())):
+                found.append(f"{node.name}({arg.arg})")
+    return sorted(found)
+
+
+def test_checker_finds_restated_defaults():
+    source = ("def f(seed=0, tau=5, hidden_dim=64, *, penalty='entropy', flag=True):\n"
+              "    pass\n\n"
+              "class C:\n"
+              "    def m(self, seed=None, samples=20, rate=_D['rate']):\n"
+              "        pass\n")
+    defaults = {"seed": [0], "tau": [5], "hidden_dim": [128], "penalty": ["entropy"],
+                "samples": [20], "flag": [1], "rate": [0.5]}
+    assert restated_defaults(source, defaults) == ["f(penalty)", "f(seed)", "f(tau)",
+                                                   "m(samples)"]
+
+
+def test_no_literal_default_restates_a_config_default():
+    """A setting's value lives in its config dataclass or `DEFAULTS`; a
+    signature that repeats it would drift from it silently."""
+    defaults: dict[str, list] = {}
+    for cls in (SyntheticConfig, ModelConfig, TrainConfig):
+        for f in fields(cls):
+            defaults.setdefault(f.name, []).append(f.default)
+    for key, value in DEFAULTS["eval"].items():
+        defaults.setdefault(key, []).append(value)
+    found = [f"{path.stem}.{hit}" for path in MODULES
+             for hit in restated_defaults(path.read_text(), defaults)]
+    assert found == []

@@ -12,7 +12,7 @@ from trajgraph.nn import BatchNorm, gradients
 from trajgraph.rng import RngStream
 from trajgraph.training import reconstruction_loss
 
-from conftest import small_model_config
+from conftest import reconfigured, small_model_config
 from oracles import ComposedAttentionDecoderRun, composed_batch_norm
 
 rng_np = np.random.default_rng(61)
@@ -123,9 +123,20 @@ def test_window_graph_ablation_changes_predictions(trained_small):
     zeroed = [g for g in graphs]
     zeroed[1] = InteractionGraphSample(DArray(np.zeros_like(graphs[1].z.data)),
                                        graphs[1].edge_feats)
-    kept = model.rollout(pos, cats, graphs, RngStream(6), noise=False).data
-    cut = model.rollout(pos, cats, zeroed, RngStream(6), noise=False).data
+    quiet = reconfigured(model, step_noise=False)
+    kept = quiet.rollout(pos, cats, graphs, RngStream(6)).data
+    cut = quiet.rollout(pos, cats, zeroed, RngStream(6)).data
     assert np.abs(kept - cut).max() > 1e-9
+
+
+@pytest.mark.parametrize("lam", [-0.25, 1.5])
+def test_boundary_rollout_rejects_lam_outside_unit_interval(tiny_scenes, lam):
+    scenes, _ = tiny_scenes
+    pos, cats = batch_from(scenes, scenes[0].n_agents)
+    model = TrajectoryModel(small_model_config(), seed=7)
+    graphs = model.infer_graphs_from_truth(pos, RngStream(1).child(0))
+    with pytest.raises(ContractError, match="mixing coefficient"):
+        model.rollout(pos, cats, graphs, RngStream(4), input_mode="boundary", lam=lam)
 
 
 def test_predict_batch_keeps_history_and_shapes(small_model, tiny_scenes):
@@ -154,10 +165,9 @@ def test_predict_batch_is_free_run_rollout_on_its_graphs(small_model,
     scenes, _ = tiny_scenes
     pos, cats = batch_from(scenes, scenes[0].n_agents)
     rng = RngStream(9).child(2)
-    out, graphs = small_model.predict_batch(pos, cats, rng, sample_mode=mode,
-                                            noise=True)
-    preds = small_model.rollout(pos, cats, graphs, rng, input_mode="free_run",
-                                noise=True).data
+    assert small_model.cfg.step_noise
+    out, graphs = small_model.predict_batch(pos, cats, rng, sample_mode=mode)
+    preds = small_model.rollout(pos, cats, graphs, rng, input_mode="free_run").data
     t_hist = small_model.cfg.t_history
     assert np.abs(out[:, :, t_hist:] - pos[:, :, t_hist:]).max() > 0
     np.testing.assert_array_equal(out[:, :, t_hist:], preds[:, :, t_hist:])
@@ -169,7 +179,7 @@ def test_predict_batch_is_free_run_rollout_on_its_graphs(small_model,
 
 def test_full_rollout_permutation_equivariance(tiny_scenes):
     scenes, _ = tiny_scenes
-    model = TrajectoryModel(small_model_config(), seed=13)
+    model = TrajectoryModel(small_model_config(step_noise=False), seed=13)
     worst = 0.0
     for case in range(10):
         scene = scenes[case % len(scenes)]
@@ -177,11 +187,11 @@ def test_full_rollout_permutation_equivariance(tiny_scenes):
         base, _ = model.predict_batch(scene.positions[None],
                                       scene.categories[None],
                                       RngStream(0), sample_mode="map",
-                                      noise=False, edge_noise_scale=0.0)
+                                      edge_noise_scale=0.0)
         permuted, _ = model.predict_batch(scene.positions[perm][None],
                                           scene.categories[perm][None],
                                           RngStream(0), sample_mode="map",
-                                          noise=False, edge_noise_scale=0.0)
+                                          edge_noise_scale=0.0)
         worst = max(worst, np.abs(permuted[0] - base[0][perm]).max())
     assert worst < 1e-9
 
@@ -235,7 +245,7 @@ def test_parameter_layout_is_the_checkpoint_format():
         + gru("dec.gru.0", H + 2) + gru("dec.gru.1", H + 2))
     model = TrajectoryModel(ModelConfig(n_categories=2, t_history=3, t_future=3,
                                         tau=3, hidden_dim=H, edge_dim=D,
-                                        attn_dim=A, gru_layers=2))
+                                        attn_dim=A, gru_layers=2), seed=0)
     assert [(k, v.shape) for k, v in model.store.items()] == expected
 
 

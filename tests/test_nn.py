@@ -213,7 +213,7 @@ def test_adam_zero_gradient_leaves_params_unchanged():
     store, rng = _store_rng()
     p = store.add("p", rng.normal(size=(4,)))
     before = p.data.copy()
-    Adam(store).step({"p": np.zeros(4)})
+    Adam(store, lr=1e-3).step({"p": np.zeros(4)})
     np.testing.assert_array_equal(p.data, before)
 
 
@@ -232,7 +232,7 @@ def test_adam_missing_grad_key_raises():
     store, _ = _store_rng()
     store.add("p", np.ones(2))
     with pytest.raises(ContractError):
-        Adam(store).step({})
+        Adam(store, lr=1e-3).step({})
 
 
 def test_adam_ten_steps_bitwise_deterministic():

@@ -9,15 +9,15 @@ from trajgraph.checkpoint import load_checkpoint, save_checkpoint
 from trajgraph.data import Scene, SyntheticConfig, generate_synthetic
 from trajgraph.errors import (ConfigError, ContractError, NumericalError,
                               ShapeError)
-from trajgraph.model import ModelConfig, TrajectoryModel
+from trajgraph.model import TrajectoryModel, mix
 from trajgraph.nn import gradients
 from trajgraph.optim import Adam
 from trajgraph.rng import RngStream
 from trajgraph.training import (MixState, TrainConfig, _strategy_losses,
-                                decay_alpha, mix,
-                                reconstruction_loss, sample_beta, train)
+                                decay_alpha, reconstruction_loss, sample_beta,
+                                train)
 
-from conftest import small_model_config
+from conftest import reconfigured, small_model_config
 from oracles import naive_reconstruction_loss
 
 rng_np = np.random.default_rng(71)
@@ -96,17 +96,37 @@ def test_mix_degenerate_cases():
 # -------------------------------------------------------------- alpha decay
 
 def test_alpha_decay_schedule():
-    state = MixState(alpha=10.0, epoch=0, decay_interval=10, decay_factor=0.5,
-                     floor=0.1)
-    values = []
-    for _ in range(200):
-        values.append(state.alpha)
-        state = decay_alpha(state)
+    cfg = TrainConfig(alpha_init=10.0, alpha_decay_interval=10,
+                      alpha_decay_factor=0.5, alpha_floor=0.1)
+    alpha, values = cfg.alpha_init, []
+    for epoch in range(200):
+        values.append(alpha)
+        alpha = decay_alpha(alpha, epoch, cfg)
     assert values[:10] == [10.0] * 10
     assert values[10] == 5.0
     assert values[19] == 5.0
     assert values[20] == 2.5
     assert values[-1] == pytest.approx(0.1)   # clamped at the floor
+
+
+def test_alpha_decays_on_the_logged_epoch_numbers(tiny_scenes):
+    """A run split in two carries alpha in `MixState` and logs the alphas of
+    the unsplit run; without it, the schedule starts at `alpha_init` on the
+    epoch numbers of the log."""
+    scenes, _ = tiny_scenes
+
+    def alphas(epochs, **kw):
+        model = TrajectoryModel(small_model_config(), seed=1)
+        cfg = TrainConfig(epochs=epochs, batch_size=8, seed=1, alpha_decay_interval=2)
+        result = train(model, cfg, scenes[:6], [], **kw)
+        return [row["alpha"] for row in result.history], result.mix_state
+
+    straight, _ = alphas(3)
+    head, state = alphas(1)
+    tail, _ = alphas(2, start_epoch=1, mix_state=state)
+    assert straight == head + tail == [10.0, 10.0, 5.0]
+    assert state == MixState(10.0)
+    assert alphas(2, start_epoch=1)[0] == [10.0, 5.0]
 
 
 # ------------------------------------------------------------ mixup updates
@@ -212,7 +232,7 @@ def test_tf_plus_single_window_equals_free_run():
 def test_tf_loss_not_above_free_run_loss_untrained():
     losses = {"teacher": [], "free_run": []}
     for seed in range(6):
-        model = TrajectoryModel(small_model_config(), seed=seed)
+        model = TrajectoryModel(small_model_config(step_noise=False), seed=seed)
         scenes, _ = __import__("trajgraph.data", fromlist=["generate_synthetic"]) \
             .generate_synthetic(
                 __import__("trajgraph.data", fromlist=["SyntheticConfig"])
@@ -223,7 +243,7 @@ def test_tf_loss_not_above_free_run_loss_untrained():
         graphs = model.infer_graphs_from_truth(pos, RngStream(seed).child(0))
         for mode in losses:
             preds = model.rollout(pos, cats, graphs, RngStream(seed).child(1),
-                                  input_mode=mode, noise=False)
+                                  input_mode=mode)
             losses[mode].append(
                 reconstruction_loss(pos, preds, model.cfg.t_history).item())
     assert np.mean(losses["teacher"]) <= np.mean(losses["free_run"])
@@ -265,14 +285,13 @@ def test_training_reduces_loss(trained_small):
 def test_free_run_error_at_least_single_step_error(trained_small):
     # accumulated multi-step error dominates the teacher-forced error
     model, scenes, _, _ = trained_small
+    model = reconfigured(model, step_noise=False)
     ratios = []
     for pos, cats, _ in TrajectoryModel.batch_scenes(scenes):
         graphs = model.infer_graphs_from_truth(pos, RngStream(2).child(0),
                                                mode="sample", train=False)
-        free = model.rollout(pos, cats, graphs, RngStream(3), noise=False,
-                             input_mode="free_run")
-        teach = model.rollout(pos, cats, graphs, RngStream(3), noise=False,
-                              input_mode="teacher")
+        free = model.rollout(pos, cats, graphs, RngStream(3), input_mode="free_run")
+        teach = model.rollout(pos, cats, graphs, RngStream(3), input_mode="teacher")
         ratios.append(
             reconstruction_loss(pos, free, model.cfg.t_history).item()
             - reconstruction_loss(pos, teach, model.cfg.t_history).item())
