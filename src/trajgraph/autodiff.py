@@ -13,20 +13,24 @@ numpy rules; backward passes sum gradients back over broadcast axes.
 
 Fused nodes record a chain of ops as one tape node with a hand-written
 backward, so the tape keeps one array per chain rather than one per op:
-`gru_cell` (one GRU layer step, GEMMs included, keeping its four gate
-arrays), `category_map` (tanh of each row's own category map),
-`batch_norm`, `tanh_add` (tanh of a broadcast sum, whose terms may be row
-gathers) and `mul_sum` (a product summed over one axis). `segment_sum`
-adds rows into segments, optionally weighted, through the sparse
-incidence matrix that `segments` builds once per index; the decoder's
-attention uses it to run on its qualifying edges only.
+`mlp` (a whole multi-layer perceptron, GEMMs, activations and batch norm
+included, keeping each layer's post-activation array and batch
+statistics; batch norm exists only here), `gru_cell` (one GRU layer step,
+GEMMs included, keeping its four gate arrays), `category_map` (tanh of
+each row's own category map), `tanh_add` (tanh of a broadcast sum, whose
+terms may be row gathers) and `mul_sum` (a product summed over one axis).
+`segment_sum` adds rows into segments, optionally weighted, through the
+sparse incidence matrix that `segments` builds once per index; the
+decoder's attention and the encoder's message sum use it. `scatter`
+writes an array into a zero array through a view, with one copy. `add`
+and `sub` keep no untracked operand: their backward reads only shapes.
 
 The two category nodes take C-stacked weights and an (R,) category index.
 Their forward still multiplies every row by all C categories' weights
 and keeps each row's own (the benchmark counts the decoder's rows that way
 until its v2, see ROADMAP); only the own rows stay on the tape, and
 backward multiplies each category's weights by that category's rows only.
-Every other GEMM is its own `matmul` node.
+The GEMMs of `linear` are `matmul` nodes.
 """
 
 from __future__ import annotations
@@ -243,31 +247,32 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def add(a, b) -> DArray:
-    a, b = _coerce(a), _coerce(b)
+def _sum_bw(a: DArray, b: DArray, negate_b: bool):
+    """Backward of a + b, or of a - b when `negate_b`. It captures only the
+    tracked operands and reads only their shapes, so an untracked constant
+    operand leaves the tape with the forward."""
+    a = a if a.requires_grad else None
+    b = b if b.requires_grad else None
 
     def bw(g):
-        if a.requires_grad:
+        if a is not None:
             ga = _unbroadcast(g, a.data.shape)
             _accum(a, ga) if ga is g else _accum_owned(a, ga)
-        if b.requires_grad:
-            gb = _unbroadcast(g, b.data.shape)
+        if b is not None:
+            gb = _unbroadcast(-g if negate_b else g, b.data.shape)
             _accum(b, gb) if gb is g else _accum_owned(b, gb)
 
-    return _track(a.data + b.data, (a, b), bw)
+    return bw
+
+
+def add(a, b) -> DArray:
+    a, b = _coerce(a), _coerce(b)
+    return _track(a.data + b.data, (a, b), _sum_bw(a, b, negate_b=False))
 
 
 def sub(a, b) -> DArray:
     a, b = _coerce(a), _coerce(b)
-
-    def bw(g):
-        if a.requires_grad:
-            ga = _unbroadcast(g, a.data.shape)
-            _accum(a, ga) if ga is g else _accum_owned(a, ga)
-        if b.requires_grad:
-            _accum_owned(b, _unbroadcast(-g, b.data.shape))
-
-    return _track(a.data - b.data, (a, b), bw)
+    return _track(a.data - b.data, (a, b), _sum_bw(a, b, negate_b=True))
 
 
 def mul(a, b) -> DArray:
@@ -454,6 +459,21 @@ def stack(arrays, axis=0) -> DArray:
     return _track(np.stack([x.data for x in arrays], axis=axis), arrays, bw)
 
 
+def scatter(x, shape, view) -> DArray:
+    """The adjoint of a view: a zero array of `shape` that holds x where
+    `view(out)` (a view of `out` with x's shape) points, written with one
+    copy. Backward reads x's gradient through the same view."""
+    x = _coerce(x)
+    out_data = np.zeros(shape)
+    view(out_data)[...] = x.data
+
+    def bw(g):
+        if x.requires_grad:
+            _accum_view(x, view(g))
+
+    return _track(out_data, (x,), bw)
+
+
 def exp(a) -> DArray:
     a = _coerce(a)
     out_data = np.exp(a.data)
@@ -485,17 +505,6 @@ def clamp_min(a, floor: float) -> DArray:
             _accum_owned(a, g * mask)
 
     return _track(np.maximum(a.data, floor), (a,), bw)
-
-
-def tanh(a) -> DArray:
-    a = _coerce(a)
-    out_data = np.tanh(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum_owned(a, g * (1.0 - out_data * out_data))
-
-    return _track(out_data, (a,), bw)
 
 
 def segments(index, n: int) -> scipy.sparse.csc_matrix:
@@ -590,37 +599,103 @@ def batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, var
 
 
-def batch_norm(x, gamma, beta, mean: np.ndarray, var: np.ndarray,
-               eps: float, train: bool) -> DArray:
-    """gamma * (x - mean) / (var + eps)**0.5 + beta over the last axis, as
-    one tape node with a hand-written backward.
+# activation -> (function, its derivative as a function of its output)
+ACTIVATIONS = {
+    None: (lambda x: x, None),
+    "elu": (lambda x: np.where(x > 0, x, np.expm1(np.minimum(x, 0.0))),   # alpha = 1
+            lambda y: np.where(y > 0, 1.0, y + 1.0)),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda y: y > 0),
+    "tanh": (np.tanh, lambda y: 1.0 - y * y),
+}
 
-    `mean` and `var` are (F,) arrays. In train mode they must be
-    `batch_stats(x.data)`, and backward differentiates through them; in
-    eval mode they are constants (the running statistics). The node keeps
-    only its output: backward recomputes the normalized input from `x`
-    and the statistics, so neither may change before backward runs.
+
+def mlp(x, layers, train: bool) -> DArray:
+    """A multi-layer perceptron over x's last axis as one tape node with a
+    hand-written backward.
+
+    Each (w, b, act, bn) of `layers` is one layer: a = act(h w + b), one
+    2-D GEMM over the flattened leading axes, with act one of
+    ACTIVATIONS; then, unless bn is None, the batch norm
+    gamma * (a - mean) / (var + eps)**0.5 + beta. bn holds the tracked
+    (F,) gamma and beta, the running buffers run_mean and run_var, and
+    eps, as `nn.BatchNorm` does. In train mode mean and var are
+    `batch_stats(a)`, backward differentiates through them, and the
+    running buffers advance in place to 0.9 * running + 0.1 * batch; in
+    eval mode they are copies of the running buffers.
+
+    Per layer the node keeps a and, with batch norm, the (F,) mean and
+    std. Backward recomputes each normalized array and each normalized
+    layer output once, and no GEMM or activation: each activation's
+    derivative comes from its output.
     """
-    x, gamma, beta = _coerce(x), _coerce(gamma), _coerce(beta)
-    std = (var + eps) ** 0.5
-    out_data = gamma.data * ((x.data - mean) / std) + beta.data
+    x = _coerce(x)
+    lead = x.data.shape[:-1]
+    outs, means, stds = [], [], []
+    h = x.data
+    for w, b, act, bn in layers:
+        pre = h.reshape(-1, h.shape[-1]) @ w.data
+        pre += b.data
+        a = ACTIVATIONS[act][0](pre).reshape(lead + (w.data.shape[-1],))
+        outs.append(a)
+        if bn is None:
+            means.append(None)
+            stds.append(None)
+            h = a
+            continue
+        if train:
+            mean, var = batch_stats(a)
+            bn.run_mean.data[...] = 0.9 * bn.run_mean.data + 0.1 * mean
+            bn.run_var.data[...] = 0.9 * bn.run_var.data + 0.1 * var
+        else:   # a copy: a later train call advances the buffer in place
+            mean, var = bn.run_mean.data.copy(), bn.run_var.data
+        std = (var + bn.eps) ** 0.5
+        h = bn.gamma.data * ((a - mean) / std) + bn.beta.data
+        means.append(mean)
+        stds.append(std)
 
     def bw(g):
-        axes = tuple(range(g.ndim - 1))
-        xn = (x.data - mean) / std
-        if gamma.requires_grad:
-            _accum_owned(gamma, (g * xn).sum(axis=axes))
-        if beta.requires_grad:
-            _accum_owned(beta, g.sum(axis=axes))
-        if x.requires_grad:
-            d_xn = g * gamma.data
-            if train:
-                inv_m = 1.0 / int(np.prod(g.shape[:-1]))
-                d_xn = (d_xn - d_xn.sum(axis=axes) * inv_m
-                        - xn * ((d_xn * xn).sum(axis=axes) * inv_m))
-            _accum_owned(x, d_xn / std)
+        d, xn = g, None   # xn: layer l's normalized output, if recomputed
+        for l in range(len(layers) - 1, -1, -1):
+            w, b, act, bn = layers[l]
+            if bn is not None:
+                if xn is None:
+                    xn = (outs[l] - means[l]) / stds[l]
+                axes = tuple(range(d.ndim - 1))
+                if bn.gamma.requires_grad:
+                    _accum_owned(bn.gamma, (d * xn).sum(axis=axes))
+                if bn.beta.requires_grad:
+                    _accum_owned(bn.beta, d.sum(axis=axes))
+                d_xn = d * bn.gamma.data
+                if train:
+                    inv_m = 1.0 / int(np.prod(d.shape[:-1]))
+                    d_xn = (d_xn - d_xn.sum(axis=axes) * inv_m
+                            - xn * ((d_xn * xn).sum(axis=axes) * inv_m))
+                d = d_xn / stds[l]
+            if act is not None:
+                d = d * ACTIVATIONS[act][1](outs[l])
+            d = d.reshape(-1, w.data.shape[-1])
+            if b.requires_grad:
+                _accum_owned(b, _unbroadcast(d, b.data.shape))
+            d = np.ascontiguousarray(d)   # a strided operand can leave numpy's BLAS path
+            xn = None
+            if l == 0:
+                h = x.data
+            elif layers[l - 1][3] is None:
+                h = outs[l - 1]
+            else:   # the layer below's normalized output
+                below = layers[l - 1][3]
+                xn = (outs[l - 1] - means[l - 1]) / stds[l - 1]
+                h = below.gamma.data * xn + below.beta.data
+            if w.requires_grad:
+                _accum_owned(w, h.reshape(-1, h.shape[-1]).T @ d)
+            if l > 0:
+                d = (d @ w.data.T).reshape(h.shape)
+            elif x.requires_grad:
+                _accum_owned(x, (d @ w.data.T).reshape(h.shape))
 
-    return _track(out_data, (x, gamma, beta), bw)
+    params = [p for w, b, _, bn in layers
+              for p in ((w, b) if bn is None else (w, b, bn.gamma, bn.beta))]
+    return _track(h, [x] + params, bw)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -635,30 +710,6 @@ def sigmoid(a) -> DArray:
     def bw(g):
         if a.requires_grad:
             _accum_owned(a, g * out_data * (1.0 - out_data))
-
-    return _track(out_data, (a,), bw)
-
-
-def relu(a) -> DArray:
-    a = _coerce(a)
-    mask = a.data > 0
-
-    def bw(g):
-        if a.requires_grad:
-            _accum_owned(a, g * mask)
-
-    return _track(np.maximum(a.data, 0.0), (a,), bw)
-
-
-def elu(a) -> DArray:
-    """ELU with alpha=1: x for x > 0, exp(x) - 1 otherwise."""
-    a = _coerce(a)
-    pos = a.data > 0
-    out_data = np.where(pos, a.data, np.expm1(np.minimum(a.data, 0.0)))
-
-    def bw(g):
-        if a.requires_grad:
-            _accum_owned(a, g * np.where(pos, 1.0, out_data + 1.0))
 
     return _track(out_data, (a,), bw)
 

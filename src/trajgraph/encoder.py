@@ -12,11 +12,14 @@ Array convention: batches of same-size scenes, so node tensors are
 directed pair i -> j. The edge MLPs, the edge GRU and the relation
 projection run only on the N(N-1) off-diagonal pairs, gathered once per
 use by `offdiag_pairs`; batch-norm statistics therefore cover exactly
-those pairs. Dense edge tensors carry a zero diagonal.
+those pairs. Each agent's incoming messages are added up straight from
+those pairs by one `segment_sum`. Dense edge tensors, built by
+`dense_pairs` with one scatter, carry a zero diagonal.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +44,9 @@ class InteractionGraphSample:
     edge_feats: DArray   # (B, N, N, D), zero diagonal
 
 
-def offdiag_pairs(x: DArray) -> DArray:
-    """(B, N, N, F) -> (B, N-1, N, F): the pairs i != j in row-major order.
+def offdiag_pairs(x):
+    """(B, N, N, F) -> (B, N-1, N, F): the pairs i != j in row-major order,
+    of a DArray or, as a view, of an ndarray.
 
     Dropping the first flat entry leaves the diagonal as the last column
     of an (N-1, N+1) grid, so basic slices and reshapes suffice.
@@ -54,10 +58,15 @@ def offdiag_pairs(x: DArray) -> DArray:
 def dense_pairs(x: DArray) -> DArray:
     """Inverse of `offdiag_pairs`: (B, N-1, N, F) -> (B, N, N, F), zero diagonal."""
     b, m, n, f = x.shape
-    padded = ad.concat([x, DArray(np.zeros((b, m, 1, f)))], axis=2)
-    flat = ad.concat([DArray(np.zeros((b, 1, f))),
-                      padded.reshape(b, m * (n + 1), f)], axis=1)
-    return flat.reshape(b, n, n, f)
+    return ad.scatter(x, (b, n, n, f), offdiag_pairs)
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_targets(b: int, n: int):
+    """The (B*N, B*(N-1)*N) incidence matrix (`autodiff.segments`) of each
+    off-diagonal pair's target row b*N + j, in `offdiag_pairs` order."""
+    rows = np.arange(b * n).reshape(b, 1, n, 1)
+    return ad.segments(offdiag_pairs(np.broadcast_to(rows, (b, n, n, 1))).reshape(-1), b * n)
 
 
 class GraphEncoder:
@@ -99,9 +108,9 @@ class GraphEncoder:
         if n < 2:
             raise ContractError("gnn pass needs at least 2 agents")
         diffs = v.reshape(b, n, 1, h) - v.reshape(b, 1, n, h)   # v_i - v_j
-        msg = dense_pairs(self.f_e(offdiag_pairs(diffs), train=train))
-        agg = msg.sum(axis=1)                          # sum over sources i
-        v_t = self.f_v(agg, train=train)
+        msg = self.f_e(offdiag_pairs(diffs), train=train)
+        agg = ad.segment_sum(msg.reshape(-1, h), _pair_targets(b, n))   # over sources i
+        v_t = self.f_v(agg.reshape(b, n, h), train=train)
         tdiffs = v_t.reshape(b, n, 1, h) - v_t.reshape(b, 1, n, h)
         e_t = dense_pairs(self.f_e2(offdiag_pairs(tdiffs), train=train))
         return v_t, e_t

@@ -43,6 +43,8 @@ def check_scenes(scenes: list[Scene], n_categories: int,
         if s.categories.min() < 0 or s.categories.max() >= n_categories:
             raise ConfigError(f"scene {s.scene_id}: category out of range "
                               f"[0, {n_categories})")
+        if not np.isfinite(s.positions).all():
+            raise DataError(f"scene {s.scene_id}: non-finite coordinate")
         if np.abs(s.positions).max() > 1.0 + 1e-9:
             raise DataError(f"scene {s.scene_id}: coordinates outside [-1, 1]; "
                             "normalize before fitting")

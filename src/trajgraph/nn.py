@@ -7,19 +7,21 @@ their parameters at construction time and stay stateless afterwards apart
 from batch-norm running statistics, which are non-trainable buffers in the
 same store so they persist through checkpoints.
 
-Batch norm takes its statistics over every row it is given, so callers
-pass only the rows that belong in them (the encoder passes the N(N-1)
-off-diagonal pairs, never the self-pairs). There is one GRU: the
-`autodiff.gru_cell` node, one layer step with its GEMMs, on fused (F, 3H)
-weights for the encoder's edge GRU (`GRUStack`) and on weights stacked
-per category for the decoder's. `gru_bias` folds the reset and update
-biases it adds.
+Every MLP call is one `autodiff.mlp` tape node: per layer a 2-D GEMM,
+bias, activation and optional batch norm, keeping only each layer's
+post-activation array and batch statistics. Batch norm lives only there;
+`BatchNorm` holds its parameters and running buffers. Batch norm takes
+its statistics over every row it is given, so callers pass only the rows
+that belong in them (the encoder passes the N(N-1) off-diagonal pairs,
+never the self-pairs). There is one GRU: the `autodiff.gru_cell` node,
+one layer step with its GEMMs, on fused (F, 3H) weights for the encoder's
+edge GRU (`GRUStack`) and on weights stacked per category for the
+decoder's. `gru_bias` folds the reset and update biases it adds.
 
-Layers record their math through the fused tape nodes of `autodiff`
-(`batch_norm` behind `BatchNorm`; the decoder uses `gru_cell`,
-`category_map`, and for its attention over qualifying edges `tanh_add`
-with gathered rows, `mul_sum` and `segment_sum`). `linear` stays a
-`matmul` node plus a bias add.
+The decoder's other layers record their math through the fused nodes
+`gru_cell`, `category_map`, and for its attention over qualifying edges
+`tanh_add` with gathered rows, `mul_sum` and `segment_sum`. `linear`
+stays a `matmul` node plus a bias add.
 """
 
 from __future__ import annotations
@@ -34,13 +36,6 @@ from .errors import ContractError, NumericalError, ShapeError
 from .rng import RngStream
 
 Activation = str | None
-
-_ACTIVATIONS = {
-    None: lambda x: x,
-    "elu": ad.elu,
-    "relu": ad.relu,
-    "tanh": ad.tanh,
-}
 
 
 class ParamStore:
@@ -145,14 +140,9 @@ class Affine:
 
 
 class BatchNorm:
-    """Per-feature batch normalization over all leading axes, as one
-    `autodiff.batch_norm` tape node.
-
-    Train mode normalizes with the statistics of every row it is given
-    and advances the running buffers (0.9 * running + 0.1 * batch) with
-    the same statistics; eval mode uses the running statistics only. The
-    mode is always an explicit argument.
-    """
+    """The parameters of one batch-norm layer: gamma and beta, and the
+    non-trainable running buffers run_mean and run_var. `autodiff.mlp`
+    normalizes with them."""
 
     eps = 1e-5
 
@@ -162,21 +152,16 @@ class BatchNorm:
         self.run_mean = store.add(f"{name}.run_mean", np.zeros(n_features), trainable=False)
         self.run_var = store.add(f"{name}.run_var", np.ones(n_features), trainable=False)
 
-    def __call__(self, x: DArray, train: bool) -> DArray:
-        if train:
-            mean, var = ad.batch_stats(x.data)
-            self.run_mean.data[...] = 0.9 * self.run_mean.data + 0.1 * mean
-            self.run_var.data[...] = 0.9 * self.run_var.data + 0.1 * var
-        else:   # copies: a later train call advances the buffers in place
-            mean, var = self.run_mean.data.copy(), self.run_var.data.copy()
-        return ad.batch_norm(x, self.gamma, self.beta, mean, var, self.eps, train)
-
 
 class MLP:
     """Multi-layer perceptron registered under a ParamStore prefix.
 
     Each (width, activation, normalize) triple of `layer_spec` is one
-    layer: affine -> activation -> batch norm when normalize is set.
+    layer: affine -> activation -> batch norm when normalize is set, with
+    the activation one of `autodiff.ACTIVATIONS`. `layers` holds each
+    layer's (W, b, activation, BatchNorm or None), as `autodiff.mlp` takes
+    them. Batch norm uses the batch statistics and advances its running
+    buffers in train mode, and uses the running buffers in eval mode.
     """
 
     def __init__(self, store: ParamStore, prefix: str, n_in: int,
@@ -185,20 +170,18 @@ class MLP:
         self.layers = []
         d = n_in
         for i, (width, act, norm) in enumerate(layer_spec):
+            if act not in ad.ACTIVATIONS:
+                raise ContractError(f"mlp {prefix}: unknown activation {act!r}")
             affine = Affine(store, f"{prefix}.{i}", d, width, rng)
             bn = BatchNorm(store, f"{prefix}.{i}.bn", width) if norm else None
-            self.layers.append((affine, _ACTIVATIONS[act], bn))
+            self.layers.append((affine.W, affine.b, act, bn))
             d = width
 
     def __call__(self, x: DArray, train: bool = True) -> DArray:
-        n_in = self.layers[0][0].n_in
+        n_in = self.layers[0][0].shape[0]
         if x.shape[-1] != n_in:
             raise ShapeError(f"mlp {self.prefix}: input last dim {x.shape[-1]} != {n_in}")
-        for affine, act, bn in self.layers:
-            x = act(affine(x))
-            if bn is not None:
-                x = bn(x, train)
-        return x
+        return ad.mlp(x, self.layers, train)
 
 
 def gru_bias(b_ih: DArray, b_hh: DArray) -> tuple[DArray, DArray]:

@@ -221,7 +221,8 @@ def train(model: TrajectoryModel, cfg: TrainConfig, train_scenes: list[Scene],
     root = RngStream(cfg.seed)
     history: list[dict] = []
     best_val = math.inf
-    best_state = model.state_dict()
+    # without validation scenes the final parameters are the best ones
+    best_state = model.state_dict() if val_scenes else None
 
     for epoch in range(start_epoch, start_epoch + cfg.epochs):
         batch_rng = root.child(STREAM_TRAIN, epoch)

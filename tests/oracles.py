@@ -129,6 +129,39 @@ def pick(a, rows):
     return ad._track(_pick_rows(a.data, rows), (a,), bw)
 
 
+def _unary(a, out_data, derivative):
+    """An elementwise op as its own tape node, given its output and a
+    function of (input, output) giving its derivative."""
+    a = ad._coerce(a)
+
+    def bw(g):
+        if a.requires_grad:
+            ad._accum_owned(a, g * derivative(a.data, out_data))
+
+    return ad._track(out_data, (a,), bw)
+
+
+def tanh(a):
+    """tanh as its own tape node, as autodiff ran it before the MLP node."""
+    out = np.tanh(ad._coerce(a).data)
+    return _unary(a, out, lambda x, y: 1.0 - y * y)
+
+
+def elu(a):
+    """ELU (alpha = 1) as its own tape node."""
+    x = ad._coerce(a).data
+    out = np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+    return _unary(a, out, lambda x, y: np.where(x > 0, 1.0, y + 1.0))
+
+
+def relu(a):
+    """ReLU as its own tape node."""
+    return _unary(a, np.maximum(ad._coerce(a).data, 0.0), lambda x, y: x > 0)
+
+
+_ACTIVATIONS = {None: lambda x: x, "elu": elu, "relu": relu, "tanh": tanh}
+
+
 class GRUGates(NamedTuple):
     """GRU weights split per gate: reset (r), update (z), candidate (n)."""
 
@@ -228,7 +261,7 @@ def composed_gru_step(x, h, g):
     decoder ran it before the fused gate node; broadcasts like numpy."""
     r = ad.sigmoid(x @ g.w_ir + h @ g.w_hr + g.b_r)
     z = ad.sigmoid(x @ g.w_iz + h @ g.w_hz + g.b_z)
-    n = ad.tanh(x @ g.w_in + g.b_in + r * (h @ g.w_hn + g.b_hn))
+    n = tanh(x @ g.w_in + g.b_in + r * (h @ g.w_hn + g.b_hn))
     return (1.0 - z) * n + z * h
 
 
@@ -265,7 +298,7 @@ class MaskCollapseDecoderRun(DecoderRun):
     def _category_maps(self, h):
         if self.decoder.homogeneous:
             return [h, h, h]
-        return [self._collapse(ad.tanh(self._stack_rows(h) @ w + b)).reshape(h.shape)
+        return [self._collapse(tanh(self._stack_rows(h) @ w + b)).reshape(h.shape)
                 for (w, _), b in zip(self._gmaps, self._stacked_b)]
 
     def step(self, x, graph, eps, window):
@@ -290,9 +323,8 @@ class MaskCollapseDecoderRun(DecoderRun):
 
 
 def composed_batch_norm(bn, x, train):
-    """`nn.BatchNorm.__call__` op by op on the tape (one node per op), as
-    it ran before the batch-norm node; advances `bn`'s running buffers in
-    train mode."""
+    """Batch norm op by op on the tape (one node per op), as it ran before
+    the batch-norm node; advances `bn`'s running buffers in train mode."""
     if train:
         axes = tuple(range(x.ndim - 1))
         mean = x.mean(axis=axes, keepdims=True)
@@ -303,6 +335,17 @@ def composed_batch_norm(bn, x, train):
     else:
         xn = (x - bn.run_mean) / ((bn.run_var + DArray(bn.eps)) ** 0.5)
     return bn.gamma * xn + bn.beta
+
+
+def composed_mlp(mlp, x, train=True):
+    """`nn.MLP.__call__` op by op on the tape, as it ran before the MLP
+    node: per layer `nn.linear` (reshapes, a `matmul` node and a bias add),
+    an activation node and `composed_batch_norm`."""
+    for w, b, act, bn in mlp.layers:
+        x = _ACTIVATIONS[act](linear(x, w, b))
+        if bn is not None:
+            x = composed_batch_norm(bn, x, train)
+    return x
 
 
 class DenseAttentionDecoderRun(DecoderRun):
@@ -377,7 +420,7 @@ class ComposedAttentionDecoderRun(DenseAttentionDecoderRun):
     def _category_maps(self, h):
         if self.decoder.homogeneous:
             return [h, h, h]
-        return [ad.tanh(pick(h @ w, self.rows) + b) for w, b in self._gmaps]
+        return [tanh(pick(h @ w, self.rows) + b) for w, b in self._gmaps]
 
     def attention(self, h, graph, window):
         dec = self.decoder
@@ -386,8 +429,8 @@ class ComposedAttentionDecoderRun(DenseAttentionDecoderRun):
         gq, gk, gv = self._category_maps(h)
         qh = linear(gq, dec.f_q.W[:hd])
         kh = linear(gk, dec.f_k.W[:hd])
-        q = ad.tanh(qh.reshape(b, n, 1, dec.attn_dim) + cache["qe"])
-        k = ad.tanh(kh.reshape(b, 1, n, dec.attn_dim) + cache["ke"])
+        q = tanh(qh.reshape(b, n, 1, dec.attn_dim) + cache["qe"])
+        k = tanh(kh.reshape(b, 1, n, dec.attn_dim) + cache["ke"])
         scores = (q * k).sum(axis=-1) / math.sqrt(dec.attn_dim)
         return self._masked_softmax(scores, graph, cache), gv
 
@@ -396,9 +439,9 @@ class ComposedAttentionDecoderRun(DenseAttentionDecoderRun):
         b, n, hd = self.batch, self.n_agents, h.shape[-1]
         alpha, gv = self.attention(h, graph, window)
         gvh = linear(gv, f_v[0].W[:hd])
-        v1 = ad.tanh(gvh.reshape(b, n, 1, hd) - gvh.reshape(b, 1, n, hd)
+        v1 = tanh(gvh.reshape(b, n, 1, hd) - gvh.reshape(b, 1, n, hd)
                      + self._dense_window_cache(graph, window)["ve"])
-        values = ad.tanh(linear(v1, f_v[1].W, f_v[1].b))
+        values = tanh(linear(v1, f_v[1].W, f_v[1].b))
         return (alpha.reshape(b, n, n, 1) * values).sum(axis=1)
 
 

@@ -428,16 +428,17 @@ def test_boundary_rollout_tape_budget(monkeypatch):
     #   incidence index E/2, and the GEMM and bias outputs of qe, ke, ve 6EW.
     # Per attended step: the category maps' outputs 3RW, the node
     #   projections qh, kh, gvh and -gvh 4RW; per edge q, k, v1, the value
-    #   GEMM and the values 5EW, and 8 scalars (scores, scaled, shift,
-    #   shifted, exp, numerator, gathered denominator, alpha) 8E; the
+    #   GEMM and the values 5EW, and 7 scalars (scores, scaled, shifted,
+    #   exp, numerator, gathered denominator, alpha) 7E (the subtracted
+    #   shift is an untracked constant, which no tape node keeps); the
     #   denominators R, the message RW, the scale 1 and the 3 offsets of the
     #   GRU input's concat (before t = 4 neither the zero message nor the
     #   true input is tracked, so that concat is no node).
     # Per step: the GRU input R(W + 2); per layer the new state and the
-    #   gru_cell node's r, z, n and h W_hn + b_hn 5RW; the head's noise and
-    #   noisy state 2RW, two hidden layers of GEMM, bias and relu outputs 3RW
-    #   plus a one-byte relu mask RW/8, and the output GEMM, bias and
-    #   residual sum 3 * 2R.
+    #   gru_cell node's r, z, n and h W_hn + b_hn 5RW; the head's noisy
+    #   state RW (its noise is an untracked constant, which the add does
+    #   not keep), the head's MLP node's two relu outputs 2RW and its output
+    #   2R, and the residual sum 2R.
     # Once: the positions, the stacked predictions, the loss's difference
     #   and square 4 * 30R, the sum 1; the zero initial states L*R*W, the
     #   category rows R and one boundary-mixed input 2R.
@@ -446,15 +447,19 @@ def test_boundary_rollout_tape_budget(monkeypatch):
              + sum(3 * c * w * (f + w) + 6 * c * w + 2 * c * w + 3 * c * w + 3 + 4 * r * w
                    for f in (w + 2, w)))
     per_window = e * w + e + e / 2 + 6 * e * w
-    per_attended = 3 * r * w + 4 * r * w + 5 * e * w + 8 * e + r + r * w + 1 + 3
-    per_step = (r * (w + 2) + layers * 5 * r * w
-                + 2 * r * w + 2 * (3 * r * w + r * w / 8) + 3 * 2 * r)
+    per_attended = 3 * r * w + 4 * r * w + 5 * e * w + 7 * e + r + r * w + 1 + 3
+    per_step = r * (w + 2) + layers * 5 * r * w + r * w + 2 * r * w + 2 * 2 * r
     once = 4 * 30 * r + 1 + layers * r * w + r + 2 * r
     budget = 8 * (setup + windows * per_window + attended * per_attended
                   + steps * per_step + once)
-    # 1_233_016 before the GRU and category-map nodes took in their GEMMs;
-    # the dense attention on these nodes keeps 1_248_616
-    assert budget == 653_608
+    # 1_233_016 before the GRU and category-map nodes took in their GEMMs.
+    # 653_608 before the MLP node and the constant-free add and sub: per
+    # step the head also kept its noise RW, per hidden layer the GEMM and
+    # bias outputs 2RW and a relu mask RW/8, and the output GEMM and bias
+    # 2R beside the output, 5RW + RW/4 + 2R = 792 floats, 11_088 over the
+    # 14 steps; each attended step also kept its E = 36 shifts, 360 over
+    # the 10 steps. 653_608 - 8 * (11_088 + 360) = 562_024.
+    assert budget == 562_024
     assert tape_bytes(loss) == budget < tape_bytes(dense_loss)
 
     # no tape array keeps all C copies of the agent rows, and each gru_cell

@@ -4,10 +4,10 @@ import pytest
 from trajgraph.autodiff import DArray
 from trajgraph.encoder import EncoderRun, GraphEncoder, dense_pairs, offdiag_pairs
 from trajgraph.errors import ConfigError, ContractError
-from trajgraph.nn import ParamStore, gradients
+from trajgraph.nn import MLP, ParamStore, gradients
 from trajgraph.rng import RngStream
 
-from oracles import dense_encoder_reference
+from oracles import composed_mlp, dense_encoder_reference, tape_arrays, tape_bytes
 
 rng_np = np.random.default_rng(41)
 
@@ -104,6 +104,58 @@ def test_offdiag_pairs_gather_row_major_and_scatter_back():
     back = dense_pairs(pairs).data
     np.testing.assert_array_equal(back[:, off], x[:, off])
     assert not back[:, ~off].any()
+
+
+def test_encoder_step_tape_budget(monkeypatch):
+    """One train-mode step of a fresh EncoderRun keeps a tape whose bytes
+    are derived by hand, fewer than with the MLPs op by op."""
+    b, n, tau, h, d, layers = 2, 4, 3, 8, 6, 2
+    enc, _ = make_encoder(hidden=h, edge=d, tau=tau)
+    window = rng_np.normal(size=(b, n, tau, 2))
+
+    def step():
+        g = EncoderRun(enc, 1.0).step(window, RngStream(1), "train", train=True)
+        return g.z.sum() + g.edge_feats.sum()
+
+    loss = step()
+    with monkeypatch.context() as patch:
+        patch.setattr(MLP, "__call__", composed_mlp)
+        composed = step()
+
+    # Bytes the tape owns, by hand, in floats of 8 bytes. R = B*N = 8
+    # agents, P = B*N*(N-1) = 24 off-diagonal pairs, tau = 3, H = 8,
+    # D = 6, L = 2 GRU layers. An MLP node keeps each layer's
+    # post-activation array, its output and, per batch-norm layer, the mean
+    # and std 2F; layers of F = H on M rows with two batch-norm blocks
+    # keep 3MH + 4H.
+    # Embedding: the window 2*tau*R, which the node reads for W's
+    #   gradient, and the MLP node 3RH + 4H.
+    # GNN pass: the differences v_i - v_j B*N*N*H; the message MLP node
+    #   3PH + 4H; the message sum RH and its int32 target index P/2; the
+    #   node MLP node 3RH + 4H; the second differences B*N*N*H; the edge
+    #   MLP node 3PD + 4D and its dense scatter B*N*N*D.
+    # Edge noise: the noisy features B*N*N*D (the noise is an untracked
+    #   constant, which the add does not keep).
+    # Relations: the gathered pair rows PD; per GRU layer the new state,
+    #   r, z, n and h W_hn + b_hn and the zero initial state 6PH, the
+    #   folded bias sum 2H, its concat 3H and the concat's 3 offsets; the
+    #   projection MLP node (two H blocks, then width 1) 2PH + P + 4H; the
+    #   dense logits B*N*N; the noisy logits, their quotient by the
+    #   temperature (which the div keeps, 1), the sigmoid and the masked
+    #   sample 4*B*N*N, and the (N, N) mask N*N.
+    # Loss: two sums and their sum 3.
+    r, p, nn = b * n, b * n * (n - 1), b * n * n
+    embed = 2 * tau * r + 3 * r * h + 4 * h
+    gnn = (nn * h + 3 * p * h + 4 * h + r * h + p / 2 + 3 * r * h + 4 * h
+           + nn * h + 3 * p * d + 4 * d + nn * d)
+    noise = nn * d
+    relations = (p * d + layers * (6 * p * h + 2 * h + 3 * h + 3)
+                 + 2 * p * h + p + 4 * h + nn + 4 * nn + 1 + n * n)
+    budget = 8 * (embed + gnn + noise + relations + 3)
+    # the MLPs op by op keep 131_600
+    assert budget == 45_488
+    assert tape_bytes(loss) == budget < tape_bytes(composed)
+    assert len(tape_arrays(loss)[0]) < len(tape_arrays(composed)[0])
 
 
 def test_encoder_matches_dense_masked_reference():

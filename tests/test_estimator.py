@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from trajgraph.data import Scene, SyntheticConfig
+from trajgraph.data import Scene, SyntheticConfig, generate_synthetic
 from trajgraph.errors import ConfigError, ContractError, DataError
 from trajgraph import cli
 from trajgraph.config import load_config
@@ -89,6 +89,15 @@ def test_check_scenes_rejects_unnormalized():
                   np.random.default_rng(0).uniform(5, 10, size=(3, 15, 2)))
     with pytest.raises(DataError):
         check_scenes([scene], 3)
+
+
+def test_fit_rejects_a_non_finite_coordinate():
+    """A NaN fails every comparison, so the [-1, 1] range check alone let it
+    through: fit trained on it and kept the untrained weights."""
+    scenes, _ = generate_synthetic(SyntheticConfig(n_scenes=12, seed=0))
+    scenes[0].positions[1, 4, 0] = np.nan
+    with pytest.raises(DataError, match=f"scene {scenes[0].scene_id}: non-finite"):
+        small_forecaster(epochs=2).fit(scenes)
 
 
 def test_check_scenes_rejects_empty():

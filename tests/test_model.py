@@ -8,12 +8,12 @@ from trajgraph.encoder import InteractionGraphSample
 from trajgraph.errors import ConfigError, ContractError
 from trajgraph.graph_complexity import regularized_loss
 from trajgraph.model import ModelConfig, TrajectoryModel
-from trajgraph.nn import BatchNorm, gradients
+from trajgraph.nn import MLP, gradients
 from trajgraph.rng import RngStream
 from trajgraph.training import reconstruction_loss
 
 from conftest import reconfigured, small_model_config
-from oracles import ComposedAttentionDecoderRun, composed_batch_norm
+from oracles import ComposedAttentionDecoderRun, composed_mlp
 
 rng_np = np.random.default_rng(61)
 
@@ -256,10 +256,9 @@ def test_scene_step_mismatch_rejected(small_model):
 
 
 def test_fused_nodes_match_composed_ops_end_to_end(tiny_scenes, monkeypatch):
-    """A GE_mixup boundary update and a sampled prediction with the
-    batch-norm node and the fused attention nodes equal the op-by-op
-    model: outputs and running buffers bit for bit, gradients within
-    1e-12."""
+    """A GE_mixup boundary update and a sampled prediction with the MLP
+    node and the fused attention nodes equal the op-by-op model: outputs
+    and running buffers bit for bit, gradients within 1e-12."""
     pos, cats = batch_from(tiny_scenes[0], 4)
 
     def run():
@@ -275,7 +274,7 @@ def test_fused_nodes_match_composed_ops_end_to_end(tiny_scenes, monkeypatch):
 
     preds, grads, sampled, state = run()
     with monkeypatch.context() as m:
-        m.setattr(BatchNorm, "__call__", composed_batch_norm)
+        m.setattr(MLP, "__call__", composed_mlp)
         m.setattr(model_mod, "DecoderRun", ComposedAttentionDecoderRun)
         preds_ref, grads_ref, sampled_ref, state_ref = run()
     np.testing.assert_array_equal(preds, preds_ref)

@@ -7,12 +7,11 @@ from trajgraph import autodiff as ad
 from trajgraph.autodiff import DArray
 from trajgraph.checkpoint import load_checkpoint, save_checkpoint
 from trajgraph.errors import ContractError, DataError, NumericalError, ShapeError
-from trajgraph.nn import (MLP, Affine, BatchNorm, GRUStack, ParamStore,
-                          gradients, gru_bias)
+from trajgraph.nn import MLP, Affine, GRUStack, ParamStore, gradients, gru_bias
 from trajgraph.optim import Adam
 from trajgraph.rng import RngStream
 
-from oracles import composed_batch_norm, fd_probe_check, fused_gru_reference
+from oracles import composed_mlp, fd_probe_check, fused_gru_reference
 
 rng_np = np.random.default_rng(11)
 
@@ -165,48 +164,76 @@ def test_two_stacked_gru_cells_compose():
 
 def test_batchnorm_train_normalizes_eval_uses_running():
     store, rng = _store_rng()
-    bn = BatchNorm(store, "bn", 3)
+    mlp = MLP(store, "f", 3, [(3, None, True)], rng)
+    store["f.0.W"].data[...] = np.eye(3)   # only the batch norm acts
+    store["f.0.b"].data[...] = 0.0
+    bn = mlp.layers[0][3]
     x = DArray(rng_np.normal(loc=5.0, scale=2.0, size=(64, 3)))
-    out = bn(x, train=True)
+    out = mlp(x, train=True)
     assert np.abs(out.data.mean(axis=0)).max() < 1e-10
     assert np.abs(out.data.std(axis=0) - 1.0).max() < 1e-3
     # after one train step the running stats moved toward the batch stats
     assert np.abs(bn.run_mean.data - 0.1 * x.data.mean(axis=0)).max() < 1e-12
     # eval mode must not depend on the batch
-    single = bn(DArray(np.zeros((1, 3))), train=False)
+    single = mlp(DArray(np.zeros((1, 3))), train=False)
     expected = -bn.run_mean.data / np.sqrt(bn.run_var.data + 1e-5)
     np.testing.assert_allclose(single.data[0], expected)
 
 
-@pytest.mark.parametrize("shape", [(7, 3), (2, 3, 4, 3)], ids=["2d", "4d"])
-def test_batchnorm_node_matches_composed_oracle(shape):
-    """One tape node; forward and running buffers equal to the composed
-    ops bit for bit, gradients within 1e-12."""
-    layers = []
+def _node_against_composed(spec, shape, modes):
+    """Run two equal MLPs, one as the MLP node and one op by op
+    (`composed_mlp`), through `modes`: outputs and running buffers must
+    agree bit for bit, gradients within 1e-12. Returns the parents of
+    each node output."""
+    mlps = []
     for _ in range(2):
-        bn = BatchNorm(ParamStore(), "bn", shape[-1])
-        for arr in (bn.gamma, bn.beta, bn.run_mean):
-            arr.data[...] = np.random.default_rng(4).normal(size=shape[-1])
-        layers.append(bn)
+        store = ParamStore()
+        mlp = MLP(store, "f", shape[-1], spec, RngStream(3).child(0))
+        for _, _, _, bn in mlp.layers:
+            if bn is not None:
+                for arr in (bn.gamma, bn.beta, bn.run_mean):
+                    arr.data[...] = np.random.default_rng(4).normal(size=arr.shape)
+        mlps.append((mlp, store))
     x_data = rng_np.normal(loc=2.0, scale=3.0, size=shape)
-    weights = rng_np.normal(size=shape)
-    for train in (True, False, True):
+    weights = rng_np.normal(size=shape[:-1] + (spec[-1][0],))
+    parents = []
+    for train in modes:
         outs, grads = [], []
-        for bn, call in zip(layers, (BatchNorm.__call__, composed_batch_norm)):
+        for (mlp, store), call in zip(mlps, (MLP.__call__, composed_mlp)):
             x = DArray(x_data, requires_grad=True)
-            out = call(bn, x, train)
-            if call is BatchNorm.__call__:
-                assert out._parents == (x, bn.gamma, bn.beta)
-            outs.append(out.data)
+            out = call(mlp, x, train)
+            outs.append(out)
+            if call is MLP.__call__:
+                parents.append(out._parents)
             (out * weights).sum().backward()
-            grads.append([x.grad, bn.gamma.grad, bn.beta.grad])
-            bn.gamma.grad = bn.beta.grad = None
-        np.testing.assert_array_equal(outs[0], outs[1])
+            grads.append([x.grad] + [p.grad for _, p in store.trainable_items()])
+            store.zero_grad()
+        np.testing.assert_array_equal(outs[0].data, outs[1].data)
         for a, b in zip(*grads):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-        for name in ("run_mean", "run_var"):
-            np.testing.assert_array_equal(getattr(layers[0], name).data,
-                                          getattr(layers[1], name).data)
+        for (k, a), (_, b) in zip(mlps[0][1].items(), mlps[1][1].items()):
+            np.testing.assert_array_equal(a.data, b.data, err_msg=k)
+    return parents
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (2, 3, 4, 3)], ids=["2d", "4d"])
+def test_batchnorm_node_matches_composed_oracle(shape):
+    """A one-layer MLP with batch norm, under each activation, is one tape
+    node; forward and running buffers equal to the composed ops bit for
+    bit, gradients within 1e-12."""
+    for act in ad.ACTIVATIONS:
+        parents = _node_against_composed([(shape[-1], act, True)], shape,
+                                         (True, False, True))
+        assert [len(p) for p in parents] == [5, 5, 5]   # x, W, b, gamma, beta
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (2, 3, 4, 3)], ids=["2d", "4d"])
+def test_mlp_node_matches_composed_oracle(shape):
+    """The encoder's two ELU and batch-norm blocks with a plain affine on
+    top, and the decoder head's two ReLU layers with an affine on top."""
+    for spec in ([(5, "elu", True), (5, "elu", True), (1, None, False)],
+                 [(4, "relu", False), (4, "relu", False), (2, None, False)]):
+        _node_against_composed(spec, shape, (True, False, True))
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():

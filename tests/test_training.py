@@ -264,6 +264,17 @@ def test_train_smoke_writes_loadable_state(tmp_path, tiny_scenes):
     other.load_state_dict(restored)
 
 
+def test_train_without_validation_returns_the_final_state(tiny_scenes):
+    scenes, _ = tiny_scenes
+    model = TrajectoryModel(small_model_config(), seed=1)
+    result = train(model, TrainConfig(epochs=1, batch_size=8, seed=1), scenes[:8], [])
+    assert result.best_val_ade == np.inf
+    assert result.best_state.keys() == result.final_state.keys()
+    for k, v in result.final_state.items():
+        assert result.best_state[k].tobytes() == v.tobytes()
+        assert v.tobytes() == model.store[k].data.tobytes()
+
+
 def test_train_deterministic_given_seed(tiny_scenes):
     scenes, _ = tiny_scenes
 
