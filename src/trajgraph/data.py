@@ -165,7 +165,16 @@ class WindowPlan:
         return min(t // self.tau, self.n_windows) - 1
 
 
+def check_horizon(t_history: int, t_future: int):
+    """ConfigError naming a step count below 1: a scene needs an observed
+    and a predicted step."""
+    for name, steps in (("t_history", t_history), ("t_future", t_future)):
+        if steps < 1:
+            raise ConfigError(f"{name} must be at least 1, got {steps}")
+
+
 def plan_windows(t_history: int, t_future: int, tau: int) -> WindowPlan:
+    check_horizon(t_history, t_future)
     if tau < 1:
         raise ConfigError("window size tau must be >= 1")
     if tau > t_history:
@@ -275,6 +284,7 @@ class SyntheticConfig:
         c = self.n_categories
         if self.n_scenes < 1 or c < 1:
             raise ConfigError("n_scenes and n_categories must be positive")
+        check_horizon(self.t_history, self.t_future)
         if not 2 <= self.n_agents_min <= self.n_agents_max:
             raise ConfigError("need 2 <= n_agents_min <= n_agents_max")
         if not 0.0 <= self.edge_prob <= 1.0:

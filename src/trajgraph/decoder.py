@@ -40,7 +40,7 @@ from .errors import ConfigError
 from .nn import MLP, Affine, GRUStack, ParamStore, gru_bias, linear
 from .rng import RngStream
 
-from .encoder import InteractionGraphSample
+from .encoder import InteractionGraphSample, fan_out
 
 
 class WindowEdges(NamedTuple):
@@ -123,6 +123,20 @@ class DecoderRun:
         self._wq, self._wq_e = decoder.f_q.W[:h], decoder.f_q.W[h:]
         self._wk, self._wk_e = decoder.f_k.W[:h], decoder.f_k.W[h:]
         self._wv, self._wv_e = decoder.f_v[0].W[:h], decoder.f_v[0].W[h:]
+
+    def fan_out(self, k: int):
+        """Continue as k copies of every scene, in k-major rows (row k*B + b
+        copies scene b): the hidden state, the category rows and the
+        row-picked biases repeat k times, and the stacked weights are
+        shared. Call it before the first graph is attended."""
+        self.batch *= k
+        self.rows = np.tile(self.rows, k)
+        self._zero_m = np.zeros((self.batch, self.n_agents, self.decoder.hidden))
+        self.state = [fan_out(s, k) for s in self.state]
+        self._gru = [(w_ih, w_hh, fan_out(b_i, k), fan_out(b_hn, k))
+                     for w_ih, w_hh, b_i, b_hn in self._gru]
+        if not self.decoder.homogeneous:
+            self._gmaps = [(w, fan_out(b, k)) for w, b in self._gmaps]
 
     def _category_maps(self, h: DArray) -> list[DArray]:
         """tanh(h W_c + b_c) of the query, key and value maps, with each

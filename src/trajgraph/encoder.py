@@ -61,6 +61,11 @@ def dense_pairs(x: DArray) -> DArray:
     return ad.scatter(x, (b, n, n, f), offdiag_pairs)
 
 
+def fan_out(x: DArray, k: int) -> DArray:
+    """k copies of x stacked along its leading axis, k-major."""
+    return x if k == 1 else ad.concat([x] * k, axis=0)
+
+
 @functools.lru_cache(maxsize=64)
 def _pair_targets(b: int, n: int):
     """The (B*N, B*(N-1)*N) incidence matrix (`autodiff.segments`) of each
@@ -160,22 +165,37 @@ class GraphEncoder:
 
 
 class EncoderRun:
-    """Stateful window-by-window pass; edge GRU state persists per scene."""
+    """Stateful window-by-window pass; edge GRU state persists per scene.
+
+    Graphs are drawn for `rng.copies` copies of the B scenes of the first
+    window, in k-major rows (row k*B + b). A window given on the B scene
+    rows is embedded and its relations advanced once for every copy; only
+    its edge-feature noise and relation draws run per copy. The first
+    window given on the K*B copy rows fans the edge-GRU state out to them.
+    """
 
     def __init__(self, encoder: GraphEncoder, edge_noise_scale: float):
         self.encoder = encoder
         self.edge_noise_scale = edge_noise_scale
         self.state: list[DArray] | None = None
         self.window_index = 0
+        self.scenes = self.rows = 0
 
     def step(self, window, rng: RngStream, mode: str, train: bool) -> InteractionGraphSample:
         enc = self.encoder
         w = self.window_index
+        rows = window.shape[0]
+        if w == 0:
+            self.scenes = rows
+        elif rows > self.rows:
+            self.state = [fan_out(s, rows // self.rows) for s in self.state]
+        self.rows = rows
         v = enc.embed_window(window, train=train)
         _, e_tilde = enc.gnn_pass(v, train=train)
-        edge_feats = enc.sample_edge_features(
-            e_tilde, rng.child(RK_EDGE_NOISE, w), self.edge_noise_scale)
         logits, self.state = enc.update_relations(e_tilde, self.state, train=train)
-        z = enc.sample_relations(logits, mode, rng.child(RK_RELATION, w))
+        copies = rng.copies * self.scenes // rows
+        edge_feats = enc.sample_edge_features(
+            fan_out(e_tilde, copies), rng.child(RK_EDGE_NOISE, w), self.edge_noise_scale)
+        z = enc.sample_relations(fan_out(logits, copies), mode, rng.child(RK_RELATION, w))
         self.window_index += 1
         return InteractionGraphSample(z, edge_feats)

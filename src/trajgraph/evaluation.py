@@ -143,7 +143,10 @@ class ModelGraphProbe:
 
     Graphs are inferred once per scene in deterministic MAP mode with the
     edge-feature noise disabled, so edited copies differ from the baseline
-    only in the edited relation.
+    only in the edited relation. Only window 0's graph is a function of the
+    observed history alone: later windows are embedded from the free run's
+    predictions, which carry the head noise of `rng`, so their MAP graphs
+    still depend on that stream.
     """
 
     def __init__(self, model: TrajectoryModel, n_rollouts: int):

@@ -10,6 +10,14 @@ equivalent to batching them as disconnected components of one large graph.
 `sample_scenes` draws K stochastic rollouts of every scene of a list: one
 batched `sample_rollouts` call per same-size group, results in input order.
 
+A sample's randomness enters at its first graph: the edge-feature noise
+and relation draws of window 0, and the head noise of the steps from the
+first one that reads a graph. Before that, every sample computes the same
+thing, so the K samples share it: the windows inside the observed history
+are embedded and their edge-GRU state advanced once per scene, and the
+decoder's graph-free burn-in steps run once on the B scene rows before
+the state fans out to the K*B sample rows.
+
 Rollout input modes:
   teacher    ground truth at every step (the TF baseline);
   free_run   ground truth during history, own predictions afterwards;
@@ -29,7 +37,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DArray
-from .data import Scene, WindowPlan, plan_windows
+from .data import Scene, WindowPlan, check_horizon, plan_windows
 from .decoder import DecoderRun, TrajectoryDecoder
 from .encoder import (RK_STEP_NOISE, EncoderRun, GraphEncoder,
                       InteractionGraphSample)
@@ -56,6 +64,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.n_categories < 1:
             raise ConfigError("need at least one category")
+        check_horizon(self.t_history, self.t_future)
         if min(self.hidden_dim, self.edge_dim, self.attn_dim, self.gru_layers) < 1:
             raise ConfigError("model dimensions must be positive")
         if not self.temperature > 0:
@@ -150,8 +159,8 @@ class TrajectoryModel:
         if len(graphs) < needed:
             raise ContractError(
                 f"rollout needs {needed} window graphs, got {len(graphs)}")
-        return self._decode(positions, categories, lambda w, inputs: graphs[w],
-                            rng, input_mode, lam, boundary_probe)
+        return ad.stack(self._decode(positions, categories, lambda w, inputs: graphs[w],
+                                     rng, input_mode, lam, boundary_probe), axis=2)
 
     def predict_batch(self, positions: np.ndarray, categories: np.ndarray,
                       rng: RngStream, sample_mode: str = "sample",
@@ -162,43 +171,66 @@ class TrajectoryModel:
         Window w is embedded once the decoder has consumed its steps, from
         those step inputs: ground truth in history, predictions after. The
         returned array carries ground truth history and predicted future.
+
+        `rng` decodes `rng.copies` copies of the B scenes: one for an
+        `RngStream`, K for a `StackedStream` of K members, in k-major rows
+        (row k*B + b draws from member k). The result has K*B rows, and so
+        do the graphs. The copies share the work before their first graph
+        draw: history windows are embedded from `positions` once, and the
+        decoder's burn-in runs once (`_decode`).
         """
         self._check_steps(positions)
         scale = self.cfg.edge_noise_scale if edge_noise_scale is None else edge_noise_scale
         enc = EncoderRun(self.encoder, scale)
+        t_hist = self.cfg.t_history
         graphs: list[InteractionGraphSample] = []
 
         def window_graph(w: int, inputs: list[DArray]) -> InteractionGraphSample:
             if w == len(graphs):
                 lo, hi = self.plan.window_steps(w)
-                window = np.stack([x.data for x in inputs[lo:hi]], axis=2)
+                if hi <= t_hist:     # observed: on the scene rows
+                    window = positions[:, :, lo:hi]
+                else:
+                    window = np.stack([x.data for x in inputs[lo:hi]], axis=2)
                 graphs.append(enc.step(window, rng, sample_mode, train=False))
             return graphs[w]
 
         with ad.no_grad():
             preds = self._decode(positions, categories, window_graph, rng,
                                  "free_run", None, None)
-        out = positions.copy()
-        t_hist = self.cfg.t_history
-        out[:, :, t_hist:] = preds.data[:, :, t_hist:]
+        out = np.tile(positions, (rng.copies, 1, 1, 1))
+        out[:, :, t_hist:] = np.stack([p.data for p in preds[t_hist:]], axis=2)
         return out, graphs
 
     def _decode(self, positions: np.ndarray, categories: np.ndarray,
                 window_graph, rng: RngStream, input_mode: str,
-                lam: float | None, boundary_probe: DArray | None) -> DArray:
+                lam: float | None, boundary_probe: DArray | None) -> list[DArray]:
         """The one recursive loop behind `rollout` and `predict_batch`.
 
         `window_graph(w, inputs)` returns window w's graph, given the
-        decoder inputs of the steps so far.
+        decoder inputs of the steps so far. Returns the T per-step
+        predictions; index 0 carries the observed first step.
+
+        With K = `rng.copies` > 1, the steps before the first graph run
+        once on the B scene rows and draw no head noise, as their
+        predictions are never read; the first step that reads a graph fans
+        the state out to the K*B copy rows.
         """
         plan = self.plan
         t_hist = self.cfg.t_history
-        b, n = positions.shape[0], positions.shape[1]
-        dec = DecoderRun(self.decoder, b, n, categories)
+        copies = rng.copies
+        n = positions.shape[1]
+        dec = DecoderRun(self.decoder, positions.shape[0], n, categories)
 
         preds: list[DArray] = [DArray(positions[:, :, 0])]
         inputs: list[DArray] = []
+        shared = copies > 1    # the copies still share the scene rows
         for t in range(plan.t_total - 1):
+            gi = plan.graph_index_for_target(t + 1)
+            if shared and gi >= 0:
+                positions = np.tile(positions, (copies, 1, 1, 1))
+                dec.fan_out(copies)
+                shared = False
             truth_t = DArray(positions[:, :, t])
             if input_mode == "teacher" or t < t_hist:
                 x_in = truth_t
@@ -213,15 +245,14 @@ class TrajectoryModel:
             else:
                 x_in = preds[t]
             inputs.append(x_in)
-            gi = plan.graph_index_for_target(t + 1)
             graph = window_graph(gi, inputs) if gi >= 0 else None
-            if self.cfg.step_noise:
+            if self.cfg.step_noise and not shared:
                 eps = rng.child(RK_STEP_NOISE, t).normal(
-                    size=(b, n, self.cfg.hidden_dim))
+                    size=(dec.batch, n, self.cfg.hidden_dim))
             else:
                 eps = None
             preds.append(dec.step(x_in, graph, eps, gi))
-        return ad.stack(preds, axis=2)
+        return preds
 
     def sample_rollouts(self, positions: np.ndarray, categories: np.ndarray,
                         streams: list[RngStream], **predict_kw,
@@ -230,12 +261,13 @@ class TrajectoryModel:
 
         Row k*B + b draws from streams[k] what sample k of scene b would draw
         alone, and eval batch norm (running statistics) keeps rows apart.
-        Returns (K, B, N, T, 2) predictions and graphs with K*B rows.
+        The samples share each scene's observed burn-in and history windows,
+        which run once (`predict_batch`). Returns (K, B, N, T, 2) predictions
+        and graphs with K*B rows.
         """
         k = len(streams)
-        out, graphs = self.predict_batch(
-            np.tile(positions, (k, 1, 1, 1)), np.tile(categories, (k, 1)),
-            StackedStream(streams), **predict_kw)
+        out, graphs = self.predict_batch(positions, categories, StackedStream(streams),
+                                         **predict_kw)
         return out.reshape((k,) + positions.shape), graphs
 
     def sample_scenes(self, scenes: list[Scene], streams, **predict_kw,

@@ -27,6 +27,8 @@ STREAM_THEORY = 4
 class RngStream:
     """A deterministic random stream addressed by (seed, stream indices)."""
 
+    copies = 1   # draws for one copy of the batch rows (see StackedStream)
+
     def __init__(self, seed: int, stream: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.stream = tuple(int(s) for s in stream)
@@ -67,12 +69,20 @@ class StackedStream:
     """K member streams acting as one over a k-major batch axis: a draw of
     leading size K*B is the members' (B, ...) draws concatenated, so row
     k*B + b gets what member k alone draws at row b. It has only the draws
-    `TrajectoryModel.predict_batch` makes."""
+    `TrajectoryModel.predict_batch` makes.
+
+    The member count is the copy count (`copies`): `predict_batch` given B
+    scenes and this stream decodes K copies of them, copy k on member k.
+    """
 
     def __init__(self, streams: list[RngStream]):
         if not streams:
             raise ContractError("a stacked stream needs at least one member")
         self.streams = list(streams)
+
+    @property
+    def copies(self) -> int:
+        return len(self.streams)
 
     def child(self, *indices: int) -> "StackedStream":
         return StackedStream([s.child(*indices) for s in self.streams])

@@ -367,13 +367,18 @@ def _train_ini(lines):
     (["train"], SMOKE_INI.replace("attn_dim = 10", "attn_dim = 10\nedge_noise_scale = -1")),
     (["train"], SMOKE_INI.replace("attn_dim = 10", "attn_dim = 10\nedge_noise_scale = nan")),
     (["train"], SMOKE_INI.replace("attn_dim = 10", "attn_dim = 10\nedge_noise_scale = inf")),
+    (["gen-data"], "[data]\nt_future = 0\n"),
+    (["gen-data"], "[data]\nt_future = -1\n"),
+    (["gen-data"], "[data]\nt_history = 0\n"),
+    (["train"], SMOKE_INI.replace("seed = 5", "seed = 5\nt_future = 0")),
 ], ids=["samples_0", "eval_samples_0", "eval_split_bogus", "samples_negative",
         "quality_scenes_negative", "svg_scenes_negative", "trials_negative",
         "max_nodes_1", "split_out_of_range", "init_vel_negative", "init_vel_nan",
         "learning_rate_negative", "learning_rate_nan", "gamma_nan", "temperature_nan",
         "sweep_gamma_nan", "gamma_inf", "alpha_decay_interval_0", "alpha_init_nan",
         "alpha_init_inf", "alpha_floor_0", "alpha_decay_factor_nan",
-        "edge_noise_scale_negative", "edge_noise_scale_nan", "edge_noise_scale_inf"])
+        "edge_noise_scale_negative", "edge_noise_scale_nan", "edge_noise_scale_inf",
+        "t_future_0", "t_future_negative", "t_history_0", "train_t_future_0"])
 def test_hostile_counts_are_config_errors(workspace, tmp_path, capsys, argv, ini):
     root, cfg, data, run = workspace
     if ini is not None:
@@ -390,6 +395,9 @@ def test_hostile_counts_are_config_errors(workspace, tmp_path, capsys, argv, ini
     assert out.err.startswith("config error: ") and "PASS" not in out.out
     if "nan" in argv or "= nan" in (ini or ""):
         assert "got nan" in out.err   # the message names the value
+    for name in ("t_history", "t_future"):
+        if f"{name} = " in (ini or ""):
+            assert name in out.err   # the message names the field
     assert not (tmp_path / "out").exists()
 
 

@@ -2,16 +2,21 @@
 
 `TrajectoryModel.sample_rollouts` folds the K samples into the batch axis;
 batching only changes the GEMM shapes, so predictions agree within 1e-12
-and the sampled graphs exactly. Each caller is also run with the sampler
-replaced by the per-sample loop, which checks its stream addresses.
+and the sampled graphs exactly. The samples of a scene share the work
+before their first graph draw, which runs once on the scene rows. Each
+caller is also run with the sampler replaced by the per-sample loop, which
+checks its stream addresses.
 """
 
 import numpy as np
 import pytest
 
+from trajgraph import autodiff as ad
 from trajgraph import cli
 from trajgraph.autodiff import DArray
-from trajgraph.encoder import InteractionGraphSample
+from trajgraph.data import SyntheticConfig, generate_synthetic
+from trajgraph.decoder import DecoderRun
+from trajgraph.encoder import GraphEncoder, InteractionGraphSample
 from trajgraph.errors import ContractError
 from trajgraph.estimator import TrajectoryForecaster
 from trajgraph.evaluation import eval_rollouts, sampled_metrics
@@ -59,11 +64,34 @@ def test_stacked_stream_rejects_sizes_it_cannot_split():
         StackedStream(_members()).normal()
 
 
-@pytest.mark.parametrize("mode", ["sample", "map"])
-def test_sample_rollouts_matches_per_sample_loop(tiny_scenes, mode):
-    scenes, _ = tiny_scenes
-    model = TrajectoryModel(small_model_config(), seed=5)
+def _plan_batch(tiny_scenes, t_history, t_future, tau, **model_kw):
+    """An untrained model on plan (t_history, t_future, tau) and the
+    largest same-size group of scenes of that length."""
+    scenes = tiny_scenes[0] if (t_history, t_future) == (5, 10) else generate_synthetic(
+        SyntheticConfig(n_scenes=8, n_agents_min=3, n_agents_max=4,
+                        t_history=t_history, t_future=t_future, seed=11))[0]
+    model = TrajectoryModel(small_model_config(t_history=t_history, t_future=t_future,
+                                               tau=tau, **model_kw), seed=5)
     pos, cats, _ = max(TrajectoryModel.batch_scenes(scenes), key=lambda g: len(g[2]))
+    return model, pos, cats
+
+
+# (mode, plan, model overrides); the default plan keeps the bare mode as id
+SAMPLER_CASES = [
+    (mode, plan, kw, mode if name == "default" else f"{mode}-{name}")
+    for name, plan, kw in [
+        ("default", (5, 10, 5), {}),
+        ("tau_1", (5, 10, 1), {}),            # no decoder burn-in; 5 shared windows
+        ("history_6_tau_2", (6, 10, 2), {}),  # the fan-out falls inside the history
+        ("noiseless", (5, 10, 5), {"step_noise": False, "edge_noise_scale": 0.0}),
+    ]
+    for mode in ("sample", "map")]
+
+
+@pytest.mark.parametrize("mode, plan, model_kw", [c[:3] for c in SAMPLER_CASES],
+                         ids=[c[3] for c in SAMPLER_CASES])
+def test_sample_rollouts_matches_per_sample_loop(tiny_scenes, mode, plan, model_kw):
+    model, pos, cats = _plan_batch(tiny_scenes, *plan, **model_kw)
     b = pos.shape[0]
     assert b > 1
     streams = [RngStream(3).child(k) for k in range(4)]
@@ -74,6 +102,66 @@ def test_sample_rollouts_matches_per_sample_loop(tiny_scenes, mode):
     for k, sample_graphs in enumerate(ref_graphs):
         for g, r in zip(graphs, sample_graphs):
             np.testing.assert_array_equal(g.z.data[k * b:(k + 1) * b], r.z.data)
+
+
+@pytest.mark.parametrize("mode", ["sample", "map"])
+def test_one_sample_is_predict_batch_on_its_stream(tiny_scenes, mode):
+    """K = 1 shares nothing: byte for byte the bare stream's free run."""
+    model, pos, cats = _plan_batch(tiny_scenes, 5, 10, 5)
+    stream = RngStream(3).child(0)
+    out, graphs = model.sample_rollouts(pos, cats, [stream], sample_mode=mode)
+    ref, ref_graphs = model.predict_batch(pos, cats, stream, sample_mode=mode)
+    assert out.shape == (1,) + ref.shape and out[0].tobytes() == ref.tobytes()
+    assert len(graphs) == len(ref_graphs)
+    for g, r in zip(graphs, ref_graphs):
+        assert g.z.data.tobytes() == r.z.data.tobytes()
+        assert g.edge_feats.data.tobytes() == r.edge_feats.data.tobytes()
+
+
+def test_samples_share_the_burn_in_once(tiny_scenes, monkeypatch):
+    """Exact work of one K = 4 call on B = 2 scenes of N = 3 (default plan:
+    14 decoder steps, 2 GRU layers, 2 decoded windows of 5 steps)."""
+    b, n, k = 2, 3, 4
+    model = TrajectoryModel(small_model_config(), seed=5)
+    pos, cats, _ = next(g for g in TrajectoryModel.batch_scenes(tiny_scenes[0])
+                        if g[0].shape[1] == n)
+    pos, cats = pos[:b], cats[:b]
+    assert pos.shape[0] == b
+    gru_rows, gnn_rows, runs, in_step = [], [], [], []
+    step, init = DecoderRun.step, DecoderRun.__init__
+    gnn_pass, gru_cell = GraphEncoder.gnn_pass, ad.gru_cell
+
+    def counted_step(run, *args):
+        in_step.append(run)
+        try:
+            return step(run, *args)
+        finally:
+            in_step.pop()
+
+    def counted_gru_cell(x, *args):
+        if in_step:   # a decoder GRU layer, not the encoder's edge GRU
+            gru_rows.append(x.shape[0])
+        return gru_cell(x, *args)
+
+    def counted_init(run, *args):
+        runs.append(run)
+        init(run, *args)
+
+    def counted_gnn_pass(enc, v, **kwargs):
+        gnn_rows.append(v.shape[0])
+        return gnn_pass(enc, v, **kwargs)
+
+    for owner, name, fn in [(DecoderRun, "step", counted_step),
+                            (DecoderRun, "__init__", counted_init),
+                            (GraphEncoder, "gnn_pass", counted_gnn_pass),
+                            (ad, "gru_cell", counted_gru_cell)]:
+        monkeypatch.setattr(owner, name, fn)
+    model.sample_rollouts(pos, cats, [RngStream(3).child(i) for i in range(k)])
+    # steps 0-3 read no graph and run once; step 4 reads window 0's graph
+    assert gru_rows == [b * n] * (4 * 2) + [k * b * n] * (10 * 2)
+    # window 0 lies in the history; window 1 holds predicted steps
+    assert gnn_rows == [b, k * b]
+    assert len(runs) == 1
 
 
 @pytest.fixture
