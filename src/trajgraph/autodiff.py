@@ -15,9 +15,10 @@ Fused nodes record a chain of ops as one tape node with a hand-written
 backward, so the tape keeps one array per chain rather than one per op:
 `mlp` (a whole multi-layer perceptron, GEMMs, activations and batch norm
 included, keeping each layer's post-activation array and batch
-statistics; batch norm exists only here), `gru_cell` (one GRU layer step,
-GEMMs included, keeping its four gate arrays), `category_map` (tanh of
-each row's own category map), `tanh_add` (tanh of a broadcast sum, whose
+statistics; batch norm exists only here), `gru_cell` (one GRU layer step
+on the layer's parameters as registered, GEMMs and bias sums included,
+keeping its four gate arrays), `category_map` (tanh of each row's own
+category map), `tanh_add` (tanh of a broadcast sum, whose
 terms may be row gathers) and `mul_sum` (a product summed over one axis).
 `segment_sum` adds rows into segments, optionally weighted, through the
 sparse incidence matrix that `segments` builds once per index; the
@@ -25,12 +26,14 @@ decoder's attention and the encoder's message sum use it. `scatter`
 writes an array into a zero array through a view, with one copy. `add`
 and `sub` keep no untracked operand: their backward reads only shapes.
 
-The two category nodes take C-stacked weights and an (R,) category index.
-Their forward still multiplies every row by all C categories' weights
-and keeps each row's own (the benchmark counts the decoder's rows that way
-until its v2, see ROADMAP); only the own rows stay on the tape, and
-backward multiplies each category's weights by that category's rows only.
-The GEMMs of `linear` are `matmul` nodes.
+The two category nodes take C-stacked weights and biases and an (R,)
+category index, and pick each row's own biases themselves. Their forward
+still multiplies every row by all C categories' weights and keeps each
+row's own (the benchmark counts the decoder's rows that way until its v2,
+see ROADMAP); only the own rows stay on the tape. `_affine_grads` is the
+one place that adds up a fused node's weight and bias gradients: per
+category, on that category's rows only. The GEMMs of `linear` are
+`matmul` nodes.
 """
 
 from __future__ import annotations
@@ -719,58 +722,65 @@ def _own_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return x[rows, np.arange(len(rows))]
 
 
-def _linear_grads(x: DArray, w: DArray, g: np.ndarray, rows):
-    """Accumulate the gradients of `x` and `w` through y = x W given dy =
-    g, or, for C-stacked (C, F, H) weights and an (R,) category index
-    `rows`, through y[r] = x[r] W[rows[r]]: one GEMM each for dx and dW
-    per category present, on that category's rows only."""
+def _affine_grads(x: DArray, w: DArray, b: DArray, g: np.ndarray, rows):
+    """Accumulate the gradients of `x`, `w` and `b` through y = x W + b
+    given dy = g, or, for C-stacked (C, F, H) weights, (C, H) biases and
+    an (R,) category index `rows`, through y[r] = x[r] W[c] + b[c] with
+    c = rows[r]: per category present, one GEMM each for dx and dW and one
+    row sum for db, on that category's rows only."""
     if rows is None:
-        if x.requires_grad:
-            _accum_owned(x, g @ w.data.T)
-        if w.requires_grad:
-            _accum_owned(w, x.data.T @ g)
-        return
-    dx = np.empty(x.data.shape) if x.requires_grad else None
-    dw = np.zeros_like(w.data) if w.requires_grad else None
-    for c in np.unique(rows):
-        idx = np.flatnonzero(rows == c)
-        if dx is not None:
-            dx[idx] = g[idx] @ w.data[c].T
-        if dw is not None:
-            dw[c] = x.data[idx].T @ g[idx]
-    if dx is not None:
-        _accum_owned(x, dx)
-    if dw is not None:
-        _accum_owned(w, dw)
+        grads = (g @ w.data.T if x.requires_grad else None,
+                 x.data.T @ g if w.requires_grad else None,
+                 g.sum(axis=0) if b.requires_grad else None)
+    else:
+        grads = (np.empty(x.data.shape) if x.requires_grad else None,
+                 np.zeros_like(w.data) if w.requires_grad else None,
+                 np.zeros_like(b.data) if b.requires_grad else None)
+        dx, dw, db = grads
+        for c in np.unique(rows):
+            idx = np.flatnonzero(rows == c)
+            gc = g[idx]
+            if dx is not None:
+                dx[idx] = gc @ w.data[c].T
+            if dw is not None:
+                dw[c] = x.data[idx].T @ gc
+            if db is not None:
+                db[c] = gc.sum(axis=0)
+    for t, d in zip((x, w, b), grads):
+        if d is not None:
+            _accum_owned(t, d)
 
 
-def gru_cell(x, h, w_ih, w_hh, b_ih, b_hn, rows=None) -> DArray:
+def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh, rows=None) -> DArray:
     """One GRU layer step as one tape node with a hand-written backward.
 
-    The weights hold gate blocks (reset r, update z, candidate n) along
-    their last axis: w_ih is (F, 3H), w_hh (H, 3H), b_ih = (b_ir + b_hr,
-    b_iz + b_hz, b_in) broadcasts against (R, 3H) and b_hn against (R, H).
-    For x (R, F) and state h (R, H):
+    The parameters are a `nn.GRUStack` layer's as registered, gate blocks
+    (reset r, update z, candidate n) along their last axis: w_ih (F, 3H),
+    w_hh (H, 3H), and (3H,) biases b_ih and b_hh. For x (R, F) and state
+    h (R, H):
 
-        r = sigmoid(x W_ir + h W_hr + b_r)
-        z = sigmoid(x W_iz + h W_hz + b_z)
+        r = sigmoid(x W_ir + h W_hr + (b_ir + b_hr))
+        z = sigmoid(x W_iz + h W_hz + (b_iz + b_hz))
         n = tanh(x W_in + b_in + r * (h W_hn + b_hn))
         h' = (1 - z) * n + z * h
 
-    With `rows`, an (R,) category index, the weights are C-stacked, (C, F,
-    3H) and (C, H, 3H), and row r goes through the GRU of category
-    rows[r]. The forward runs the six gate GEMMs as untracked `matmul`
-    calls, each row against all C categories (the benchmark counts the
-    decoder's rows that way until its v2, see ROADMAP), and keeps each
-    row's own category. The node keeps r, z, n and h W_hn + b_hn, four
-    (R, H) arrays; backward runs one GEMM each for dW_ih, dW_hh, dx and dh
-    per category, on that category's rows only.
+    With `rows`, an (R,) category index, the parameters are C-stacked,
+    (C, F, 3H), (C, H, 3H) and (C, 3H), and row r goes through the GRU of
+    category rows[r]. The forward runs the six gate GEMMs as untracked
+    `matmul` calls, each row against all C categories (the benchmark
+    counts the decoder's rows that way until its v2, see ROADMAP), and
+    keeps each row's own category and biases. The node keeps r, z, n and
+    h W_hn + b_hn, four (R, H) arrays; backward runs `_affine_grads` once
+    for the input and once for the hidden side.
     """
-    x, h, w_ih, w_hh, b_ih, b_hn = (_coerce(t) for t in (x, h, w_ih, w_hh, b_ih, b_hn))
+    x, h, w_ih, w_hh, b_ih, b_hh = (_coerce(t) for t in (x, h, w_ih, w_hh, b_ih, b_hh))
     if rows is not None:
         rows = np.asarray(rows)
     hd = w_hh.data.shape[-2]
     blocks = (slice(0, hd), slice(hd, 2 * hd), slice(2 * hd, 3 * hd))
+
+    def own(a):
+        return a if rows is None else a[rows]
 
     def gemm(a, w, block):
         out = matmul(a.data, w.data[..., block]).data
@@ -778,49 +788,39 @@ def gru_cell(x, h, w_ih, w_hh, b_ih, b_hn, rows=None) -> DArray:
 
     xr, hr, xz, hz, xn, hn = (gemm(a, w, block) for block in blocks
                               for a, w in ((x, w_ih), (h, w_hh)))
-    b_r, b_z, b_in = (b_ih.data[..., block] for block in blocks)
-    r = _sigmoid(xr + hr + b_r)
-    z = _sigmoid(xz + hz + b_z)
-    hn_b = hn + b_hn.data
-    n = np.tanh(xn + b_in + r * hn_b)
+    b_rz = own(b_ih.data[..., :2 * hd] + b_hh.data[..., :2 * hd])
+    r = _sigmoid(xr + hr + b_rz[..., :hd])
+    z = _sigmoid(xz + hz + b_rz[..., hd:])
+    hn_b = hn + own(b_hh.data[..., 2 * hd:])
+    n = np.tanh(xn + own(b_ih.data[..., 2 * hd:]) + r * hn_b)
     out_data = (1.0 - z) * n + z * h.data
 
     def bw(g):
         da_n = g * (1.0 - z) * (1.0 - n * n)
         da_r = da_n * hn_b * r * (1.0 - r)
         da_z = g * (h.data - n) * z * (1.0 - z)
-        d_hn = da_n * r
-        d_ih = np.concatenate([da_r, da_z, da_n], axis=-1)
-        _linear_grads(x, w_ih, d_ih, rows)
-        _linear_grads(h, w_hh, np.concatenate([da_r, da_z, d_hn], axis=-1), rows)
+        _affine_grads(x, w_ih, b_ih, np.concatenate([da_r, da_z, da_n], axis=-1), rows)
+        _affine_grads(h, w_hh, b_hh, np.concatenate([da_r, da_z, da_n * r], axis=-1), rows)
         if h.requires_grad:
             _accum_owned(h, g * z)
-        if b_ih.requires_grad:
-            _accum_owned(b_ih, _unbroadcast(d_ih, b_ih.data.shape))
-        if b_hn.requires_grad:
-            _accum_owned(b_hn, _unbroadcast(d_hn, b_hn.data.shape))
 
-    return _track(out_data, (x, h, w_ih, w_hh, b_ih, b_hn), bw)
+    return _track(out_data, (x, h, w_ih, w_hh, b_ih, b_hh), bw)
 
 
 def category_map(h, w, b, rows) -> DArray:
-    """tanh(h W_c + b) with each row's own category c = rows[r], as one
+    """tanh(h W_c + b_c) with each row's own category c = rows[r], as one
     tape node that keeps only its output.
 
-    h is (R, F), w the C-stacked (C, F, H) weights and b broadcasts
-    against (R, H). The forward multiplies every row by all C weights and
+    h is (R, F), and w and b are the C-stacked (C, F, H) weights and
+    (C, H) biases. The forward multiplies every row by all C weights and
     keeps each row's own category, as the decoder did before this node;
-    backward runs one GEMM each for dh and dW per category, on that
-    category's rows only.
+    backward is `_affine_grads` on each category's rows only.
     """
     h, w, b = _coerce(h), _coerce(w), _coerce(b)
     rows = np.asarray(rows)
-    out_data = np.tanh(_own_rows(matmul(h.data, w.data).data, rows) + b.data)
+    out_data = np.tanh(_own_rows(matmul(h.data, w.data).data, rows) + b.data[rows])
 
     def bw(g):
-        d = g * (1.0 - out_data * out_data)
-        _linear_grads(h, w, d, rows)
-        if b.requires_grad:
-            _accum_owned(b, _unbroadcast(d, b.data.shape))
+        _affine_grads(h, w, b, g * (1.0 - out_data * out_data), rows)
 
     return _track(out_data, (h, w, b), bw)

@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
-from .config import (SPLITS, RunConfig, check_seed, load_config,
-                     parse_float_list)
+from .config import SPLITS, check_seed, load_config, parse_float_list
 from .data import (Normalizer, Scene, SyntheticConfig, generate_synthetic,
                    load_csv, save_csv, split_scenes)
 from .errors import (ConfigError, ContractError, DataError, GenerationError,
@@ -116,7 +115,7 @@ def _load_split(data_dir, split: str, n_categories: int | None = None
     return scenes, norm
 
 
-def _synthetic_config(cfg: RunConfig) -> SyntheticConfig:
+def _synthetic_config(cfg: dict[str, dict]) -> SyntheticConfig:
     d = cfg["data"]
     c = d["n_categories"]
     coupling = parse_float_list(d["coupling"], c * c, "[data] coupling")
@@ -127,17 +126,17 @@ def _synthetic_config(cfg: RunConfig) -> SyntheticConfig:
     return SyntheticConfig(**kw)
 
 
-def _model_config(cfg: RunConfig) -> ModelConfig:
+def _model_config(cfg: dict[str, dict]) -> ModelConfig:
     d, m = cfg["data"], cfg["model"]
     return ModelConfig(**{f.name: m[f.name] if f.name in m else d[f.name]
                           for f in dataclasses.fields(ModelConfig)})
 
 
-def _train_config(cfg: RunConfig) -> TrainConfig:
+def _train_config(cfg: dict[str, dict]) -> TrainConfig:
     return TrainConfig(**cfg["train"])
 
 
-def _threads(cfg: RunConfig, flag: int | None) -> int:
+def _threads(cfg: dict[str, dict], flag: int | None) -> int:
     """Resolved `--threads` / `[eval] threads` (0: CPU count); accepted and
     ignored, and kept because the benchmark reads it."""
     value = flag if flag is not None else cfg["eval"]["threads"]

@@ -13,7 +13,7 @@ integer, and `[eval] split` one of `SPLITS`.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .data import SyntheticConfig
@@ -40,14 +40,6 @@ DEFAULTS: dict[str, dict] = {
         "seed": 0,
     },
 }
-
-
-@dataclass
-class RunConfig:
-    sections: dict[str, dict] = field(default_factory=dict)
-
-    def __getitem__(self, section: str) -> dict:
-        return self.sections[section]
 
 
 def _coerce(section: str, key: str, raw: str):
@@ -77,8 +69,9 @@ def _coerce(section: str, key: str, raw: str):
 
 def load_config(path: str | Path | None = None,
                 overrides: dict[tuple[str, str], object] | None = None
-                ) -> RunConfig:
-    """Read a config file (optional) over the defaults, then apply overrides.
+                ) -> dict[str, dict]:
+    """Read a config file (optional) over the defaults, then apply overrides;
+    returns {section: {key: value}}.
 
     `overrides` maps (section, key) to already-typed values, typically
     from command-line flags; flags win over the file.
@@ -113,7 +106,7 @@ def load_config(path: str | Path | None = None,
     if sections["eval"]["split"] not in SPLITS:
         raise ConfigError(f"[eval] split must be one of {', '.join(SPLITS)}, "
                           f"got {sections['eval']['split']!r}")
-    return RunConfig(sections)
+    return sections
 
 
 def check_seed(seed: int, what: str):

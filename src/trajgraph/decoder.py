@@ -12,12 +12,13 @@ change in position.
 order they register are the checkpoint format.
 
 Category dispatch: the GRU layers and the g_q/g_k/g_v maps are the
-`autodiff.gru_cell` and `autodiff.category_map` nodes. Their forward
-multiplies every agent's row by all C categories' weights (C-stacked
-until benchmark v2, see ROADMAP) and keeps each agent's own category row;
+`autodiff.gru_cell` and `autodiff.category_map` nodes, given the
+C-stacked parameters and each agent's category. Their forward multiplies
+every agent's row by all C categories' weights (C-stacked until benchmark
+v2, see ROADMAP) and keeps each agent's own category row and biases;
 their backward multiplies each category's weights by its own agents' rows
-only. No C-stacked product stays on the tape, and everything after these
-nodes runs on one row per agent.
+only and sums its biases' gradient over them. No C-stacked product stays
+on the tape, and everything after these nodes runs on one row per agent.
 
 Attention runs on the window's qualifying edges only: the off-diagonal
 pairs whose sampled weight exceeds 1/2, listed once per window and sorted
@@ -37,7 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DArray
 from .errors import ConfigError
-from .nn import MLP, Affine, GRUStack, ParamStore, gru_bias, linear
+from .nn import MLP, Affine, GRUStack, ParamStore, linear
 from .rng import RngStream
 
 from .encoder import InteractionGraphSample, fan_out
@@ -92,12 +93,13 @@ class DecoderRun:
     """Per-rollout decoder state: hidden layers plus per-window caches.
 
     Every weight, and the layer count, comes from the decoder's layers.
-    Once per rollout, per-category weights are stacked along a leading
-    category axis, each agent's own category biases are picked (with the
-    GRU's reset and update biases folded), and the [h, e] weights of
-    `f_q`, `f_k` and `f_v[0]` are split into node and edge rows. The hidden
-    state holds one (B*N, H) row per agent; each step runs one
-    `autodiff.gru_cell` node per GRU layer on it.
+    Once per rollout, per-category weights and biases are stacked along a
+    leading category axis, and the [h, e] weights of `f_q`, `f_k` and
+    `f_v[0]` are split into node and edge rows. No bias is picked per
+    agent: the `autodiff.gru_cell` and `autodiff.category_map` nodes pick
+    each row's own from the stacks by the category rows. The hidden state
+    holds one (B*N, H) row per agent; each step runs one `gru_cell` node
+    per GRU layer on it.
     """
 
     def __init__(self, decoder: TrajectoryDecoder, batch: int, n_agents: int,
@@ -111,14 +113,10 @@ class DecoderRun:
         h = decoder.hidden
 
         if not decoder.homogeneous:
-            self._gmaps = [
-                (ad.stack([a.W for a in maps]), ad.stack([a.b for a in maps])[self.rows])
-                for maps in (decoder.g_q, decoder.g_k, decoder.g_v)]
-        self._gru = []
-        for layer in zip(*(gru.params for gru in decoder.grus)):
-            w_ih, w_hh, b_ih, b_hh = (ad.stack(list(p)) for p in zip(*layer))
-            b_i, b_hn = gru_bias(b_ih, b_hh)
-            self._gru.append((w_ih, w_hh, b_i[self.rows], b_hn[self.rows]))
+            self._gmaps = [(ad.stack([a.W for a in maps]), ad.stack([a.b for a in maps]))
+                           for maps in (decoder.g_q, decoder.g_k, decoder.g_v)]
+        self._gru = [[ad.stack(list(p)) for p in zip(*layer)]
+                     for layer in zip(*(gru.params for gru in decoder.grus))]
         self.state = [DArray(np.zeros((batch * n_agents, h))) for _ in self._gru]
         self._wq, self._wq_e = decoder.f_q.W[:h], decoder.f_q.W[h:]
         self._wk, self._wk_e = decoder.f_k.W[:h], decoder.f_k.W[h:]
@@ -126,17 +124,13 @@ class DecoderRun:
 
     def fan_out(self, k: int):
         """Continue as k copies of every scene, in k-major rows (row k*B + b
-        copies scene b): the hidden state, the category rows and the
-        row-picked biases repeat k times, and the stacked weights are
-        shared. Call it before the first graph is attended."""
+        copies scene b): the hidden state and the category rows repeat k
+        times, and the stacked parameters are shared. Call it before the
+        first graph is attended."""
         self.batch *= k
         self.rows = np.tile(self.rows, k)
         self._zero_m = np.zeros((self.batch, self.n_agents, self.decoder.hidden))
         self.state = [fan_out(s, k) for s in self.state]
-        self._gru = [(w_ih, w_hh, fan_out(b_i, k), fan_out(b_hn, k))
-                     for w_ih, w_hh, b_i, b_hn in self._gru]
-        if not self.decoder.homogeneous:
-            self._gmaps = [(w, fan_out(b, k)) for w, b in self._gmaps]
 
     def _category_maps(self, h: DArray) -> list[DArray]:
         """tanh(h W_c + b_c) of the query, key and value maps, with each
@@ -222,8 +216,8 @@ class DecoderRun:
             m = self.attend(self.state[-1], graph, window)
         inp = ad.concat([m, x], axis=-1).reshape(self.batch * self.n_agents, -1)
         new_state = []
-        for h, weights in zip(self.state, self._gru):
-            inp = ad.gru_cell(inp, h, *weights, self.rows)
+        for h, params in zip(self.state, self._gru):
+            inp = ad.gru_cell(inp, h, *params, self.rows)
             new_state.append(inp)
         self.state = new_state
         pre = inp + DArray(eps.reshape(inp.shape)) if eps is not None else inp

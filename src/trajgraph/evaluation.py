@@ -19,7 +19,7 @@ from scipy import stats as sps
 from . import autodiff as ad
 from .autodiff import DArray
 from .data import Normalizer, Scene
-from .encoder import InteractionGraphSample
+from .encoder import InteractionGraphSample, fan_out
 from .errors import ConfigError, ContractError, DataError
 from .graph_complexity import degree_entropy, graph_entropy, r_density
 from .model import TrajectoryModel
@@ -163,17 +163,13 @@ class ModelGraphProbe:
         k = self.n_rollouts
         pos = np.repeat(scene.positions[None], k, axis=0)
         cats = np.repeat(scene.categories[None], k, axis=0)
-        tiled = [InteractionGraphSample(_tile_rows(g.z, k), _tile_rows(g.edge_feats, k))
+        tiled = [InteractionGraphSample(fan_out(g.z, k), fan_out(g.edge_feats, k))
                  for g in graphs]
         with ad.no_grad():
             preds = self.model.rollout(pos, cats, tiled, rng, input_mode="free_run")
         t_hist = self.model.cfg.t_history
         err = np.linalg.norm(preds.data[:, :, t_hist:] - pos[:, :, t_hist:], axis=-1)
         return err.mean(axis=(1, 2))   # (K,)
-
-
-def _tile_rows(arr, k: int) -> DArray:
-    return DArray(np.repeat(arr.data, k, axis=0))
 
 
 def _edit_graphs(graphs: list[InteractionGraphSample], i: int, j: int,
@@ -231,25 +227,17 @@ def graph_quality(probe, scenes: list[Scene], seed: int) -> GraphQualityReport:
             skipped += 1
             continue
         base = probe.rollout_ades(scene, graphs, rng.child(1))
-        pair_idx = 2
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                pair_idx += 1
-                if present[i, j]:
-                    e_total += 1
-                    edited = _edit_graphs(graphs, i, j, 0.0)
-                    errs = probe.rollout_ades(scene, edited, rng.child(pair_idx))
-                    p = sps.mannwhitneyu(errs, base, alternative="greater").pvalue
-                    if p >= SIGNIFICANCE:     # no significant increase
-                        e1 += 1
-                else:
-                    edited = _edit_graphs(graphs, i, j, 1.0)
-                    errs = probe.rollout_ades(scene, edited, rng.child(pair_idx))
-                    p = sps.mannwhitneyu(errs, base, alternative="less").pvalue
-                    if p < SIGNIFICANCE:      # significant decrease
-                        e2 += 1
+        # the off-diagonal pairs in row-major order, on streams 3, 4, ...
+        for pair_idx, (i, j) in enumerate(np.argwhere(~np.eye(n, dtype=bool)), start=3):
+            edge = bool(present[i, j])   # probe by removing it, else by adding it
+            edited = _edit_graphs(graphs, i, j, 0.0 if edge else 1.0)
+            errs = probe.rollout_ades(scene, edited, rng.child(pair_idx))
+            p = sps.mannwhitneyu(errs, base, alternative="greater" if edge else "less").pvalue
+            if edge:
+                e_total += 1
+                e1 += int(p >= SIGNIFICANCE)     # no significant increase
+            else:
+                e2 += int(p < SIGNIFICANCE)      # significant decrease
     return GraphQualityReport(n_edges=e_total, n_redundant=e1, n_missing=e2,
                               n_scenes=len(scenes), n_skipped=skipped)
 

@@ -11,12 +11,13 @@ equivalent to batching them as disconnected components of one large graph.
 batched `sample_rollouts` call per same-size group, results in input order.
 
 A sample's randomness enters at its first graph: the edge-feature noise
-and relation draws of window 0, and the head noise of the steps from the
-first one that reads a graph. Before that, every sample computes the same
-thing, so the K samples share it: the windows inside the observed history
-are embedded and their edge-GRU state advanced once per scene, and the
-decoder's graph-free burn-in steps run once on the B scene rows before
-the state fans out to the K*B sample rows.
+and relation draws of window 0, and later the head noise, which only the
+steps whose prediction is read (step t_history on) draw. Before that,
+every sample computes the same thing, so the K samples share it: the
+windows inside the observed history are embedded and their edge-GRU
+state advanced once per scene, and the decoder's graph-free burn-in
+steps run once on the B scene rows before the state fans out to the K*B
+sample rows.
 
 Rollout input modes:
   teacher    ground truth at every step (the TF baseline);
@@ -211,10 +212,14 @@ class TrajectoryModel:
         decoder inputs of the steps so far. Returns the T per-step
         predictions; index 0 carries the observed first step.
 
-        With K = `rng.copies` > 1, the steps before the first graph run
-        once on the B scene rows and draw no head noise, as their
-        predictions are never read; the first step that reads a graph fans
-        the state out to the K*B copy rows.
+        Only steps whose prediction is read draw head noise: those
+        predicting step t_history or later. An earlier prediction feeds no
+        later step, as the next input is the observed position, and each
+        step draws from its own child stream, so skipping the others
+        changes no prediction that is read. With K = `rng.copies`
+        > 1, the steps before the first graph run once on the B scene rows;
+        the first step that reads a graph fans the state out to the K*B
+        copy rows.
         """
         plan = self.plan
         t_hist = self.cfg.t_history
@@ -246,7 +251,7 @@ class TrajectoryModel:
                 x_in = preds[t]
             inputs.append(x_in)
             graph = window_graph(gi, inputs) if gi >= 0 else None
-            if self.cfg.step_noise and not shared:
+            if self.cfg.step_noise and t + 1 >= t_hist:
                 eps = rng.child(RK_STEP_NOISE, t).normal(
                     size=(dec.batch, n, self.cfg.hidden_dim))
             else:

@@ -14,9 +14,9 @@ post-activation array and batch statistics. Batch norm lives only there;
 its statistics over every row it is given, so callers pass only the rows
 that belong in them (the encoder passes the N(N-1) off-diagonal pairs,
 never the self-pairs). There is one GRU: the `autodiff.gru_cell` node,
-one layer step with its GEMMs, on fused (F, 3H) weights for the encoder's
-edge GRU (`GRUStack`) and on weights stacked per category for the
-decoder's. `gru_bias` folds the reset and update biases it adds.
+one layer step with its GEMMs and bias sums, on a `GRUStack` layer's
+fused (F, 3H) weights and (3H,) biases as registered for the encoder's
+edge GRU, and on those stacked per category for the decoder's.
 
 The decoder's other layers record their math through the fused nodes
 `gru_cell`, `category_map`, and for its attention over qualifying edges
@@ -184,19 +184,11 @@ class MLP:
         return ad.mlp(x, self.layers, train)
 
 
-def gru_bias(b_ih: DArray, b_hh: DArray) -> tuple[DArray, DArray]:
-    """The biases `autodiff.gru_cell` adds, from fused (reset, update,
-    candidate) blocks along the last axis: (b_ir + b_hr, b_iz + b_hz,
-    b_in) and b_hn, which stays inside the reset product."""
-    h2 = 2 * (b_hh.shape[-1] // 3)
-    return (ad.concat([b_ih[..., :h2] + b_hh[..., :h2], b_ih[..., h2:]], axis=-1),
-            b_hh[..., h2:])
-
-
 class GRUStack:
     """Stacked GRU layers under `{prefix}.l{i}`; layer i feeds its new
     hidden state to layer i+1. `params[i]` holds layer i's fused
-    (W_ih, W_hh, b_ih, b_hh) with gate blocks (reset, update, candidate)."""
+    (W_ih, W_hh, b_ih, b_hh) with gate blocks (reset, update, candidate),
+    as `autodiff.gru_cell` takes them."""
 
     def __init__(self, store: ParamStore, prefix: str, n_in: int, n_hidden: int,
                  n_layers: int, rng: RngStream):
@@ -218,8 +210,8 @@ class GRUStack:
 
     def __call__(self, x: DArray, state: list[DArray]) -> tuple[DArray, list[DArray]]:
         new_state = []
-        for (w_ih, w_hh, b_ih, b_hh), h in zip(self.params, state):
-            x = ad.gru_cell(x, h, w_ih, w_hh, *gru_bias(b_ih, b_hh))
+        for params, h in zip(self.params, state):
+            x = ad.gru_cell(x, h, *params)
             new_state.append(x)
         return x, new_state
 

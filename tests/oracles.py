@@ -251,9 +251,10 @@ def composed_gru_cell(x, h, w_ih, w_hh, b_ih, b_hh, rows=None):
 
 
 def composed_category_map(h, w, b, rows):
-    """tanh(h W_c + b) as the decoder ran it before `autodiff.category_map`:
-    a taped C-stacked GEMM, a taped `pick` and a `tanh_add` node."""
-    return ad.tanh_add(pick(h @ w, rows), b)
+    """tanh(h W_c + b_c) as the decoder ran it before `autodiff.category_map`,
+    on C-stacked weights and (C, H) biases: a taped C-stacked GEMM, a taped
+    `pick`, a taped row gather of the biases and a `tanh_add` node."""
+    return ad.tanh_add(pick(h @ w, rows), b[rows])
 
 
 def composed_gru_step(x, h, g):
@@ -420,7 +421,7 @@ class ComposedAttentionDecoderRun(DenseAttentionDecoderRun):
     def _category_maps(self, h):
         if self.decoder.homogeneous:
             return [h, h, h]
-        return [tanh(pick(h @ w, self.rows) + b) for w, b in self._gmaps]
+        return [tanh(pick(h @ w, self.rows) + b[self.rows]) for w, b in self._gmaps]
 
     def attention(self, h, graph, window):
         dec = self.decoder

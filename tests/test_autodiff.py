@@ -8,7 +8,7 @@ import pytest
 from trajgraph import autodiff as ad
 from trajgraph.autodiff import DArray
 from trajgraph.errors import ContractError, ShapeError
-from trajgraph.nn import MLP, ParamStore, gru_bias
+from trajgraph.nn import MLP, ParamStore
 from trajgraph.rng import RngStream
 
 from oracles import composed_category_map, composed_gru_cell, fd_probe_check
@@ -106,14 +106,6 @@ def _gru_cell_operands(rows, f=4, hd=3):
     return x, h, params
 
 
-def _folded(params, rows):
-    """The biases `ad.gru_cell` takes, folded by `gru_bias` and, for
-    C-stacked weights, picked per row, as `nn.GRUStack` and the decoder
-    pass them."""
-    b_i, b_hn = gru_bias(params[2], params[3])
-    return (b_i, b_hn) if rows is None else (b_i[rows], b_hn[rows])
-
-
 _ROWS = [None, np.array([2, 0, 2, 2, 0])]
 _ROW_IDS = ["plain", "rows_category_1_absent"]
 
@@ -123,12 +115,10 @@ def test_gru_cell_gradients(rows):
     x, h, params = _gru_cell_operands(rows)
     weights = rng.normal(size=(5, 3))
     arrays = [x, h] + params
-    fd_probe_check(lambda: (ad.gru_cell(x, h, params[0], params[1],
-                                        *_folded(params, rows), rows) * weights).sum(),
+    fd_probe_check(lambda: (ad.gru_cell(x, h, *params, rows) * weights).sum(),
                    arrays, rng, n_probes=40, rtol=1e-5)
-    if rows is not None:   # the absent category gets zero gradients
-        (ad.gru_cell(x, h, params[0], params[1], *_folded(params, rows), rows)
-         * weights).sum().backward()
+    if rows is not None:   # the absent category gets zero weight and bias gradients
+        (ad.gru_cell(x, h, *params, rows) * weights).sum().backward()
         assert all(not p.grad[1].any() for p in params)
 
 
@@ -139,8 +129,7 @@ def test_gru_cell_matches_composed_ops():
         x, h, params = _gru_cell_operands(rows)
         weights = rng.normal(size=(5, 3))
         results = []
-        cells = (lambda: ad.gru_cell(x, h, params[0], params[1],
-                                     *_folded(params, rows), rows),
+        cells = (lambda: ad.gru_cell(x, h, *params, rows),
                  lambda: composed_gru_cell(x, h, *params, rows))
         for cell in cells:
             out = cell()
@@ -163,9 +152,9 @@ def _category_map_operands():
 def test_category_map_gradients():
     h, w, stacked_b, rows = _category_map_operands()
     weights = rng.normal(size=(5, 4))
-    fd_probe_check(lambda: (ad.category_map(h, w, stacked_b[rows], rows) * weights).sum(),
+    fd_probe_check(lambda: (ad.category_map(h, w, stacked_b, rows) * weights).sum(),
                    [h, w, stacked_b], rng, n_probes=30, rtol=1e-5)
-    (ad.category_map(h, w, stacked_b[rows], rows) * weights).sum().backward()
+    (ad.category_map(h, w, stacked_b, rows) * weights).sum().backward()
     assert not w.grad[1].any() and not stacked_b.grad[1].any()
 
 
@@ -174,7 +163,7 @@ def test_category_map_matches_composed_ops():
     weights = rng.normal(size=(5, 4))
     results = []
     for fn in (ad.category_map, composed_category_map):
-        out = fn(h, w, stacked_b[rows], rows)
+        out = fn(h, w, stacked_b, rows)
         (out * weights).sum().backward()
         results.append((out.data, [h.grad, w.grad, stacked_b.grad]))
         h.grad = w.grad = stacked_b.grad = None

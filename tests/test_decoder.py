@@ -418,12 +418,12 @@ def test_boundary_rollout_tape_budget(monkeypatch):
     # Bytes the tape owns, by hand, in floats of 8 bytes. R = B*N = 18 agent
     # rows, E = 36 edges per window, W = 8 = H = A = D, C = 3 categories,
     # L = 2 GRU layers, T = 14 steps of which S = 10 (t = 4..13) read a
-    # graph, from 2 windows.
-    # Run set-up: per category map the stacked weights C*W^2, stacked biases
-    #   C*W and each row's picked bias R*W; per GRU layer of input width F
-    #   (W + 2, then W) the stacked weights 3CW(F + W), stacked biases 6CW,
-    #   the folded biases (reset and update sum 2CW, concat 3CW and its 3
-    #   offsets) and each row's picked b_ih and b_hn 4RW.
+    # graph, from 2 windows, and the same 10 predict step t_history = 5 or
+    # later, the steps that draw head noise.
+    # Run set-up: per category map the stacked weights C*W^2 and stacked
+    #   biases C*W; per GRU layer of input width F (W + 2, then W) the
+    #   stacked weights 3CW(F + W) and stacked biases 6CW. The nodes pick
+    #   each row's biases themselves and keep none of them.
     # Per window: gathered edge features E*W and weights z E, one int32
     #   incidence index E/2, and the GEMM and bias outputs of qe, ke, ve 6EW.
     # Per attended step: the category maps' outputs 3RW, the node
@@ -435,23 +435,23 @@ def test_boundary_rollout_tape_budget(monkeypatch):
     #   GRU input's concat (before t = 4 neither the zero message nor the
     #   true input is tracked, so that concat is no node).
     # Per step: the GRU input R(W + 2); per layer the new state and the
-    #   gru_cell node's r, z, n and h W_hn + b_hn 5RW; the head's noisy
-    #   state RW (its noise is an untracked constant, which the add does
-    #   not keep), the head's MLP node's two relu outputs 2RW and its output
-    #   2R, and the residual sum 2R.
+    #   gru_cell node's r, z, n and h W_hn + b_hn 5RW; the head's MLP
+    #   node's two relu outputs 2RW and its output 2R, and the residual sum
+    #   2R.
+    # Per step that draws head noise: the head's noisy state RW (the noise
+    #   is an untracked constant, which the add does not keep).
     # Once: the positions, the stacked predictions, the loss's difference
     #   and square 4 * 30R, the sum 1; the zero initial states L*R*W, the
     #   category rows R and one boundary-mixed input 2R.
-    r, e, steps, attended, windows = b * n, 36, 14, 10, 2
-    setup = (3 * (c * w * w + c * w + r * w)
-             + sum(3 * c * w * (f + w) + 6 * c * w + 2 * c * w + 3 * c * w + 3 + 4 * r * w
-                   for f in (w + 2, w)))
+    r, e, steps, attended, noisy, windows = b * n, 36, 14, 10, 10, 2
+    setup = (3 * (c * w * w + c * w)
+             + sum(3 * c * w * (f + w) + 6 * c * w for f in (w + 2, w)))
     per_window = e * w + e + e / 2 + 6 * e * w
     per_attended = 3 * r * w + 4 * r * w + 5 * e * w + 7 * e + r + r * w + 1 + 3
-    per_step = r * (w + 2) + layers * 5 * r * w + r * w + 2 * r * w + 2 * 2 * r
+    per_step = r * (w + 2) + layers * 5 * r * w + 2 * r * w + 2 * 2 * r
     once = 4 * 30 * r + 1 + layers * r * w + r + 2 * r
     budget = 8 * (setup + windows * per_window + attended * per_attended
-                  + steps * per_step + once)
+                  + steps * per_step + noisy * r * w + once)
     # 1_233_016 before the GRU and category-map nodes took in their GEMMs.
     # 653_608 before the MLP node and the constant-free add and sub: per
     # step the head also kept its noise RW, per hidden layer the GEMM and
@@ -459,7 +459,13 @@ def test_boundary_rollout_tape_budget(monkeypatch):
     # 2R beside the output, 5RW + RW/4 + 2R = 792 floats, 11_088 over the
     # 14 steps; each attended step also kept its E = 36 shifts, 360 over
     # the 10 steps. 653_608 - 8 * (11_088 + 360) = 562_024.
-    assert budget == 562_024
+    # 562_024 while the run picked each row's biases and folded the GRU's
+    # reset and update biases on the tape, and the 4 steps before
+    # t_history drew head noise: per category map the picked bias RW, per
+    # GRU layer the sum 2CW, its concat 3CW and 3 offsets and the picked
+    # biases 4RW, and per such step the noisy state RW: 3 * 144 + 2 * 699
+    # + 4 * 144 = 2_406 floats. 562_024 - 8 * 2_406 = 542_776.
+    assert budget == 542_776
     assert tape_bytes(loss) == budget < tape_bytes(dense_loss)
 
     # no tape array keeps all C copies of the agent rows, and each gru_cell

@@ -7,7 +7,7 @@ from trajgraph import autodiff as ad
 from trajgraph.autodiff import DArray
 from trajgraph.checkpoint import load_checkpoint, save_checkpoint
 from trajgraph.errors import ContractError, DataError, NumericalError, ShapeError
-from trajgraph.nn import MLP, Affine, GRUStack, ParamStore, gradients, gru_bias
+from trajgraph.nn import MLP, Affine, GRUStack, ParamStore, gradients
 from trajgraph.optim import Adam
 from trajgraph.rng import RngStream
 
@@ -135,13 +135,12 @@ def test_gru_step_matches_fused_reference_plain_and_stacked():
     out = _step(stack, DArray(x), DArray(h)).data
     ref = fused_gru_reference(x, h, *(p.data for p in params))
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
-    # C = 3 GRUs stacked on a leading axis, with each row's own folded
-    # biases picked; each row goes through the GRU of its own category
+    # C = 3 GRUs' parameters stacked on a leading axis; each row goes
+    # through the GRU of its own category
     per_cat = [params] + [_one_gru(store, rng, prefix=f"c{c}")[1] for c in (1, 2)]
-    w_ih, w_hh, b_ih, b_hh = (ad.stack([p[i] for p in per_cat]) for i in range(4))
+    stacked = [ad.stack([p[i] for p in per_cat]) for i in range(4)]
     rows = np.array([2, 0, 1, 2, 0])
-    b_i, b_hn = gru_bias(b_ih, b_hh)
-    out = ad.gru_cell(DArray(x), DArray(h), w_ih, w_hh, b_i[rows], b_hn[rows], rows).data
+    out = ad.gru_cell(DArray(x), DArray(h), *stacked, rows).data
     assert out.shape == (5, 4)
     for r, c in enumerate(rows):
         ref = fused_gru_reference(x[r:r + 1], h[r:r + 1], *(a.data for a in per_cat[c]))
