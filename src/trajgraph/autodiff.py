@@ -18,11 +18,14 @@ included, keeping each layer's post-activation array and batch
 statistics; batch norm exists only here), `gru_cell` (one GRU layer step
 on the layer's parameters as registered, GEMMs and bias sums included,
 keeping its four gate arrays), `category_map` (tanh of each row's own
-category map), `tanh_add` (tanh of a broadcast sum, whose
-terms may be row gathers) and `mul_sum` (a product summed over one axis).
-`segment_sum` adds rows into segments, optionally weighted, through the
-sparse incidence matrix that `segments` builds once per index; the
-decoder's attention and the encoder's message sum use it. `scatter`
+category map), `graph_attention` (the decoder's whole attention step
+over one window's edges, projections, per-target softmax and weighted
+sum included, keeping only the (E,) weights alpha), `tanh_add` (tanh of
+a broadcast sum, whose terms may be row gathers) and `mul_sum` (a
+product summed over one axis). `segment_sum` adds rows into segments,
+optionally weighted, through the sparse incidence matrix that `segments`
+builds once per index; the encoder's message sum uses it, and
+`graph_attention` gathers and scatters through such matrices. `scatter`
 writes an array into a zero array through a view, with one copy. `add`
 and `sub` keep no untracked operand: their backward reads only shapes.
 
@@ -157,9 +160,6 @@ class DArray:
     def __neg__(self):
         return neg(self)
 
-    def __pow__(self, p):
-        return power(self, p)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -176,9 +176,6 @@ class DArray:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
@@ -312,18 +309,6 @@ def neg(a) -> DArray:
     return _track(-a.data, (a,), bw)
 
 
-def power(a, p: float) -> DArray:
-    a = _coerce(a)
-    p = float(p)
-    out_data = a.data ** p
-
-    def bw(g):
-        if a.requires_grad:
-            _accum_owned(a, g * p * a.data ** (p - 1.0))
-
-    return _track(out_data, (a,), bw)
-
-
 def matmul(a, b) -> DArray:
     a, b = _coerce(a), _coerce(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -399,18 +384,6 @@ def reshape(a, shape) -> DArray:
             _accum_view(a, g.reshape(a.data.shape))
 
     return _track(a.data.reshape(shape), (a,), bw)
-
-
-def transpose(a, axes) -> DArray:
-    a = _coerce(a)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-
-    def bw(g):
-        if a.requires_grad:
-            _accum_view(a, g.transpose(inv))
-
-    return _track(a.data.transpose(axes), (a,), bw)
 
 
 def _is_basic_index(idx) -> bool:
@@ -722,19 +695,22 @@ def _own_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return x[rows, np.arange(len(rows))]
 
 
-def _affine_grads(x: DArray, w: DArray, b: DArray, g: np.ndarray, rows):
+def _affine_grads(x: DArray | None, w: DArray, b: DArray, g: np.ndarray, rows):
     """Accumulate the gradients of `x`, `w` and `b` through y = x W + b
     given dy = g, or, for C-stacked (C, F, H) weights, (C, H) biases and
     an (R,) category index `rows`, through y[r] = x[r] W[c] + b[c] with
     c = rows[r]: per category present, one GEMM each for dx and dW and one
-    row sum for db, on that category's rows only."""
+    row sum for db, on that category's rows only. x None stands for an
+    untracked zero input, which gives W nothing."""
+    x_grad = x is not None and x.requires_grad
+    w_grad = x is not None and w.requires_grad
     if rows is None:
-        grads = (g @ w.data.T if x.requires_grad else None,
-                 x.data.T @ g if w.requires_grad else None,
+        grads = (g @ w.data.T if x_grad else None,
+                 x.data.T @ g if w_grad else None,
                  g.sum(axis=0) if b.requires_grad else None)
     else:
-        grads = (np.empty(x.data.shape) if x.requires_grad else None,
-                 np.zeros_like(w.data) if w.requires_grad else None,
+        grads = (np.empty(x.data.shape) if x_grad else None,
+                 np.zeros_like(w.data) if w_grad else None,
                  np.zeros_like(b.data) if b.requires_grad else None)
         dx, dw, db = grads
         for c in np.unique(rows):
@@ -771,7 +747,8 @@ def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh, rows=None) -> DArray:
     counts the decoder's rows that way until its v2, see ROADMAP), and
     keeps each row's own category and biases. The node keeps r, z, n and
     h W_hn + b_hn, four (R, H) arrays; backward runs `_affine_grads` once
-    for the input and once for the hidden side.
+    for the input and once for the hidden side. An untracked all-zero h,
+    a first step's state, is not kept: W_hh gets nothing from it.
     """
     x, h, w_ih, w_hh, b_ih, b_hh = (_coerce(t) for t in (x, h, w_ih, w_hh, b_ih, b_hh))
     if rows is not None:
@@ -794,17 +771,20 @@ def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh, rows=None) -> DArray:
     hn_b = hn + own(b_hh.data[..., 2 * hd:])
     n = np.tanh(xn + own(b_ih.data[..., 2 * hd:]) + r * hn_b)
     out_data = (1.0 - z) * n + z * h.data
+    # an untracked all-zero state (a first step) stays off the tape
+    h_kept = h if h.requires_grad or h.data.any() else None
 
     def bw(g):
         da_n = g * (1.0 - z) * (1.0 - n * n)
         da_r = da_n * hn_b * r * (1.0 - r)
-        da_z = g * (h.data - n) * z * (1.0 - z)
+        da_z = g * (-n if h_kept is None else h_kept.data - n) * z * (1.0 - z)
         _affine_grads(x, w_ih, b_ih, np.concatenate([da_r, da_z, da_n], axis=-1), rows)
-        _affine_grads(h, w_hh, b_hh, np.concatenate([da_r, da_z, da_n * r], axis=-1), rows)
-        if h.requires_grad:
-            _accum_owned(h, g * z)
+        _affine_grads(h_kept, w_hh, b_hh, np.concatenate([da_r, da_z, da_n * r], axis=-1), rows)
+        if h_kept is not None and h_kept.requires_grad:
+            _accum_owned(h_kept, g * z)
 
-    return _track(out_data, (x, h, w_ih, w_hh, b_ih, b_hh), bw)
+    parents = (x, w_ih, b_ih, b_hh) if h_kept is None else (x, h, w_ih, w_hh, b_ih, b_hh)
+    return _track(out_data, parents, bw)
 
 
 def category_map(h, w, b, rows) -> DArray:
@@ -824,3 +804,76 @@ def category_map(h, w, b, rows) -> DArray:
         _affine_grads(h, w, b, g * (1.0 - out_data * out_data), rows)
 
     return _track(out_data, (h, w, b), bw)
+
+
+def graph_attention(gq, gk, gv, edges, w_q, w_k, w_v, w_1, b_1, scale: float) -> DArray:
+    """The decoder's attention message m (R, H) over one window's E
+    qualifying edges, as one tape node that keeps only the weights alpha.
+
+    gq, gk and gv are the (R, H) category-mapped rows. `edges` is the
+    window's `decoder.WindowEdges`: the (R, E) incidence matrices src and
+    tgt (`segments`) of each edge's source and target row, edges sorted by
+    target with `starts` and `counts` per target that has one, the sampled
+    weights z (E,) and the edge-feature parts qe, ke (E, A) and ve (E, H).
+    w_q, w_k and w_v are the node rows of the query, key and first value
+    maps, and w_1, b_1 the second value map. Per edge e from s to t:
+
+        q = tanh(gq[s] w_q + qe)            k = tanh(gk[t] w_k + ke)
+        num = z exp(q . k / scale - max over t's edges)
+        alpha = num / (sum of num over t's edges)
+        v = tanh(tanh(gv[s] w_v - gv[t] w_v + ve) w_1 + b_1)
+        m[t] = sum of alpha v over t's edges
+
+    A target without an edge gets a zero message. The shift by the
+    per-target maximum is a constant and gets no gradient. Backward
+    recomputes q, k and the values from the inputs, and scatters into the
+    sources and targets through src and tgt.
+    """
+    gq, gk, gv, w_q, w_k, w_v, w_1, b_1 = (
+        _coerce(t) for t in (gq, gk, gv, w_q, w_k, w_v, w_1, b_1))
+    src, tgt, z, qe, ke, ve = edges.src, edges.tgt, edges.z, edges.qe, edges.ke, edges.ve
+    index = tgt.indices
+
+    def edge_values():
+        q = np.tanh((gq.data @ w_q.data)[src.indices] + qe.data)
+        k = np.tanh((gk.data @ w_k.data)[index] + ke.data)
+        gvh = gv.data @ w_v.data
+        v1 = np.tanh(gvh[src.indices] - gvh[index] + ve.data)
+        return q, k, v1, np.tanh(v1 @ w_1.data + b_1.data)
+
+    q, k, _, values = edge_values()
+    scores = (q * k).sum(axis=-1) / scale
+    shift = np.repeat(np.maximum.reduceat(scores, edges.starts), edges.counts)
+    num = z.data * np.exp(scores - shift)
+    alpha = num / (tgt @ num)[index]
+    out_data = tgt @ (alpha[:, None] * values)
+
+    def bw(g):
+        q, k, v1, values = edge_values()
+        ge = g[index]
+        d_alpha = (ge * values).sum(axis=-1)
+        d_val = ge * alpha[:, None] * (1.0 - values * values)
+        d_v1 = (d_val @ w_1.data.T) * (1.0 - v1 * v1)
+        # the gradient of num is centred / denominator, so a score's is
+        # centred * alpha and a weight's centred * alpha / z
+        centred = d_alpha - (tgt @ (alpha * d_alpha))[index]
+        d_score = centred * alpha / scale
+        d_q = d_score[:, None] * k * (1.0 - q * q)
+        d_k = d_score[:, None] * q * (1.0 - k * k)
+        for t, w, d in ((gq, w_q, src @ d_q), (gk, w_k, tgt @ d_k),
+                        (gv, w_v, src @ d_v1 - tgt @ d_v1)):
+            if w.requires_grad:
+                _accum_owned(w, t.data.T @ d)
+            if t.requires_grad:
+                _accum_owned(t, d @ w.data.T)
+        for t, d in ((qe, d_q), (ke, d_k), (ve, d_v1)):
+            if t.requires_grad:
+                _accum_owned(t, d)
+        if z.requires_grad:
+            _accum_owned(z, centred * alpha / z.data)
+        if w_1.requires_grad:
+            _accum_owned(w_1, v1.T @ d_val)
+        if b_1.requires_grad:
+            _accum_owned(b_1, d_val.sum(axis=0))
+
+    return _track(out_data, (gq, gk, gv, z, qe, ke, ve, w_q, w_k, w_v, w_1, b_1), bw)

@@ -23,9 +23,12 @@ on the tape, and everything after these nodes runs on one row per agent.
 Attention runs on the window's qualifying edges only: the off-diagonal
 pairs whose sampled weight exceeds 1/2, listed once per window and sorted
 by target. Queries, keys and values are computed per edge, softmaxed per
-target and added into their targets with `autodiff.segment_sum`, so no
-array spans all B*N*N pairs. A target without a qualifying in-edge gets a
-zero message: no social influence.
+target and added into their targets, so no array spans all B*N*N pairs.
+A target without a qualifying in-edge gets a zero message: no social
+influence. Each attended step is the three category maps and one
+`autodiff.graph_attention` node, which keeps only the (E,) weights alpha
+and recomputes the per-edge queries, keys and values in backward. The
+edge-feature parts of the query, key and value are per-window nodes.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from .encoder import InteractionGraphSample, fan_out
 
 
 class WindowEdges(NamedTuple):
-    """One window's E qualifying edges, sorted by target, and what the
-    attention reads of them at every step of the window."""
+    """One window's E qualifying edges, sorted by target, and what
+    `autodiff.graph_attention` reads of them at every step of the window."""
 
     src: object          # (B*N, E) incidence matrices (`autodiff.segments`)
     tgt: object          #   of each edge's source and target row
@@ -163,46 +166,18 @@ class DecoderRun:
         self._window_caches[window] = edges
         return edges
 
-    def attention(self, h: DArray, graph: InteractionGraphSample,
-                  window: int) -> tuple[DArray, DArray]:
-        """Weights alpha (E,) over the window's qualifying edges, in the
-        order of `_window_cache`, plus the value input.
-
-        Each target's weights over its qualifying in-edges sum to one. The
-        second result is the category-mapped (B*N, H) hidden state the
-        values are built from.
-        """
-        dec = self.decoder
-        edges = self._window_cache(graph, window)
-        gq, gk, gv = self._category_maps(h)
-
-        # query from the source, key from the target: node-level projection
-        # plus cached edge-feature part
-        q = ad.tanh_add((linear(gq, self._wq), edges.src), edges.qe)
-        k = ad.tanh_add((linear(gk, self._wk), edges.tgt), edges.ke)
-        scores = ad.mul_sum(q, k, -1) / math.sqrt(dec.attn_dim)   # (E,)
-
-        # stable weights: shift scores by the per-target max (a constant,
-        # so the ratio is unchanged)
-        shift = np.repeat(np.maximum.reduceat(scores.data, edges.starts), edges.counts)
-        weight_num = edges.z * ad.exp(scores - DArray(shift))
-        denom = ad.segment_sum(weight_num, edges.tgt)
-        return weight_num / denom[edges.tgt.indices], gv
-
     def attend(self, h: DArray, graph: InteractionGraphSample,
                window: int) -> DArray:
         """Aggregated interacting effects m (B, N, H) for every target,
-        given the (B*N, H) hidden rows."""
+        given the (B*N, H) hidden rows: the category maps, then one
+        `autodiff.graph_attention` node over the window's edges."""
         edges = self._window_cache(graph, window)
         if edges.z.shape[0] == 0:
             return DArray(self._zero_m)
-        f_v1 = self.decoder.f_v[1]
-        alpha, gv = self.attention(h, graph, window)
-        # value: relative latent position concat edge feature, f_v split
-        gvh = linear(gv, self._wv)
-        v1 = ad.tanh_add((gvh, edges.src), (-gvh, edges.tgt), edges.ve)
-        values = ad.tanh_add(linear(v1, f_v1.W), f_v1.b)
-        m = ad.segment_sum(values, edges.tgt, weights=alpha)
+        dec = self.decoder
+        gq, gk, gv = self._category_maps(h)
+        m = ad.graph_attention(gq, gk, gv, edges, self._wq, self._wk, self._wv,
+                               dec.f_v[1].W, dec.f_v[1].b, math.sqrt(dec.attn_dim))
         return m.reshape(self.batch, self.n_agents, -1)
 
     # ------------------------------------------------------------------ step

@@ -20,8 +20,8 @@ edge GRU, and on those stacked per category for the decoder's.
 
 The decoder's other layers record their math through the fused nodes
 `gru_cell`, `category_map`, and for its attention over qualifying edges
-`tanh_add` with gathered rows, `mul_sum` and `segment_sum`. `linear`
-stays a `matmul` node plus a bias add.
+one `graph_attention` node per step. `linear` stays a `matmul` node plus
+a bias add.
 """
 
 from __future__ import annotations

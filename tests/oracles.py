@@ -147,6 +147,12 @@ def tanh(a):
     return _unary(a, out, lambda x, y: 1.0 - y * y)
 
 
+def sqrt(a):
+    """Square root as its own tape node."""
+    out = np.sqrt(ad._coerce(a).data)
+    return _unary(a, out, lambda x, y: 0.5 / y)
+
+
 def elu(a):
     """ELU (alpha = 1) as its own tape node."""
     x = ad._coerce(a).data
@@ -329,12 +335,13 @@ def composed_batch_norm(bn, x, train):
     if train:
         axes = tuple(range(x.ndim - 1))
         mean = x.mean(axis=axes, keepdims=True)
-        var = ((x - mean) ** 2).mean(axis=axes, keepdims=True)
+        centred = x - mean
+        var = (centred * centred).mean(axis=axes, keepdims=True)
         bn.run_mean.data[...] = 0.9 * bn.run_mean.data + 0.1 * mean.data.reshape(-1)
         bn.run_var.data[...] = 0.9 * bn.run_var.data + 0.1 * var.data.reshape(-1)
-        xn = (x - mean) / ((var + bn.eps) ** 0.5)
+        xn = (x - mean) / sqrt(var + bn.eps)
     else:
-        xn = (x - bn.run_mean) / ((bn.run_var + DArray(bn.eps)) ** 0.5)
+        xn = (x - bn.run_mean) / sqrt(bn.run_var + DArray(bn.eps))
     return bn.gamma * xn + bn.beta
 
 
@@ -444,6 +451,45 @@ class ComposedAttentionDecoderRun(DenseAttentionDecoderRun):
                      + self._dense_window_cache(graph, window)["ve"])
         values = tanh(linear(v1, f_v[1].W, f_v[1].b))
         return (alpha.reshape(b, n, n, 1) * values).sum(axis=1)
+
+
+class ComposedEdgeAttentionDecoderRun(DecoderRun):
+    """The decoder's attention over each window's qualifying edges as it
+    ran before `autodiff.graph_attention`: the gathered `tanh_add`
+    projections, `mul_sum` scores, the shifted softmax op by op and a
+    weighted `segment_sum`, 19 tape nodes per attended step after the
+    category maps. The window cache, the GRU and the head are the
+    decoder's own."""
+
+    def attention(self, h, graph, window):
+        """Weights alpha (E,) over the window's qualifying edges, in the
+        order of `_window_cache`, plus the category-mapped (B*N, H) value
+        input."""
+        dec = self.decoder
+        edges = self._window_cache(graph, window)
+        gq, gk, gv = self._category_maps(h)
+        q = ad.tanh_add((linear(gq, self._wq), edges.src), edges.qe)
+        k = ad.tanh_add((linear(gk, self._wk), edges.tgt), edges.ke)
+        scores = ad.mul_sum(q, k, -1) / math.sqrt(dec.attn_dim)   # (E,)
+        # stable weights: shift scores by the per-target max (a constant,
+        # so the ratio is unchanged)
+        shift = np.repeat(np.maximum.reduceat(scores.data, edges.starts), edges.counts)
+        weight_num = edges.z * ad.exp(scores - DArray(shift))
+        denom = ad.segment_sum(weight_num, edges.tgt)
+        return weight_num / denom[edges.tgt.indices], gv
+
+    def attend(self, h, graph, window):
+        edges = self._window_cache(graph, window)
+        if edges.z.shape[0] == 0:
+            return DArray(self._zero_m)
+        f_v1 = self.decoder.f_v[1]
+        alpha, gv = self.attention(h, graph, window)
+        # value: relative latent position concat edge feature, f_v split
+        gvh = linear(gv, self._wv)
+        v1 = ad.tanh_add((gvh, edges.src), (-gvh, edges.tgt), edges.ve)
+        values = ad.tanh_add(linear(v1, f_v1.W), f_v1.b)
+        m = ad.segment_sum(values, edges.tgt, weights=alpha)
+        return m.reshape(self.batch, self.n_agents, -1)
 
 
 def tape_arrays(out):

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. Criterion 7, the
 directional synthetic experiment, is not implemented yet: it is pending
-(ROADMAP open item 5), so there is no test for it here.
+(the ROADMAP item "The paper's claims, measured"), so there is no test
+for it here.
 """
 
 import time

@@ -7,6 +7,7 @@ import pytest
 
 from trajgraph import autodiff as ad
 from trajgraph.autodiff import DArray
+from trajgraph.decoder import WindowEdges
 from trajgraph.errors import ContractError, ShapeError
 from trajgraph.nn import MLP, ParamStore
 from trajgraph.rng import RngStream
@@ -55,7 +56,7 @@ def test_matmul_shape_error():
     lambda a, b: a - b,
     lambda a, b: a * b,
     lambda a, b: a / (b + 3.0),
-    lambda a, b: (a @ b.transpose((1, 0))) if a.shape == b.shape else a + b,
+    lambda a, b: (a @ b.reshape(5, 4)) if a.shape == b.shape else a + b,
 ])
 def test_binary_op_gradients(op):
     a, b = _rand(4, 5), _rand(4, 5)
@@ -65,7 +66,7 @@ def test_binary_op_gradients(op):
 @pytest.mark.parametrize("fn", [
     ad.exp, ad.sigmoid,
     lambda x: ad.log(x * x + 1.0),
-    lambda x: x ** 3,
+    lambda x: x * x * x,
     lambda x: ad.clamp_min(x, 0.1),
     lambda x: -x * x,
 ])
@@ -93,7 +94,12 @@ def test_batched_matmul_gradients():
 ], ids=["matmul", "mul", "matmul_rows"])
 def test_category_broadcast_gradients(op, shapes):
     a, b = _rand(*shapes[0]), _rand(*shapes[1])
-    fd_probe_check(lambda: (op(a, b) ** 2).sum(), [a, b], rng, n_probes=10, rtol=1e-5)
+
+    def loss():
+        y = op(a, b)
+        return (y * y).sum()
+
+    fd_probe_check(loss, [a, b], rng, n_probes=10, rtol=1e-5)
 
 
 def _gru_cell_operands(rows, f=4, hd=3):
@@ -141,6 +147,32 @@ def test_gru_cell_matches_composed_ops():
         np.testing.assert_array_equal(out, out_ref)
         for g, g_ref in zip(grads, grads_ref):
             np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", _ROWS, ids=_ROW_IDS)
+def test_gru_cell_keeps_no_zero_initial_state(rows):
+    """An untracked all-zero state (a first step's) stays off the node: the
+    output equals the composed ops' bit for bit, the other gradients agree
+    within 1e-12, and W_hh, whose gradient from a zero state is zero, is
+    no parent of the node."""
+    x, _, params = _gru_cell_operands(rows)
+    h = DArray(np.zeros((5, 3)))
+    weights = rng.normal(size=(5, 3))
+    results = []
+    for cell in (ad.gru_cell, composed_gru_cell):
+        out = cell(x, h, *params, rows)
+        (out * weights).sum().backward()
+        results.append((out, [t.grad for t in [x] + params]))
+        for t in [x] + params:
+            t.grad = None
+    (out, grads), (out_ref, grads_ref) = results
+    np.testing.assert_array_equal(out.data, out_ref.data)
+    assert grads[2] is None and not grads_ref[2].any()
+    for g, g_ref in zip(grads[:2] + grads[3:], grads_ref[:2] + grads_ref[3:]):
+        np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12)
+    node = ad.gru_cell(x, h, *params, rows)
+    assert params[1] not in node._parents
+    assert not any(c.cell_contents is h for c in node._bw.__closure__)
 
 
 def _category_map_operands():
@@ -313,14 +345,49 @@ def test_tanh_add_gathered_term_gradients():
     np.testing.assert_array_equal(ad.tanh_add((a, rows_a), (b, rows_b), c, d).data, expect)
 
 
+def _attention_edges():
+    """Seven edges into five rows, sorted by target: row 0 has no in-edge,
+    row 1 one (from 3), row 2 three (from 0, 1, 4), row 3 two (from 1, 2)
+    and row 4 one (from 0); weights z in (0.5, 1), widths A = 4, H = 3."""
+    src, tgt = np.array([3, 0, 1, 4, 1, 2, 0]), np.array([1, 2, 2, 2, 3, 3, 4])
+    starts = np.flatnonzero(np.diff(tgt, prepend=-1))
+    z = DArray(rng.uniform(0.55, 0.95, size=7), requires_grad=True)
+    return WindowEdges(src=ad.segments(src, 5), tgt=ad.segments(tgt, 5), starts=starts,
+                       counts=np.diff(np.append(starts, 7)), z=z,
+                       qe=_rand(7, 4), ke=_rand(7, 4), ve=_rand(7, 3))
+
+
+def test_graph_attention_gradients():
+    edges = _attention_edges()
+    gq, gk, gv = _rand(5, 3), _rand(5, 3), _rand(5, 3)
+    weights = [_rand(3, 4), _rand(3, 4), _rand(3, 3), _rand(3, 3), _rand(3)]
+    out_weights = rng.normal(size=(5, 3))
+
+    def loss():
+        return (ad.graph_attention(gq, gk, gv, edges, *weights, 2.0) * out_weights).sum()
+
+    arrays = [gq, gk, gv, edges.z, edges.qe, edges.ke, edges.ve] + weights
+    fd_probe_check(loss, arrays, rng, n_probes=60, rtol=1e-5)
+    m = ad.graph_attention(gq, gk, gv, edges, *weights, 2.0).data
+    # no in-edge: a zero message; one in-edge: weight one on its value
+    w_v, w_1, b_1 = (w.data for w in weights[2:])
+    v1 = np.tanh(gv.data[3] @ w_v - gv.data[1] @ w_v + edges.ve.data[0])
+    np.testing.assert_array_equal(m[0], np.zeros(3))
+    np.testing.assert_allclose(m[1], np.tanh(v1 @ w_1 + b_1), rtol=1e-15)
+
+
 @pytest.mark.parametrize("shapes, axis", [
-    (((2, 4, 4, 1), (2, 4, 4, 3)), 1),   # attention's alpha-weighted aggregation
-    (((2, 4, 1, 3), (2, 1, 4, 3)), -1),  # attention's scores
+    (((2, 4, 4, 1), (2, 4, 4, 3)), 1),   # dense attention's alpha-weighted sum
+    (((2, 4, 1, 3), (2, 1, 4, 3)), -1),  # dense attention's scores
 ], ids=["middle_axis", "last_axis"])
 def test_mul_sum_gradients(shapes, axis):
     a, b = _rand(*shapes[0]), _rand(*shapes[1])
-    fd_probe_check(lambda: (ad.mul_sum(a, b, axis) ** 2).sum(), [a, b], rng,
-                   n_probes=30, rtol=1e-5)
+
+    def loss():
+        y = ad.mul_sum(a, b, axis)
+        return (y * y).sum()
+
+    fd_probe_check(loss, [a, b], rng, n_probes=30, rtol=1e-5)
 
 
 def test_reduce_max_first_argmax_subgradient():

@@ -11,8 +11,9 @@ from trajgraph.model import ModelConfig, TrajectoryModel
 from trajgraph.nn import ParamStore, gradients
 from trajgraph.rng import RngStream
 
-from oracles import (ComposedAttentionDecoderRun, DenseAttentionDecoderRun,
-                     MaskCollapseDecoderRun, fd_probe_check, tape_arrays, tape_bytes)
+from oracles import (ComposedAttentionDecoderRun, ComposedEdgeAttentionDecoderRun,
+                     DenseAttentionDecoderRun, MaskCollapseDecoderRun, fd_probe_check,
+                     tape_arrays, tape_bytes)
 
 rng_np = np.random.default_rng(53)
 
@@ -34,11 +35,18 @@ def make_graph(z: np.ndarray, seed=1) -> InteractionGraphSample:
     return InteractionGraphSample(z=DArray(z.astype(float)), edge_feats=DArray(e))
 
 
+def _sum_of_squares(y):
+    return (y * y).sum()
+
+
 def dense_weights(run, graph, window=0):
-    """`DecoderRun.attention`'s per-edge weights on the run's top hidden
-    state, scattered to (B, N, N), source by target."""
-    alpha = run.attention(run.state[-1], graph, window)[0].data
-    edges = run._window_cache(graph, window)
+    """The per-edge attention weights of the composed oracle
+    (`ComposedEdgeAttentionDecoderRun.attention`) on the run's decoder and
+    top hidden state, scattered to (B, N, N), source by target."""
+    oracle = ComposedEdgeAttentionDecoderRun(run.decoder, run.batch, run.n_agents,
+                                             run.rows.reshape(run.batch, run.n_agents))
+    alpha = oracle.attention(run.state[-1], graph, window)[0].data
+    edges = oracle._window_cache(graph, window)
     n = run.n_agents
     src, tgt = edges.src.indices, edges.tgt.indices
     out = np.zeros((run.batch, n, n))
@@ -195,7 +203,7 @@ def test_decoder_gradients_match_finite_differences():
         run = DecoderRun(dec, 1, 2, cats)
         mu = run.step(x, graph, None, 0)
         mu = run.step(mu, graph, None, 0)
-        return ((mu - DArray(target)) ** 2).sum()
+        return _sum_of_squares(mu - DArray(target))
 
     arrays = [store[k] for k, _ in store.trainable_items()]
     fd_probe_check(loss, arrays, rng_np, n_probes=30, eps=1e-6, rtol=1e-4,
@@ -283,8 +291,8 @@ def test_row_pick_step_matches_mask_collapse_oracle():
     # no tape array keeps all C copies of each row
     assert not any(a.shape[:2] == (c, b * n) for a in arrays)
 
-    grads = gradients(((mu - target) ** 2).sum(), store)
-    grads_ref = gradients(((mu_ref - target) ** 2).sum(), store)
+    grads = gradients(_sum_of_squares(mu - target), store)
+    grads_ref = gradients(_sum_of_squares(mu_ref - target), store)
     for name, g in grads.items():
         np.testing.assert_allclose(g, grads_ref[name], rtol=0, atol=1e-12,
                                    err_msg=name)
@@ -319,6 +327,58 @@ def test_fused_attention_matches_composed_oracle(homogeneous):
     assert nodes < nodes_ref
     for name, g in grads.items():
         np.testing.assert_allclose(g, grads_ref[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("homogeneous", [False, True], ids=["categories", "homogeneous"])
+def test_attention_node_matches_composed_edge_oracle(homogeneous, monkeypatch):
+    """`attend`'s one `graph_attention` node equals the composed edge
+    attention it replaced: the message bit for bit, and the gradients of
+    every parameter, of the hidden rows, of the edge features and of the
+    relaxed weights z within 1e-12. After the window cache, an attended
+    step records the three category maps, the node and the reshape."""
+    dec, store = make_decoder(homogeneous=homogeneous, seed=12)
+    b, n = 2, 6
+    cats = rng_np.integers(0, 3, size=(b, n))
+    z = rng_np.uniform(size=(b, n, n))
+    for i in range(b):
+        np.fill_diagonal(z[i], 0.0)
+    z[0, :, 1] = 0.0    # a target with no qualifying in-edge
+    z[0, :, 2] = 0.2
+    z[0, 4, 2] = 0.8    # a target with exactly one
+    graph = make_graph(z)
+    graph.edge_feats.requires_grad = graph.z.requires_grad = True
+    h = DArray(rng_np.normal(size=(b * n, H)), requires_grad=True)
+    weights = rng_np.normal(size=(b, n, H))
+    results = []
+    for cls in (DecoderRun, ComposedEdgeAttentionDecoderRun):
+        run = cls(dec, b, n, cats)
+        m = run.attend(h, graph, 0)
+        grads = gradients((m * weights).sum(), store)
+        grads["h"], grads["edge_feats"], grads["z"] = h.grad, graph.edge_feats.grad, graph.z.grad
+        h.grad = graph.edge_feats.grad = graph.z.grad = None
+        results.append((m.data, grads))
+    (m, grads), (m_ref, grads_ref) = results
+    np.testing.assert_array_equal(m, m_ref)
+    assert not m[0, 1].any() and np.abs(m_ref).max() > 0.1
+    for name in ("h", "edge_feats", "z", "dec.fq.b", "dec.fk.W", "dec.fv.0.W", "dec.fv.1.b"):
+        assert np.abs(grads_ref[name]).max() > 1e-3, name
+    for name, g in grads_ref.items():
+        np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12, err_msg=name)
+
+    run = DecoderRun(dec, b, n, cats)
+    run.attend(h, graph, 0)   # builds the window cache
+    recorded, track = [], ad._track
+
+    def recording_track(data, parents, bw):
+        out = track(data, parents, bw)
+        if out._bw is not None:
+            recorded.append(bw.__qualname__.split(".")[0])
+        return out
+
+    monkeypatch.setattr(ad, "_track", recording_track)
+    run.attend(h, graph, 0)
+    maps = [] if homogeneous else ["category_map"] * 3
+    assert recorded == maps + ["graph_attention", "reshape"]
 
 
 @pytest.mark.parametrize("relaxed", [True, False], ids=["relaxed", "hard"])
@@ -407,7 +467,7 @@ def test_boundary_rollout_tape_budget(monkeypatch):
             patch.setattr(model_mod, "DecoderRun", cls)
             preds = model.rollout(pos, cats, graphs, RngStream(1),
                                   input_mode="boundary", lam=0.5)
-        return ((preds - DArray(pos)) ** 2).sum(), list(recorded)
+        return _sum_of_squares(preds - DArray(pos)), list(recorded)
 
     loss, shapes = rollout(DecoderRun)
     dense_loss, dense_shapes = rollout(DenseAttentionDecoderRun)
@@ -426,14 +486,11 @@ def test_boundary_rollout_tape_budget(monkeypatch):
     #   each row's biases themselves and keep none of them.
     # Per window: gathered edge features E*W and weights z E, one int32
     #   incidence index E/2, and the GEMM and bias outputs of qe, ke, ve 6EW.
-    # Per attended step: the category maps' outputs 3RW, the node
-    #   projections qh, kh, gvh and -gvh 4RW; per edge q, k, v1, the value
-    #   GEMM and the values 5EW, and 7 scalars (scores, scaled, shifted,
-    #   exp, numerator, gathered denominator, alpha) 7E (the subtracted
-    #   shift is an untracked constant, which no tape node keeps); the
-    #   denominators R, the message RW, the scale 1 and the 3 offsets of the
-    #   GRU input's concat (before t = 4 neither the zero message nor the
-    #   true input is tracked, so that concat is no node).
+    # Per attended step: the category maps' outputs 3RW; the attention
+    #   node's weights alpha E and its message RW (the reshape is a view of
+    #   it); the 3 offsets of the GRU input's concat (before t = 4 neither
+    #   the zero message nor the true input is tracked, so that concat is
+    #   no node).
     # Per step: the GRU input R(W + 2); per layer the new state and the
     #   gru_cell node's r, z, n and h W_hn + b_hn 5RW; the head's MLP
     #   node's two relu outputs 2RW and its output 2R, and the residual sum
@@ -441,15 +498,16 @@ def test_boundary_rollout_tape_budget(monkeypatch):
     # Per step that draws head noise: the head's noisy state RW (the noise
     #   is an untracked constant, which the add does not keep).
     # Once: the positions, the stacked predictions, the loss's difference
-    #   and square 4 * 30R, the sum 1; the zero initial states L*R*W, the
-    #   category rows R and one boundary-mixed input 2R.
+    #   and square 4 * 30R, the sum 1; the category rows R and one
+    #   boundary-mixed input 2R. The first step's gru_cell nodes keep no
+    #   zero initial state.
     r, e, steps, attended, noisy, windows = b * n, 36, 14, 10, 10, 2
     setup = (3 * (c * w * w + c * w)
              + sum(3 * c * w * (f + w) + 6 * c * w for f in (w + 2, w)))
     per_window = e * w + e + e / 2 + 6 * e * w
-    per_attended = 3 * r * w + 4 * r * w + 5 * e * w + 7 * e + r + r * w + 1 + 3
+    per_attended = 3 * r * w + e + r * w + 3
     per_step = r * (w + 2) + layers * 5 * r * w + 2 * r * w + 2 * 2 * r
-    once = 4 * 30 * r + 1 + layers * r * w + r + 2 * r
+    once = 4 * 30 * r + 1 + r + 2 * r
     budget = 8 * (setup + windows * per_window + attended * per_attended
                   + steps * per_step + noisy * r * w + once)
     # 1_233_016 before the GRU and category-map nodes took in their GEMMs.
@@ -465,7 +523,16 @@ def test_boundary_rollout_tape_budget(monkeypatch):
     # GRU layer the sum 2CW, its concat 3CW and 3 offsets and the picked
     # biases 4RW, and per such step the noisy state RW: 3 * 144 + 2 * 699
     # + 4 * 144 = 2_406 floats. 562_024 - 8 * 2_406 = 542_776.
-    assert budget == 542_776
+    # 542_776 while attention was 19 nodes after the category maps: per
+    # attended step they kept the node projections qh, kh, gvh and -gvh
+    # 4RW, per edge q, k, v1, the value GEMM and the values 5EW and 7
+    # scalars 7E (scores, scaled, shifted, exp, numerator, gathered
+    # denominator, alpha), the denominators R and the scale 1, in place of
+    # alpha E: 576 + 1_440 + 252 + 18 + 1 - 36 = 2_251 floats, 22_510 over
+    # the 10 steps. 542_776 - 8 * 22_510 = 362_696.
+    # 362_696 while each first-step gru_cell node kept the zero initial
+    # state: L*R*W = 288 floats. 362_696 - 8 * 288 = 360_392.
+    assert budget == 360_392
     assert tape_bytes(loss) == budget < tape_bytes(dense_loss)
 
     # no tape array keeps all C copies of the agent rows, and each gru_cell

@@ -137,26 +137,28 @@ def test_encoder_step_tape_budget(monkeypatch):
     # Edge noise: the noisy features B*N*N*D (the noise is an untracked
     #   constant, which the add does not keep).
     # Relations: the gathered pair rows PD; per GRU layer the new state,
-    #   r, z, n and h W_hn + b_hn and the zero initial state 6PH (the
-    #   node reads the registered biases, which the tape does not own); the
-    #   projection MLP node (two H blocks, then width 1) 2PH + P + 4H; the
-    #   dense logits B*N*N; the noisy logits, their quotient by the
-    #   temperature (which the div keeps, 1), the sigmoid and the masked
-    #   sample 4*B*N*N, and the (N, N) mask N*N.
+    #   r, z, n and h W_hn + b_hn 5PH (the node keeps no zero initial
+    #   state, and reads the registered biases, which the tape does not
+    #   own); the projection MLP node (two H blocks, then width 1)
+    #   2PH + P + 4H; the dense logits B*N*N; the noisy logits, their
+    #   quotient by the temperature (which the div keeps, 1), the sigmoid
+    #   and the masked sample 4*B*N*N, and the (N, N) mask N*N.
     # Loss: two sums and their sum 3.
     r, p, nn = b * n, b * n * (n - 1), b * n * n
     embed = 2 * tau * r + 3 * r * h + 4 * h
     gnn = (nn * h + 3 * p * h + 4 * h + r * h + p / 2 + 3 * r * h + 4 * h
            + nn * h + 3 * p * d + 4 * d + nn * d)
     noise = nn * d
-    relations = (p * d + layers * 6 * p * h
+    relations = (p * d + layers * 5 * p * h
                  + 2 * p * h + p + 4 * h + nn + 4 * nn + 1 + n * n)
     budget = 8 * (embed + gnn + noise + relations + 3)
     # 45_488 while each GRU layer folded its reset and update biases on
     # the tape: per layer the sum 2H, its concat 3H and the concat's 3
-    # offsets, 2 * 43 floats. 45_488 - 8 * 86 = 44_800. The MLPs op by op
-    # keep 130_912.
-    assert budget == 44_800
+    # offsets, 2 * 43 floats. 45_488 - 8 * 86 = 44_800.
+    # 44_800 while each gru_cell node kept the zero initial state PH:
+    # 2 * 192 floats. 44_800 - 8 * 384 = 41_728. The MLPs op by op keep
+    # 127_840.
+    assert budget == 41_728
     assert tape_bytes(loss) == budget < tape_bytes(composed)
     assert len(tape_arrays(loss)[0]) < len(tape_arrays(composed)[0])
 

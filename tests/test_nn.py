@@ -81,12 +81,16 @@ def test_mlp_dimension_mismatch_raises():
         mlp(DArray(np.zeros((3, 5))))
 
 
+def _sum_of_squares(y):
+    return (y * y).sum()
+
+
 def test_mlp_gradient_matches_finite_differences():
     store, rng = _store_rng()
     mlp = MLP(store, "f", 5, [(8, "elu", True), (3, None, False)], rng)
     x = DArray(rng_np.normal(size=(6, 5)), requires_grad=True)
     arrays = [x] + [store[k] for k, _ in store.trainable_items()]
-    fd_probe_check(lambda: (mlp(x, train=True) ** 2).sum(), arrays, rng_np,
+    fd_probe_check(lambda: _sum_of_squares(mlp(x, train=True)), arrays, rng_np,
                    n_probes=25, eps=1e-6, rtol=1e-5, atol=1e-8)
 
 
@@ -124,7 +128,7 @@ def test_gru_gradient_matches_finite_differences():
     x = DArray(rng_np.normal(size=(5, 3)), requires_grad=True)
     h = DArray(rng_np.normal(size=(5, 4)), requires_grad=True)
     arrays = [x, h] + [store[k] for k, _ in store.trainable_items()]
-    fd_probe_check(lambda: (_step(stack, x, h) ** 2).sum(), arrays,
+    fd_probe_check(lambda: _sum_of_squares(_step(stack, x, h)), arrays,
                    rng_np, n_probes=25, eps=1e-6, rtol=1e-5, atol=1e-8)
 
 
@@ -268,7 +272,7 @@ def test_adam_ten_steps_bitwise_deterministic():
         p = store.add("p", rng.normal(size=(3, 3)))
         opt = Adam(store, lr=1e-2)
         for i in range(10):
-            grads = gradients(((p - float(i)) ** 2).sum(), store)
+            grads = gradients(_sum_of_squares(p - float(i)), store)
             opt.step(grads)
         return p.data.copy()
 
