@@ -20,10 +20,8 @@ on the layer's parameters as registered, GEMMs and bias sums included,
 keeping its four gate arrays), `category_map` (tanh of each row's own
 category map), `graph_attention` (the decoder's whole attention step
 over one window's edges, projections, per-target softmax and weighted
-sum included, keeping only the (E,) weights alpha), `tanh_add` (tanh of
-a broadcast sum, whose terms may be row gathers) and `mul_sum` (a
-product summed over one axis). `segment_sum` adds rows into segments,
-optionally weighted, through the sparse incidence matrix that `segments`
+sum included, keeping only the (E,) weights alpha). `segment_sum` adds
+rows into segments through the sparse incidence matrix that `segments`
 builds once per index; the encoder's message sum uses it, and
 `graph_attention` gathers and scatters through such matrices. `scatter`
 writes an array into a zero array through a view, with one copy. `add`
@@ -450,17 +448,6 @@ def scatter(x, shape, view) -> DArray:
     return _track(out_data, (x,), bw)
 
 
-def exp(a) -> DArray:
-    a = _coerce(a)
-    out_data = np.exp(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum_owned(a, g * out_data)
-
-    return _track(out_data, (a,), bw)
-
-
 def log(a) -> DArray:
     a = _coerce(a)
 
@@ -487,82 +474,24 @@ def segments(index, n: int) -> scipy.sparse.csc_matrix:
     """The (n, E) 0/1 incidence matrix of an (E,) index into n rows: a
     product with it adds up the (E, ...) rows that share an index, the
     adjoint of gathering rows by that index. Its `indices` is the index.
-    Built once per index, it serves every `segment_sum` and gathered
-    `tanh_add` term over that index."""
+    Built once per index, it serves every `segment_sum` over that index."""
     index = np.asarray(index, dtype=np.intp)
     e = len(index)
     return scipy.sparse.csc_matrix((np.ones(e), index, np.arange(e + 1)), shape=(n, e))
 
 
-def segment_sum(x, seg, weights=None) -> DArray:
-    """Row sums by segment, out[s] = sum of weights[e] * x[e] over the rows
-    e with seg.indices[e] == s, for an (E,) or (E, F) `x` and an (n, E)
-    `seg` from `segments`; an empty segment sums to zero. The weighted
-    product is not kept: backward multiplies the gradient by the other
-    factor."""
+def segment_sum(x, seg) -> DArray:
+    """Row sums by segment, out[s] = sum of x[e] over the rows e with
+    seg.indices[e] == s, for an (E,) or (E, F) `x` and an (n, E) `seg`
+    from `segments`; an empty segment sums to zero."""
     x = _coerce(x)
-    weights = None if weights is None else _coerce(weights)
     index = seg.indices
-    w = None if weights is None else weights.data.reshape(
-        (-1,) + (1,) * (x.data.ndim - 1))
-    out_data = seg @ (x.data if w is None else w * x.data)
 
     def bw(g):
-        ge = g[index]
         if x.requires_grad:
-            _accum_owned(x, ge if w is None else ge * w)
-        if weights is not None and weights.requires_grad:
-            _accum_owned(weights, (ge * x.data).sum(axis=tuple(range(1, ge.ndim))))
+            _accum_owned(x, g[index])
 
-    return _track(out_data, (x,) if weights is None else (x, weights), bw)
-
-
-def tanh_add(*terms) -> DArray:
-    """tanh(terms[0] + terms[1] + ...) with numpy broadcasting, summed left
-    to right, as one tape node that keeps only its output.
-
-    A term may be a pair (x, seg) of an array and an (n, E) incidence
-    matrix from `segments`: it stands for the rows x[seg.indices], which
-    are read but never kept and must have the output's shape; backward
-    adds their gradient back into x's rows through `seg`.
-    """
-    pairs = [t if isinstance(t, tuple) else (t, None) for t in terms]
-    terms = [_coerce(t) for t, _ in pairs]
-    gathers = [seg for _, seg in pairs]
-    pre = None
-    for t, seg in zip(terms, gathers):
-        x = t.data if seg is None else t.data[seg.indices]
-        pre = x if pre is None else pre + x
-    out_data = np.tanh(pre)
-
-    def bw(g):
-        d = g * (1.0 - out_data * out_data)
-        for t, seg in zip(terms, gathers):
-            if not t.requires_grad:
-                continue
-            if seg is None:
-                gt = _unbroadcast(d, t.data.shape)
-                _accum(t, gt) if gt is d else _accum_owned(t, gt)
-            else:
-                _accum_owned(t, seg @ d)
-
-    return _track(out_data, terms, bw)
-
-
-def mul_sum(a, b, axis: int) -> DArray:
-    """(a * b).sum(axis) with broadcasting, as one tape node that keeps
-    no product: backward multiplies the gradient by the other factor."""
-    a, b = _coerce(a), _coerce(b)
-    out_data = (a.data * b.data).sum(axis=axis)
-
-    def bw(g):
-        g = np.expand_dims(g, axis)
-        if a.requires_grad:
-            _accum_owned(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum_owned(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _track(out_data, (a, b), bw)
+    return _track(seg @ x.data, (x,), bw)
 
 
 def batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -56,11 +56,6 @@ class Scene:
     def n_steps(self) -> int:
         return self.positions.shape[1]
 
-    def permuted(self, perm: np.ndarray) -> "Scene":
-        """Relabel agents; used by the equivariance oracles."""
-        tg = None if self.truth_graph is None else self.truth_graph[np.ix_(perm, perm)]
-        return Scene(self.scene_id, self.categories[perm], self.positions[perm], tg)
-
 
 @dataclass
 class Normalizer:

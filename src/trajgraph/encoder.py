@@ -155,13 +155,14 @@ class GraphEncoder:
         """
         mask = 1.0 - np.eye(logits.shape[-1])
         if mode == "train":
-            noise = rng.logistic(size=logits.shape) * mask
+            noise = rng.logistic(size=logits.shape)
             return ad.sigmoid((logits + DArray(noise)) / self.temperature) * DArray(mask)
         if mode not in ("sample", "map"):
             raise ConfigError(f"unknown relation sampling mode: {mode}")
         probs = ad.sigmoid(logits.detach()).data * mask
+        # probs is zero on the diagonal, so neither test draws a self-edge
         edges = rng.uniform(size=logits.shape) < probs if mode == "sample" else probs > 0.5
-        return DArray((edges * mask).astype(np.float64))
+        return DArray(edges.astype(np.float64))
 
 
 class EncoderRun:

@@ -147,6 +147,11 @@ def tanh(a):
     return _unary(a, out, lambda x, y: 1.0 - y * y)
 
 
+def exp(a):
+    """exp as its own tape node."""
+    return _unary(a, np.exp(ad._coerce(a).data), lambda x, y: y)
+
+
 def sqrt(a):
     """Square root as its own tape node."""
     out = np.sqrt(ad._coerce(a).data)
@@ -259,8 +264,8 @@ def composed_gru_cell(x, h, w_ih, w_hh, b_ih, b_hh, rows=None):
 def composed_category_map(h, w, b, rows):
     """tanh(h W_c + b_c) as the decoder ran it before `autodiff.category_map`,
     on C-stacked weights and (C, H) biases: a taped C-stacked GEMM, a taped
-    `pick`, a taped row gather of the biases and a `tanh_add` node."""
-    return ad.tanh_add(pick(h @ w, rows), b[rows])
+    `pick`, a taped row gather of the biases, their sum and a tanh node."""
+    return tanh(pick(h @ w, rows) + b[rows])
 
 
 def composed_gru_step(x, h, g):
@@ -357,11 +362,13 @@ def composed_mlp(mlp, x, train=True):
 
 
 class DenseAttentionDecoderRun(DecoderRun):
-    """The decoder's attention on all B*N*N pair slots, as it ran before
-    it attended over qualifying edges only: masks zero the exponent and
-    the numerator of every pair that does not qualify (diagonal, or
-    sampled weight <= 1/2), and a target with no qualifying in-edge gets
-    a denominator of one. The GRU and the head are the decoder's own."""
+    """The decoder's attention on all B*N*N pair slots, op by op on the
+    tape, as it ran before it attended over qualifying edges only: every
+    add, tanh and product of the category maps and the pairwise chains is
+    its own node, and masks zero the exponent and the numerator of every
+    pair that does not qualify (diagonal, or sampled weight <= 1/2); a
+    target with no qualifying in-edge gets a denominator of one. The GRU
+    and the head are the decoder's own."""
 
     def __init__(self, decoder, batch, n_agents, categories):
         super().__init__(decoder, batch, n_agents, categories)
@@ -382,6 +389,11 @@ class DenseAttentionDecoderRun(DecoderRun):
             }
         return cache
 
+    def _category_maps(self, h):
+        if self.decoder.homogeneous:
+            return [h, h, h]
+        return [composed_category_map(h, w, b, self.rows) for w, b in self._gmaps]
+
     def _masked_softmax(self, scores, graph, cache):
         qmask = cache["qualify"]
         # stable weights: shift scores by the per-target max over qualifying
@@ -389,7 +401,7 @@ class DenseAttentionDecoderRun(DecoderRun):
         masked = np.where(qmask > 0, scores.data, -np.inf)
         shift = masked.max(axis=1, keepdims=True)
         shift = np.where(np.isfinite(shift), shift, 0.0)
-        exp_scores = ad.exp((scores - DArray(shift)) * DArray(qmask))
+        exp_scores = exp((scores - DArray(shift)) * DArray(qmask))
         weight_num = graph.z * exp_scores * DArray(qmask)
         denom = weight_num.sum(axis=1, keepdims=True)
         denom = denom + DArray((~cache["has_in"]).astype(np.float64)[:, None, :])
@@ -397,40 +409,6 @@ class DenseAttentionDecoderRun(DecoderRun):
 
     def attention(self, h, graph, window):
         """Weights alpha (B, N, N), source by target, plus the value input."""
-        dec = self.decoder
-        b, n, hd = self.batch, self.n_agents, h.shape[-1]
-        cache = self._dense_window_cache(graph, window)
-        gq, gk, gv = self._category_maps(h)
-        qh = linear(gq, dec.f_q.W[:hd])
-        kh = linear(gk, dec.f_k.W[:hd])
-        q = ad.tanh_add(qh.reshape(b, n, 1, dec.attn_dim), cache["qe"])
-        k = ad.tanh_add(kh.reshape(b, 1, n, dec.attn_dim), cache["ke"])
-        scores = ad.mul_sum(q, k, -1) / math.sqrt(dec.attn_dim)
-        return self._masked_softmax(scores, graph, cache), gv
-
-    def attend(self, h, graph, window):
-        f_v = self.decoder.f_v
-        b, n, hd = self.batch, self.n_agents, h.shape[-1]
-        alpha, gv = self.attention(h, graph, window)
-        gvh = linear(gv, f_v[0].W[:hd])
-        v1 = ad.tanh_add(gvh.reshape(b, n, 1, hd), -gvh.reshape(b, 1, n, hd),
-                         self._dense_window_cache(graph, window)["ve"])
-        values = ad.tanh_add(linear(v1, f_v[1].W), f_v[1].b)
-        return ad.mul_sum(alpha.reshape(b, n, n, 1), values, 1)
-
-
-class ComposedAttentionDecoderRun(DenseAttentionDecoderRun):
-    """The dense attention op by op on the tape, as it ran before the
-    fused `tanh_add` and `mul_sum` nodes: every add, tanh and product of
-    the pairwise chains is its own node. The GRU and the head are the
-    decoder's own."""
-
-    def _category_maps(self, h):
-        if self.decoder.homogeneous:
-            return [h, h, h]
-        return [tanh(pick(h @ w, self.rows) + b[self.rows]) for w, b in self._gmaps]
-
-    def attention(self, h, graph, window):
         dec = self.decoder
         b, n, hd = self.batch, self.n_agents, h.shape[-1]
         cache = self._dense_window_cache(graph, window)
@@ -448,18 +426,24 @@ class ComposedAttentionDecoderRun(DenseAttentionDecoderRun):
         alpha, gv = self.attention(h, graph, window)
         gvh = linear(gv, f_v[0].W[:hd])
         v1 = tanh(gvh.reshape(b, n, 1, hd) - gvh.reshape(b, 1, n, hd)
-                     + self._dense_window_cache(graph, window)["ve"])
+                  + self._dense_window_cache(graph, window)["ve"])
         values = tanh(linear(v1, f_v[1].W, f_v[1].b))
         return (alpha.reshape(b, n, n, 1) * values).sum(axis=1)
 
 
 class ComposedEdgeAttentionDecoderRun(DecoderRun):
-    """The decoder's attention over each window's qualifying edges as it
-    ran before `autodiff.graph_attention`: the gathered `tanh_add`
-    projections, `mul_sum` scores, the shifted softmax op by op and a
-    weighted `segment_sum`, 19 tape nodes per attended step after the
-    category maps. The window cache, the GRU and the head are the
-    decoder's own."""
+    """The decoder's attention over each window's qualifying edges, op by
+    op on the tape, the computation `autodiff.graph_attention` fuses: row
+    gathers (`take`) of the projected sources and targets, the shifted
+    softmax and a `segment_sum` of the alpha-weighted values into the
+    targets. After the category maps an attended step records 30 tape
+    nodes: the query and the key a GEMM, gather, add and tanh each (8),
+    the scores a product, sum and scale (3), the weights a shift, exp,
+    product with z, `segment_sum`, gather and division (6), the values
+    a GEMM, two gathers, a difference, an add and a tanh, then a GEMM, an
+    add and a tanh (9), and the message a reshape of alpha, a product, a
+    `segment_sum` and a reshape (4). The window cache, the GRU and the
+    head are the decoder's own."""
 
     def attention(self, h, graph, window):
         """Weights alpha (E,) over the window's qualifying edges, in the
@@ -468,13 +452,13 @@ class ComposedEdgeAttentionDecoderRun(DecoderRun):
         dec = self.decoder
         edges = self._window_cache(graph, window)
         gq, gk, gv = self._category_maps(h)
-        q = ad.tanh_add((linear(gq, self._wq), edges.src), edges.qe)
-        k = ad.tanh_add((linear(gk, self._wk), edges.tgt), edges.ke)
-        scores = ad.mul_sum(q, k, -1) / math.sqrt(dec.attn_dim)   # (E,)
+        q = tanh(linear(gq, self._wq)[edges.src.indices] + edges.qe)
+        k = tanh(linear(gk, self._wk)[edges.tgt.indices] + edges.ke)
+        scores = (q * k).sum(axis=-1) / math.sqrt(dec.attn_dim)   # (E,)
         # stable weights: shift scores by the per-target max (a constant,
         # so the ratio is unchanged)
         shift = np.repeat(np.maximum.reduceat(scores.data, edges.starts), edges.counts)
-        weight_num = edges.z * ad.exp(scores - DArray(shift))
+        weight_num = edges.z * exp(scores - DArray(shift))
         denom = ad.segment_sum(weight_num, edges.tgt)
         return weight_num / denom[edges.tgt.indices], gv
 
@@ -486,9 +470,9 @@ class ComposedEdgeAttentionDecoderRun(DecoderRun):
         alpha, gv = self.attention(h, graph, window)
         # value: relative latent position concat edge feature, f_v split
         gvh = linear(gv, self._wv)
-        v1 = ad.tanh_add((gvh, edges.src), (-gvh, edges.tgt), edges.ve)
-        values = ad.tanh_add(linear(v1, f_v1.W), f_v1.b)
-        m = ad.segment_sum(values, edges.tgt, weights=alpha)
+        v1 = tanh(gvh[edges.src.indices] - gvh[edges.tgt.indices] + edges.ve)
+        values = tanh(linear(v1, f_v1.W, f_v1.b))
+        m = ad.segment_sum(values * alpha.reshape(-1, 1), edges.tgt)
         return m.reshape(self.batch, self.n_agents, -1)
 
 

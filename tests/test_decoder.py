@@ -11,9 +11,8 @@ from trajgraph.model import ModelConfig, TrajectoryModel
 from trajgraph.nn import ParamStore, gradients
 from trajgraph.rng import RngStream
 
-from oracles import (ComposedAttentionDecoderRun, ComposedEdgeAttentionDecoderRun,
-                     DenseAttentionDecoderRun, MaskCollapseDecoderRun, fd_probe_check,
-                     tape_arrays, tape_bytes)
+from oracles import (ComposedEdgeAttentionDecoderRun, DenseAttentionDecoderRun,
+                     MaskCollapseDecoderRun, fd_probe_check, tape_arrays, tape_bytes)
 
 rng_np = np.random.default_rng(53)
 
@@ -253,17 +252,6 @@ def test_homogeneous_flag_bypasses_category_maps():
     assert np.abs(m.data).max() > 0   # still attends via raw hidden states
 
 
-def _tape(out):
-    seen, stack, nodes = set(), [out], []
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node._parents)
-    return nodes
-
-
 def test_row_pick_step_matches_mask_collapse_oracle():
     dec, store = make_decoder(seed=8)
     b, n, c = 2, 4, 3
@@ -296,37 +284,6 @@ def test_row_pick_step_matches_mask_collapse_oracle():
     for name, g in grads.items():
         np.testing.assert_allclose(g, grads_ref[name], rtol=0, atol=1e-12,
                                    err_msg=name)
-
-
-@pytest.mark.parametrize("homogeneous", [False, True], ids=["categories", "homogeneous"])
-def test_fused_attention_matches_composed_oracle(homogeneous):
-    """The dense attention with fused nodes is bit-identical to the
-    op-by-op one on fewer tape nodes, with parameter gradients within
-    1e-12."""
-    dec, store = make_decoder(homogeneous=homogeneous, seed=9)
-    b, n = 2, 5
-    cats = np.array([[0, 1, 2, 0, 1], [2, 2, 1, 0, 0]])
-    z = rng_np.uniform(size=(b, n, n))   # relaxed: train-mode weights
-    for i in range(b):
-        np.fill_diagonal(z[i], 0.0)
-    z[1, :, 3] = 0.0   # a target with no qualifying in-edge
-    graph = make_graph(z)
-    graph.edge_feats.requires_grad = True
-    h = DArray(rng_np.normal(size=(b * n, H)), requires_grad=True)
-    weights = rng_np.normal(size=(b, n, H))
-    results = []
-    for cls in (DenseAttentionDecoderRun, ComposedAttentionDecoderRun):
-        m = cls(dec, b, n, cats).attend(h, graph, 0)
-        nodes = sum(1 for t in _tape(m) if t._bw is not None)
-        grads = gradients((m * weights).sum(), store)
-        grads["h"], grads["edge_feats"] = h.grad, graph.edge_feats.grad
-        h.grad = graph.edge_feats.grad = None
-        results.append((m.data, nodes, grads))
-    (m, nodes, grads), (m_ref, nodes_ref, grads_ref) = results
-    np.testing.assert_array_equal(m, m_ref)
-    assert nodes < nodes_ref
-    for name, g in grads.items():
-        np.testing.assert_allclose(g, grads_ref[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 @pytest.mark.parametrize("homogeneous", [False, True], ids=["categories", "homogeneous"])

@@ -13,7 +13,7 @@ from trajgraph.rng import RngStream
 from trajgraph.training import reconstruction_loss
 
 from conftest import reconfigured, small_model_config
-from oracles import ComposedAttentionDecoderRun, composed_mlp
+from oracles import DenseAttentionDecoderRun, composed_mlp
 
 rng_np = np.random.default_rng(61)
 
@@ -275,7 +275,7 @@ def test_fused_nodes_match_composed_ops_end_to_end(tiny_scenes, monkeypatch):
     preds, grads, sampled, state = run()
     with monkeypatch.context() as m:
         m.setattr(MLP, "__call__", composed_mlp)
-        m.setattr(model_mod, "DecoderRun", ComposedAttentionDecoderRun)
+        m.setattr(model_mod, "DecoderRun", DenseAttentionDecoderRun)
         preds_ref, grads_ref, sampled_ref, state_ref = run()
     np.testing.assert_array_equal(preds, preds_ref)
     np.testing.assert_array_equal(sampled, sampled_ref)
