@@ -5,6 +5,10 @@ operation records a backward closure on its output, so the tape is rebuilt
 on each forward pass. Backward consumes the tape: interior nodes drop their
 closure, parents and gradient as it runs them (leaves keep `.grad`), and a
 later backward that reaches a consumed node raises ContractError.
+Every backward adds gradients through `_accum`: each parent gets a fresh
+array or a view of the node's own gradient, its first one becomes its
+buffer and later ones add in place. No backward hands one array, or two
+overlapping views, to two parents (`add` copies g if both operands get it).
 All values are float64 throughout, which keeps finite-difference gradient
 checks unambiguous at desk scale.
 
@@ -39,33 +43,26 @@ category, on that category's rows only. The GEMMs of `linear` are
 
 from __future__ import annotations
 
-import threading
+import contextlib
 
 import numpy as np
 import scipy.sparse
 
 from .errors import ContractError, ShapeError
 
-# Tape recording is toggled per thread, so a no_grad block in one thread
-# never stops another thread from recording.
-_STATE = threading.local()
+_grad_enabled = True   # tape recording; `no_grad` switches it off
 
 
-def _grad_enabled() -> bool:
-    return getattr(_STATE, "grad_enabled", True)
-
-
-class no_grad:
-    """Context manager that disables tape recording (evaluation fast path)."""
-
-    def __enter__(self):
-        self._prev = _grad_enabled()
-        _STATE.grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        _STATE.grad_enabled = self._prev
-        return False
+@contextlib.contextmanager
+def no_grad():
+    """Disable tape recording (evaluation fast path) process-wide; on exit
+    restore the previous setting, so blocks nest."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 class DArray:
@@ -98,9 +95,6 @@ class DArray:
     def detach(self) -> "DArray":
         """Value-sharing constant; gradients never flow through it."""
         return DArray(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         """Populate .grad on the tracked leaves reachable from this scalar."""
@@ -190,7 +184,7 @@ def _coerce(x) -> DArray:
 
 def _track(data: np.ndarray, parents, bw) -> DArray:
     out = DArray(data)
-    if _grad_enabled():
+    if _grad_enabled:
         tracked = tuple(p for p in parents if p.requires_grad)
         if tracked:
             out.requires_grad = True
@@ -200,29 +194,9 @@ def _track(data: np.ndarray, parents, bw) -> DArray:
 
 
 def _accum(t: DArray, g: np.ndarray):
-    """Accumulate a gradient the caller may still share (view/broadcast)."""
-    if t.grad is None:
-        if np.shape(g) == t.data.shape:
-            t.grad = np.array(g)   # take an owned copy
-        else:
-            t.grad = np.zeros_like(t.data)
-            t.grad += g
-    else:
-        t.grad += g
-
-
-def _accum_owned(t: DArray, g: np.ndarray):
-    """Accumulate a freshly-allocated full-shape gradient (no copy)."""
-    if t.grad is None:
-        t.grad = g
-    else:
-        t.grad += g
-
-
-def _accum_view(t: DArray, g: np.ndarray):
-    """Accumulate from a single-parent op that may pass a view of its own
-    gradient. Aliasing is sound there: the child's gradient is fully
-    consumed before the parent's buffer is ever mutated."""
+    """Add g into t's gradient: t keeps its first g as its buffer (a zero
+    buffer if g broadcasts). g must be fresh or a view of the caller's own
+    gradient; never pass one array, or two overlapping views, to two parents."""
     if t.grad is None:
         if np.shape(g) == t.data.shape:
             t.grad = g
@@ -254,11 +228,12 @@ def _sum_bw(a: DArray, b: DArray, negate_b: bool):
 
     def bw(g):
         if a is not None:
-            ga = _unbroadcast(g, a.data.shape)
-            _accum(a, ga) if ga is g else _accum_owned(a, ga)
+            _accum(a, _unbroadcast(g, a.data.shape))
         if b is not None:
             gb = _unbroadcast(-g if negate_b else g, b.data.shape)
-            _accum(b, gb) if gb is g else _accum_owned(b, gb)
+            if gb is g and a is not None and a is not b and a.data.shape == g.shape:
+                gb = g.copy()   # a received g itself
+            _accum(b, gb)
 
     return bw
 
@@ -278,9 +253,9 @@ def mul(a, b) -> DArray:
 
     def bw(g):
         if a.requires_grad:
-            _accum_owned(a, _unbroadcast(g * b.data, a.data.shape))
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            _accum_owned(b, _unbroadcast(g * a.data, b.data.shape))
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _track(a.data * b.data, (a, b), bw)
 
@@ -290,9 +265,9 @@ def div(a, b) -> DArray:
 
     def bw(g):
         if a.requires_grad:
-            _accum_owned(a, _unbroadcast(g / b.data, a.data.shape))
+            _accum(a, _unbroadcast(g / b.data, a.data.shape))
         if b.requires_grad:
-            _accum_owned(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _track(a.data / b.data, (a, b), bw)
 
@@ -302,7 +277,7 @@ def neg(a) -> DArray:
 
     def bw(g):
         if a.requires_grad:
-            _accum_owned(a, -g)
+            _accum(a, -g)
 
     return _track(-a.data, (a,), bw)
 
@@ -318,9 +293,9 @@ def matmul(a, b) -> DArray:
 
     def bw(g):
         if a.requires_grad:
-            _accum_owned(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:
-            _accum_owned(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _track(a.data @ b.data, (a, b), bw)
 
@@ -332,10 +307,10 @@ def reduce_sum(a, axis=None, keepdims=False) -> DArray:
     def bw(g):
         if not a.requires_grad:
             return
-        # _accum_view broadcasts, so the gradient is never materialized here
+        # _accum broadcasts, so the gradient is never materialized here
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum_view(a, g)
+        _accum(a, g)
 
     return _track(out_data, (a,), bw)
 
@@ -369,7 +344,7 @@ def reduce_max(a, axis=None, keepdims=False) -> DArray:
             np.put_along_axis(
                 grad, np.expand_dims(am, axis), np.asarray(gg, dtype=np.float64), axis
             )
-        _accum_owned(a, grad)
+        _accum(a, grad)
 
     return _track(out_data, (a,), bw)
 
@@ -379,7 +354,7 @@ def reshape(a, shape) -> DArray:
 
     def bw(g):
         if a.requires_grad:
-            _accum_view(a, g.reshape(a.data.shape))
+            _accum(a, g.reshape(a.data.shape))
 
     return _track(a.data.reshape(shape), (a,), bw)
 
@@ -401,7 +376,7 @@ def take(a, idx) -> DArray:
                 grad[idx] += g   # basic indices never repeat elements
             else:
                 np.add.at(grad, idx, g)
-            _accum_owned(a, grad)
+            _accum(a, grad)
 
     return _track(a.data[idx], (a,), bw)
 
@@ -416,7 +391,7 @@ def concat(arrays, axis=0) -> DArray:
             if x.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
-                _accum_view(x, g[tuple(sl)])
+                _accum(x, g[tuple(sl)])
 
     return _track(np.concatenate([x.data for x in arrays], axis=axis), arrays, bw)
 
@@ -428,7 +403,7 @@ def stack(arrays, axis=0) -> DArray:
         parts = np.moveaxis(g, axis, 0)
         for x, part in zip(arrays, parts):
             if x.requires_grad:
-                _accum_view(x, part)
+                _accum(x, part)
 
     return _track(np.stack([x.data for x in arrays], axis=axis), arrays, bw)
 
@@ -443,7 +418,7 @@ def scatter(x, shape, view) -> DArray:
 
     def bw(g):
         if x.requires_grad:
-            _accum_view(x, view(g))
+            _accum(x, view(g))
 
     return _track(out_data, (x,), bw)
 
@@ -453,7 +428,7 @@ def log(a) -> DArray:
 
     def bw(g):
         if a.requires_grad:
-            _accum_owned(a, g / a.data)
+            _accum(a, g / a.data)
 
     return _track(np.log(a.data), (a,), bw)
 
@@ -465,7 +440,7 @@ def clamp_min(a, floor: float) -> DArray:
 
     def bw(g):
         if a.requires_grad:
-            _accum_owned(a, g * mask)
+            _accum(a, g * mask)
 
     return _track(np.maximum(a.data, floor), (a,), bw)
 
@@ -489,7 +464,7 @@ def segment_sum(x, seg) -> DArray:
 
     def bw(g):
         if x.requires_grad:
-            _accum_owned(x, g[index])
+            _accum(x, g[index])
 
     return _track(seg @ x.data, (x,), bw)
 
@@ -567,9 +542,9 @@ def mlp(x, layers, train: bool) -> DArray:
                     xn = (outs[l] - means[l]) / stds[l]
                 axes = tuple(range(d.ndim - 1))
                 if bn.gamma.requires_grad:
-                    _accum_owned(bn.gamma, (d * xn).sum(axis=axes))
+                    _accum(bn.gamma, (d * xn).sum(axis=axes))
                 if bn.beta.requires_grad:
-                    _accum_owned(bn.beta, d.sum(axis=axes))
+                    _accum(bn.beta, d.sum(axis=axes))
                 d_xn = d * bn.gamma.data
                 if train:
                     inv_m = 1.0 / int(np.prod(d.shape[:-1]))
@@ -580,7 +555,7 @@ def mlp(x, layers, train: bool) -> DArray:
                 d = d * ACTIVATIONS[act][1](outs[l])
             d = d.reshape(-1, w.data.shape[-1])
             if b.requires_grad:
-                _accum_owned(b, _unbroadcast(d, b.data.shape))
+                _accum(b, _unbroadcast(d, b.data.shape))
             d = np.ascontiguousarray(d)   # a strided operand can leave numpy's BLAS path
             xn = None
             if l == 0:
@@ -592,11 +567,11 @@ def mlp(x, layers, train: bool) -> DArray:
                 xn = (outs[l - 1] - means[l - 1]) / stds[l - 1]
                 h = below.gamma.data * xn + below.beta.data
             if w.requires_grad:
-                _accum_owned(w, h.reshape(-1, h.shape[-1]).T @ d)
+                _accum(w, h.reshape(-1, h.shape[-1]).T @ d)
             if l > 0:
                 d = (d @ w.data.T).reshape(h.shape)
             elif x.requires_grad:
-                _accum_owned(x, (d @ w.data.T).reshape(h.shape))
+                _accum(x, (d @ w.data.T).reshape(h.shape))
 
     params = [p for w, b, _, bn in layers
               for p in ((w, b) if bn is None else (w, b, bn.gamma, bn.beta))]
@@ -614,7 +589,7 @@ def sigmoid(a) -> DArray:
 
     def bw(g):
         if a.requires_grad:
-            _accum_owned(a, g * out_data * (1.0 - out_data))
+            _accum(a, g * out_data * (1.0 - out_data))
 
     return _track(out_data, (a,), bw)
 
@@ -653,7 +628,7 @@ def _affine_grads(x: DArray | None, w: DArray, b: DArray, g: np.ndarray, rows):
                 db[c] = gc.sum(axis=0)
     for t, d in zip((x, w, b), grads):
         if d is not None:
-            _accum_owned(t, d)
+            _accum(t, d)
 
 
 def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh, rows=None) -> DArray:
@@ -710,7 +685,7 @@ def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh, rows=None) -> DArray:
         _affine_grads(x, w_ih, b_ih, np.concatenate([da_r, da_z, da_n], axis=-1), rows)
         _affine_grads(h_kept, w_hh, b_hh, np.concatenate([da_r, da_z, da_n * r], axis=-1), rows)
         if h_kept is not None and h_kept.requires_grad:
-            _accum_owned(h_kept, g * z)
+            _accum(h_kept, g * z)
 
     parents = (x, w_ih, b_ih, b_hh) if h_kept is None else (x, h, w_ih, w_hh, b_ih, b_hh)
     return _track(out_data, parents, bw)
@@ -792,17 +767,17 @@ def graph_attention(gq, gk, gv, edges, w_q, w_k, w_v, w_1, b_1, scale: float) ->
         for t, w, d in ((gq, w_q, src @ d_q), (gk, w_k, tgt @ d_k),
                         (gv, w_v, src @ d_v1 - tgt @ d_v1)):
             if w.requires_grad:
-                _accum_owned(w, t.data.T @ d)
+                _accum(w, t.data.T @ d)
             if t.requires_grad:
-                _accum_owned(t, d @ w.data.T)
+                _accum(t, d @ w.data.T)
         for t, d in ((qe, d_q), (ke, d_k), (ve, d_v1)):
             if t.requires_grad:
-                _accum_owned(t, d)
+                _accum(t, d)
         if z.requires_grad:
-            _accum_owned(z, centred * alpha / z.data)
+            _accum(z, centred * alpha / z.data)
         if w_1.requires_grad:
-            _accum_owned(w_1, v1.T @ d_val)
+            _accum(w_1, v1.T @ d_val)
         if b_1.requires_grad:
-            _accum_owned(b_1, d_val.sum(axis=0))
+            _accum(b_1, d_val.sum(axis=0))
 
     return _track(out_data, (gq, gk, gv, z, qe, ke, ve, w_q, w_k, w_v, w_1, b_1), bw)

@@ -284,8 +284,10 @@ class SyntheticConfig:
             raise ConfigError("need 2 <= n_agents_min <= n_agents_max")
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ConfigError("edge_prob must lie in [0, 1]")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 <= self.init_box < math.inf:
+            raise ConfigError(f"init_box must be finite and nonnegative, got {self.init_box}")
         if not 0.0 <= self.init_vel < math.inf:
             raise ConfigError(f"init_vel must be finite and nonnegative, got {self.init_vel}")
         if self.coupling is None:
@@ -301,6 +303,9 @@ class SyntheticConfig:
         self.damping = np.asarray(self.damping, dtype=np.float64)
         if self.damping.shape != (c,):
             raise ConfigError(f"damping must have length {c}")
+        for name, v in (("coupling", self.coupling), ("damping", self.damping)):
+            if not np.isfinite(v).all():
+                raise ConfigError(f"{name} entries must be finite, got {v[~np.isfinite(v)][0]}")
 
 
 def simulate_scene(rng: RngStream, n_agents: int, categories: np.ndarray,

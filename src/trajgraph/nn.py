@@ -43,15 +43,12 @@ class ParamStore:
 
     def __init__(self):
         self._items: dict[str, DArray] = {}
-        self._trainable: dict[str, bool] = {}
 
     def add(self, name: str, value: np.ndarray, trainable: bool = True) -> DArray:
         if name in self._items:
             raise ContractError(f"duplicate parameter name: {name}")
-        arr = DArray(np.asarray(value, dtype=np.float64), requires_grad=trainable)
-        self._items[name] = arr
-        self._trainable[name] = trainable
-        return arr
+        self._items[name] = DArray(value, requires_grad=trainable)
+        return self._items[name]
 
     def __getitem__(self, name: str) -> DArray:
         return self._items[name]
@@ -63,7 +60,7 @@ class ParamStore:
         return self._items.items()
 
     def trainable_items(self):
-        return ((k, v) for k, v in self._items.items() if self._trainable[k])
+        return ((k, v) for k, v in self._items.items() if v.requires_grad)
 
     def zero_grad(self):
         for v in self._items.values():
@@ -127,16 +124,12 @@ def linear(x: DArray, w: DArray, b: DArray | None = None) -> DArray:
 
 
 class Affine:
-    """y = x @ W + b over the last axis."""
+    """The parameters of y = x @ W + b over the last axis: registers the
+    (n_in, n_out) weight W and the (n_out,) bias b."""
 
     def __init__(self, store: ParamStore, name: str, n_in: int, n_out: int, rng: RngStream):
-        self.n_in = n_in
-        self.n_out = n_out
         self.W = store.add(f"{name}.W", _uniform_init(rng, (n_in, n_out), n_in))
         self.b = store.add(f"{name}.b", _uniform_init(rng, (n_out,), n_in))
-
-    def __call__(self, x: DArray) -> DArray:
-        return linear(x, self.W, self.b)
 
 
 class BatchNorm:

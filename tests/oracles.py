@@ -124,7 +124,7 @@ def pick(a, rows):
 
     def bw(g):
         if a.requires_grad:
-            ad._accum_owned(a, _scatter_rows(g, rows, a.data.shape))
+            ad._accum(a, _scatter_rows(g, rows, a.data.shape))
 
     return ad._track(_pick_rows(a.data, rows), (a,), bw)
 
@@ -136,7 +136,7 @@ def _unary(a, out_data, derivative):
 
     def bw(g):
         if a.requires_grad:
-            ad._accum_owned(a, g * derivative(a.data, out_data))
+            ad._accum(a, g * derivative(a.data, out_data))
 
     return ad._track(out_data, (a,), bw)
 
@@ -239,11 +239,12 @@ def gate_node(pre, bias, h, rows=None):
             if not t.requires_grad:
                 continue
             if rows is not None:
-                ad._accum_owned(t, _scatter_rows(gt, rows, t.data.shape))
+                ad._accum(t, _scatter_rows(gt, rows, t.data.shape))
             else:
-                ad._accum(t, ad._unbroadcast(gt, t.data.shape))
+                # one gate gradient feeds several parents: each gets a copy
+                ad._accum(t, ad._unbroadcast(gt, t.data.shape).copy())
         if h.requires_grad:
-            ad._accum_owned(h, ad._unbroadcast(g * z, h.data.shape))
+            ad._accum(h, ad._unbroadcast(g * z, h.data.shape))
 
     return ad._track(out_data, pre + bias + [h], bw)
 

@@ -416,6 +416,78 @@ def test_backward_frees_interior_grads_and_keeps_leaf_grads():
     np.testing.assert_allclose(x.grad, 8.0 * x.data)
 
 
+@pytest.mark.parametrize("op, b_shape", [
+    *((op, shape) for op in ("add", "sub") for shape in ((3, 4), (4,), (1, 4))),
+    ("add", "a"), ("add", "reshape")])
+def test_add_operands_never_share_a_gradient_buffer(op, b_shape):
+    """a ± b hands each operand the output's gradient, and a and b feed
+    later ops too, whose gradients add into theirs in place: operands
+    sharing one buffer would corrupt each other's gradient. b_shape "a"
+    is a + a; "reshape" makes a a reshape of a (12,) leaf."""
+    sign = 1.0 if op == "add" else -1.0
+    w = np.arange(12.0).reshape(3, 4) - 4.0    # the weights on a ± b
+    x = DArray(np.ones(12 if b_shape == "reshape" else (3, 4)), requires_grad=True)
+    a = x.reshape(3, 4) if b_shape == "reshape" else x
+    y = x if b_shape == "a" else DArray(
+        np.ones((3, 4) if b_shape == "reshape" else b_shape), requires_grad=True)
+    b = a if b_shape == "a" else y
+    loss = (getattr(ad, op)(a, b) * w).sum() + (a * 2.0).sum() + (b * -3.0).sum()
+    loss.backward()
+    if b_shape == "a":
+        np.testing.assert_array_equal(x.grad, 2.0 * w - 1.0)
+        return
+    np.testing.assert_array_equal(x.grad, (w + 2.0).reshape(x.shape))
+    w_b = w if y.shape == (3, 4) else w.sum(axis=0).reshape(y.shape)
+    np.testing.assert_array_equal(y.grad, sign * w_b - 3.0)
+    assert not np.shares_memory(x.grad, y.grad)
+
+
+def _grad_writes(source: str) -> set[str]:
+    """Dotted scopes (class, function, closure) that assign or add a value
+    other than None to an attribute `.grad`."""
+    found = set()
+
+    def pairs(target, value):
+        if isinstance(target, ast.Tuple):
+            values = value.elts if isinstance(value, ast.Tuple) else [value] * len(target.elts)
+            for t, v in zip(target.elts, values):
+                yield from pairs(t, v)
+        else:
+            yield target, value
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, (ast.Assign, ast.AugAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                if any(isinstance(t, ast.Attribute) and t.attr == "grad"
+                       and not (isinstance(v, ast.Constant) and v.value is None)
+                       for target in targets for t, v in pairs(target, child.value)):
+                    found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_grad_write_finder_sees_closures_and_tuples():
+    source = ("class A:\n    def f(self):\n        self.grad, b = None, 1\n"
+              "def g(t):\n    def bw(x):\n        t.grad += x\n    return bw\n"
+              "def h(t):\n    t.grad, t.data = 2.0, None\n")
+    assert _grad_writes(source) == {"g.bw", "h"}
+
+
+def test_only_accum_writes_a_gradient():
+    """Backward adds into gradients only through `autodiff._accum`, whose
+    buffer rule holds the tape together; the loss seed is the one other write."""
+    writes = set()
+    for path in Path(ad.__file__).parent.glob("*.py"):
+        writes |= {f"{path.stem}.{scope}" for scope in _grad_writes(path.read_text())}
+    assert sorted(writes - {"autodiff._accum", "autodiff.DArray.backward"}) == []
+
+
 def test_second_backward_through_a_consumed_graph_raises():
     x = DArray(np.array(1.0), requires_grad=True)
     y = x * 2.0

@@ -308,12 +308,23 @@ def _set_bound(key, value):
                                flags=re.M)
 
 
+def _drop_last_step(text):
+    """Drop the last step of the first scene, leaving it one step short."""
+    lines = text.splitlines(keepends=True)
+    rows = [line.split(",") for line in lines[1:]]
+    sid = rows[0][0]
+    last = max(int(r[3]) for r in rows if r[0] == sid)
+    return lines[0] + "".join(line for line, r in zip(lines[1:], rows)
+                              if not (r[0] == sid and int(r[3]) == last))
+
+
 @pytest.mark.parametrize("name, corrupt", [
     ("test.csv", _nan_first_x),
     ("normalization.txt", _set_bound("min_x", "nan")),
     ("normalization.txt", _set_bound("max_x", "inf")),
     ("normalization.txt", _set_bound("min_x", "1e9")),
-], ids=["csv_nan_x", "min_x_nan", "max_x_inf", "min_x_above_max"])
+    ("test.csv", _drop_last_step),
+], ids=["csv_nan_x", "min_x_nan", "max_x_inf", "min_x_above_max", "csv_short_scene"])
 def test_evaluate_bad_data_values_exit_code(workspace, tmp_path, capsys,
                                             name, corrupt):
     root, cfg, data, run = workspace
@@ -327,6 +338,24 @@ def test_evaluate_bad_data_values_exit_code(workspace, tmp_path, capsys,
                  "--checkpoint", str(run / "model.ckpt"),
                  "--data", str(bad), "--out", str(tmp_path / "e")]) == 2
     assert capsys.readouterr().err.startswith("data error: ")
+    assert not (tmp_path / "e").exists()
+
+
+def test_train_short_validation_scene_exit_code(workspace, tmp_path, capsys):
+    root, cfg, data, run = workspace
+    bad = tmp_path / "data"
+    bad.mkdir()
+    for f in ("train.csv", "val.csv", "test.csv", "normalization.txt"):
+        (bad / f).write_text((data / f).read_text())
+    # the training scenes as validation split, one of them a step short
+    (bad / "val.csv").write_text(_drop_last_step((data / "train.csv").read_text()))
+    short = load_csv(bad / "val.csv")[0]
+    assert main(["train", "--config", str(cfg), "--data", str(bad),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert f"scene {short.scene_id} has {short.n_steps} steps" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_theory_passes(capsys):
@@ -371,6 +400,12 @@ def _train_ini(lines):
     (["gen-data"], "[data]\nt_future = -1\n"),
     (["gen-data"], "[data]\nt_history = 0\n"),
     (["train"], SMOKE_INI.replace("seed = 5", "seed = 5\nt_future = 0")),
+    (["gen-data"], "[data]\ninit_box = -1\n"),
+    (["gen-data"], "[data]\ninit_box = nan\n"),
+    (["gen-data"], "[data]\ndt = nan\n"),
+    (["gen-data"], "[data]\ndt = inf\n"),
+    (["gen-data"], "[data]\ncoupling = nan,1,1,1,1,1,1,1,1\n"),
+    (["gen-data"], "[data]\ndamping = 0.1,inf,0.5\n"),
 ], ids=["samples_0", "eval_samples_0", "eval_split_bogus", "samples_negative",
         "quality_scenes_negative", "svg_scenes_negative", "trials_negative",
         "max_nodes_1", "split_out_of_range", "init_vel_negative", "init_vel_nan",
@@ -378,7 +413,9 @@ def _train_ini(lines):
         "sweep_gamma_nan", "gamma_inf", "alpha_decay_interval_0", "alpha_init_nan",
         "alpha_init_inf", "alpha_floor_0", "alpha_decay_factor_nan",
         "edge_noise_scale_negative", "edge_noise_scale_nan", "edge_noise_scale_inf",
-        "t_future_0", "t_future_negative", "t_history_0", "train_t_future_0"])
+        "t_future_0", "t_future_negative", "t_history_0", "train_t_future_0",
+        "init_box_negative", "init_box_nan", "dt_nan", "dt_inf", "coupling_nan",
+        "damping_inf"])
 def test_hostile_counts_are_config_errors(workspace, tmp_path, capsys, argv, ini):
     root, cfg, data, run = workspace
     if ini is not None:
@@ -395,7 +432,7 @@ def test_hostile_counts_are_config_errors(workspace, tmp_path, capsys, argv, ini
     assert out.err.startswith("config error: ") and "PASS" not in out.out
     if "nan" in argv or "= nan" in (ini or ""):
         assert "got nan" in out.err   # the message names the value
-    for name in ("t_history", "t_future"):
+    for name in ("t_history", "t_future", "init_box", "dt", "coupling", "damping"):
         if f"{name} = " in (ini or ""):
             assert name in out.err   # the message names the field
     assert not (tmp_path / "out").exists()
