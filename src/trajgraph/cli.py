@@ -20,8 +20,8 @@ import numpy as np
 
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import SPLITS, check_seed, load_config, parse_float_list
-from .data import (Normalizer, Scene, SyntheticConfig, generate_synthetic,
-                   load_csv, save_csv, split_scenes)
+from .data import (Normalizer, Scene, SyntheticConfig, check_scenes,
+                   generate_synthetic, load_csv, save_csv, split_scenes)
 from .errors import (ConfigError, ContractError, DataError, GenerationError,
                      NumericalError, ShapeError)
 from .evaluation import (CATEGORY_HEADER, METRICS_HEADER, ModelGraphProbe,
@@ -104,13 +104,16 @@ def load_model(path) -> tuple[TrajectoryModel, str, float]:
 
 # ------------------------------------------------------------ data plumbing
 
-def _load_split(data_dir, split: str, n_categories: int | None = None
+def _load_split(data_dir, split: str, model_cfg: ModelConfig
                 ) -> tuple[list[Scene], Normalizer]:
+    """The split's scenes, checked against the model, and the normalizer;
+    every command loads its splits here before it writes or trains."""
     data_dir = Path(data_dir)
     csv_path = data_dir / f"{split}.csv"
     if not csv_path.exists():
         raise DataError(f"missing dataset file: {csv_path}")
-    scenes = load_csv(csv_path, n_categories=n_categories)
+    scenes = check_scenes(load_csv(csv_path), model_cfg.n_categories,
+                          model_cfg.t_history + model_cfg.t_future)
     norm = Normalizer.from_file(data_dir / "normalization.txt")
     return scenes, norm
 
@@ -174,8 +177,8 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config, overrides)
     tcfg = _train_config(cfg)
     mcfg = _model_config(cfg)
-    train_scenes, _ = _load_split(args.data, "train", mcfg.n_categories)
-    val_scenes, _ = _load_split(args.data, "val", mcfg.n_categories)
+    train_scenes, _ = _load_split(args.data, "train", mcfg)
+    val_scenes, _ = _load_split(args.data, "val", mcfg)
 
     model = TrajectoryModel(mcfg, seed=tcfg.seed)
     start_epoch = 0
@@ -252,7 +255,7 @@ def cmd_evaluate(args) -> int:
                                     ("eval", "split"): args.split,
                                     ("eval", "seed"): args.seed})
     model, strategy, gamma = load_model(args.checkpoint)
-    scenes, norm = _load_split(args.data, cfg["eval"]["split"], model.cfg.n_categories)
+    scenes, norm = _load_split(args.data, cfg["eval"]["split"], model.cfg)
     rollouts, graphs = eval_rollouts(model, scenes, cfg["eval"]["samples"],
                                      cfg["eval"]["seed"])
     record = rollout_metrics(scenes, rollouts, graphs, norm, model.cfg.t_history)
@@ -364,7 +367,7 @@ def cmd_analyze_graphs(args) -> int:
     _at_least(args.quality_scenes, 0, "--quality-scenes")
     _at_least(args.svg_scenes, 0, "--svg-scenes")
     model, _, _ = load_model(args.checkpoint)
-    scenes, norm = _load_split(args.data, cfg["eval"]["split"], model.cfg.n_categories)
+    scenes, norm = _load_split(args.data, cfg["eval"]["split"], model.cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg["eval"]["seed"]
@@ -422,9 +425,9 @@ def cmd_sweep_gamma(args) -> int:
     if tcfg.strategy not in ("GE", "GE_mixup"):
         tcfg = dataclasses.replace(tcfg, strategy="GE")
     run_cfgs = [dataclasses.replace(tcfg, gamma=gamma) for gamma in gammas]
-    train_scenes, _ = _load_split(args.data, "train", mcfg.n_categories)
-    val_scenes, _ = _load_split(args.data, "val", mcfg.n_categories)
-    test_scenes, norm = _load_split(args.data, "test", mcfg.n_categories)
+    train_scenes, _ = _load_split(args.data, "train", mcfg)
+    val_scenes, _ = _load_split(args.data, "val", mcfg)
+    test_scenes, norm = _load_split(args.data, "test", mcfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["gamma,mean_ade,min_ade,mean_fde,min_fde,avg_entropy,avg_density,"

@@ -199,7 +199,9 @@ def save_csv(scenes: list[Scene], path):
                     ])
 
 
-def load_csv(path, n_categories: int | None = None) -> list[Scene]:
+def load_csv(path) -> list[Scene]:
+    """Scenes of a `save_csv` file; a malformed line is a DataError. Their
+    fit to a model is checked by `check_scenes`."""
     path = Path(path)
     rows_by_scene: dict[str, dict[int, dict[int, tuple]]] = {}
     cats_by_scene: dict[str, dict[int, int]] = {}
@@ -221,9 +223,6 @@ def load_csv(path, n_categories: int | None = None) -> list[Scene]:
             raise DataError(f"{path}:{line_no}: malformed row") from e
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DataError(f"{path}:{line_no}: non-finite coordinate")
-        if n_categories is not None and not 0 <= cat < n_categories:
-            raise ConfigError(f"{path}:{line_no}: category {cat} out of range "
-                              f"[0, {n_categories})")
         if t < 0 or not 0 <= cat < 2 ** 31:
             raise DataError(f"{path}:{line_no}: negative timestep or category "
                             f"out of range")
@@ -254,6 +253,30 @@ def load_csv(path, n_categories: int | None = None) -> list[Scene]:
         positions = np.array([[agents[a][t] for t in range(t_count)] for a in agent_ids])
         categories = [cats_by_scene[sid][a] for a in agent_ids]
         scenes.append(Scene(sid, categories, positions))
+    return scenes
+
+
+def check_scenes(scenes: list[Scene], n_categories: int, t_total: int) -> list[Scene]:
+    """The scenes a model of `n_categories` categories and `t_total` steps
+    reads: each a Scene of exactly `t_total` steps, its categories in
+    [0, n_categories) (else a ConfigError) and its positions finite and
+    normalized to [-1, 1] (else a DataError). Every error names the scene;
+    the list may be empty."""
+    for i, s in enumerate(scenes):
+        if not isinstance(s, Scene):
+            raise DataError(f"scene list item {i} is a {type(s).__name__}, not a Scene")
+        if s.n_steps != t_total:
+            raise DataError(f"scene {s.scene_id} has {s.n_steps} steps, "
+                            f"model expects {t_total}")
+        bad = s.categories[(s.categories < 0) | (s.categories >= n_categories)]
+        if bad.size:
+            raise ConfigError(f"scene {s.scene_id}: category {bad[0]} out of range "
+                              f"[0, {n_categories})")
+        if not np.isfinite(s.positions).all():
+            raise DataError(f"scene {s.scene_id}: non-finite coordinate")
+        if np.abs(s.positions).max() > 1.0 + 1e-9:
+            raise DataError(f"scene {s.scene_id}: coordinates outside [-1, 1]; "
+                            "normalize them first")
     return scenes
 
 

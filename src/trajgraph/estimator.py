@@ -18,8 +18,8 @@ import inspect
 import numpy as np
 
 from .config import DEFAULTS, check_seed
-from .data import Scene, split_scenes
-from .errors import ConfigError, ContractError, DataError
+from .data import Scene, check_scenes, split_scenes
+from .errors import ConfigError, ContractError
 from .evaluation import ade_fde, eval_rollouts
 from .model import ModelConfig, TrajectoryModel
 from .training import TrainConfig, train
@@ -27,28 +27,6 @@ from .training import TrainConfig, train
 # dataclass defaults, read by the explicit signature get_params inspects
 _M = {f.name: f.default for f in dataclasses.fields(ModelConfig)}
 _T = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
-
-
-def check_scenes(scenes: list[Scene], n_categories: int,
-                 t_total: int | None = None) -> list[Scene]:
-    """Validate a scene list against the model's expectations."""
-    if not scenes:
-        raise DataError("empty scene list")
-    for s in scenes:
-        if not isinstance(s, Scene):
-            raise DataError(f"expected Scene, got {type(s).__name__}")
-        if t_total is not None and s.n_steps != t_total:
-            raise DataError(f"scene {s.scene_id}: {s.n_steps} steps, "
-                            f"expected {t_total}")
-        if s.categories.min() < 0 or s.categories.max() >= n_categories:
-            raise ConfigError(f"scene {s.scene_id}: category out of range "
-                              f"[0, {n_categories})")
-        if not np.isfinite(s.positions).all():
-            raise DataError(f"scene {s.scene_id}: non-finite coordinate")
-        if np.abs(s.positions).max() > 1.0 + 1e-9:
-            raise DataError(f"scene {s.scene_id}: coordinates outside [-1, 1]; "
-                            "normalize before fitting")
-    return scenes
 
 
 class TrajectoryForecaster:
@@ -130,8 +108,8 @@ class TrajectoryForecaster:
     def fit(self, scenes: list[Scene], val_scenes: list[Scene] | None = None
             ) -> "TrajectoryForecaster":
         check_seed(self.seed, "seed")
-        t_total = self.t_history + self.t_future
-        check_scenes(scenes, self.n_categories, t_total)
+        check_scenes([*scenes, *(val_scenes or [])], self.n_categories,
+                     self.t_history + self.t_future)
         if val_scenes is None:
             frac = self.val_fraction
             if not 0.0 <= frac < 1.0:
@@ -142,7 +120,6 @@ class TrajectoryForecaster:
             else:
                 train_part, val_scenes = scenes, []
         else:
-            check_scenes(val_scenes, self.n_categories, t_total)
             train_part = scenes
         model = TrajectoryModel(self._model_config(), seed=self.seed)
         result = train(model, self._train_config(), train_part, val_scenes)
@@ -164,8 +141,7 @@ class TrajectoryForecaster:
         normalized coordinates.
         """
         self._require_fitted()
-        t_total = self.t_history + self.t_future
-        check_scenes(scenes, self.n_categories, t_total)
+        check_scenes(scenes, self.n_categories, self.t_history + self.t_future)
         seed = self.seed if seed is None else seed
         check_seed(seed, "seed")
         k = self.n_samples if n_samples is None else n_samples

@@ -32,7 +32,6 @@ overrides `edge_noise_scale` (the edge-quality audit sets it to 0).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +42,7 @@ from .data import Scene, WindowPlan, check_horizon, plan_windows
 from .decoder import DecoderRun, TrajectoryDecoder
 from .encoder import (RK_STEP_NOISE, EncoderRun, GraphEncoder,
                       InteractionGraphSample)
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError
 from .nn import ParamStore
 from .rng import STREAM_INIT, RngStream, StackedStream
 
@@ -103,13 +102,8 @@ class TrajectoryModel:
     def batch_scenes(scenes: list[Scene], order=None, batch_size: int | None = None):
         """Yield dense (positions, categories, indices) batches of same-size
         scenes: sizes ascending, scenes in `order` (default: input order)
-        within a size, at most `batch_size` (default: all) per batch. A
-        scene whose step count differs from most scenes' is a DataError."""
-        usual = Counter(s.n_steps for s in scenes).most_common(1)
-        for s in scenes:
-            if s.n_steps != usual[0][0]:
-                raise DataError(f"scene {s.scene_id} has {s.n_steps} steps, most "
-                                f"scenes have {usual[0][0]}")
+        within a size, at most `batch_size` (default: all) per batch. The
+        scenes share one step count (`data.check_scenes`)."""
         by_n: dict[int, list[int]] = {}
         for i in range(len(scenes)) if order is None else order:
             by_n.setdefault(scenes[i].n_agents, []).append(int(i))

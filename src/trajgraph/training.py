@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DArray
 from .data import Scene
-from .errors import ConfigError, ContractError, NumericalError, ShapeError
+from .errors import ConfigError, ContractError, DataError, NumericalError, ShapeError
 from .graph_complexity import PENALTIES, graph_entropy, r_density, regularized_loss
 from .model import TrajectoryModel
 from .nn import gradients
@@ -213,7 +213,7 @@ def train(model: TrajectoryModel, cfg: TrainConfig, train_scenes: list[Scene],
     `mix_state` starts from `alpha_init` at epoch `start_epoch`.
     """
     if not train_scenes:
-        raise ContractError("training needs at least one scene")
+        raise DataError("training needs at least one scene")
     optimizer = Adam(model.store, lr=cfg.learning_rate)
     if optimizer_state is not None:
         optimizer.load_state_dict(optimizer_state)

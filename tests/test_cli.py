@@ -1,9 +1,12 @@
+import ast
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from trajgraph import cli
 from trajgraph.autodiff import DArray
 from trajgraph.checkpoint import load_checkpoint, save_checkpoint
 from trajgraph.cli import main
@@ -295,12 +298,15 @@ def test_unreadable_checkpoint_exit_code(workspace, tmp_path, capsys, cmd, flag,
     assert not (tmp_path / "out").exists()
 
 
-def _nan_first_x(text):
-    lines = text.splitlines(keepends=True)
-    row = lines[1].split(",")
-    row[4] = "nan"
-    lines[1] = ",".join(row)
-    return "".join(lines)
+def _first_x(value):
+    def corrupt(text):
+        rows = [line.split(",") for line in text.splitlines(keepends=True)]
+        rows[1][4] = value
+        return "".join(",".join(r) for r in rows)
+    return corrupt
+
+
+_nan_first_x = _first_x("nan")
 
 
 def _set_bound(key, value):
@@ -356,6 +362,81 @@ def test_train_short_validation_scene_exit_code(workspace, tmp_path, capsys):
     assert err.startswith("data error: ")
     assert f"scene {short.scene_id} has {short.n_steps} steps" in err
     assert not (tmp_path / "out").exists()
+
+
+def _drop_every_last_step(text):
+    """Drop the last step of every scene, leaving the whole split one step short."""
+    lines = text.splitlines(keepends=True)
+    rows = [line.split(",") for line in lines[1:]]
+    last = {}
+    for r in rows:
+        last[r[0]] = max(last.get(r[0], 0), int(r[3]))
+    return lines[0] + "".join(line for line, r in zip(lines[1:], rows)
+                              if int(r[3]) != last[r[0]])
+
+
+def _first_agent_category(value):
+    """Relabel the first agent of the first scene, in all its rows."""
+    def corrupt(text):
+        rows = [line.split(",") for line in text.splitlines(keepends=True)]
+        for r in rows[1:]:
+            if r[:2] == rows[1][:2]:
+                r[2] = value
+        return "".join(",".join(r) for r in rows)
+    return corrupt
+
+
+@pytest.mark.parametrize("cmd, split, corrupt, code, message", [
+    ("train", "val", _drop_last_step, 2, "scene {} has 14 steps, model expects 15"),
+    ("sweep-gamma", "val", _drop_last_step, 2, "scene {} has 14 steps"),
+    ("analyze-graphs", "test", _drop_last_step, 2, "scene {} has 14 steps"),
+    ("evaluate", "test", _drop_every_last_step, 2, "scene {} has 14 steps"),
+    ("train", "train", _first_agent_category("3"), 1,
+     "scene {}: category 3 out of range [0, 3)"),
+    ("evaluate", "test", _first_x("1.5"), 2, "scene {}: coordinates outside [-1, 1]"),
+], ids=["train_short_val_scene", "sweep_gamma_short_val_scene",
+        "analyze_graphs_short_test_scene", "evaluate_all_short", "category_3",
+        "coordinate_1_5"])
+def test_scene_check_comes_before_any_work(workspace, tmp_path, capsys, monkeypatch,
+                                           cmd, split, corrupt, code, message):
+    """A scene the model cannot read stops every command before it creates
+    --out or runs an epoch, with an error naming the scene."""
+    root, cfg, data, run = workspace
+    bad = tmp_path / "data"
+    bad.mkdir()
+    for f in ("train.csv", "val.csv", "test.csv", "normalization.txt"):
+        (bad / f).write_text((data / f).read_text())
+    # a validation split of the training scenes, so that one of many is short
+    source = (data / ("train.csv" if split == "val" else f"{split}.csv")).read_text()
+    (bad / f"{split}.csv").write_text(corrupt(source))
+
+    def no_epoch(*args, **kwargs):
+        raise AssertionError("an epoch ran before the scene check")
+
+    monkeypatch.setattr(cli, "train", no_epoch)
+    out = tmp_path / "out"
+    argv = [cmd, "--config", str(cfg), "--data", str(bad), "--out", str(out)]
+    if cmd in ("evaluate", "analyze-graphs"):
+        argv += ["--checkpoint", str(run / "model.ckpt")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 1 else "data error: ")
+    assert message.format(source.splitlines()[1].split(",")[0]) in err
+    assert not out.exists()
+
+
+def test_cli_reads_scene_files_only_in_load_split():
+    """`_load_split` checks each split against the model, so no command may
+    call `load_csv` anywhere else."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    load_split = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                      and node.name == "_load_split")
+
+    def uses(root):
+        return sum(getattr(node, "id", getattr(node, "attr", None)) == "load_csv"
+                   for node in ast.walk(root))
+
+    assert uses(tree) == uses(load_split) >= 1
 
 
 def test_verify_theory_passes(capsys):

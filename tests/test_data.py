@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajgraph import checkpoint
-from trajgraph.data import (Normalizer, Scene, SyntheticConfig,
+from trajgraph.data import (Normalizer, Scene, SyntheticConfig, check_scenes,
                             generate_synthetic, load_csv, plan_windows,
                             save_csv, simulate_scene, split_scenes)
 from trajgraph.errors import (ConfigError, ContractError, DataError,
@@ -206,7 +206,7 @@ def test_csv_unknown_category_rejected(tmp_path):
     path = tmp_path / "d.csv"
     save_csv(scenes, path)
     with pytest.raises(ConfigError):
-        load_csv(path, n_categories=3)
+        check_scenes(load_csv(path), 3, 8)
 
 
 # ------------------------------------------------------------------ generator

@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from trajgraph.data import Scene, SyntheticConfig, generate_synthetic
+from trajgraph.data import Scene, SyntheticConfig, check_scenes, generate_synthetic
 from trajgraph.errors import ConfigError, ContractError, DataError
 from trajgraph import cli
 from trajgraph.config import load_config
-from trajgraph.estimator import TrajectoryForecaster, check_scenes
+from trajgraph.estimator import TrajectoryForecaster
 from trajgraph.model import ModelConfig
 from trajgraph.training import TrainConfig
 
@@ -88,7 +88,7 @@ def test_check_scenes_rejects_unnormalized():
     scene = Scene("s", np.zeros(3, dtype=int),
                   np.random.default_rng(0).uniform(5, 10, size=(3, 15, 2)))
     with pytest.raises(DataError):
-        check_scenes([scene], 3)
+        check_scenes([scene], 3, 15)
 
 
 def test_fit_rejects_a_non_finite_coordinate():
@@ -100,9 +100,12 @@ def test_fit_rejects_a_non_finite_coordinate():
         small_forecaster(epochs=2).fit(scenes)
 
 
-def test_check_scenes_rejects_empty():
+def test_fit_and_predict_reject_an_empty_scene_list(tiny_scenes):
     with pytest.raises(DataError):
-        check_scenes([], 3)
+        small_forecaster().fit([])
+    est = small_forecaster(epochs=1).fit(tiny_scenes[0])
+    with pytest.raises(DataError):
+        est.predict([])
 
 
 def test_fit_with_explicit_validation_set(tiny_scenes):

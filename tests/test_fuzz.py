@@ -1,5 +1,6 @@
 """Any byte string given to a file reader yields a value or a TrajGraphError;
-the data-file readers raise a DataError, the CLI's exit code 2.
+the data-file readers raise a DataError, the CLI's exit code 2, and the
+CLI's read path (`load_csv`, then `check_scenes`) also a ConfigError.
 
 Each reader is fed raw bytes, and bytes that start like a valid file so
 the fuzz reaches past the header checks.
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from trajgraph.checkpoint import MAGIC, VERSION, load_checkpoint
-from trajgraph.data import Normalizer, load_csv
+from trajgraph.data import Normalizer, check_scenes, load_csv
 from trajgraph.errors import DataError, TrajGraphError
 
 FUZZ = settings(max_examples=300, deadline=None,
@@ -55,6 +56,21 @@ csv_bytes = st.one_of(
 @given(content=csv_bytes)
 def test_load_csv_never_raises_raw(target, content):
     _reads_or_rejects(load_csv, target, content, DataError)
+
+
+# complete scenes, so that the fuzz reaches every rule of `check_scenes`
+scene_bytes = st.tuples(st.integers(1, 3), st.integers(3, 5),
+                        st.lists(st.integers(0, 4), min_size=3, max_size=3),
+                        st.sampled_from(["0.5", "-1.0", "1.5", "1e308"])).map(
+    lambda s: CSV_HEADER + "".join(
+        f"s,{a},{s[2][a]},{t},{s[3] if a == t == 0 else '0.1'},0.2\n"
+        for a in range(s[0]) for t in range(s[1])).encode())
+
+
+@FUZZ
+@given(content=csv_bytes | scene_bytes)
+def test_checked_csv_never_raises_raw(target, content):
+    _reads_or_rejects(lambda path: check_scenes(load_csv(path), 3, 4), target, content)
 
 
 normalizer_bytes = st.one_of(
