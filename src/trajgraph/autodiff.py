@@ -36,9 +36,16 @@ category index, and pick each row's own biases themselves. Their forward
 still multiplies every row by all C categories' weights and keeps each
 row's own (the benchmark counts the decoder's rows that way until its v2,
 see ROADMAP); only the own rows stay on the tape. `_affine_grads` is the
-one place that adds up a fused node's weight and bias gradients: per
-category, on that category's rows only. The GEMMs of `linear` are
-`matmul` nodes.
+one place that adds up their input, weight and bias gradients, per
+category on that category's rows only. Input and bias gradients are
+formed at once. Weight gradients are recorded per use, as the operands
+(x, dy, rows) on the weight's `DArray`, and formed once per category as
+one GEMM over all recorded rows: when backward reaches the weight in its
+walk (every use has then run), or sooner, when the next term would take
+the recorded operands past the weight's own size in bytes; a term larger
+than the weight alone is formed at once. So backward still frees the
+tape as it walks, and the recorded operands stay bounded by the weight's
+size. The GEMMs of `linear` are `matmul` nodes.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ def no_grad():
 class DArray:
     """Differentiable float64 array: values plus an optional same-shape grad."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw", "_terms")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -76,6 +83,7 @@ class DArray:
         self.grad = None
         self._parents: tuple = ()
         self._bw = None
+        self._terms = None   # a weight's recorded gradient terms, see `_record`
 
     @property
     def shape(self):
@@ -120,11 +128,17 @@ class DArray:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        while topo:
-            node = topo.pop()
-            if node._bw is not None:
-                node._bw(node.grad)
-                node._bw, node._parents, node.grad = _consumed, (), None
+        try:
+            while topo:
+                node = topo.pop()
+                if node._terms is not None:   # every use of it has run
+                    _flush(node)
+                if node._bw is not None:
+                    node._bw(node.grad)
+                    node._bw, node._parents, node.grad = _consumed, (), None
+        finally:   # a closure that raised leaves no recorded term behind
+            for node in topo:
+                node._terms = None
 
     # Operator sugar; every overload defers to the module-level ops.
     def __add__(self, other):
@@ -603,18 +617,23 @@ def _affine_grads(x: DArray | None, w: DArray, b: DArray, g: np.ndarray, rows):
     """Accumulate the gradients of `x`, `w` and `b` through y = x W + b
     given dy = g, or, for C-stacked (C, F, H) weights, (C, H) biases and
     an (R,) category index `rows`, through y[r] = x[r] W[c] + b[c] with
-    c = rows[r]: per category present, one GEMM each for dx and dW and one
-    row sum for db, on that category's rows only. x None stands for an
-    untracked zero input, which gives W nothing."""
+    c = rows[r]: per category present, one GEMM for dx and one row sum for
+    db, on that category's rows only. W's gradient is recorded per use as
+    the term (x, g, rows) and formed once per category, one GEMM over all
+    of W's recorded uses, at W's turn in backward or at the budget
+    (`_record`): the recorded operands stay within W's size, and backward
+    still frees the tape as it walks. A term larger than W is formed here,
+    one GEMM per category. x None stands for an untracked zero input,
+    which gives W nothing."""
     x_grad = x is not None and x.requires_grad
-    w_grad = x is not None and w.requires_grad
+    w_now = x is not None and w.requires_grad and not _record(w, x.data, g, rows)
     if rows is None:
         grads = (g @ w.data.T if x_grad else None,
-                 x.data.T @ g if w_grad else None,
+                 x.data.T @ g if w_now else None,
                  g.sum(axis=0) if b.requires_grad else None)
     else:
         grads = (np.empty(x.data.shape) if x_grad else None,
-                 np.zeros_like(w.data) if w_grad else None,
+                 np.zeros_like(w.data) if w_now else None,
                  np.zeros_like(b.data) if b.requires_grad else None)
         dx, dw, db = grads
         for c in np.unique(rows):
@@ -629,6 +648,48 @@ def _affine_grads(x: DArray | None, w: DArray, b: DArray, g: np.ndarray, rows):
     for t, d in zip((x, w, b), grads):
         if d is not None:
             _accum(t, d)
+
+
+def _record(w: DArray, x: np.ndarray, g: np.ndarray, rows) -> bool:
+    """Record one use's weight-gradient term x^T g (per category with
+    `rows`) on w, for `DArray.backward` to form when it reaches w. The
+    recorded operands stay within w's own size in bytes: a term that
+    would pass it flushes the earlier ones first, and a term larger than
+    w alone is not recorded (False): the caller forms it at once."""
+    size = x.nbytes + g.nbytes
+    pending = w._terms   # [recorded bytes, term, ...]
+    if pending is not None and pending[0] + size > w.data.nbytes:
+        _flush(w)
+        pending = None
+    if size > w.data.nbytes:
+        return False
+    if pending is None:
+        w._terms = [size, (x, g, rows)]
+    else:
+        pending[0] += size
+        pending.append((x, g, rows))
+    return True
+
+
+def _flush(w: DArray):
+    """Add the sum of x^T g over w's recorded (x, g, rows) terms into its
+    gradient: for C-stacked weights, category c's slice over the rows with
+    rows == c. One GEMM per category over all terms' rows, stacked once;
+    one term is read as it is."""
+    terms, w._terms = w._terms[1:], None
+    x, g, rows = terms[0]
+    if len(terms) > 1:
+        x, g = (np.concatenate([t[i] for t in terms]) for i in (0, 1))
+        rows = None if rows is None else np.concatenate([t[2] for t in terms])
+        del terms   # the stacked copies replace the recorded operands
+    if rows is None:
+        _accum(w, x.T @ g)
+        return
+    dw = np.zeros_like(w.data)
+    for c in np.unique(rows):
+        idx = np.flatnonzero(rows == c)
+        np.matmul(x[idx].T, g[idx], out=dw[c])
+    _accum(w, dw)
 
 
 def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh, rows=None) -> DArray:
@@ -651,8 +712,13 @@ def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh, rows=None) -> DArray:
     counts the decoder's rows that way until its v2, see ROADMAP), and
     keeps each row's own category and biases. The node keeps r, z, n and
     h W_hn + b_hn, four (R, H) arrays; backward runs `_affine_grads` once
-    for the input and once for the hidden side. An untracked all-zero h,
-    a first step's state, is not kept: W_hh gets nothing from it.
+    for the input and once for the hidden side, which forms dx, dh and the
+    bias gradients at once and records each weight's gradient term per
+    step; the weight's gradient is formed once per category over all
+    recorded steps, at the weight's turn in backward or at the budget, so
+    the recorded operands stay within the weight's size while backward
+    still frees the tape as it walks. An untracked all-zero h, a first
+    step's state, is not kept: W_hh gets nothing from it.
     """
     x, h, w_ih, w_hh, b_ih, b_hh = (_coerce(t) for t in (x, h, w_ih, w_hh, b_ih, b_hh))
     if rows is not None:
@@ -698,7 +764,11 @@ def category_map(h, w, b, rows) -> DArray:
     h is (R, F), and w and b are the C-stacked (C, F, H) weights and
     (C, H) biases. The forward multiplies every row by all C weights and
     keeps each row's own category, as the decoder did before this node;
-    backward is `_affine_grads` on each category's rows only.
+    backward is `_affine_grads` on each category's rows only: dh and the
+    bias gradient at once, W's gradient recorded per call and formed once
+    per category over all recorded calls, at W's turn in backward or at
+    the budget, so the recorded operands stay within W's size while
+    backward still frees the tape as it walks.
     """
     h, w, b = _coerce(h), _coerce(w), _coerce(b)
     rows = np.asarray(rows)

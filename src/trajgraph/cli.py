@@ -428,6 +428,8 @@ def cmd_sweep_gamma(args) -> int:
     train_scenes, _ = _load_split(args.data, "train", mcfg)
     val_scenes, _ = _load_split(args.data, "val", mcfg)
     test_scenes, norm = _load_split(args.data, "test", mcfg)
+    if not test_scenes:   # every gamma is scored on it
+        raise DataError(f"the test split {Path(args.data) / 'test.csv'} holds no scenes")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["gamma,mean_ade,min_ade,mean_fde,min_fde,avg_entropy,avg_density,"

@@ -15,10 +15,16 @@ Category dispatch: the GRU layers and the g_q/g_k/g_v maps are the
 `autodiff.gru_cell` and `autodiff.category_map` nodes, given the
 C-stacked parameters and each agent's category. Their forward multiplies
 every agent's row by all C categories' weights (C-stacked until benchmark
-v2, see ROADMAP) and keeps each agent's own category row and biases;
-their backward multiplies each category's weights by its own agents' rows
-only and sums its biases' gradient over them. No C-stacked product stays
-on the tape, and everything after these nodes runs on one row per agent.
+v2, see ROADMAP) and keeps each agent's own category row and biases.
+Their backward sums each category's bias gradient over its own agents'
+rows at every step, and records each step's weight-gradient operands on
+the per-rollout stacked weight; the weight gradient is formed once per
+category, one GEMM over that category's rows of all recorded steps, when
+backward reaches the stack or sooner, when the recorded operands would
+outweigh the stacked weight, so they never hold more bytes than it.
+Backward still frees the tape as it walks.
+No C-stacked product stays on the tape, and everything after these nodes
+runs on one row per agent.
 
 Attention runs on the window's qualifying edges only: the off-diagonal
 pairs whose sampled weight exceeds 1/2, listed once per window and sorted

@@ -42,7 +42,7 @@ from .data import Scene, WindowPlan, check_horizon, plan_windows
 from .decoder import DecoderRun, TrajectoryDecoder
 from .encoder import (RK_STEP_NOISE, EncoderRun, GraphEncoder,
                       InteractionGraphSample)
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DataError
 from .nn import ParamStore
 from .rng import STREAM_INIT, RngStream, StackedStream
 
@@ -103,10 +103,16 @@ class TrajectoryModel:
         """Yield dense (positions, categories, indices) batches of same-size
         scenes: sizes ascending, scenes in `order` (default: input order)
         within a size, at most `batch_size` (default: all) per batch. The
-        scenes share one step count (`data.check_scenes`)."""
+        scenes share one step count (`data.check_scenes`), else DataError
+        names the first scene whose count differs from the first's."""
+        order = range(len(scenes)) if order is None else order
         by_n: dict[int, list[int]] = {}
-        for i in range(len(scenes)) if order is None else order:
+        for i in order:
             by_n.setdefault(scenes[i].n_agents, []).append(int(i))
+            s, first = scenes[i], scenes[order[0]]
+            if s.n_steps != first.n_steps:
+                raise DataError(f"scene {s.scene_id} has {s.n_steps} steps, "
+                                f"scene {first.scene_id} has {first.n_steps}")
         for n in sorted(by_n):
             idx = by_n[n]
             step = batch_size or len(idx)

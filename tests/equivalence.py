@@ -1,0 +1,174 @@
+"""Differential check of fixed-seed outputs between two builds of `src/`.
+
+    python tests/equivalence.py <rev>
+
+exports `<rev>`'s `src/` with `git archive` into a temporary directory,
+computes one fixed fingerprint set under that build and under the working
+tree's `src/`, each build in its own process with OpenBLAS pinned to one
+thread, and prints one line per fingerprint: `identical`, or the largest
+absolute and relative difference (relative to the largest magnitude of
+`<rev>`'s value) and the first index where they differ. It exits 0 when
+every fingerprint is identical and 1 otherwise.
+
+The fingerprint set, at hidden widths 32 and 128 (prefix `w32.`, `w128.`):
+
+- one GE_mixup update pair, `training.train` for one epoch on one batch of
+  six 4-agent scenes: the three rollouts (`rollout.1` the first update's,
+  `rollout.2` the free run, `rollout.3` the no-grad target), both losses
+  (`loss.1`, `loss.2`), every gradient by checkpoint name
+  (`grad.<update>.<name>`) and every parameter after each Adam step
+  (`param.<update>.<name>`);
+- `TrajectoryModel.sample_rollouts` of the updated model on that batch,
+  K = 3, sample mode: the predictions and the sampled edge weights.
+
+`compare(src_a, src_b)` runs the check between two source directories
+without git; `tests/test_equivalence.py` runs the working tree against
+itself.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parent.parent
+WIDTHS = (32, 128)
+
+
+def fingerprints(width: int) -> dict[str, np.ndarray]:
+    """The fingerprint set at one width, from whichever `trajgraph` is
+    importable."""
+    from trajgraph import training
+    from trajgraph.data import SyntheticConfig, generate_synthetic
+    from trajgraph.model import ModelConfig, TrajectoryModel
+    from trajgraph.rng import RngStream
+
+    out: dict[str, np.ndarray] = {}
+    counts = {"rollout": 0, "update": 0, "step": 0}
+    rollout, gradients, adam_step = (TrajectoryModel.rollout, training.gradients,
+                                     training.Adam.step)
+
+    def recorded_rollout(self, *args, **kwargs):
+        preds = rollout(self, *args, **kwargs)
+        counts["rollout"] += 1
+        out[f"rollout.{counts['rollout']}"] = preds.data.copy()
+        return preds
+
+    def recorded_gradients(loss, store):
+        grads = gradients(loss, store)
+        counts["update"] += 1
+        n = counts["update"]
+        out[f"loss.{n}"] = loss.data.copy()
+        out.update({f"grad.{n}.{k}": g.copy() for k, g in grads.items()})
+        return grads
+
+    def recorded_step(self, grads):
+        adam_step(self, grads)
+        counts["step"] += 1
+        out.update({f"param.{counts['step']}.{k}": p.data.copy()
+                    for k, p in self.store.trainable_items()})
+
+    scenes, _ = generate_synthetic(SyntheticConfig(n_scenes=6, n_agents_min=4,
+                                                   n_agents_max=4, seed=0))
+    model = TrajectoryModel(ModelConfig(hidden_dim=width, edge_dim=width,
+                                        attn_dim=width), seed=0)
+    cfg = training.TrainConfig(epochs=1, batch_size=len(scenes), strategy="GE_mixup",
+                               gamma=0.02, learning_rate=3e-3, seed=0)
+    TrajectoryModel.rollout, training.gradients = recorded_rollout, recorded_gradients
+    training.Adam.step = recorded_step
+    try:
+        training.train(model, cfg, scenes, [])
+    finally:
+        TrajectoryModel.rollout, training.gradients = rollout, gradients
+        training.Adam.step = adam_step
+    pos, cats, _ = next(TrajectoryModel.batch_scenes(scenes))
+    preds, graphs = model.sample_rollouts(pos, cats, [RngStream(0).child(k) for k in range(3)])
+    out["sample_rollouts.preds"] = preds
+    out["sample_rollouts.z"] = np.stack([g.z.data for g in graphs])
+    return {f"w{width}.{k}": v for k, v in out.items()}
+
+
+def difference(a: np.ndarray, b: np.ndarray) -> str:
+    """`identical`, or how `a` differs from the reference `b`."""
+    if a.shape != b.shape:
+        return f"shape {a.shape} against {b.shape}"
+    if np.array_equal(a, b, equal_nan=True):
+        return "identical"
+    diff = np.abs(a - b)
+    scale = np.abs(b).max()
+    rel = diff.max() / scale if scale > 0 else np.inf
+    first = tuple(int(i) for i in np.argwhere(a != b)[0])
+    return f"max abs {diff.max():.3g}, rel {rel:.3g}, first at {first}"
+
+
+def _run_builds(srcs: list[Path], tmp: Path) -> list[dict[str, np.ndarray]]:
+    """The fingerprint set of every build, each in its own process."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    jobs = []
+    for i, src in enumerate(srcs):
+        path = tmp / f"build{i}.npz"
+        cmd = [sys.executable, str(Path(__file__).resolve()), "--fingerprint", str(path)]
+        jobs.append((path, subprocess.Popen(
+            cmd, env=dict(env, PYTHONPATH=str(src)), stderr=subprocess.PIPE, text=True)))
+    errors = [proc.communicate()[1] for _, proc in jobs]
+    results = []
+    for (path, proc), err in zip(jobs, errors):
+        if proc.returncode != 0:
+            raise RuntimeError(f"fingerprint run failed:\n{err}")
+        with np.load(path) as f:
+            results.append(dict(f))
+    return results
+
+
+def compare(src: Path, ref_src: Path) -> dict[str, str]:
+    """`difference` of every fingerprint of the build in `src` from the
+    build in `ref_src`; a fingerprint only one build has is reported so."""
+    with tempfile.TemporaryDirectory() as tmp:
+        new, ref = _run_builds([Path(src), Path(ref_src)], Path(tmp))
+    report = {k: difference(new[k], ref[k]) for k in ref if k in new}
+    report.update({k: "only in the reference build" for k in ref if k not in new})
+    report.update({k: "only in the compared build" for k in new if k not in ref})
+    return report
+
+
+def export_src(rev: str, dest: Path) -> Path:
+    """`rev`'s `src/` under `dest`, from `git archive`."""
+    tar = subprocess.run(["git", "-C", str(REPO), "archive", rev, "src"],
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as t:
+        t.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--fingerprint":
+        np.savez(argv[1], **{k: v for w in WIDTHS for k, v in fingerprints(w).items()})
+        return 0
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            ref_src = export_src(argv[0], Path(tmp))
+        except subprocess.CalledProcessError as e:
+            print(f"cannot export {argv[0]}: {e.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        report = compare(REPO / "src", ref_src)
+    width = max(map(len, report))
+    for name, verdict in report.items():
+        print(f"{name:<{width}}  {verdict}")
+    same = sum(v == "identical" for v in report.values())
+    print(f"{same} of {len(report)} fingerprints identical against {argv[0]}")
+    return 0 if same == len(report) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -269,6 +269,36 @@ def composed_category_map(h, w, b, rows):
     return tanh(pick(h @ w, rows) + b[rows])
 
 
+def per_step_affine_grads(x, w, b, g, rows):
+    """`autodiff._affine_grads` as it was before weight gradients were
+    recorded: every call forms and adds dW at once, a zero-filled
+    (C, F, H) block per call for C-stacked weights. Patched in for it,
+    it gives the reference gradients of any backward."""
+    x_grad = x is not None and x.requires_grad
+    w_grad = x is not None and w.requires_grad
+    if rows is None:
+        grads = (g @ w.data.T if x_grad else None,
+                 x.data.T @ g if w_grad else None,
+                 g.sum(axis=0) if b.requires_grad else None)
+    else:
+        grads = (np.empty(x.data.shape) if x_grad else None,
+                 np.zeros_like(w.data) if w_grad else None,
+                 np.zeros_like(b.data) if b.requires_grad else None)
+        dx, dw, db = grads
+        for c in np.unique(rows):
+            idx = np.flatnonzero(rows == c)
+            gc = g[idx]
+            if dx is not None:
+                dx[idx] = gc @ w.data[c].T
+            if dw is not None:
+                dw[c] = x.data[idx].T @ gc
+            if db is not None:
+                db[c] = gc.sum(axis=0)
+    for t, d in zip((x, w, b), grads):
+        if d is not None:
+            ad._accum(t, d)
+
+
 def composed_gru_step(x, h, g):
     """The GRU gate math op by op on the tape (one node per op), as the
     decoder ran it before the fused gate node; broadcasts like numpy."""

@@ -12,7 +12,8 @@ from trajgraph.errors import ContractError, ShapeError
 from trajgraph.nn import MLP, ParamStore
 from trajgraph.rng import RngStream
 
-from oracles import composed_category_map, composed_gru_cell, fd_probe_check
+from oracles import (composed_category_map, composed_gru_cell, fd_probe_check,
+                     per_step_affine_grads)
 
 rng = np.random.default_rng(7)
 
@@ -203,6 +204,139 @@ def test_category_map_matches_composed_ops():
     np.testing.assert_array_equal(out, out_ref)
     for g, g_ref in zip(grads, grads_ref):
         np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12)
+
+
+# Category counts per step of the recorded-weight-gradient chains: 1-3 rows
+# per category, one category empty at some steps.
+_STEP_COUNTS = [(2, 2, 1), (1, 3, 1), (3, 2, 0), (2, 1, 2), (0, 2, 3), (1, 1, 3), (3, 0, 2)]
+
+
+def _step_rows(t):
+    counts = _STEP_COUNTS[t % len(_STEP_COUNTS)]
+    return np.random.default_rng(t).permutation(np.repeat(np.arange(3), counts))
+
+
+def _recorded_chain(width):
+    """Leaves and loss of 14 chained `gru_cell` steps on GRU weights that
+    `ad.stack` builds once from C = 3 leaves each, and 10 `category_map`
+    calls on the states, every step with its own (5,) category rows. At
+    width 32 every weight's terms fit its size, at width 8 the budget
+    flushes every few steps, and at width 2 a single term outweighs the
+    weight."""
+    gen = np.random.default_rng(width)
+
+    def leaf(*shape):
+        return DArray(gen.normal(scale=0.5, size=shape), requires_grad=True)
+
+    gru = [[leaf(*shape) for _ in range(3)] for shape in
+           ((width, 3 * width), (width, 3 * width), (3 * width,), (3 * width,))]
+    maps = [[leaf(width, width + 8) for _ in range(3)], [leaf(width + 8) for _ in range(3)]]
+    xs = [leaf(5, width) for _ in range(14)]
+    coef = gen.normal(size=(5, width + 8))
+
+    def loss():
+        gru_params = [ad.stack(p) for p in gru]
+        w, b = (ad.stack(p) for p in maps)
+        h, total = DArray(np.zeros((5, width))), 0.0
+        for t, x in enumerate(xs):
+            h = ad.gru_cell(x, h, *gru_params, _step_rows(t))
+            if t >= 4:
+                total = total + (ad.category_map(h, w, b, _step_rows(t)) * coef).sum()
+        return total + (h * h).sum()
+
+    weights = [p for group in gru[:2] + maps[:1] for p in group]
+    return weights, [p for group in gru[2:] + maps[1:] for p in group] + xs, loss
+
+
+def _shared_leaf_chain():
+    """The encoder's edge GRU: plain (8, 24) leaf weights shared by 3
+    `gru_cell` calls on (2, 8) pair rows, whose terms just fit W_ih."""
+    gen = np.random.default_rng(3)
+    params = [DArray(gen.normal(scale=0.5, size=s), requires_grad=True)
+              for s in ((8, 24), (8, 24), (24,), (24,))]
+    xs = [DArray(gen.normal(size=(2, 8)), requires_grad=True) for _ in range(3)]
+
+    def loss():
+        h = DArray(np.zeros((2, 8)))
+        for x in xs:
+            h = ad.gru_cell(x, h, *params)
+        return (h * h).sum()
+
+    return params[:2], params[2:] + xs, loss
+
+
+_CHAINS = {"stacked_one_flush": lambda: _recorded_chain(32),
+           "stacked_budget_flushes": lambda: _recorded_chain(8),
+           "stacked_term_outweighs_weight": lambda: _recorded_chain(2),
+           "shared_leaf": _shared_leaf_chain}
+
+
+@pytest.mark.parametrize("chain", list(_CHAINS))
+def test_recorded_weight_gradients_match_per_step_ones(chain, monkeypatch):
+    """Weight gradients recorded per use and formed per category at the
+    budget or at the weight's turn equal the per-step ones within 1e-12
+    (sums reordered); every other gradient, and any weight's formed from
+    one term, is bit-identical. Recorded operands never pass the weight's
+    size, and no term is left on a weight after backward."""
+    weights, others, loss_fn = _CHAINS[chain]()
+    leaves = weights + others
+    with monkeypatch.context() as m:
+        m.setattr(ad, "_affine_grads", per_step_affine_grads)
+        loss_fn().backward()
+    reference = [leaf.grad for leaf in leaves]
+    for leaf in leaves:
+        leaf.grad = None
+
+    flushed = []
+    flush = ad._flush
+
+    def checked_flush(w):
+        recorded = sum(x.nbytes + g.nbytes for x, g, _ in w._terms[1:])
+        assert recorded == w._terms[0] <= w.data.nbytes
+        flushed.append((w.data.shape, len(w._terms) - 1))
+        flush(w)
+
+    monkeypatch.setattr(ad, "_flush", checked_flush)
+    loss = loss_fn()
+    loss.backward()
+    with pytest.raises(ContractError):
+        loss.backward()
+    for leaf, ref in zip(leaves, reference):
+        assert isinstance(leaf.grad, np.ndarray) and leaf._terms is None
+        if any(leaf is w for w in weights):
+            assert np.abs(leaf.grad - ref).max() <= 1e-12 * np.abs(ref).max()
+        else:
+            np.testing.assert_array_equal(leaf.grad, ref)
+    n_terms = [n for _, n in flushed]
+    if chain == "stacked_one_flush":   # GRU weights: 14 and 13 terms, maps: 10
+        assert sorted(n_terms) == [10, 13, 14]
+    elif chain == "stacked_budget_flushes":
+        assert len(n_terms) > 3 and max(n_terms) < 10
+    elif chain == "stacked_term_outweighs_weight":   # only the maps' terms fit, one each
+        assert set(flushed) == {((3, 2, 10), 1)}
+    else:
+        assert sorted(n_terms) == [2, 3]
+    if max(n_terms, default=1) == 1:
+        for leaf, ref in zip(leaves, reference):
+            np.testing.assert_array_equal(leaf.grad, ref)
+    for leaf in leaves:
+        leaf.grad = None
+    fd_probe_check(loss_fn, leaves, rng, n_probes=30, rtol=1e-5)
+
+
+def test_a_failed_backward_leaves_no_recorded_term():
+    """A backward that stops at a raising closure drops the weight terms it
+    recorded, so a later backward cannot add them into the weight."""
+    h0, w, stacked_b = _rand(5, 3), _rand(3, 3, 4), _rand(3, 4)
+
+    def fail(g):
+        raise RuntimeError("closure failed")
+
+    h = ad._track(h0.data.copy(), (h0,), fail)
+    loss = ad.category_map(h, w, stacked_b, np.array([0, 2, 2, 0, 2])).sum()
+    with pytest.raises(RuntimeError):
+        loss.backward()
+    assert w._terms is None and w.grad is None
 
 
 def test_reduction_and_reshape_gradients():

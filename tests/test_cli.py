@@ -425,6 +425,28 @@ def test_scene_check_comes_before_any_work(workspace, tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+def test_sweep_gamma_rejects_an_empty_test_split(workspace, tmp_path, capsys, monkeypatch):
+    """Every gamma is scored on the test split, so an empty one stops
+    sweep-gamma before the first gamma trains and before --out exists."""
+    _, cfg, data, _ = workspace
+    bad = tmp_path / "data"
+    bad.mkdir()
+    for f in ("train.csv", "val.csv", "normalization.txt"):
+        (bad / f).write_text((data / f).read_text())
+    (bad / "test.csv").write_text((data / "test.csv").read_text().splitlines()[0] + "\n")
+
+    def no_epoch(*args, **kwargs):
+        raise AssertionError("a gamma trained before the test split was checked")
+
+    monkeypatch.setattr(cli, "train", no_epoch)
+    out = tmp_path / "out"
+    assert main(["sweep-gamma", "--config", str(cfg), "--data", str(bad),
+                 "--out", str(out), "--gammas", "0,0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "test.csv holds no scenes" in err
+    assert not out.exists()
+
+
 def test_cli_reads_scene_files_only_in_load_split():
     """`_load_split` checks each split against the model, so no command may
     call `load_csv` anywhere else."""

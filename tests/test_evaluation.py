@@ -7,9 +7,9 @@ import pytest
 from trajgraph.autodiff import DArray
 from trajgraph.data import Scene, simulate_scene
 from trajgraph.encoder import InteractionGraphSample
-from trajgraph.errors import ContractError
+from trajgraph.errors import ContractError, DataError
 from trajgraph.evaluation import (BoundScenario, GraphQualityReport, ade_fde,
-                                  graph_quality, metrics_csv_rows,
+                                  eval_rollouts, graph_quality, metrics_csv_rows,
                                   sampled_metrics, select_graph, theorem_bounds,
                                   verify_bounds)
 from trajgraph.graph_complexity import graph_entropy
@@ -56,6 +56,17 @@ def test_single_sample_min_equals_mean(trained_small):
     rec = sampled_metrics(model, scenes[:4], norm, n_samples=1, seed=3)
     assert rec.min_ade == rec.mean_ade
     assert rec.min_fde == rec.mean_fde
+
+
+def test_mixed_step_counts_name_the_first_differing_scene(small_model, tiny_scenes):
+    """A library caller that skips `data.check_scenes` gets a DataError
+    naming the scene, not numpy's stacking error."""
+    scenes = list(tiny_scenes[0][:6])
+    cut = scenes[3]
+    scenes[3] = Scene(cut.scene_id, cut.categories, cut.positions[:, :14])
+    with pytest.raises(DataError, match=f"scene {cut.scene_id} has 14 steps, "
+                                        f"scene {scenes[0].scene_id} has 15"):
+        eval_rollouts(small_model, scenes, n_samples=2, seed=0)
 
 
 def test_deterministic_model_min_equals_mean(trained_small):
