@@ -36,16 +36,10 @@ category index, and pick each row's own biases themselves. Their forward
 still multiplies every row by all C categories' weights and keeps each
 row's own (the benchmark counts the decoder's rows that way until its v2,
 see ROADMAP); only the own rows stay on the tape. `_affine_grads` is the
-one place that adds up their input, weight and bias gradients, per
-category on that category's rows only. Input and bias gradients are
-formed at once. Weight gradients are recorded per use, as the operands
-(x, dy, rows) on the weight's `DArray`, and formed once per category as
-one GEMM over all recorded rows: when backward reaches the weight in its
-walk (every use has then run), or sooner, when the next term would take
-the recorded operands past the weight's own size in bytes; a term larger
-than the weight alone is formed at once. So backward still frees the
-tape as it walks, and the recorded operands stay bounded by the weight's
-size. The GEMMs of `linear` are `matmul` nodes.
+one place that adds up their input and bias gradients, per category on
+that category's rows only; it hands each weight-gradient term to
+`_record`, and `_flush` forms it (see `_record`). The GEMMs of `linear`
+are `matmul` nodes.
 """
 
 from __future__ import annotations
@@ -613,62 +607,68 @@ def _own_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return x[rows, np.arange(len(rows))]
 
 
+def _category_rows(rows: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
+    """(c, the indices r with rows[r] == c, ascending) for each of the n
+    categories that `rows` holds."""
+    order = np.argsort(rows, kind="stable")
+    groups, lo = [], 0
+    for c, hi in enumerate(np.bincount(rows, minlength=n).cumsum().tolist()):
+        if hi > lo:
+            groups.append((c, order[lo:hi]))
+        lo = hi
+    return groups
+
+
 def _affine_grads(x: DArray | None, w: DArray, b: DArray, g: np.ndarray, rows):
     """Accumulate the gradients of `x`, `w` and `b` through y = x W + b
     given dy = g, or, for C-stacked (C, F, H) weights, (C, H) biases and
     an (R,) category index `rows`, through y[r] = x[r] W[c] + b[c] with
     c = rows[r]: per category present, one GEMM for dx and one row sum for
-    db, on that category's rows only. W's gradient is recorded per use as
-    the term (x, g, rows) and formed once per category, one GEMM over all
-    of W's recorded uses, at W's turn in backward or at the budget
-    (`_record`): the recorded operands stay within W's size, and backward
-    still frees the tape as it walks. A term larger than W is formed here,
-    one GEMM per category. x None stands for an untracked zero input,
-    which gives W nothing."""
+    db, on that category's rows only. W's gradient term is handed to
+    `_record`. x None stands for an untracked zero input, which gives W
+    nothing."""
+    if x is not None and w.requires_grad:
+        _record(w, x.data, g, rows)
     x_grad = x is not None and x.requires_grad
-    w_now = x is not None and w.requires_grad and not _record(w, x.data, g, rows)
     if rows is None:
         grads = (g @ w.data.T if x_grad else None,
-                 x.data.T @ g if w_now else None,
                  g.sum(axis=0) if b.requires_grad else None)
     else:
         grads = (np.empty(x.data.shape) if x_grad else None,
-                 np.zeros_like(w.data) if w_now else None,
                  np.zeros_like(b.data) if b.requires_grad else None)
-        dx, dw, db = grads
-        for c in np.unique(rows):
-            idx = np.flatnonzero(rows == c)
+        dx, db = grads
+        for c, idx in _category_rows(rows, w.data.shape[0]):
             gc = g[idx]
             if dx is not None:
                 dx[idx] = gc @ w.data[c].T
-            if dw is not None:
-                dw[c] = x.data[idx].T @ gc
             if db is not None:
                 db[c] = gc.sum(axis=0)
-    for t, d in zip((x, w, b), grads):
+    for t, d in zip((x, b), grads):
         if d is not None:
             _accum(t, d)
 
 
-def _record(w: DArray, x: np.ndarray, g: np.ndarray, rows) -> bool:
+def _record(w: DArray, x: np.ndarray, g: np.ndarray, rows):
     """Record one use's weight-gradient term x^T g (per category with
-    `rows`) on w, for `DArray.backward` to form when it reaches w. The
-    recorded operands stay within w's own size in bytes: a term that
-    would pass it flushes the earlier ones first, and a term larger than
-    w alone is not recorded (False): the caller forms it at once."""
+    `rows`) on w for `_flush`, the only code that forms a `gru_cell` or
+    `category_map` weight gradient.
+
+    The terms wait on w until `DArray.backward` reaches w in its walk
+    (every use has then run) and flushes them as one GEMM per category
+    over all recorded rows, or sooner: a term that would take the recorded
+    operand bytes past w's own `nbytes` first flushes the earlier ones,
+    and a term that alone outweighs w is flushed as soon as it is
+    recorded. So the recorded operands stay within w's size, bar a single
+    oversize term, and backward still frees the tape as it walks."""
     size = x.nbytes + g.nbytes
-    pending = w._terms   # [recorded bytes, term, ...]
-    if pending is not None and pending[0] + size > w.data.nbytes:
+    if w._terms is not None and w._terms[0] + size > w.data.nbytes:
         _flush(w)
-        pending = None
+    if w._terms is None:
+        w._terms = [0]   # [recorded bytes, term, ...]
+    w._terms[0] += size
+    w._terms.append((x, g, rows))
     if size > w.data.nbytes:
-        return False
-    if pending is None:
-        w._terms = [size, (x, g, rows)]
-    else:
-        pending[0] += size
-        pending.append((x, g, rows))
-    return True
+        _flush(w)
 
 
 def _flush(w: DArray):
@@ -686,8 +686,7 @@ def _flush(w: DArray):
         _accum(w, x.T @ g)
         return
     dw = np.zeros_like(w.data)
-    for c in np.unique(rows):
-        idx = np.flatnonzero(rows == c)
+    for c, idx in _category_rows(rows, w.data.shape[0]):
         np.matmul(x[idx].T, g[idx], out=dw[c])
     _accum(w, dw)
 
@@ -712,13 +711,9 @@ def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh, rows=None) -> DArray:
     counts the decoder's rows that way until its v2, see ROADMAP), and
     keeps each row's own category and biases. The node keeps r, z, n and
     h W_hn + b_hn, four (R, H) arrays; backward runs `_affine_grads` once
-    for the input and once for the hidden side, which forms dx, dh and the
-    bias gradients at once and records each weight's gradient term per
-    step; the weight's gradient is formed once per category over all
-    recorded steps, at the weight's turn in backward or at the budget, so
-    the recorded operands stay within the weight's size while backward
-    still frees the tape as it walks. An untracked all-zero h, a first
-    step's state, is not kept: W_hh gets nothing from it.
+    for the input and once for the hidden side (weight gradients: see
+    `_record`). An untracked all-zero h, a first step's state, is not
+    kept: W_hh gets nothing from it.
     """
     x, h, w_ih, w_hh, b_ih, b_hh = (_coerce(t) for t in (x, h, w_ih, w_hh, b_ih, b_hh))
     if rows is not None:
@@ -764,11 +759,8 @@ def category_map(h, w, b, rows) -> DArray:
     h is (R, F), and w and b are the C-stacked (C, F, H) weights and
     (C, H) biases. The forward multiplies every row by all C weights and
     keeps each row's own category, as the decoder did before this node;
-    backward is `_affine_grads` on each category's rows only: dh and the
-    bias gradient at once, W's gradient recorded per call and formed once
-    per category over all recorded calls, at W's turn in backward or at
-    the budget, so the recorded operands stay within W's size while
-    backward still frees the tape as it walks.
+    backward is `_affine_grads` on each category's rows only (W's
+    gradient: see `_record`).
     """
     h, w, b = _coerce(h), _coerce(w), _coerce(b)
     rows = np.asarray(rows)

@@ -56,47 +56,49 @@ def _model_state_with_config(model: TrajectoryModel, strategy: str,
     return state
 
 
-def _split_meta(state: dict) -> tuple[ModelConfig, str, float, dict]:
-    cfg_kwargs = {}
+def _split_meta(state: dict, path) -> tuple[ModelConfig, str, float, dict]:
+    """The model config, strategy and gamma that checkpoint `path`'s cfg.*
+    records hold, and its parameters. DataError names the file and the
+    record that is missing or out of contract."""
+    fields = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
+    for key in [f"cfg.{name}" for name in fields] + ["cfg.strategy_index", "cfg.gamma"]:
+        if key not in state:
+            raise DataError(f"{path}: checkpoint lacks the record {key}")
+    typed = {}
     params = {}
-    strategy, gamma = TrainConfig.strategy, TrainConfig.gamma
     for key, value in state.items():
         if key.startswith("cfg.") and (value.shape != (1,) or not np.isfinite(value[0])):
-            raise DataError(f"checkpoint record {key} is not one finite number")
+            raise DataError(f"{path}: checkpoint record {key} is not one finite number")
         if key == "cfg.strategy_index":
             index = float(value[0])
             if not index.is_integer() or not 0 <= index < len(STRATEGIES):
-                raise DataError(f"checkpoint strategy index {index:g} is out of range")
+                raise DataError(f"{path}: checkpoint strategy index {index:g} is out of range")
             strategy = STRATEGIES[int(index)]
         elif key == "cfg.gamma":
             gamma = float(value[0])
         elif key.startswith("cfg."):
-            cfg_kwargs[key[4:]] = float(value[0])
+            name, raw = key[4:], float(value[0])
+            kind = fields.get(name)
+            if kind is None:
+                raise DataError(f"{path}: checkpoint carries unknown config field {name}")
+            if kind == "bool" and raw not in (0.0, 1.0):
+                raise DataError(f"{path}: checkpoint record {key} is {raw:g}, not 0 or 1")
+            if kind == "int" and not raw.is_integer():
+                raise DataError(f"{path}: checkpoint record {key} is {raw:g}, not an integer")
+            typed[name] = bool(raw) if kind == "bool" else int(raw) if kind == "int" else raw
         elif not np.isfinite(value).all():
-            raise DataError(f"checkpoint record {key} holds a non-finite value")
+            raise DataError(f"{path}: checkpoint record {key} holds a non-finite value")
         else:
             params[key] = value
-    fields = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
-    typed = {}
-    for name, raw in cfg_kwargs.items():
-        if name not in fields:
-            raise DataError(f"checkpoint carries unknown config field {name}")
-        kind = fields[name]
-        if kind == "bool":
-            if raw not in (0.0, 1.0):
-                raise DataError(f"checkpoint record cfg.{name} is {raw:g}, not 0 or 1")
-            typed[name] = bool(raw)
-        elif kind == "int":
-            if not raw.is_integer():
-                raise DataError(f"checkpoint record cfg.{name} is {raw:g}, not an integer")
-            typed[name] = int(raw)
-        else:
-            typed[name] = raw
-    return ModelConfig(**typed), strategy, gamma, params
+    try:
+        cfg = ModelConfig(**typed)
+    except ConfigError as e:
+        raise DataError(f"{path}: checkpoint cfg.* records are out of contract: {e}") from e
+    return cfg, strategy, gamma, params
 
 
 def load_model(path) -> tuple[TrajectoryModel, str, float]:
-    cfg, strategy, gamma, params = _split_meta(load_checkpoint(path))
+    cfg, strategy, gamma, params = _split_meta(load_checkpoint(path), path)
     model = TrajectoryModel(cfg, seed=0)
     model.load_state_dict(params)
     return model, strategy, gamma
@@ -188,7 +190,8 @@ def cmd_train(args) -> int:
     if args.resume:
         state = load_checkpoint(args.resume)
         rcfg, _, _, params = _split_meta(
-            {k: v for k, v in state.items() if not k.startswith(("opt.", "meta."))})
+            {k: v for k, v in state.items() if not k.startswith(("opt.", "meta."))},
+            args.resume)
         if dataclasses.asdict(rcfg) != dataclasses.asdict(mcfg):
             raise ConfigError("resume checkpoint was built with a different "
                               "model configuration")
@@ -221,11 +224,9 @@ def cmd_train(args) -> int:
         nonlocal fresh
         out.mkdir(parents=True, exist_ok=True)
         with open(log_path, "w" if fresh else "a") as log_file:
-            log_file.write((LOG_HEADER + "\n" if fresh else "") + ",".join([
-                str(row["epoch"]), row["strategy"], repr(row["train_loss"]),
-                repr(row["val_loss"]), repr(row["L1"]), repr(row["L2"]),
-                repr(row["entropy"]), repr(row["density"]), repr(row["alpha"]),
-                repr(row["gamma"])]) + "\n")
+            # str of a float is its repr: the values round-trip exactly
+            log_file.write((LOG_HEADER + "\n" if fresh else "") + ",".join(
+                str(row[name]) for name in LOG_HEADER.split(",")) + "\n")
         fresh = False
 
     result = train(model, tcfg, train_scenes, val_scenes,

@@ -17,12 +17,8 @@ C-stacked parameters and each agent's category. Their forward multiplies
 every agent's row by all C categories' weights (C-stacked until benchmark
 v2, see ROADMAP) and keeps each agent's own category row and biases.
 Their backward sums each category's bias gradient over its own agents'
-rows at every step, and records each step's weight-gradient operands on
-the per-rollout stacked weight; the weight gradient is formed once per
-category, one GEMM over that category's rows of all recorded steps, when
-backward reaches the stack or sooner, when the recorded operands would
-outweigh the stacked weight, so they never hold more bytes than it.
-Backward still frees the tape as it walks.
+rows at every step, and records each step's weight-gradient term on the
+per-rollout stacked weight (`autodiff._record` says when it is formed).
 No C-stacked product stays on the tape, and everything after these nodes
 runs on one row per agent.
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DArray
-from .data import Scene, WindowPlan, check_horizon, plan_windows
+from .data import Scene, WindowPlan, plan_windows
 from .decoder import DecoderRun, TrajectoryDecoder
 from .encoder import (RK_STEP_NOISE, EncoderRun, GraphEncoder,
                       InteractionGraphSample)
@@ -64,8 +64,8 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.n_categories < 1:
-            raise ConfigError("need at least one category")
-        check_horizon(self.t_history, self.t_future)
+            raise ConfigError(f"n_categories must be at least 1, got {self.n_categories}")
+        plan_windows(self.t_history, self.t_future, self.tau)   # the horizon and tau
         if min(self.hidden_dim, self.edge_dim, self.attn_dim, self.gru_layers) < 1:
             raise ConfigError("model dimensions must be positive")
         if not self.temperature > 0:

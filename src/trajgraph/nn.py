@@ -86,15 +86,17 @@ def gradients(loss: DArray, store: ParamStore) -> dict[str, np.ndarray]:
     """Run backward from a scalar loss and collect per-parameter gradients.
 
     Parameters that did not contribute to the loss get zero gradients. The
-    store's grad buffers are cleared afterwards so each optimizer step sees
-    exactly one backward pass. Raises NumericalError naming the first
-    parameter, in store order, whose gradient is not finite.
+    store's grad buffers are cleared afterwards, also when backward raises,
+    so each optimizer step sees exactly one backward pass. Raises
+    NumericalError naming the first parameter, in store order, whose
+    gradient is not finite.
     """
-    loss.backward()
-    out = {}
-    for name, p in store.trainable_items():
-        out[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-    store.zero_grad()
+    try:
+        loss.backward()
+        out = {name: p.grad if p.grad is not None else np.zeros_like(p.data)
+               for name, p in store.trainable_items()}
+    finally:
+        store.zero_grad()
     for name, g in out.items():
         if not np.isfinite(g).all():
             raise NumericalError(f"gradient of parameter {name} became non-finite; "

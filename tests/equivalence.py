@@ -19,7 +19,22 @@ The fingerprint set, at hidden widths 32 and 128 (prefix `w32.`, `w128.`):
   (`grad.<update>.<name>`) and every parameter after each Adam step
   (`param.<update>.<name>`);
 - `TrajectoryModel.sample_rollouts` of the updated model on that batch,
-  K = 3, sample mode: the predictions and the sampled edge weights.
+  K = 3, sample mode: the predictions and the sampled edge weights;
+- the same update pair on one batch of twelve 8-agent scenes, prefixed
+  `agents8.`: its rows outweigh every C-stacked weight at width 32, so
+  each weight-gradient term is formed on its own;
+- `evaluation.eval_rollouts` of that model on a split of six 4- to
+  8-agent scenes, K = 3: each scene's rollouts and sampled graphs
+  (`eval_rollouts.<scene>.preds`, `.z`);
+- `evaluation.graph_quality` of that model on the split's first two
+  scenes, two rollouts per probe: the report's counts
+  (`graph_quality.counts`) and every probe's rollout ADEs in call order
+  (`graph_quality.ades.<call>`). At width 32 that model's MAP graphs hold
+  no edge, so both scenes are skipped and only the counts compare.
+
+After the fingerprints the report names the equivalence class: identical
+(bit for bit), within 1e-12 relative, or beyond, with the largest relative
+difference and its fingerprint.
 
 `compare(src_a, src_b)` runs the check between two source directories
 without git; `tests/test_equivalence.py` runs the working tree against
@@ -28,6 +43,7 @@ itself.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import subprocess
@@ -42,15 +58,13 @@ REPO = Path(__file__).resolve().parent.parent
 WIDTHS = (32, 128)
 
 
-def fingerprints(width: int) -> dict[str, np.ndarray]:
-    """The fingerprint set at one width, from whichever `trajgraph` is
-    importable."""
+@contextlib.contextmanager
+def _recorded_update(out: dict, prefix: str):
+    """Record, under `prefix`, the rollouts, losses, gradients and Adam
+    steps of the training run inside the block."""
     from trajgraph import training
-    from trajgraph.data import SyntheticConfig, generate_synthetic
-    from trajgraph.model import ModelConfig, TrajectoryModel
-    from trajgraph.rng import RngStream
+    from trajgraph.model import TrajectoryModel
 
-    out: dict[str, np.ndarray] = {}
     counts = {"rollout": 0, "update": 0, "step": 0}
     rollout, gradients, adam_step = (TrajectoryModel.rollout, training.gradients,
                                      training.Adam.step)
@@ -58,54 +72,115 @@ def fingerprints(width: int) -> dict[str, np.ndarray]:
     def recorded_rollout(self, *args, **kwargs):
         preds = rollout(self, *args, **kwargs)
         counts["rollout"] += 1
-        out[f"rollout.{counts['rollout']}"] = preds.data.copy()
+        out[f"{prefix}rollout.{counts['rollout']}"] = preds.data.copy()
         return preds
 
     def recorded_gradients(loss, store):
         grads = gradients(loss, store)
         counts["update"] += 1
         n = counts["update"]
-        out[f"loss.{n}"] = loss.data.copy()
-        out.update({f"grad.{n}.{k}": g.copy() for k, g in grads.items()})
+        out[f"{prefix}loss.{n}"] = loss.data.copy()
+        out.update({f"{prefix}grad.{n}.{k}": g.copy() for k, g in grads.items()})
         return grads
 
     def recorded_step(self, grads):
         adam_step(self, grads)
         counts["step"] += 1
-        out.update({f"param.{counts['step']}.{k}": p.data.copy()
+        out.update({f"{prefix}param.{counts['step']}.{k}": p.data.copy()
                     for k, p in self.store.trainable_items()})
 
-    scenes, _ = generate_synthetic(SyntheticConfig(n_scenes=6, n_agents_min=4,
-                                                   n_agents_max=4, seed=0))
-    model = TrajectoryModel(ModelConfig(hidden_dim=width, edge_dim=width,
-                                        attn_dim=width), seed=0)
-    cfg = training.TrainConfig(epochs=1, batch_size=len(scenes), strategy="GE_mixup",
-                               gamma=0.02, learning_rate=3e-3, seed=0)
     TrajectoryModel.rollout, training.gradients = recorded_rollout, recorded_gradients
     training.Adam.step = recorded_step
     try:
-        training.train(model, cfg, scenes, [])
+        yield
     finally:
         TrajectoryModel.rollout, training.gradients = rollout, gradients
         training.Adam.step = adam_step
+
+
+def fingerprints(width: int) -> dict[str, np.ndarray]:
+    """The fingerprint set at one width, from whichever `trajgraph` is
+    importable."""
+    from trajgraph import training
+    from trajgraph.data import SyntheticConfig, generate_synthetic
+    from trajgraph.evaluation import ModelGraphProbe, eval_rollouts, graph_quality
+    from trajgraph.model import ModelConfig, TrajectoryModel
+    from trajgraph.rng import RngStream
+
+    out: dict[str, np.ndarray] = {}
+    mcfg = ModelConfig(hidden_dim=width, edge_dim=width, attn_dim=width)
+
+    def update_pair(n_scenes, n_agents, prefix):
+        scenes, _ = generate_synthetic(SyntheticConfig(
+            n_scenes=n_scenes, n_agents_min=n_agents, n_agents_max=n_agents, seed=0))
+        model = TrajectoryModel(mcfg, seed=0)
+        cfg = training.TrainConfig(epochs=1, batch_size=len(scenes), strategy="GE_mixup",
+                                   gamma=0.02, learning_rate=3e-3, seed=0)
+        with _recorded_update(out, prefix):
+            training.train(model, cfg, scenes, [])
+        return model, scenes
+
+    model, scenes = update_pair(6, 4, "")
     pos, cats, _ = next(TrajectoryModel.batch_scenes(scenes))
     preds, graphs = model.sample_rollouts(pos, cats, [RngStream(0).child(k) for k in range(3)])
     out["sample_rollouts.preds"] = preds
     out["sample_rollouts.z"] = np.stack([g.z.data for g in graphs])
+
+    model, _ = update_pair(12, 8, "agents8.")
+    split, _ = generate_synthetic(SyntheticConfig(n_scenes=6, n_agents_min=4,
+                                                  n_agents_max=8, seed=1))
+    for scene, preds, z in zip(split, *eval_rollouts(model, split, 3, seed=0)):
+        out[f"eval_rollouts.{scene.scene_id}.preds"] = preds
+        out[f"eval_rollouts.{scene.scene_id}.z"] = z
+
+    probe = ModelGraphProbe(model, n_rollouts=2)
+    rollout_ades, ades = probe.rollout_ades, []
+
+    def recorded_ades(*args):
+        ades.append(rollout_ades(*args))
+        return ades[-1]
+
+    probe.rollout_ades = recorded_ades
+    report = graph_quality(probe, split[:2], seed=0)
+    out.update({f"graph_quality.ades.{i}": a for i, a in enumerate(ades)})
+    out["graph_quality.counts"] = np.array([report.n_edges, report.n_redundant,
+                                            report.n_missing, report.n_scenes,
+                                            report.n_skipped])
     return {f"w{width}.{k}": v for k, v in out.items()}
+
+
+def relative(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest |a - b| over the largest |b|: 0 when a and b are
+    identical, inf when their shapes differ, b is all zero or a NaN sits
+    in one only."""
+    if a.shape != b.shape:
+        return np.inf
+    if np.array_equal(a, b, equal_nan=True):
+        return 0.0
+    scale = np.abs(b).max()
+    rel = np.abs(a - b).max() / scale if scale > 0 else np.inf
+    return float(rel) if rel == rel else np.inf
 
 
 def difference(a: np.ndarray, b: np.ndarray) -> str:
     """`identical`, or how `a` differs from the reference `b`."""
     if a.shape != b.shape:
         return f"shape {a.shape} against {b.shape}"
-    if np.array_equal(a, b, equal_nan=True):
+    rel = relative(a, b)
+    if rel == 0:
         return "identical"
-    diff = np.abs(a - b)
-    scale = np.abs(b).max()
-    rel = diff.max() / scale if scale > 0 else np.inf
     first = tuple(int(i) for i in np.argwhere(a != b)[0])
-    return f"max abs {diff.max():.3g}, rel {rel:.3g}, first at {first}"
+    return f"max abs {np.abs(a - b).max():.3g}, rel {rel:.3g}, first at {first}"
+
+
+def equivalence_class(rels: dict[str, float]) -> str:
+    """The line that names the class of a comparison from each
+    fingerprint's `relative` difference."""
+    worst = max(rels, key=rels.get)
+    if rels[worst] == 0:
+        return "class: identical, bit for bit"
+    kind = "within 1e-12 relative" if rels[worst] <= 1e-12 else "beyond 1e-12 relative"
+    return f"class: {kind}; largest difference rel {rels[worst]:.3g} in {worst}"
 
 
 def _run_builds(srcs: list[Path], tmp: Path) -> list[dict[str, np.ndarray]]:
@@ -128,15 +203,18 @@ def _run_builds(srcs: list[Path], tmp: Path) -> list[dict[str, np.ndarray]]:
     return results
 
 
-def compare(src: Path, ref_src: Path) -> dict[str, str]:
+def compare(src: Path, ref_src: Path) -> tuple[dict[str, str], str]:
     """`difference` of every fingerprint of the build in `src` from the
-    build in `ref_src`; a fingerprint only one build has is reported so."""
+    build in `ref_src`, a fingerprint only one build has reported so, and
+    the comparison's `equivalence_class` line."""
     with tempfile.TemporaryDirectory() as tmp:
         new, ref = _run_builds([Path(src), Path(ref_src)], Path(tmp))
     report = {k: difference(new[k], ref[k]) for k in ref if k in new}
     report.update({k: "only in the reference build" for k in ref if k not in new})
     report.update({k: "only in the compared build" for k in new if k not in ref})
-    return report
+    rels = {k: relative(new[k], ref[k]) if k in new and k in ref else np.inf
+            for k in report}
+    return report, equivalence_class(rels)
 
 
 def export_src(rev: str, dest: Path) -> Path:
@@ -161,12 +239,13 @@ def main(argv: list[str]) -> int:
         except subprocess.CalledProcessError as e:
             print(f"cannot export {argv[0]}: {e.stderr.decode().strip()}", file=sys.stderr)
             return 2
-        report = compare(REPO / "src", ref_src)
+        report, summary = compare(REPO / "src", ref_src)
     width = max(map(len, report))
     for name, verdict in report.items():
         print(f"{name:<{width}}  {verdict}")
     same = sum(v == "identical" for v in report.values())
     print(f"{same} of {len(report)} fingerprints identical against {argv[0]}")
+    print(summary)
     return 0 if same == len(report) else 1
 
 

@@ -221,8 +221,8 @@ def _recorded_chain(width):
     `ad.stack` builds once from C = 3 leaves each, and 10 `category_map`
     calls on the states, every step with its own (5,) category rows. At
     width 32 every weight's terms fit its size, at width 8 the budget
-    flushes every few steps, and at width 2 a single term outweighs the
-    weight."""
+    flushes every few steps, and at width 2 a single GRU term outweighs
+    its weight."""
     gen = np.random.default_rng(width)
 
     def leaf(*shape):
@@ -277,7 +277,8 @@ def test_recorded_weight_gradients_match_per_step_ones(chain, monkeypatch):
     budget or at the weight's turn equal the per-step ones within 1e-12
     (sums reordered); every other gradient, and any weight's formed from
     one term, is bit-identical. Recorded operands never pass the weight's
-    size, and no term is left on a weight after backward."""
+    size, bar a single oversize term, and no term is left on a weight
+    after backward."""
     weights, others, loss_fn = _CHAINS[chain]()
     leaves = weights + others
     with monkeypatch.context() as m:
@@ -292,8 +293,9 @@ def test_recorded_weight_gradients_match_per_step_ones(chain, monkeypatch):
 
     def checked_flush(w):
         recorded = sum(x.nbytes + g.nbytes for x, g, _ in w._terms[1:])
-        assert recorded == w._terms[0] <= w.data.nbytes
-        flushed.append((w.data.shape, len(w._terms) - 1))
+        n = len(w._terms) - 1
+        assert recorded == w._terms[0] and (n == 1 or recorded <= w.data.nbytes)
+        flushed.append((w.data.shape, n))
         flush(w)
 
     monkeypatch.setattr(ad, "_flush", checked_flush)
@@ -312,8 +314,11 @@ def test_recorded_weight_gradients_match_per_step_ones(chain, monkeypatch):
         assert sorted(n_terms) == [10, 13, 14]
     elif chain == "stacked_budget_flushes":
         assert len(n_terms) > 3 and max(n_terms) < 10
-    elif chain == "stacked_term_outweighs_weight":   # only the maps' terms fit, one each
-        assert set(flushed) == {((3, 2, 10), 1)}
+    elif chain == "stacked_term_outweighs_weight":
+        # every term flushes alone: each GRU term (320 bytes) outweighs its
+        # (3, 2, 6) weight (288), 14 W_ih steps and 13 W_hh steps (the first
+        # state is zero), and two map terms (480 each) pass the (3, 2, 10) map
+        assert sorted(flushed) == sorted([((3, 2, 6), 1)] * 27 + [((3, 2, 10), 1)] * 10)
     else:
         assert sorted(n_terms) == [2, 3]
     if max(n_terms, default=1) == 1:
@@ -322,6 +327,30 @@ def test_recorded_weight_gradients_match_per_step_ones(chain, monkeypatch):
     for leaf in leaves:
         leaf.grad = None
     fd_probe_check(loss_fn, leaves, rng, n_probes=30, rtol=1e-5)
+
+
+@pytest.mark.parametrize("chain", list(_CHAINS))
+def test_weight_gradients_form_only_in_flush(chain, monkeypatch):
+    """`_flush` forms every weight gradient of the category nodes: with a
+    `_flush` that adds zeros instead, every weight leaf's gradient is zero,
+    at each size of term against weight, and every other leaf's is
+    unchanged."""
+    weights, others, loss_fn = _CHAINS[chain]()
+    loss_fn().backward()
+    reference = [leaf.grad for leaf in others]
+    for leaf in weights + others:
+        leaf.grad = None
+
+    def zero_flush(w):
+        w._terms = None
+        ad._accum(w, np.zeros_like(w.data))
+
+    monkeypatch.setattr(ad, "_flush", zero_flush)
+    loss_fn().backward()
+    for leaf in weights:
+        assert isinstance(leaf.grad, np.ndarray) and not leaf.grad.any()
+    for leaf, ref in zip(others, reference):
+        np.testing.assert_array_equal(leaf.grad, ref)
 
 
 def test_a_failed_backward_leaves_no_recorded_term():

@@ -254,22 +254,31 @@ def test_evaluate_corrupt_checkpoint_exit_code(workspace, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("data error: ")
 
 
-@pytest.mark.parametrize("key, value", [
-    ("dec.gru.0.l0.W_ih", np.nan),
-    ("cfg.hidden_dim", 8.5),
-    ("cfg.homogeneous", 2.0),
-], ids=["non_finite_parameter", "non_integral_int_field", "bool_field_not_0_or_1"])
+@pytest.mark.parametrize("key, value, named", [
+    ("dec.gru.0.l0.W_ih", np.nan, "dec.gru.0.l0.W_ih"),
+    ("cfg.hidden_dim", 8.5, "cfg.hidden_dim"),
+    ("cfg.homogeneous", 2.0, "cfg.homogeneous"),
+    ("cfg.step_noise", None, "cfg.step_noise"),   # None: the record is missing
+    ("cfg.temperature", 0.0, "temperature"),
+    ("cfg.tau", 9.0, "tau"),
+    ("cfg.n_categories", 0.0, "n_categories"),
+], ids=["non_finite_parameter", "non_integral_int_field", "bool_field_not_0_or_1",
+        "missing_step_noise", "zero_temperature", "tau_past_history", "no_category"])
 def test_checkpoint_record_out_of_contract_exit_code(workspace, tmp_path, capsys,
-                                                     key, value):
+                                                     key, value, named):
     """evaluate, analyze-graphs and a resumed train reject the checkpoint
-    with exit code 2, naming the record, and write no output."""
+    with exit code 2, naming the file and the record or field, and write
+    no output."""
     root, cfg, data, run = workspace
     for cmd, flag, source in (("evaluate", "--checkpoint", "model.ckpt"),
                               ("analyze-graphs", "--checkpoint", "model.ckpt"),
                               ("train", "--resume", "last.ckpt")):
         state = load_checkpoint(run / source)
-        state[key] = state[key].copy()
-        state[key].reshape(-1)[0] = value
+        if value is None:
+            del state[key]
+        else:
+            state[key] = state[key].copy()
+            state[key].reshape(-1)[0] = value
         bad = tmp_path / f"bad_{source}"
         save_checkpoint(bad, state)
         capsys.readouterr()
@@ -277,8 +286,8 @@ def test_checkpoint_record_out_of_contract_exit_code(workspace, tmp_path, capsys
         assert main([cmd, "--config", str(cfg), flag, str(bad), "--data", str(data),
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: ") and key in err
-        assert not (out / "metrics.csv").exists()
+        assert err.startswith("data error: ") and named in err and str(bad) in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd, flag, name", [

@@ -55,6 +55,22 @@ def test_gradients_name_the_first_non_finite_parameter():
     assert all(p.grad is None for p in (a, b, c))
 
 
+def test_a_failed_backward_leaves_no_gradient_for_the_next_update():
+    """A backward that raises part way clears the store's partial
+    gradients, so the next update's gradients are its own."""
+    store, _ = _store_rng()
+    w = store.add("w", np.ones(3))
+
+    def fail(g):
+        raise MemoryError("closure failed")
+
+    branch = ad._track(w.data.copy(), (w,), fail)
+    with pytest.raises(MemoryError):
+        gradients((3 * w).sum() + branch.sum(), store)
+    assert w.grad is None
+    np.testing.assert_array_equal(gradients((2 * w).sum(), store)["w"], [2.0, 2.0, 2.0])
+
+
 def test_mlp_zero_final_affine_gives_zero_output():
     store, rng = _store_rng()
     spec = [(8, "elu", True), (4, None, False)]
