@@ -30,6 +30,7 @@ from .evaluation import (CATEGORY_HEADER, METRICS_HEADER, ModelGraphProbe,
 from .graph_complexity import (degree_entropy, graph_entropy, min_graph_entropy,
                                r_density, random_majorizing_pair, verify_hlp)
 from .model import ModelConfig, TrajectoryModel
+from .optim import check_state as check_optimizer_state
 from .plots import trajectory_svg
 from .rng import STREAM_EVAL, STREAM_THEORY, RngStream
 from .training import STRATEGIES, MixState, TrainConfig, train
@@ -47,12 +48,16 @@ LOG_HEADER = "epoch,strategy,train_loss,val_loss,L1,L2,entropy,density,alpha,gam
 
 def _model_state_with_config(model: TrajectoryModel, strategy: str,
                              gamma: float) -> dict[str, np.ndarray]:
+    """The checkpoint mapping of `model`: its config, `strategy` and `gamma`
+    as cfg.* records, then every store entry by name. The entries are the
+    live parameter arrays, not copies, so write the mapping before the
+    parameters change."""
     state = {}
     for f in dataclasses.fields(ModelConfig):
         state[f"cfg.{f.name}"] = np.array([float(getattr(model.cfg, f.name))])
     state["cfg.strategy_index"] = np.array([float(STRATEGIES.index(strategy))])
     state["cfg.gamma"] = np.array([float(gamma)])
-    state.update(model.state_dict())
+    state.update((k, p.data) for k, p in model.store.items())
     return state
 
 
@@ -188,30 +193,39 @@ def cmd_train(args) -> int:
     mix_state = None
     prev_best = math.inf
     if args.resume:
-        state = load_checkpoint(args.resume)
+        path = args.resume
+        state = load_checkpoint(path)
         rcfg, _, _, params = _split_meta(
-            {k: v for k, v in state.items() if not k.startswith(("opt.", "meta."))},
-            args.resume)
-        if dataclasses.asdict(rcfg) != dataclasses.asdict(mcfg):
-            raise ConfigError("resume checkpoint was built with a different "
-                              "model configuration")
+            {k: v for k, v in state.items() if not k.startswith(("opt.", "meta."))}, path)
+        differ = next((f.name for f in dataclasses.fields(ModelConfig)
+                       if getattr(rcfg, f.name) != getattr(mcfg, f.name)), None)
+        if differ is not None:
+            raise ConfigError(f"{path}: resume checkpoint was built with {differ} = "
+                              f"{getattr(rcfg, differ)!r}, this run's model "
+                              f"configuration has {getattr(mcfg, differ)!r}")
         model.load_state_dict(params)
         optimizer_state = {k: v for k, v in state.items() if k.startswith("opt.")}
+        try:
+            check_optimizer_state(model.store, optimizer_state)
+        except DataError as e:
+            raise DataError(f"{path}: resume checkpoint {e}") from e
         for key in ("meta.epoch", "meta.best_val", "meta.alpha"):
             if key not in state or state[key].shape != (1,):
-                raise DataError(f"resume checkpoint lacks the one-number record {key}")
+                raise DataError(f"{path}: resume checkpoint lacks the one-number "
+                                f"record {key}")
         start_epoch = float(state["meta.epoch"][0])
         if not start_epoch.is_integer() or start_epoch < 0:
-            raise DataError(f"resume checkpoint epoch {start_epoch:g} is not a count")
+            raise DataError(f"{path}: resume checkpoint epoch {start_epoch:g} "
+                            "is not a count")
         start_epoch = int(start_epoch)
         prev_best = float(state["meta.best_val"][0])
         if not prev_best >= 0:      # an ADE, or +inf before any validation
-            raise DataError(f"resume checkpoint record meta.best_val is {prev_best:g}, "
-                            "not an ADE")
+            raise DataError(f"{path}: resume checkpoint record meta.best_val is "
+                            f"{prev_best:g}, not an ADE")
         alpha = float(state["meta.alpha"][0])
         if not 0 < alpha < math.inf:
-            raise DataError(f"resume checkpoint record meta.alpha is {alpha:g}, "
-                            "not positive and finite")
+            raise DataError(f"{path}: resume checkpoint record meta.alpha is "
+                            f"{alpha:g}, not positive and finite")
         mix_state = MixState(alpha)
 
     out = Path(args.out)
@@ -235,10 +249,9 @@ def cmd_train(args) -> int:
 
     # best-of-run checkpoint (kept from the previous run segment if better)
     if result.best_val_ade <= prev_best:
-        best = TrajectoryModel(mcfg, seed=tcfg.seed)
-        best.load_state_dict(result.best_state)
-        save_checkpoint(out / "model.ckpt",
-                        _model_state_with_config(best, tcfg.strategy, tcfg.gamma))
+        save_checkpoint(out / "model.ckpt", {
+            **_model_state_with_config(model, tcfg.strategy, tcfg.gamma),
+            **result.best_state})
     resume_state = _model_state_with_config(model, tcfg.strategy, tcfg.gamma)
     resume_state.update(result.optimizer_state)
     resume_state["meta.epoch"] = np.array([float(result.epochs_done)])

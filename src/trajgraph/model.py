@@ -66,8 +66,9 @@ class ModelConfig:
         if self.n_categories < 1:
             raise ConfigError(f"n_categories must be at least 1, got {self.n_categories}")
         plan_windows(self.t_history, self.t_future, self.tau)   # the horizon and tau
-        if min(self.hidden_dim, self.edge_dim, self.attn_dim, self.gru_layers) < 1:
-            raise ConfigError("model dimensions must be positive")
+        for name in ("hidden_dim", "edge_dim", "attn_dim", "gru_layers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.temperature > 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
         if not 0.0 <= self.edge_noise_scale < np.inf:

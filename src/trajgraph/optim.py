@@ -41,30 +41,39 @@ class Adam:
             p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def state_dict(self) -> dict[str, np.ndarray]:
+        """The step count and the moment arrays themselves, not copies: a
+        later `step` changes them, so write or load the mapping before
+        stepping again, or drop the optimizer."""
         out = {"opt.t": np.array([float(self.t)])}
         for k in self.m:
-            out[f"opt.m.{k}"] = self.m[k].copy()
-            out[f"opt.v.{k}"] = self.v[k].copy()
+            out[f"opt.m.{k}"] = self.m[k]
+            out[f"opt.v.{k}"] = self.v[k]
         return out
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
-        """Restore `state_dict()` output; a missing, misshapen or non-finite
-        record is a DataError."""
-        expected = {"opt.t": (1,)}
-        for k, m in self.m.items():
-            expected[f"opt.m.{k}"] = expected[f"opt.v.{k}"] = m.shape
-        for key, shape in expected.items():
-            if key not in state:
-                raise DataError(f"optimizer state lacks record {key}")
-            if state[key].shape != shape:
-                raise DataError(f"optimizer record {key} has shape {state[key].shape}, "
-                                f"expected {shape}")
-            if not np.isfinite(state[key]).all():
-                raise DataError(f"optimizer record {key} holds a non-finite value")
-        t = float(state["opt.t"][0])
-        if not t.is_integer() or t < 0:
-            raise DataError(f"optimizer step count {t:g} is not a count")
-        self.t = int(t)
+        """Copy in `state_dict()` output after `check_state`."""
+        check_state(self.store, state)
+        self.t = int(state["opt.t"][0])
         for k in self.m:
             self.m[k][...] = state[f"opt.m.{k}"]
             self.v[k][...] = state[f"opt.v.{k}"]
+
+
+def check_state(store: ParamStore, state: dict[str, np.ndarray]):
+    """DataError naming the first record of `state` that an `Adam` over
+    `store` cannot load: missing, misshapen or non-finite, or a step count
+    that is not a count."""
+    expected = {"opt.t": (1,)}
+    for k, p in store.trainable_items():
+        expected[f"opt.m.{k}"] = expected[f"opt.v.{k}"] = p.data.shape
+    for key, shape in expected.items():
+        if key not in state:
+            raise DataError(f"optimizer state lacks record {key}")
+        if state[key].shape != shape:
+            raise DataError(f"optimizer record {key} has shape {state[key].shape}, "
+                            f"expected {shape}")
+        if not np.isfinite(state[key]).all():
+            raise DataError(f"optimizer record {key} holds a non-finite value")
+    t = float(state["opt.t"][0])
+    if not t.is_integer() or t < 0:
+        raise DataError(f"optimizer step count {t:g} is not a count")

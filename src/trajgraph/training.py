@@ -191,10 +191,15 @@ def validation_scores(model: TrajectoryModel, scenes: list[Scene],
 
 @dataclass
 class TrainResult:
+    """What `train` returns besides the trained model, which holds the
+    final parameters. `best_state` is a copy taken when validation last
+    improved (the final parameters without validation scenes);
+    `optimizer_state` holds the finished optimizer's own moment arrays,
+    which no other object refers to."""
+
     history: list[dict]
     best_state: dict[str, np.ndarray]
     best_val_ade: float
-    final_state: dict[str, np.ndarray]
     optimizer_state: dict[str, np.ndarray]
     mix_state: MixState
     epochs_done: int
@@ -257,8 +262,7 @@ def train(model: TrajectoryModel, cfg: TrainConfig, train_scenes: list[Scene],
 
     if not val_scenes:
         best_state = model.state_dict()
-    return TrainResult(history=history, best_state=best_state,
-                       best_val_ade=best_val, final_state=model.state_dict(),
+    return TrainResult(history=history, best_state=best_state, best_val_ade=best_val,
                        optimizer_state=optimizer.state_dict(),
                        mix_state=MixState(alpha),
                        epochs_done=start_epoch + cfg.epochs)

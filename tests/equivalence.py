@@ -6,9 +6,12 @@ exports `<rev>`'s `src/` with `git archive` into a temporary directory,
 computes one fixed fingerprint set under that build and under the working
 tree's `src/`, each build in its own process with OpenBLAS pinned to one
 thread, and prints one line per fingerprint: `identical`, or the largest
-absolute and relative difference (relative to the largest magnitude of
-`<rev>`'s value) and the first index where they differ. It exits 0 when
-every fingerprint is identical and 1 otherwise.
+absolute and relative difference and the first index where they differ.
+A difference is relative to the largest magnitude in `<rev>`'s values of
+the fingerprint's family (`family`): one update's gradients, one Adam
+step's parameters, or else the fingerprint alone, so a gradient that is
+zero up to round-off is not scaled by its own size. It exits 0 when every
+fingerprint is identical and 1 otherwise.
 
 The fingerprint set, at hidden widths 32 and 128 (prefix `w32.`, `w128.`):
 
@@ -20,6 +23,9 @@ The fingerprint set, at hidden widths 32 and 128 (prefix `w32.`, `w128.`):
   (`param.<update>.<name>`);
 - `TrajectoryModel.sample_rollouts` of the updated model on that batch,
   K = 3, sample mode: the predictions and the sampled edge weights;
+- on that batch too, a teacher-forced `rollout` on graphs inferred from
+  the truth (`rollout_teacher`), and the edge audit's `predict_batch`:
+  map mode, no edge noise (`predict_map.preds`, `.z`);
 - the same update pair on one batch of twelve 8-agent scenes, prefixed
   `agents8.`: its rows outweigh every C-stacked weight at width 32, so
   each weight-gradient term is formed on its own;
@@ -31,6 +37,12 @@ The fingerprint set, at hidden widths 32 and 128 (prefix `w32.`, `w128.`):
   (`graph_quality.counts`) and every probe's rollout ADEs in call order
   (`graph_quality.ades.<call>`). At width 32 that model's MAP graphs hold
   no edge, so both scenes are skipped and only the counts compare.
+
+Once, at the `tests/test_cli.py` smoke config (prefix `cli.`): the bytes
+of every file that each step of its command-line run writes, as
+`cli.<step>.<file>`: gen-data, train (`model.ckpt`, `last.ckpt`, the
+log), train --resume from that `last.ckpt` into the same directory,
+evaluate with --export-trajectories, and analyze-graphs with --svg.
 
 After the fingerprints the report names the equivalence class: identical
 (bit for bit), within 1e-12 relative, or beyond, with the largest relative
@@ -46,6 +58,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -56,6 +69,7 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 WIDTHS = (32, 128)
+FAMILY = re.compile(r"(.*?\b(?:grad|param)\.\d+)\.")
 
 
 @contextlib.contextmanager
@@ -125,6 +139,13 @@ def fingerprints(width: int) -> dict[str, np.ndarray]:
     preds, graphs = model.sample_rollouts(pos, cats, [RngStream(0).child(k) for k in range(3)])
     out["sample_rollouts.preds"] = preds
     out["sample_rollouts.z"] = np.stack([g.z.data for g in graphs])
+    graphs = model.infer_graphs_from_truth(pos, RngStream(1).child(0))
+    out["rollout_teacher"] = model.rollout(pos, cats, graphs, RngStream(1).child(1),
+                                           input_mode="teacher").data
+    preds, graphs = model.predict_batch(pos, cats, RngStream(1).child(2),
+                                        sample_mode="map", edge_noise_scale=0.0)
+    out["predict_map.preds"] = preds
+    out["predict_map.z"] = np.stack([g.z.data for g in graphs])
 
     model, _ = update_pair(12, 8, "agents8.")
     split, _ = generate_synthetic(SyntheticConfig(n_scenes=6, n_agents_min=4,
@@ -149,28 +170,69 @@ def fingerprints(width: int) -> dict[str, np.ndarray]:
     return {f"w{width}.{k}": v for k, v in out.items()}
 
 
-def relative(a: np.ndarray, b: np.ndarray) -> float:
-    """The largest |a - b| over the largest |b|: 0 when a and b are
-    identical, inf when their shapes differ, b is all zero or a NaN sits
-    in one only."""
+def cli_fingerprints() -> dict[str, np.ndarray]:
+    """The bytes of every file the command-line smoke run writes, step by
+    step, from whichever `trajgraph` is importable."""
+    from test_cli import SMOKE_INI
+    from trajgraph.cli import main
+
+    out: dict[str, np.ndarray] = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        root = Path(tmp)
+        cfg, data, run = root / "cfg.ini", root / "data", root / "run"
+        cfg.write_text(SMOKE_INI)
+        data_arg, model = ["--data", str(data)], ["--checkpoint", str(run / "model.ckpt")]
+        steps = [("gen-data", "gen-data", data, []),
+                 ("train", "train", run, data_arg),
+                 ("resume", "train", run, [*data_arg, "--resume", str(run / "last.ckpt")]),
+                 ("evaluate", "evaluate", root / "eval",
+                  [*data_arg, *model, "--export-trajectories"]),
+                 ("analyze-graphs", "analyze-graphs", root / "graphs",
+                  [*data_arg, *model, "--svg"])]
+        for step, cmd, written, extra in steps:
+            if main([cmd, "--config", str(cfg), "--out", str(written), *extra]) != 0:
+                raise RuntimeError(f"command-line step {step} failed")
+            out.update({f"cli.{step}.{f.name}": np.frombuffer(f.read_bytes(), np.uint8)
+                        for f in sorted(written.iterdir())})
+    return out
+
+
+def family(name: str) -> str:
+    """The family whose largest reference magnitude scales a difference in
+    fingerprint `name`: `<prefix>grad.<n>` for one update's gradients,
+    `<prefix>param.<n>` for one step's parameters, else `name` alone."""
+    match = FAMILY.match(name)
+    return match.group(1) if match else name
+
+
+def relative(a: np.ndarray, b: np.ndarray, scale: float | None = None) -> float:
+    """The largest |a - b| over `scale` (default: the largest |b|): 0 when
+    a and b are identical, inf when their shapes differ, the scale is 0 or
+    a NaN sits in one only."""
     if a.shape != b.shape:
         return np.inf
     if np.array_equal(a, b, equal_nan=True):
         return 0.0
-    scale = np.abs(b).max()
-    rel = np.abs(a - b).max() / scale if scale > 0 else np.inf
+    scale = np.abs(b).max() if scale is None else scale
+    rel = _abs_diff(a, b).max() / scale if scale > 0 else np.inf
     return float(rel) if rel == rel else np.inf
 
 
-def difference(a: np.ndarray, b: np.ndarray) -> str:
-    """`identical`, or how `a` differs from the reference `b`."""
+def _abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| in float64, so file bytes (uint8) do not wrap."""
+    return np.abs(a.astype(np.float64) - b)
+
+
+def difference(a: np.ndarray, b: np.ndarray, scale: float | None = None) -> str:
+    """`identical`, or how `a` differs from the reference `b`; `scale` as
+    in `relative`."""
     if a.shape != b.shape:
         return f"shape {a.shape} against {b.shape}"
-    rel = relative(a, b)
+    rel = relative(a, b, scale)
     if rel == 0:
         return "identical"
     first = tuple(int(i) for i in np.argwhere(a != b)[0])
-    return f"max abs {np.abs(a - b).max():.3g}, rel {rel:.3g}, first at {first}"
+    return f"max abs {_abs_diff(a, b).max():.3g}, rel {rel:.3g}, first at {first}"
 
 
 def equivalence_class(rels: dict[str, float]) -> str:
@@ -203,18 +265,29 @@ def _run_builds(srcs: list[Path], tmp: Path) -> list[dict[str, np.ndarray]]:
     return results
 
 
-def compare(src: Path, ref_src: Path) -> tuple[dict[str, str], str]:
-    """`difference` of every fingerprint of the build in `src` from the
-    build in `ref_src`, a fingerprint only one build has reported so, and
-    the comparison's `equivalence_class` line."""
-    with tempfile.TemporaryDirectory() as tmp:
-        new, ref = _run_builds([Path(src), Path(ref_src)], Path(tmp))
-    report = {k: difference(new[k], ref[k]) for k in ref if k in new}
+def compare_sets(new: dict[str, np.ndarray], ref: dict[str, np.ndarray]
+                 ) -> tuple[dict[str, str], str]:
+    """`difference` of every fingerprint in `new` from `ref`, scaled by its
+    family in `ref`, a fingerprint only one set has reported so, and the
+    comparison's `equivalence_class` line."""
+    scales: dict[str, float] = {}
+    for k, v in ref.items():
+        scales[family(k)] = max(scales.get(family(k), 0.0),
+                                float(np.abs(v).max(initial=0.0)))
+    report = {k: difference(new[k], ref[k], scales[family(k)]) for k in ref if k in new}
     report.update({k: "only in the reference build" for k in ref if k not in new})
     report.update({k: "only in the compared build" for k in new if k not in ref})
-    rels = {k: relative(new[k], ref[k]) if k in new and k in ref else np.inf
-            for k in report}
+    rels = {k: relative(new[k], ref[k], scales[family(k)])
+            if k in new and k in ref else np.inf for k in report}
     return report, equivalence_class(rels)
+
+
+def compare(src: Path, ref_src: Path) -> tuple[dict[str, str], str]:
+    """`compare_sets` of the fingerprints of the build in `src` and of the
+    build in `ref_src`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        new, ref = _run_builds([Path(src), Path(ref_src)], Path(tmp))
+    return compare_sets(new, ref)
 
 
 def export_src(rev: str, dest: Path) -> Path:
@@ -228,7 +301,8 @@ def export_src(rev: str, dest: Path) -> Path:
 
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--fingerprint":
-        np.savez(argv[1], **{k: v for w in WIDTHS for k, v in fingerprints(w).items()})
+        np.savez(argv[1], **{k: v for w in WIDTHS for k, v in fingerprints(w).items()},
+                 **cli_fingerprints())
         return 0
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)

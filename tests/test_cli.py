@@ -161,7 +161,19 @@ def test_resume_with_missing_records_exit_code(workspace, tmp_path, capsys):
         assert main(["train", "--config", str(cfg), "--data", str(data),
                      "--out", str(out), "--resume", str(cut)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: ") and any(k in err for k in dropped)
+        assert err.startswith(f"data error: {cut}: ") and any(k in err for k in dropped)
+
+
+def test_resume_with_another_model_config_names_the_field(workspace, tmp_path, capsys):
+    root, cfg, data, run = workspace
+    other = tmp_path / "cfg.ini"
+    other.write_text(SMOKE_INI.replace("attn_dim = 10", "attn_dim = 12"))
+    capsys.readouterr()
+    assert main(["train", "--config", str(other), "--data", str(data),
+                 "--out", str(tmp_path / "out"), "--resume", str(run / "last.ckpt")]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {run / 'last.ckpt'}: resume checkpoint was built with "
+        "attn_dim = 10, this run's model configuration has 12\n")
 
 
 @pytest.mark.parametrize("prefix, value", [
@@ -185,7 +197,7 @@ def test_resume_non_finite_record_exit_code(workspace, tmp_path, capsys, prefix,
     assert main(["train", "--config", str(cfg), "--data", str(data),
                  "--out", str(out), "--resume", str(bad)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and key in err
+    assert err.startswith(f"data error: {bad}: ") and key in err
     assert not (out / "model.ckpt").exists() and not (out / "last.ckpt").exists()
     assert not out.exists()
 

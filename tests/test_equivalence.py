@@ -8,10 +8,13 @@ def test_working_tree_matches_itself():
     itself is deterministic, so any difference it reports is the code's."""
     src = equivalence.REPO / "src"
     report, summary = equivalence.compare(src, src)
-    assert {k.split(".")[0] for k in report} == {"w32", "w128"}
+    assert {k.split(".")[0] for k in report} == {"w32", "w128", "cli"}
     for prefix in ("w128.grad.2.dec.gru.", "w32.agents8.grad.2.dec.gru.",
                    "w32.eval_rollouts.", "w128.graph_quality.ades.",
-                   "w32.graph_quality.counts"):
+                   "w32.graph_quality.counts", "w32.rollout_teacher",
+                   "w128.predict_map.z", "cli.gen-data.train.csv",
+                   "cli.train.model.ckpt", "cli.resume.last.ckpt",
+                   "cli.evaluate.trajectories.csv", "cli.analyze-graphs.quality.csv"):
         assert any(k.startswith(prefix) for k in report), prefix
     assert {k: v for k, v in report.items() if v != "identical"} == {}
     assert summary == "class: identical, bit for bit"
@@ -35,3 +38,21 @@ def test_equivalence_class_names_the_largest_difference():
     rels["d"] = equivalence.relative(np.array([1.0, np.nan]), np.array([1.0, 2.0]))
     assert equivalence.equivalence_class(rels) == (
         "class: beyond 1e-12 relative; largest difference rel inf in d")
+
+
+def test_a_near_zero_fingerprint_is_scaled_by_its_family():
+    """A batch-norm beta gradient of about 1e-20 that moves by round-off
+    of its update's gradients is within 1e-12, not beyond."""
+    ref = {"w32.grad.1.enc.W": np.array([1.0, -2.0]),
+           "w32.grad.1.enc.bn.beta": np.array([1e-20, -3e-20]),
+           "w32.grad.2.enc.bn.beta": np.array([1e-20, -3e-20]),
+           "w32.loss.1": np.array(0.5)}
+    new = dict(ref, **{"w32.grad.1.enc.bn.beta": np.array([1e-20, -3e-20 + 4e-28])})
+    report, summary = equivalence.compare_sets(new, ref)
+    assert report["w32.grad.1.enc.bn.beta"] == "max abs 4e-28, rel 2e-28, first at (1,)"
+    assert summary == ("class: within 1e-12 relative; largest difference rel 2e-28 "
+                       "in w32.grad.1.enc.bn.beta")
+    assert equivalence.family("w32.agents8.param.2.dec.gru.0.l0.W_ih") == "w32.agents8.param.2"
+    assert equivalence.family("w32.loss.1") == "w32.loss.1"
+    new["w32.grad.2.enc.bn.beta"] = np.array([1e-20, -2e-20])   # its family is itself
+    assert equivalence.compare_sets(new, ref)[1].startswith("class: beyond 1e-12")

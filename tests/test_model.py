@@ -54,6 +54,12 @@ def test_rollout_rejects_unknown_mode(small_model, tiny_scenes):
                             input_mode="boundary")  # lam missing
 
 
+@pytest.mark.parametrize("field", ["hidden_dim", "edge_dim", "attn_dim", "gru_layers"])
+def test_zero_model_dimension_names_the_field(field):
+    with pytest.raises(ConfigError, match=f"^{field} must be positive, got 0$"):
+        small_model_config(**{field: 0})
+
+
 def test_zero_head_free_run_is_stationary(tiny_scenes):
     scenes, _ = tiny_scenes
     model = TrajectoryModel(small_model_config(), seed=7)

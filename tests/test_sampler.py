@@ -34,6 +34,25 @@ def _members(k=3):
     return [RngStream(7, (k_, 1)) for k_ in range(k)]
 
 
+@pytest.mark.parametrize("key", [(0,), (3, 2, 31, 5, 7), tuple(range(40)),
+                                 (2 ** 32 - 1, 1), (2 ** 32, 5), (7, 2 ** 40, 1)],
+                         ids=["seed_0", "short", "long", "top_word", "seed_2_32",
+                              "index_2_40"])
+def test_stream_draws_are_default_rng_draws(key):
+    stream = RngStream(key[0]).child(*key[1:])
+    ref = np.random.default_rng(key)
+    np.testing.assert_array_equal(stream.normal(size=7), ref.normal(size=7))
+    np.testing.assert_array_equal(stream.permutation(9), ref.permutation(9))
+
+
+def test_a_stream_that_is_only_split_builds_no_generator():
+    root = RngStream(3)
+    child = root.child(1).child(2, 4)
+    assert "_gen" not in vars(root) and "_gen" not in vars(child)
+    child.uniform()
+    assert "_gen" in vars(child) and "_gen" not in vars(root)
+
+
 def test_stacked_stream_draws_are_member_draws_concatenated():
     stacked, members = StackedStream(_members()), _members()
     np.testing.assert_array_equal(

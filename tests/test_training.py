@@ -1,11 +1,14 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from trajgraph import autodiff as ad
+from trajgraph import training
 from trajgraph.autodiff import DArray
 from trajgraph.checkpoint import load_checkpoint, save_checkpoint
+from trajgraph.cli import _model_state_with_config
 from trajgraph.data import Scene, SyntheticConfig, generate_synthetic
 from trajgraph.errors import (ConfigError, ContractError, NumericalError,
                               ShapeError)
@@ -13,7 +16,7 @@ from trajgraph.model import TrajectoryModel, mix
 from trajgraph.nn import gradients
 from trajgraph.optim import Adam
 from trajgraph.rng import RngStream
-from trajgraph.training import (MixState, TrainConfig, _strategy_losses,
+from trajgraph.training import (MixState, TrainConfig, TrainResult, _strategy_losses,
                                 decay_alpha, reconstruction_loss, sample_beta,
                                 train)
 
@@ -269,10 +272,10 @@ def test_train_without_validation_returns_the_final_state(tiny_scenes):
     model = TrajectoryModel(small_model_config(), seed=1)
     result = train(model, TrainConfig(epochs=1, batch_size=8, seed=1), scenes[:8], [])
     assert result.best_val_ade == np.inf
-    assert result.best_state.keys() == result.final_state.keys()
-    for k, v in result.final_state.items():
+    final = model.state_dict()
+    assert result.best_state.keys() == final.keys()
+    for k, v in final.items():
         assert result.best_state[k].tobytes() == v.tobytes()
-        assert v.tobytes() == model.store[k].data.tobytes()
 
 
 def test_train_deterministic_given_seed(tiny_scenes):
@@ -281,11 +284,36 @@ def test_train_deterministic_given_seed(tiny_scenes):
     def run():
         model = TrajectoryModel(small_model_config(), seed=1)
         cfg = TrainConfig(epochs=2, batch_size=8, seed=5, strategy="mixup")
-        result = train(model, cfg, scenes[:8], scenes[8:10])
-        return result.final_state
+        train(model, cfg, scenes[:8], scenes[8:10])
+        return model.state_dict()
 
     a, b = run(), run()
     assert all(a[k].tobytes() == b[k].tobytes() for k in a)
+
+
+def test_train_and_checkpoint_hold_each_state_copy_once(tiny_scenes, monkeypatch):
+    """The trained model is the only holder of the final parameters, the
+    checkpoint mapping reads them in place, and the result's optimizer
+    moments are the finished optimizer's own arrays."""
+    scenes, _ = tiny_scenes
+    optimizers = []
+
+    class Recorded(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+    monkeypatch.setattr(training, "Adam", Recorded)
+    model = TrajectoryModel(small_model_config(), seed=1)
+    result = train(model, TrainConfig(epochs=1, batch_size=8, seed=1), scenes[:8], [])
+    assert "final_state" not in {f.name for f in dataclasses.fields(TrainResult)}
+    (opt,) = optimizers
+    for k in opt.m:
+        assert result.optimizer_state[f"opt.m.{k}"] is opt.m[k]
+        assert result.optimizer_state[f"opt.v.{k}"] is opt.v[k]
+    state = _model_state_with_config(model, "plain", 0.0)
+    for k, p in model.store.items():
+        assert np.shares_memory(state[k], p.data)
 
 
 def test_training_reduces_loss(trained_small):
