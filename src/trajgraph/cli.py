@@ -205,6 +205,9 @@ def cmd_train(args) -> int:
                               f"configuration has {getattr(mcfg, differ)!r}")
         model.load_state_dict(params)
         optimizer_state = {k: v for k, v in state.items() if k.startswith("opt.")}
+        # train's Adam.load_state_dict runs this check again; running it here
+        # too puts the checkpoint path in front of its errors, at the cost of
+        # one more pass over the moments (about 3 ms at width 128)
         try:
             check_optimizer_state(model.store, optimizer_state)
         except DataError as e:

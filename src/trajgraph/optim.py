@@ -41,13 +41,10 @@ class Adam:
             p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        """The step count and the moment arrays themselves, not copies: a
-        later `step` changes them, so write or load the mapping before
-        stepping again, or drop the optimizer."""
         out = {"opt.t": np.array([float(self.t)])}
         for k in self.m:
-            out[f"opt.m.{k}"] = self.m[k]
-            out[f"opt.v.{k}"] = self.v[k]
+            out[f"opt.m.{k}"] = self.m[k].copy()
+            out[f"opt.v.{k}"] = self.v[k].copy()
         return out
 
     def load_state_dict(self, state: dict[str, np.ndarray]):

@@ -11,8 +11,6 @@ different index tuples are statistically independent (PCG64 seeded through
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import ContractError
@@ -34,17 +32,7 @@ class RngStream:
     def __init__(self, seed: int, stream: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.stream = tuple(int(s) for s in stream)
-
-    @functools.cached_property
-    def _gen(self) -> np.random.Generator:
-        """`np.random.default_rng((seed,) + stream)`, built on the first draw.
-        A key of 32-bit words goes to `SeedSequence` as one uint32 array:
-        the words numpy derives from the tuple, without its per-entry
-        conversion."""
-        key = (self.seed,) + self.stream
-        if all(0 <= k < 2 ** 32 for k in key):
-            key = np.random.SeedSequence(np.array(key, dtype=np.uint32))
-        return np.random.Generator(np.random.PCG64(key))
+        self._gen = np.random.default_rng((self.seed,) + self.stream)
 
     def child(self, *indices: int) -> "RngStream":
         """Derive an independent stream; never advances this stream."""

@@ -193,9 +193,8 @@ def validation_scores(model: TrajectoryModel, scenes: list[Scene],
 class TrainResult:
     """What `train` returns besides the trained model, which holds the
     final parameters. `best_state` is a copy taken when validation last
-    improved (the final parameters without validation scenes);
-    `optimizer_state` holds the finished optimizer's own moment arrays,
-    which no other object refers to."""
+    improved (the final parameters without validation scenes), and
+    `optimizer_state` a copy of the finished optimizer's records."""
 
     history: list[dict]
     best_state: dict[str, np.ndarray]

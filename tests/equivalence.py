@@ -8,9 +8,10 @@ tree's `src/`, each build in its own process with OpenBLAS pinned to one
 thread, and prints one line per fingerprint: `identical`, or the largest
 absolute and relative difference and the first index where they differ.
 A difference is relative to the largest magnitude in `<rev>`'s values of
-the fingerprint's family (`family`): one update's gradients, one Adam
-step's parameters, or else the fingerprint alone, so a gradient that is
-zero up to round-off is not scaled by its own size. It exits 0 when every
+the fingerprint. A fingerprint whose largest magnitude is below
+`ROUND_OFF` times that of its family (`family`: one update's gradients,
+one Adam step's parameters) is zero up to round-off, and its difference is
+relative to the family's largest magnitude instead. It exits 0 when every
 fingerprint is identical and 1 otherwise.
 
 The fingerprint set, at hidden widths 32 and 128 (prefix `w32.`, `w128.`):
@@ -70,6 +71,7 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 WIDTHS = (32, 128)
 FAMILY = re.compile(r"(.*?\b(?:grad|param)\.\d+)\.")
+ROUND_OFF = 1e-12
 
 
 @contextlib.contextmanager
@@ -198,8 +200,8 @@ def cli_fingerprints() -> dict[str, np.ndarray]:
 
 
 def family(name: str) -> str:
-    """The family whose largest reference magnitude scales a difference in
-    fingerprint `name`: `<prefix>grad.<n>` for one update's gradients,
+    """The family whose largest reference magnitude scales a round-off
+    difference in fingerprint `name`: `<prefix>grad.<n>` for one update's gradients,
     `<prefix>param.<n>` for one step's parameters, else `name` alone."""
     match = FAMILY.match(name)
     return match.group(1) if match else name
@@ -268,16 +270,19 @@ def _run_builds(srcs: list[Path], tmp: Path) -> list[dict[str, np.ndarray]]:
 def compare_sets(new: dict[str, np.ndarray], ref: dict[str, np.ndarray]
                  ) -> tuple[dict[str, str], str]:
     """`difference` of every fingerprint in `new` from `ref`, scaled by its
-    family in `ref`, a fingerprint only one set has reported so, and the
-    comparison's `equivalence_class` line."""
-    scales: dict[str, float] = {}
-    for k, v in ref.items():
-        scales[family(k)] = max(scales.get(family(k), 0.0),
-                                float(np.abs(v).max(initial=0.0)))
-    report = {k: difference(new[k], ref[k], scales[family(k)]) for k in ref if k in new}
+    own largest magnitude in `ref`, or by its family's when its own is
+    round-off (`ROUND_OFF`); a fingerprint only one set has reported so,
+    and the comparison's `equivalence_class` line."""
+    own = {k: float(np.abs(v).max(initial=0.0)) for k, v in ref.items()}
+    families: dict[str, float] = {}
+    for k, m in own.items():
+        families[family(k)] = max(families.get(family(k), 0.0), m)
+    scales = {k: m if m >= ROUND_OFF * families[family(k)] else families[family(k)]
+              for k, m in own.items()}
+    report = {k: difference(new[k], ref[k], scales[k]) for k in ref if k in new}
     report.update({k: "only in the reference build" for k in ref if k not in new})
     report.update({k: "only in the compared build" for k in new if k not in ref})
-    rels = {k: relative(new[k], ref[k], scales[family(k)])
+    rels = {k: relative(new[k], ref[k], scales[k])
             if k in new and k in ref else np.inf for k in report}
     return report, equivalence_class(rels)
 

@@ -56,3 +56,14 @@ def test_a_near_zero_fingerprint_is_scaled_by_its_family():
     assert equivalence.family("w32.loss.1") == "w32.loss.1"
     new["w32.grad.2.enc.bn.beta"] = np.array([1e-20, -2e-20])   # its family is itself
     assert equivalence.compare_sets(new, ref)[1].startswith("class: beyond 1e-12")
+
+
+def test_a_small_fingerprint_above_round_off_keeps_its_own_scale():
+    """A gradient of 1e-3 in a family of 1e3 that is off by 1e-10 is a
+    1e-7 difference on its own scale, beyond 1e-12, not 1e-13."""
+    ref = {"w32.grad.1.enc.W": np.array([1e3, -2.0]),
+           "w32.grad.1.dec.b": np.array([1e-3, 5e-4])}
+    new = dict(ref, **{"w32.grad.1.dec.b": np.array([1e-3 + 1e-10, 5e-4])})
+    report, summary = equivalence.compare_sets(new, ref)
+    assert report["w32.grad.1.dec.b"].endswith(", first at (0,)")
+    assert summary.startswith("class: beyond 1e-12 relative; largest difference rel 1e-07 ")

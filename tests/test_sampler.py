@@ -45,14 +45,6 @@ def test_stream_draws_are_default_rng_draws(key):
     np.testing.assert_array_equal(stream.permutation(9), ref.permutation(9))
 
 
-def test_a_stream_that_is_only_split_builds_no_generator():
-    root = RngStream(3)
-    child = root.child(1).child(2, 4)
-    assert "_gen" not in vars(root) and "_gen" not in vars(child)
-    child.uniform()
-    assert "_gen" in vars(child) and "_gen" not in vars(root)
-
-
 def test_stacked_stream_draws_are_member_draws_concatenated():
     stacked, members = StackedStream(_members()), _members()
     np.testing.assert_array_equal(
