@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
-from .config import SPLITS, check_seed, load_config, parse_float_list
+from .config import SPLITS, load_config, parse_float_list
 from .data import (Normalizer, Scene, SyntheticConfig, check_scenes,
                    generate_synthetic, load_csv, save_csv, split_scenes)
 from .errors import (ConfigError, ContractError, DataError, GenerationError,
@@ -32,7 +32,7 @@ from .graph_complexity import (degree_entropy, graph_entropy, min_graph_entropy,
 from .model import ModelConfig, TrajectoryModel
 from .optim import check_state as check_optimizer_state
 from .plots import trajectory_svg
-from .rng import STREAM_EVAL, STREAM_THEORY, RngStream
+from .rng import STREAM_EVAL, STREAM_THEORY, RngStream, check_seed
 from .training import STRATEGIES, MixState, TrainConfig, train
 
 EXIT_OK = 0
@@ -93,6 +93,8 @@ def _split_meta(state: dict, path) -> tuple[ModelConfig, str, float, dict]:
             typed[name] = bool(raw) if kind == "bool" else int(raw) if kind == "int" else raw
         elif not np.isfinite(value).all():
             raise DataError(f"{path}: checkpoint record {key} holds a non-finite value")
+        elif key.endswith(".bn.run_var") and (value < 0).any():
+            raise DataError(f"{path}: checkpoint record {key} holds a negative variance")
         else:
             params[key] = value
     try:

@@ -19,6 +19,7 @@ from pathlib import Path
 from .data import SyntheticConfig
 from .errors import ConfigError
 from .model import ModelConfig
+from .rng import check_seed
 from .training import TrainConfig
 
 SPLITS = ("train", "val", "test")
@@ -107,12 +108,6 @@ def load_config(path: str | Path | None = None,
         raise ConfigError(f"[eval] split must be one of {', '.join(SPLITS)}, "
                           f"got {sections['eval']['split']!r}")
     return sections
-
-
-def check_seed(seed: int, what: str):
-    """ConfigError naming a negative seed, which no `RngStream` accepts."""
-    if seed < 0:
-        raise ConfigError(f"{what} must be a non-negative integer, got {seed}")
 
 
 def parse_float_list(raw: str, expected: int, what: str) -> list[float] | None:

@@ -23,7 +23,7 @@ from .encoder import InteractionGraphSample, fan_out
 from .errors import ConfigError, ContractError, DataError
 from .graph_complexity import degree_entropy, graph_entropy, r_density
 from .model import TrajectoryModel
-from .rng import STREAM_EVAL, STREAM_THEORY, RngStream
+from .rng import STREAM_EVAL, STREAM_THEORY, RngStream, check_seed
 
 SIGNIFICANCE = 0.05   # level of the edge audit's one-sided Mann-Whitney U tests
 
@@ -58,6 +58,7 @@ def eval_rollouts(model: TrajectoryModel, scenes: list[Scene], n_samples: int,
     from stream (STREAM_EVAL, N, k) of `seed`."""
     if n_samples < 1:
         raise ConfigError("need at least one evaluation sample")
+    check_seed(seed, "seed")
     if not scenes:
         raise DataError("no scenes to evaluate")
     root = RngStream(seed).child(STREAM_EVAL)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 
 # Fixed top-level stream indices, one per subsystem, so that consumers never
 # collide even when they draw in interleaved order.
@@ -22,6 +22,12 @@ STREAM_TRAIN = 1
 STREAM_EVAL = 2
 STREAM_DATA = 3
 STREAM_THEORY = 4
+
+
+def check_seed(seed: int, what: str):
+    """ConfigError naming a negative seed, which no `RngStream` accepts."""
+    if seed < 0:
+        raise ConfigError(f"{what} must be a non-negative integer, got {seed}")
 
 
 class RngStream:

@@ -34,7 +34,7 @@ from .graph_complexity import PENALTIES, graph_entropy, r_density, regularized_l
 from .model import TrajectoryModel
 from .nn import gradients
 from .optim import Adam
-from .rng import STREAM_EVAL, STREAM_TRAIN, RngStream
+from .rng import STREAM_EVAL, STREAM_TRAIN, RngStream, check_seed
 
 # strategy -> (rollout input mode, lam) of the first update; None for
 # mixup: lam is drawn per batch
@@ -83,6 +83,7 @@ class TrainConfig:
                 f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1 or self.val_samples < 1:
             raise ConfigError("epochs, batch_size and val_samples must be positive")
+        check_seed(self.seed, "seed")
 
     @property
     def uses_mixup(self) -> bool:
@@ -192,8 +193,9 @@ def validation_scores(model: TrajectoryModel, scenes: list[Scene],
 @dataclass
 class TrainResult:
     """What `train` returns besides the trained model, which holds the
-    final parameters. `best_state` is a copy taken when validation last
-    improved (the final parameters without validation scenes), and
+    final parameters. `best_state` is a copy taken after the first epoch
+    and after every later epoch whose validation ADE is lower than the
+    best so far (the final parameters without validation scenes), and
     `optimizer_state` a copy of the finished optimizer's records."""
 
     history: list[dict]
@@ -224,9 +226,7 @@ def train(model: TrajectoryModel, cfg: TrainConfig, train_scenes: list[Scene],
     alpha = mix_state.alpha if mix_state is not None else cfg.alpha_init
     root = RngStream(cfg.seed)
     history: list[dict] = []
-    best_val = math.inf
-    # without validation scenes the final parameters are the best ones
-    best_state = model.state_dict() if val_scenes else None
+    best_val, best_state = math.inf, None
 
     for epoch in range(start_epoch, start_epoch + cfg.epochs):
         batch_rng = root.child(STREAM_TRAIN, epoch)
@@ -254,9 +254,10 @@ def train(model: TrajectoryModel, cfg: TrainConfig, train_scenes: list[Scene],
         history.append(row)
         if log_fn is not None:
             log_fn(row)
-        if val_scenes and val_ade < best_val:
-            best_val = val_ade
+        if val_scenes and (best_state is None or val_ade < best_val):
             best_state = model.state_dict()
+            if val_ade < best_val:      # never a NaN, so a later finite ADE wins
+                best_val = val_ade
         alpha = decay_alpha(alpha, epoch, cfg)
 
     if not val_scenes:

@@ -23,7 +23,9 @@ The fingerprint set, at hidden widths 32 and 128 (prefix `w32.`, `w128.`):
   (`grad.<update>.<name>`) and every parameter after each Adam step
   (`param.<update>.<name>`);
 - `TrajectoryModel.sample_rollouts` of the updated model on that batch,
-  K = 3, sample mode: the predictions and the sampled edge weights;
+  K = 3, in sample mode (`sample_rollouts.preds`, `.z`) and in map mode
+  (`sample_rollouts_map.preds`, `.z`): the predictions and the edge
+  weights;
 - on that batch too, a teacher-forced `rollout` on graphs inferred from
   the truth (`rollout_teacher`), and the edge audit's `predict_batch`:
   map mode, no edge noise (`predict_map.preds`, `.z`);
@@ -141,6 +143,10 @@ def fingerprints(width: int) -> dict[str, np.ndarray]:
     preds, graphs = model.sample_rollouts(pos, cats, [RngStream(0).child(k) for k in range(3)])
     out["sample_rollouts.preds"] = preds
     out["sample_rollouts.z"] = np.stack([g.z.data for g in graphs])
+    preds, graphs = model.sample_rollouts(pos, cats, [RngStream(2).child(k) for k in range(3)],
+                                          sample_mode="map")
+    out["sample_rollouts_map.preds"] = preds
+    out["sample_rollouts_map.z"] = np.stack([g.z.data for g in graphs])
     graphs = model.infer_graphs_from_truth(pos, RngStream(1).child(0))
     out["rollout_teacher"] = model.rollout(pos, cats, graphs, RngStream(1).child(1),
                                            input_mode="teacher").data

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -10,9 +11,11 @@ from trajgraph import cli
 from trajgraph.autodiff import DArray
 from trajgraph.checkpoint import load_checkpoint, save_checkpoint
 from trajgraph.cli import main
-from trajgraph.data import load_csv
-from trajgraph.model import TrajectoryModel
+from trajgraph.config import load_config
+from trajgraph.data import SyntheticConfig, load_csv
+from trajgraph.model import ModelConfig, TrajectoryModel
 from trajgraph.nn import ParamStore
+from trajgraph.training import TrainConfig
 
 SMOKE_INI = """
 [data]
@@ -82,6 +85,19 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg.write_text("[train]\nepochz = 3\n")
     assert main(["gen-data", "--config", str(cfg),
                  "--out", str(tmp_path / "d")]) == 1
+
+
+def test_empty_config_gives_the_dataclass_defaults(tmp_path):
+    empty = tmp_path / "empty.ini"
+    empty.write_text("")
+    cfg = load_config(empty)
+    assert cli._model_config(cfg) == ModelConfig()
+    assert cli._train_config(cfg) == TrainConfig()
+    synthetic, reference = cli._synthetic_config(cfg), SyntheticConfig()
+    for f in dataclasses.fields(SyntheticConfig):
+        np.testing.assert_array_equal(getattr(synthetic, f.name),
+                                      getattr(reference, f.name))
+        assert type(getattr(synthetic, f.name)) is type(getattr(reference, f.name))
 
 
 def test_train_writes_log_with_gamma_column(workspace):
@@ -274,8 +290,10 @@ def test_evaluate_corrupt_checkpoint_exit_code(workspace, tmp_path, capsys):
     ("cfg.temperature", 0.0, "temperature"),
     ("cfg.tau", 9.0, "tau"),
     ("cfg.n_categories", 0.0, "n_categories"),
+    ("enc.emb.0.bn.run_var", -1.0, "enc.emb.0.bn.run_var"),
 ], ids=["non_finite_parameter", "non_integral_int_field", "bool_field_not_0_or_1",
-        "missing_step_noise", "zero_temperature", "tau_past_history", "no_category"])
+        "missing_step_noise", "zero_temperature", "tau_past_history", "no_category",
+        "negative_bn_variance"])
 def test_checkpoint_record_out_of_contract_exit_code(workspace, tmp_path, capsys,
                                                      key, value, named):
     """evaluate, analyze-graphs and a resumed train reject the checkpoint

@@ -209,6 +209,34 @@ def test_csv_unknown_category_rejected(tmp_path):
         check_scenes(load_csv(path), 3, 8)
 
 
+def test_check_scenes_rejects_an_out_of_range_category():
+    scenes, _ = generate_synthetic(SyntheticConfig(n_scenes=4, seed=0))
+    bad = [Scene(s.scene_id, np.full(s.n_agents, 7), s.positions) for s in scenes]
+    with pytest.raises(ConfigError, match=f"scene {bad[0].scene_id}: category 7"):
+        check_scenes(bad, 3, 15)
+
+
+def test_check_scenes_rejects_a_wrong_step_count():
+    with pytest.raises(DataError, match="scene s0 has 8 steps, model expects 18"):
+        check_scenes(_random_scenes(1), 3, 18)
+
+
+def test_check_scenes_rejects_unnormalized():
+    scene = Scene("s", np.zeros(3, dtype=int),
+                  np.random.default_rng(0).uniform(5, 10, size=(3, 15, 2)))
+    with pytest.raises(DataError, match=r"scene s: coordinates outside \[-1, 1\]"):
+        check_scenes([scene], 3, 15)
+
+
+def test_check_scenes_rejects_a_non_finite_coordinate():
+    """A NaN fails every comparison, so the [-1, 1] range check alone would
+    let it through to training."""
+    scenes, _ = generate_synthetic(SyntheticConfig(n_scenes=12, seed=0))
+    scenes[0].positions[1, 4, 0] = np.nan
+    with pytest.raises(DataError, match=f"scene {scenes[0].scene_id}: non-finite"):
+        check_scenes(scenes, 3, 15)
+
+
 # ------------------------------------------------------------------ generator
 
 def test_edge_prob_zero_gives_empty_graphs_and_smooth_lines():

@@ -7,7 +7,7 @@ import pytest
 from trajgraph.autodiff import DArray
 from trajgraph.data import Scene, simulate_scene
 from trajgraph.encoder import InteractionGraphSample
-from trajgraph.errors import ContractError, DataError
+from trajgraph.errors import ConfigError, ContractError, DataError
 from trajgraph.evaluation import (BoundScenario, GraphQualityReport, ade_fde,
                                   eval_rollouts, graph_quality, metrics_csv_rows,
                                   sampled_metrics, select_graph, theorem_bounds,
@@ -67,6 +67,13 @@ def test_mixed_step_counts_name_the_first_differing_scene(small_model, tiny_scen
     with pytest.raises(DataError, match=f"scene {cut.scene_id} has 14 steps, "
                                         f"scene {scenes[0].scene_id} has 15"):
         eval_rollouts(small_model, scenes, n_samples=2, seed=0)
+
+
+def test_eval_rollouts_rejects_no_scenes_and_a_negative_seed(small_model, tiny_scenes):
+    with pytest.raises(DataError, match="no scenes to evaluate"):
+        eval_rollouts(small_model, [], n_samples=2, seed=0)
+    with pytest.raises(ConfigError, match="seed.*-3"):
+        eval_rollouts(small_model, tiny_scenes[0][:4], n_samples=2, seed=-3)
 
 
 def test_deterministic_model_min_equals_mean(trained_small):

@@ -18,7 +18,6 @@ from trajgraph.data import SyntheticConfig, generate_synthetic
 from trajgraph.decoder import DecoderRun
 from trajgraph.encoder import GraphEncoder, InteractionGraphSample
 from trajgraph.errors import ContractError
-from trajgraph.estimator import TrajectoryForecaster
 from trajgraph.evaluation import eval_rollouts, sampled_metrics
 from trajgraph.model import TrajectoryModel
 from trajgraph.rng import STREAM_EVAL, RngStream, StackedStream
@@ -227,14 +226,18 @@ def test_validation_scores_match_per_sample_loop(trained_small, looped):
                             for _, idx in _group_sizes(scenes)]
 
 
-def test_estimator_predict_matches_per_sample_loop(trained_small, looped):
+def test_eval_rollouts_future_matches_per_sample_loop(trained_small, looped):
     model, scenes, _, _ = trained_small
-    est = TrajectoryForecaster(hidden_dim=16, edge_dim=16, attn_dim=16, seed=3)
-    est.model_ = model
-    run = lambda: est.predict(scenes[:6], n_samples=3)  # noqa: E731
+    t_hist = model.cfg.t_history
+
+    def run():
+        rollouts, _ = eval_rollouts(model, scenes[:6], 3, 3)
+        return [out[:, :, t_hist:] for out in rollouts]
+
     a, b = run(), looped(run)
-    for x, y in zip(a, b):
-        assert x.shape == y.shape == (3, x.shape[1], est.t_future, 2)
+    assert len(a) == len(b) == 6
+    for scene, x, y in zip(scenes[:6], a, b):
+        assert x.shape == y.shape == (3, scene.n_agents, model.cfg.t_future, 2)
         assert np.abs(x - y).max() <= TOL
     assert looped.calls == [[(STREAM_EVAL, n, k) for k in range(3)]
                             for n, _ in _group_sizes(scenes[:6])]

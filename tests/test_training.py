@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from trajgraph import autodiff as ad
+from trajgraph import training
 from trajgraph.autodiff import DArray
 from trajgraph.checkpoint import load_checkpoint, save_checkpoint
 from trajgraph.cli import _model_state_with_config
 from trajgraph.data import Scene, SyntheticConfig, generate_synthetic
-from trajgraph.errors import (ConfigError, ContractError, NumericalError,
+from trajgraph.errors import (ConfigError, ContractError, DataError, NumericalError,
                               ShapeError)
 from trajgraph.model import TrajectoryModel, mix
 from trajgraph.nn import gradients
@@ -266,6 +267,15 @@ def test_train_smoke_writes_loadable_state(tmp_path, tiny_scenes):
     other.load_state_dict(restored)
 
 
+def test_train_with_explicit_validation_set(tiny_scenes):
+    scenes, _ = tiny_scenes
+    model = TrajectoryModel(small_model_config(), seed=1)
+    result = train(model, TrainConfig(epochs=2, batch_size=8, seed=1),
+                   scenes[:8], val_scenes=scenes[8:10])
+    assert len(result.history) == 2
+    assert np.isfinite(result.best_val_ade)
+
+
 def test_train_without_validation_returns_the_final_state(tiny_scenes):
     scenes, _ = tiny_scenes
     model = TrajectoryModel(small_model_config(), seed=1)
@@ -275,6 +285,35 @@ def test_train_without_validation_returns_the_final_state(tiny_scenes):
     assert result.best_state.keys() == final.keys()
     for k, v in final.items():
         assert result.best_state[k].tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("ades, best_epoch, best_ade", [
+    ([np.nan, 1.0, 2.0], 1, 1.0),
+    ([np.nan, np.nan], 0, np.inf),
+], ids=["finite_after_nan", "all_nan"])
+def test_best_state_starts_at_the_first_epoch(tiny_scenes, monkeypatch,
+                                              ades, best_epoch, best_ade):
+    """`best_state` is taken after the first epoch, whatever its validation
+    ADE, and again after each epoch with a lower one; a NaN ADE never
+    becomes `best_val_ade`, so a later finite one replaces it."""
+    scenes, _ = tiny_scenes
+    scores = iter(ades)
+    monkeypatch.setattr(training, "validation_scores", lambda *a: (0.0, next(scores)))
+    model = TrajectoryModel(small_model_config(), seed=1)
+    states = []   # the parameters after each epoch
+    result = train(model, TrainConfig(epochs=len(ades), batch_size=8, seed=1),
+                   scenes[:8], scenes[8:10],
+                   log_fn=lambda row: states.append(model.state_dict()))
+    assert result.best_val_ade == best_ade
+    assert result.best_state.keys() == states[best_epoch].keys()
+    for k, v in states[best_epoch].items():
+        assert result.best_state[k].tobytes() == v.tobytes()
+
+
+def test_train_needs_a_training_scene():
+    model = TrajectoryModel(small_model_config(), seed=1)
+    with pytest.raises(DataError, match="training needs at least one scene"):
+        train(model, TrainConfig(epochs=1, seed=1), [], [])
 
 
 def test_train_deterministic_given_seed(tiny_scenes):
@@ -390,3 +429,9 @@ def test_train_config_validation():
         TrainConfig(val_samples=0)
     with pytest.raises(ConfigError):
         TrainConfig(penalty="entropyy")
+
+
+def test_negative_seed_is_a_config_error():
+    """Caught when the config is built, before `train` draws any stream."""
+    with pytest.raises(ConfigError, match="seed.*-1"):
+        TrainConfig(seed=-1)
