@@ -22,7 +22,7 @@ import numpy as np
 
 from .checkpoint import atomic_open
 from .errors import ConfigError, ContractError, DataError, GenerationError
-from .rng import STREAM_DATA, RngStream
+from .rng import STREAM_DATA, RngStream, check_seed
 
 CSV_HEADER = ["scene_id", "agent_id", "category", "t", "x", "y"]
 
@@ -313,6 +313,7 @@ class SyntheticConfig:
             raise ConfigError(f"init_box must be finite and nonnegative, got {self.init_box}")
         if not 0.0 <= self.init_vel < math.inf:
             raise ConfigError(f"init_vel must be finite and nonnegative, got {self.init_vel}")
+        check_seed(self.seed, "seed")
         if self.coupling is None:
             # Asymmetric defaults: each category pair pulls with a distinct
             # strength so directed, heterogeneous effects are identifiable.
@@ -394,6 +395,7 @@ def split_scenes(scenes: list[Scene], ratios: tuple[float, float, float],
     """Shuffle deterministically and split into train/val/test."""
     if not all(0.0 <= r <= 1.0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must lie in [0, 1] and sum to 1, got {ratios}")
+    check_seed(seed, "seed")
     perm = RngStream(seed).child(STREAM_DATA, 999_983).permutation(len(scenes))
     shuffled = [scenes[i] for i in perm]
     n = len(scenes)

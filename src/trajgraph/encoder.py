@@ -3,9 +3,8 @@
 Per time window the encoder embeds each agent's trajectory fragment, runs
 a two-pass GNN over the complete directed graph to produce edge
 representations, evolves a per-edge GRU across windows, and emits both
-relation probabilities and sampled adjacencies. Training uses the relaxed
-binary-concrete sample so gradients reach the encoder; testing draws hard
-Bernoulli edges (or thresholds them in the deterministic "map" mode).
+relation probabilities and sampled adjacencies, drawn in one of the three
+modes that `EncoderRun.step` defines.
 
 Array convention: batches of same-size scenes, so node tensors are
 (B, N, H) and edge tensors (B, N, N, ...) with index [b, i, j] meaning the
@@ -75,9 +74,8 @@ def _pair_targets(b: int, n: int):
 
 
 class GraphEncoder:
-    def __init__(self, store: ParamStore, n_categories: int, tau: int,
-                 hidden_dim: int, edge_dim: int, gru_layers: int,
-                 temperature: float, rng: RngStream):
+    def __init__(self, store: ParamStore, tau: int, hidden_dim: int, edge_dim: int,
+                 gru_layers: int, temperature: float, rng: RngStream):
         if not temperature > 0:
             raise ConfigError(
                 f"relation sampling temperature must be positive, got {temperature}")
@@ -145,13 +143,10 @@ class GraphEncoder:
         return dense_pairs(logits).reshape(b, n, n), new_state
 
     def sample_relations(self, logits: DArray, mode: str, rng: RngStream) -> DArray:
-        """A sampled adjacency from relation logits, zero on the diagonal.
-
-        train: relaxed binary-concrete sample (differentiable);
-        sample: hard Bernoulli draw per ordered pair;
-        map:    deterministic threshold at probability 1/2.
-        The hard modes draw from the relation probabilities as a plain
-        array: no gradient flows through a hard draw.
+        """A sampled adjacency from relation logits in `mode` (see
+        `EncoderRun.step`), zero on the diagonal. The hard modes draw from
+        the relation probabilities as a plain array: no gradient flows
+        through a hard draw.
         """
         mask = 1.0 - np.eye(logits.shape[-1])
         if mode == "train":
@@ -182,8 +177,19 @@ class EncoderRun:
         self.window_index = 0
         self.scenes = self.rows = 0
 
-    def step(self, window, rng: RngStream, mode: str, train: bool) -> InteractionGraphSample:
+    def step(self, window, rng: RngStream, mode: str) -> InteractionGraphSample:
+        """The next window's graph, drawn in one of three modes:
+
+        train:  batch statistics, relaxed binary-concrete relations
+                (differentiable) and edge noise at `edge_noise_scale`;
+        sample: running statistics, hard Bernoulli edges and edge noise
+                at `edge_noise_scale`;
+        map:    running statistics, relations thresholded at probability
+                1/2 and noise-free edge features: the mode of both
+                distributions, the most likely graph.
+        """
         enc = self.encoder
+        train = mode == "train"
         w = self.window_index
         rows = window.shape[0]
         if w == 0:
@@ -196,7 +202,8 @@ class EncoderRun:
         logits, self.state = enc.update_relations(e_tilde, self.state, train=train)
         copies = rng.copies * self.scenes // rows
         edge_feats = enc.sample_edge_features(
-            fan_out(e_tilde, copies), rng.child(RK_EDGE_NOISE, w), self.edge_noise_scale)
+            fan_out(e_tilde, copies), rng.child(RK_EDGE_NOISE, w),
+            0.0 if mode == "map" else self.edge_noise_scale)
         z = enc.sample_relations(fan_out(logits, copies), mode, rng.child(RK_RELATION, w))
         self.window_index += 1
         return InteractionGraphSample(z, edge_feats)

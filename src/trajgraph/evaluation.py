@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from . import autodiff as ad
 from .autodiff import DArray
@@ -142,12 +141,13 @@ def metrics_csv_rows(record: MetricsRecord, dataset: str, strategy: str,
 class ModelGraphProbe:
     """Adapter giving the quality audit a fixed-graph view of the model.
 
-    Graphs are inferred once per scene in deterministic MAP mode with the
-    edge-feature noise disabled, so edited copies differ from the baseline
-    only in the edited relation. Only window 0's graph is a function of the
-    observed history alone: later windows are embedded from the free run's
-    predictions, which carry the head noise of `rng`, so their MAP graphs
-    still depend on that stream.
+    Graphs are inferred once per scene as MAP graphs (`EncoderRun.step`'s
+    "map" mode: thresholded relations, noise-free edge features), so
+    edited copies differ from the baseline only in the edited relation.
+    Only window 0's graph is a function of the observed history alone:
+    later windows are embedded from the free run's predictions, which
+    carry the head noise of `rng`, so their MAP graphs still depend on
+    that stream.
     """
 
     def __init__(self, model: TrajectoryModel, n_rollouts: int):
@@ -156,7 +156,7 @@ class ModelGraphProbe:
 
     def infer_graphs(self, scene: Scene, rng: RngStream) -> list[InteractionGraphSample]:
         return self.model.predict_batch(scene.positions[None], scene.categories[None],
-                                        rng, sample_mode="map", edge_noise_scale=0.0)[1]
+                                        rng, sample_mode="map")[1]
 
     def rollout_ades(self, scene: Scene, graphs: list[InteractionGraphSample],
                      rng: RngStream) -> np.ndarray:
@@ -214,6 +214,7 @@ def graph_quality(probe, scenes: list[Scene], seed: int) -> GraphQualityReport:
     absent edge is missing when adding it significantly decreases it.
     One-sided Mann-Whitney U at level `SIGNIFICANCE`.
     """
+    from scipy import stats as sps   # here, so importing the CLI skips scipy.stats
     root = RngStream(seed).child(STREAM_EVAL, 777)
     e_total = e1 = e2 = skipped = 0
     for si, scene in enumerate(scenes):

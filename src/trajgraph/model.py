@@ -8,7 +8,7 @@ steps stay ground truth). Scenes of equal agent count are batched densely
 as (B, N, ...) tensors; scenes never exchange information, so this is
 equivalent to batching them as disconnected components of one large graph.
 `sample_scenes` draws K stochastic rollouts of every scene of a list: one
-batched `sample_rollouts` call per same-size group, results in input order.
+batched `predict_batch` call per same-size group, results in input order.
 
 A sample's randomness enters at its first graph: the edge-feature noise
 and relation draws of window 0, and later the head noise, which only the
@@ -26,8 +26,8 @@ Rollout input modes:
              seeded with mix(stop_grad(prediction), truth, lam)
              (lam = 0 recovers the TF+ baseline).
 
-`ModelConfig.step_noise` is the one head-noise switch; only `predict_batch`
-overrides `edge_noise_scale` (the edge-quality audit sets it to 0).
+`ModelConfig.step_noise` is the one head-noise switch; the mode of
+`EncoderRun.step` ("train", "sample" or "map") decides how a graph is drawn.
 """
 
 from __future__ import annotations
@@ -90,9 +90,8 @@ class TrajectoryModel:
         self.plan: WindowPlan = plan_windows(cfg.t_history, cfg.t_future, cfg.tau)
         self.store = ParamStore()
         rng = RngStream(seed).child(STREAM_INIT)
-        self.encoder = GraphEncoder(self.store, cfg.n_categories, cfg.tau,
-                                    cfg.hidden_dim, cfg.edge_dim, cfg.gru_layers,
-                                    cfg.temperature, rng.child(0))
+        self.encoder = GraphEncoder(self.store, cfg.tau, cfg.hidden_dim, cfg.edge_dim,
+                                    cfg.gru_layers, cfg.temperature, rng.child(0))
         self.decoder = TrajectoryDecoder(self.store, cfg.n_categories,
                                          cfg.hidden_dim, cfg.edge_dim,
                                          cfg.attn_dim, cfg.gru_layers,
@@ -136,15 +135,15 @@ class TrajectoryModel:
 
     # ------------------------------------------------------ graph inference
     def infer_graphs_from_truth(self, positions: np.ndarray, rng: RngStream,
-                                mode: str = "train", train: bool = True,
                                 ) -> list[InteractionGraphSample]:
-        """One graph per window, embedded from the given full trajectory."""
+        """One training-mode graph per window, embedded from the given full
+        trajectory."""
         self._check_steps(positions)
         run = EncoderRun(self.encoder, self.cfg.edge_noise_scale)
         graphs = []
         for w in range(self.plan.n_windows):
             lo, hi = self.plan.window_steps(w)
-            graphs.append(run.step(positions[:, :, lo:hi], rng, mode, train))
+            graphs.append(run.step(positions[:, :, lo:hi], rng, "train"))
         return graphs
 
     # ---------------------------------------------------------------- decode
@@ -168,14 +167,14 @@ class TrajectoryModel:
         if len(graphs) < needed:
             raise ContractError(
                 f"rollout needs {needed} window graphs, got {len(graphs)}")
-        return ad.stack(self._decode(positions, categories, lambda w, inputs: graphs[w],
+        return ad.stack(self._decode(positions, categories, lambda w, _: graphs[w],
                                      rng, input_mode, lam, boundary_probe), axis=2)
 
     def predict_batch(self, positions: np.ndarray, categories: np.ndarray,
                       rng: RngStream, sample_mode: str = "sample",
-                      edge_noise_scale: float | None = None,
                       ) -> tuple[np.ndarray, list[InteractionGraphSample]]:
-        """Free-run decode on graphs re-inferred from its own predictions.
+        """Free-run decode on graphs re-inferred from its own predictions,
+        drawn in `sample_mode` ("sample" or "map", see `EncoderRun.step`).
 
         Window w is embedded once the decoder has consumed its steps, from
         those step inputs: ground truth in history, predictions after. The
@@ -189,8 +188,7 @@ class TrajectoryModel:
         decoder's burn-in runs once (`_decode`).
         """
         self._check_steps(positions)
-        scale = self.cfg.edge_noise_scale if edge_noise_scale is None else edge_noise_scale
-        enc = EncoderRun(self.encoder, scale)
+        enc = EncoderRun(self.encoder, self.cfg.edge_noise_scale)
         t_hist = self.cfg.t_history
         graphs: list[InteractionGraphSample] = []
 
@@ -201,7 +199,7 @@ class TrajectoryModel:
                     window = positions[:, :, lo:hi]
                 else:
                     window = np.stack([x.data for x in inputs[lo:hi]], axis=2)
-                graphs.append(enc.step(window, rng, sample_mode, train=False))
+                graphs.append(enc.step(window, rng, sample_mode))
             return graphs[w]
 
         with ad.no_grad():
@@ -267,36 +265,24 @@ class TrajectoryModel:
             preds.append(dec.step(x_in, graph, eps, gi))
         return preds
 
-    def sample_rollouts(self, positions: np.ndarray, categories: np.ndarray,
-                        streams: list[RngStream], **predict_kw,
-                        ) -> tuple[np.ndarray, list[InteractionGraphSample]]:
-        """K = len(streams) `predict_batch` rollouts as one k-major batch.
-
-        Row k*B + b draws from streams[k] what sample k of scene b would draw
-        alone, and eval batch norm (running statistics) keeps rows apart.
-        The samples share each scene's observed burn-in and history windows,
-        which run once (`predict_batch`). Returns (K, B, N, T, 2) predictions
-        and graphs with K*B rows.
-        """
-        k = len(streams)
-        out, graphs = self.predict_batch(positions, categories, StackedStream(streams),
-                                         **predict_kw)
-        return out.reshape((k,) + positions.shape), graphs
-
-    def sample_scenes(self, scenes: list[Scene], streams, **predict_kw,
+    def sample_scenes(self, scenes: list[Scene], streams, sample_mode: str = "sample",
                       ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """K stochastic rollouts of every scene, one `sample_rollouts` call
-        per same-size group.
+        """K stochastic rollouts of every scene, drawn in `sample_mode`: one
+        `predict_batch` call per same-size group on a `StackedStream` of
+        the group's K streams.
 
         `streams(n_agents, indices)` gives the K streams of the group of
-        those scenes. Returns, in input order, each scene's (K, N, T, 2)
+        those scenes. Sample k of a scene draws from streams[k] what it
+        would draw alone, and eval batch norm (running statistics) keeps
+        rows apart. Returns, in input order, each scene's (K, N, T, 2)
         rollouts and (K, W, N, N) sampled window adjacencies.
         """
         rollouts: list = [None] * len(scenes)
         graphs: list = [None] * len(scenes)
         for pos, cats, idx in self.batch_scenes(scenes):
-            out, sampled = self.sample_rollouts(pos, cats, streams(pos.shape[1], idx),
-                                                **predict_kw)
+            group = streams(pos.shape[1], idx)
+            out, sampled = self.predict_batch(pos, cats, StackedStream(group), sample_mode)
+            out = out.reshape((len(group),) + pos.shape)
             z = np.stack([g.z.data.reshape(out.shape[:2] + g.z.shape[1:])
                           for g in sampled], axis=2)       # (K, B, W, N, N)
             for row, i in enumerate(idx):

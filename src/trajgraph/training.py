@@ -181,7 +181,7 @@ def validation_scores(model: TrajectoryModel, scenes: list[Scene],
         return math.nan, math.nan
     t_hist = model.cfg.t_history
     rollouts, _ = model.sample_scenes(
-        scenes, lambda n, idx: [rng.child(k, idx[0]) for k in range(n_samples)])
+        scenes, lambda _, idx: [rng.child(k, idx[0]) for k in range(n_samples)])
     losses, ades = [], []
     for scene, out in zip(scenes, rollouts):
         diff = out[:, :, t_hist:] - scene.positions[:, t_hist:]   # (K, N, T_f, 2)

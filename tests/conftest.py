@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from trajgraph.data import SyntheticConfig, generate_synthetic
+from trajgraph.encoder import EncoderRun
 from trajgraph.model import ModelConfig, TrajectoryModel
 
 
@@ -19,6 +20,14 @@ def reconfigured(model, **changes):
     other = TrajectoryModel(dataclasses.replace(model.cfg, **changes), seed=model.seed)
     other.load_state_dict(model.state_dict())
     return other
+
+
+def graphs_from_truth(model, positions, rng, mode):
+    """One graph per window of the full trajectory `positions`, drawn in
+    `mode` by one `EncoderRun` of `model`'s encoder."""
+    run = EncoderRun(model.encoder, model.cfg.edge_noise_scale)
+    return [run.step(positions[:, :, slice(*model.plan.window_steps(w))], rng, mode)
+            for w in range(model.plan.n_windows)]
 
 
 @pytest.fixture(scope="session")

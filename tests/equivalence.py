@@ -22,13 +22,14 @@ The fingerprint set, at hidden widths 32 and 128 (prefix `w32.`, `w128.`):
   (`loss.1`, `loss.2`), every gradient by checkpoint name
   (`grad.<update>.<name>`) and every parameter after each Adam step
   (`param.<update>.<name>`);
-- `TrajectoryModel.sample_rollouts` of the updated model on that batch,
-  K = 3, in sample mode (`sample_rollouts.preds`, `.z`) and in map mode
-  (`sample_rollouts_map.preds`, `.z`): the predictions and the edge
-  weights;
+- `TrajectoryModel.predict_batch` of the updated model on that batch and
+  a `StackedStream` of K = 3 streams, in sample mode
+  (`sample_rollouts.preds`, `.z`) and in map mode
+  (`sample_rollouts_map.preds`, `.z`): the predictions, reshaped to
+  (K, B, N, T, 2), and the edge weights;
 - on that batch too, a teacher-forced `rollout` on graphs inferred from
   the truth (`rollout_teacher`), and the edge audit's `predict_batch`:
-  map mode, no edge noise (`predict_map.preds`, `.z`);
+  map mode on one stream (`predict_map.preds`, `.z`);
 - the same update pair on one batch of twelve 8-agent scenes, prefixed
   `agents8.`: its rows outweigh every C-stacked weight at width 32, so
   each weight-gradient term is formed on its own;
@@ -40,6 +41,10 @@ The fingerprint set, at hidden widths 32 and 128 (prefix `w32.`, `w128.`):
   (`graph_quality.counts`) and every probe's rollout ADEs in call order
   (`graph_quality.ades.<call>`). At width 32 that model's MAP graphs hold
   no edge, so both scenes are skipped and only the counts compare.
+
+A MAP graph has noise-free edge features. A build whose `predict_batch`
+still takes `edge_noise_scale` (its map mode kept the edge noise) is
+asked for a scale of 0 in map mode, so both builds compute one quantity.
 
 Once, at the `tests/test_cli.py` smoke config (prefix `cli.`): the bytes
 of every file that each step of its command-line run writes, as
@@ -59,6 +64,7 @@ itself.
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io
 import os
 import re
@@ -123,7 +129,7 @@ def fingerprints(width: int) -> dict[str, np.ndarray]:
     from trajgraph.data import SyntheticConfig, generate_synthetic
     from trajgraph.evaluation import ModelGraphProbe, eval_rollouts, graph_quality
     from trajgraph.model import ModelConfig, TrajectoryModel
-    from trajgraph.rng import RngStream
+    from trajgraph.rng import RngStream, StackedStream
 
     out: dict[str, np.ndarray] = {}
     mcfg = ModelConfig(hidden_dim=width, edge_dim=width, attn_dim=width)
@@ -140,18 +146,20 @@ def fingerprints(width: int) -> dict[str, np.ndarray]:
 
     model, scenes = update_pair(6, 4, "")
     pos, cats, _ = next(TrajectoryModel.batch_scenes(scenes))
-    preds, graphs = model.sample_rollouts(pos, cats, [RngStream(0).child(k) for k in range(3)])
-    out["sample_rollouts.preds"] = preds
-    out["sample_rollouts.z"] = np.stack([g.z.data for g in graphs])
-    preds, graphs = model.sample_rollouts(pos, cats, [RngStream(2).child(k) for k in range(3)],
-                                          sample_mode="map")
-    out["sample_rollouts_map.preds"] = preds
-    out["sample_rollouts_map.z"] = np.stack([g.z.data for g in graphs])
+    map_kw = ({"edge_noise_scale": 0.0}
+              if "edge_noise_scale" in inspect.signature(model.predict_batch).parameters
+              else {})
+    for name, seed, mode, kw in (("sample_rollouts", 0, "sample", {}),
+                                 ("sample_rollouts_map", 2, "map", map_kw)):
+        streams = StackedStream([RngStream(seed).child(k) for k in range(3)])
+        preds, graphs = model.predict_batch(pos, cats, streams, sample_mode=mode, **kw)
+        out[f"{name}.preds"] = preds.reshape((3,) + pos.shape)
+        out[f"{name}.z"] = np.stack([g.z.data for g in graphs])
     graphs = model.infer_graphs_from_truth(pos, RngStream(1).child(0))
     out["rollout_teacher"] = model.rollout(pos, cats, graphs, RngStream(1).child(1),
                                            input_mode="teacher").data
     preds, graphs = model.predict_batch(pos, cats, RngStream(1).child(2),
-                                        sample_mode="map", edge_noise_scale=0.0)
+                                        sample_mode="map", **map_kw)
     out["predict_map.preds"] = preds
     out["predict_map.z"] = np.stack([g.z.data for g in graphs])
 

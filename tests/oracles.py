@@ -735,12 +735,12 @@ def degree_box_min_entropy(low, high):
     return best
 
 
-def per_sample_rollouts(model, positions, categories, streams, **predict_kw):
+def per_sample_rollouts(model, positions, categories, streams, sample_mode):
     """One `predict_batch` call per stream: (K, B, N, T, 2) predictions and
     the K per-sample lists of window graphs."""
     outs, graphs = [], []
     for stream in streams:
-        out, g = model.predict_batch(positions, categories, stream, **predict_kw)
+        out, g = model.predict_batch(positions, categories, stream, sample_mode)
         outs.append(out)
         graphs.append(g)
     return np.stack(outs), graphs

@@ -78,7 +78,7 @@ def test_criterion_1_gradient_suite():
     worst = 0.0
     # (a) encoder GNN (embedding + two-pass GNN, batch norm in train mode)
     store = ParamStore()
-    enc = GraphEncoder(store, 3, 3, 8, 8, 2, 0.5, RngStream(1).child(0))
+    enc = GraphEncoder(store, 3, 8, 8, 2, 0.5, RngStream(1).child(0))
     window = DArray(R.normal(size=(2, 3, 3, 2)), requires_grad=True)
 
     def gnn_loss():
@@ -305,12 +305,10 @@ def test_criterion_8_permutation_equivariance():
         categories = rng.integers(0, 3, size=n)
         perm = rng.permutation(n)
         base, _ = model.predict_batch(positions[None], categories[None],
-                                      RngStream(0), sample_mode="map",
-                                      edge_noise_scale=0.0)
+                                      RngStream(0), sample_mode="map")
         permuted, _ = model.predict_batch(positions[perm][None],
                                           categories[perm][None],
-                                          RngStream(0), sample_mode="map",
-                                          edge_noise_scale=0.0)
+                                          RngStream(0), sample_mode="map")
         worst = max(worst, float(np.abs(permuted[0] - base[0][perm]).max()))
     report(8, worst < 1e-9,
            f"50 random relabelings commute with the full rollout; "

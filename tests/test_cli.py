@@ -245,13 +245,13 @@ def test_evaluate_draws_each_sample_once_for_metrics_and_export(
     """metrics.csv and trajectories.csv come from one draw: one batched
     sampler call per group of same-size scenes."""
     root, cfg, data, run = workspace
-    sizes, sample_rollouts = [], TrajectoryModel.sample_rollouts
+    sizes, predict_batch = [], TrajectoryModel.predict_batch
 
     def counted(model, positions, *args, **kwargs):
         sizes.append(positions.shape[1])
-        return sample_rollouts(model, positions, *args, **kwargs)
+        return predict_batch(model, positions, *args, **kwargs)
 
-    monkeypatch.setattr(TrajectoryModel, "sample_rollouts", counted)
+    monkeypatch.setattr(TrajectoryModel, "predict_batch", counted)
     assert main(["evaluate", "--config", str(cfg),
                  "--checkpoint", str(run / "model.ckpt"), "--data", str(data),
                  "--out", str(tmp_path / "e"), "--export-trajectories"]) == 0

@@ -317,3 +317,13 @@ def test_split_scenes_ratios_and_validation():
     assert len(ids) == 20
     with pytest.raises(ConfigError):
         split_scenes(scenes, (0.5, 0.2, 0.2), seed=0)
+
+
+def test_synthetic_config_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed.*-1"):
+        SyntheticConfig(n_scenes=4, seed=-1)
+
+
+def test_split_scenes_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed.*-2"):
+        split_scenes(_random_scenes(4), (0.5, 0.25, 0.25), seed=-2)

@@ -14,7 +14,7 @@ rng_np = np.random.default_rng(41)
 
 def make_encoder(hidden=10, edge=10, tau=5, temperature=0.5):
     store = ParamStore()
-    enc = GraphEncoder(store, n_categories=3, tau=tau, hidden_dim=hidden,
+    enc = GraphEncoder(store, tau=tau, hidden_dim=hidden,
                        edge_dim=edge, gru_layers=2, temperature=temperature,
                        rng=RngStream(3).child(0))
     return enc, store
@@ -30,7 +30,7 @@ class ZeroLogisticRng(RngStream):
 def test_embed_window_shape_contract():
     # reference width: tau 5 trajectories embed to 128-dim vectors
     store = ParamStore()
-    enc = GraphEncoder(store, 3, 5, 128, 128, 2, 0.5, RngStream(0).child(0))
+    enc = GraphEncoder(store, 5, 128, 128, 2, 0.5, RngStream(0).child(0))
     v = enc.embed_window(rng_np.normal(size=(1, 3, 5, 2)), train=True)
     assert v.shape == (1, 3, 128)
 
@@ -114,7 +114,7 @@ def test_encoder_step_tape_budget(monkeypatch):
     window = rng_np.normal(size=(b, n, tau, 2))
 
     def step():
-        g = EncoderRun(enc, 1.0).step(window, RngStream(1), "train", train=True)
+        g = EncoderRun(enc, 1.0).step(window, RngStream(1), "train")
         return g.z.sum() + g.edge_feats.sum()
 
     loss = step()
@@ -288,7 +288,7 @@ def test_gradients_flow_through_relaxed_sample_and_features():
     enc, store = make_encoder()
     run = EncoderRun(enc, edge_noise_scale=1.0)
     window = rng_np.normal(size=(2, 3, 5, 2))
-    g = run.step(window, RngStream(8).child(0), "train", train=True)
+    g = run.step(window, RngStream(8).child(0), "train")
     loss = (g.z * g.z).sum() + (g.edge_feats * g.edge_feats).sum()
     grads = gradients(loss, store)
     total = sum(np.abs(v).sum() for v in grads.values())
@@ -299,6 +299,6 @@ def test_encoder_run_counts_windows():
     enc, _ = make_encoder()
     run = EncoderRun(enc, 1.0)
     w = rng_np.normal(size=(1, 3, 5, 2))
-    run.step(w, RngStream(0), "train", True)
-    run.step(w, RngStream(0), "train", True)
+    run.step(w, RngStream(0), "train")
+    run.step(w, RngStream(0), "train")
     assert run.window_index == 2

@@ -1,7 +1,9 @@
 """Every name a trajgraph module or test file imports is used in that
 file; every top-level def, class or assignment is named somewhere besides
-its own definition: in the package, the tests or the benchmark; and no
-function signature restates a config default as a literal.
+its own definition: in the package, the tests or the benchmark; every
+parameter of a package function is read in its body; no function
+signature restates a config default as a literal; and importing the
+command line leaves out `scipy.stats`, which only the edge audit needs.
 
 No linter ships with the project, so this walks each module's syntax tree.
 The package `__init__` is exempt from the import rule: its imports are
@@ -9,6 +11,9 @@ re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -152,3 +157,58 @@ def test_no_literal_default_restates_a_config_default():
     found = [f"{path.stem}.{hit}" for path in MODULES
              for hit in restated_defaults(path.read_text(), defaults)]
     assert found == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """`function(parameter)` for each parameter of a def or lambda in
+    `source` that its body never reads. A method's `self` and a
+    placeholder named `_` are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                  if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for part in body for n in ast.walk(part) if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "<lambda>")
+        found += [f"{name}({p})" for p in params if p not in read | {"self", "_"}]
+    return sorted(found)
+
+
+def test_checker_finds_unread_parameters():
+    source = ("def f(a, b, *args, c=1, **kw):\n"
+              "    def inner(d):\n        return a + c\n    return inner\n\n"
+              "class C:\n    def m(self, x):\n        return [y for y in x]\n\n"
+              "g = lambda _, e: 0\n")
+    assert unread_parameters(source) == ["<lambda>(e)", "f(args)", "f(b)", "f(kw)",
+                                         "inner(d)"]
+
+
+# a parameter whose function must keep it, though its body does not read it
+UNREAD_ALLOWED = {
+    # the signature of a backward closure: a node's tape slot holds it in
+    # place of the closure a finished backward has freed
+    "autodiff._consumed(g)",
+    # passed by `perfbench/workload.py` and read by `perfbench/tracing.py`
+    # until the benchmark's next version drops it
+    "evaluation.sampled_metrics(threads)",
+}
+
+
+def test_every_parameter_is_read():
+    found = {f"{path.stem}.{hit}" for path in MODULES
+             for hit in unread_parameters(path.read_text())}
+    assert found == UNREAD_ALLOWED
+
+
+def test_importing_the_cli_leaves_out_scipy_stats():
+    """Every command pays for what `trajgraph.cli` imports at start-up, so
+    `evaluation.graph_quality` imports `scipy.stats` itself."""
+    code = "import sys, trajgraph.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

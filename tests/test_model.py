@@ -12,7 +12,7 @@ from trajgraph.nn import MLP, gradients
 from trajgraph.rng import RngStream
 from trajgraph.training import reconstruction_loss
 
-from conftest import reconfigured, small_model_config
+from conftest import graphs_from_truth, reconfigured, small_model_config
 from oracles import DenseAttentionDecoderRun, composed_mlp
 
 rng_np = np.random.default_rng(61)
@@ -119,8 +119,7 @@ def test_one_stream_makes_rollouts_identical(small_model, tiny_scenes):
 def test_window_graph_ablation_changes_predictions(trained_small):
     model, scenes, _, _ = trained_small
     pos, cats = batch_from(scenes, scenes[0].n_agents)
-    graphs = model.infer_graphs_from_truth(pos, RngStream(1).child(0),
-                                           mode="sample", train=False)
+    graphs = graphs_from_truth(model, pos, RngStream(1).child(0), "sample")
     # ensure the second window has at least one edge to ablate
     if graphs[1].z.data.sum() == 0:
         z = graphs[1].z.data.copy()
@@ -177,10 +176,29 @@ def test_predict_batch_is_free_run_rollout_on_its_graphs(small_model,
     t_hist = small_model.cfg.t_history
     assert np.abs(out[:, :, t_hist:] - pos[:, :, t_hist:]).max() > 0
     np.testing.assert_array_equal(out[:, :, t_hist:], preds[:, :, t_hist:])
-    again = small_model.infer_graphs_from_truth(out, rng, mode=mode, train=False)
+    again = graphs_from_truth(small_model, out, rng, mode)
     for g, h in zip(graphs, again):
         np.testing.assert_array_equal(g.z.data, h.z.data)
         np.testing.assert_array_equal(g.edge_feats.data, h.edge_feats.data)
+
+
+def test_map_window_0_is_the_same_graph_on_every_stream(small_model, tiny_scenes):
+    """Window 0 lies in the observed history, so its MAP graph (thresholded
+    relations, noise-free edge features) depends on no stream."""
+    scenes, _ = tiny_scenes
+    pos, cats = batch_from(scenes, scenes[0].n_agents)
+
+    def window_0(mode, k):
+        return small_model.predict_batch(pos, cats, RngStream(9).child(k),
+                                         sample_mode=mode)[1][0]
+
+    a, b = window_0("map", 1), window_0("map", 2)
+    np.testing.assert_array_equal(a.z.data, b.z.data)
+    np.testing.assert_array_equal(a.edge_feats.data, b.edge_feats.data)
+    # a sampled graph's edge features carry each stream's noise
+    assert small_model.cfg.edge_noise_scale > 0
+    noisy = window_0("sample", 1).edge_feats.data - window_0("sample", 2).edge_feats.data
+    assert np.abs(noisy).max() > 0
 
 
 def test_full_rollout_permutation_equivariance(tiny_scenes):
@@ -192,12 +210,10 @@ def test_full_rollout_permutation_equivariance(tiny_scenes):
         perm = np.random.default_rng(case).permutation(scene.n_agents)
         base, _ = model.predict_batch(scene.positions[None],
                                       scene.categories[None],
-                                      RngStream(0), sample_mode="map",
-                                      edge_noise_scale=0.0)
+                                      RngStream(0), sample_mode="map")
         permuted, _ = model.predict_batch(scene.positions[perm][None],
                                           scene.categories[perm][None],
-                                          RngStream(0), sample_mode="map",
-                                          edge_noise_scale=0.0)
+                                          RngStream(0), sample_mode="map")
         worst = max(worst, np.abs(permuted[0] - base[0][perm]).max())
     assert worst < 1e-9
 

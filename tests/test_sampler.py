@@ -1,11 +1,12 @@
 """The batched K-sample sampler against a loop of one `predict_batch` per sample.
 
-`TrajectoryModel.sample_rollouts` folds the K samples into the batch axis;
-batching only changes the GEMM shapes, so predictions agree within 1e-12
-and the sampled graphs exactly. The samples of a scene share the work
-before their first graph draw, which runs once on the scene rows. Each
-caller is also run with the sampler replaced by the per-sample loop, which
-checks its stream addresses.
+`predict_batch` on a `StackedStream` of K streams folds the K samples
+into the batch axis; batching only changes the GEMM shapes, so predictions
+agree within 1e-12 and the sampled graphs exactly. The samples of a scene
+share the work before their first graph draw, which runs once on the scene
+rows. Each caller of `TrajectoryModel.sample_scenes` is also run with the
+stacked call replaced by the per-sample loop, which checks its stream
+addresses.
 """
 
 import numpy as np
@@ -86,6 +87,13 @@ def _plan_batch(tiny_scenes, t_history, t_future, tau, **model_kw):
     return model, pos, cats
 
 
+def _stacked(model, pos, cats, streams, mode="sample"):
+    """K = len(streams) samples as one `predict_batch` call: (K, B, N, T, 2)
+    predictions and graphs with K*B rows, row k*B + b from streams[k]."""
+    out, graphs = model.predict_batch(pos, cats, StackedStream(streams), sample_mode=mode)
+    return out.reshape((len(streams),) + pos.shape), graphs
+
+
 # (mode, plan, model overrides); the default plan keeps the bare mode as id
 SAMPLER_CASES = [
     (mode, plan, kw, mode if name == "default" else f"{mode}-{name}")
@@ -105,8 +113,8 @@ def test_sample_rollouts_matches_per_sample_loop(tiny_scenes, mode, plan, model_
     b = pos.shape[0]
     assert b > 1
     streams = [RngStream(3).child(k) for k in range(4)]
-    out, graphs = model.sample_rollouts(pos, cats, streams, sample_mode=mode)
-    ref, ref_graphs = per_sample_rollouts(model, pos, cats, streams, sample_mode=mode)
+    out, graphs = _stacked(model, pos, cats, streams, mode)
+    ref, ref_graphs = per_sample_rollouts(model, pos, cats, streams, mode)
     assert out.shape == ref.shape == (4,) + pos.shape
     assert np.abs(out - ref).max() <= TOL
     for k, sample_graphs in enumerate(ref_graphs):
@@ -119,7 +127,7 @@ def test_one_sample_is_predict_batch_on_its_stream(tiny_scenes, mode):
     """K = 1 shares nothing: byte for byte the bare stream's free run."""
     model, pos, cats = _plan_batch(tiny_scenes, 5, 10, 5)
     stream = RngStream(3).child(0)
-    out, graphs = model.sample_rollouts(pos, cats, [stream], sample_mode=mode)
+    out, graphs = _stacked(model, pos, cats, [stream], mode)
     ref, ref_graphs = model.predict_batch(pos, cats, stream, sample_mode=mode)
     assert out.shape == (1,) + ref.shape and out[0].tobytes() == ref.tobytes()
     assert len(graphs) == len(ref_graphs)
@@ -166,7 +174,7 @@ def test_samples_share_the_burn_in_once(tiny_scenes, monkeypatch):
                             (GraphEncoder, "gnn_pass", counted_gnn_pass),
                             (ad, "gru_cell", counted_gru_cell)]:
         monkeypatch.setattr(owner, name, fn)
-    model.sample_rollouts(pos, cats, [RngStream(3).child(i) for i in range(k)])
+    _stacked(model, pos, cats, [RngStream(3).child(i) for i in range(k)])
     # steps 0-3 read no graph and run once; step 4 reads window 0's graph
     assert gru_rows == [b * n] * (4 * 2) + [k * b * n] * (10 * 2)
     # window 0 lies in the history; window 1 holds predicted steps
@@ -176,22 +184,24 @@ def test_samples_share_the_burn_in_once(tiny_scenes, monkeypatch):
 
 @pytest.fixture
 def looped(monkeypatch):
-    """Swap the sampler for the per-sample loop; records each call's stream addresses."""
+    """Swap each stacked `predict_batch` call for the per-sample loop;
+    records each call's stream addresses."""
     calls = []
+    predict_batch = TrajectoryModel.predict_batch
 
-    def sample_rollouts(self, positions, categories, streams, **predict_kw):
-        calls.append([s.stream for s in streams])
-        out, graphs = per_sample_rollouts(self, positions, categories, streams,
-                                          **predict_kw)
+    def looped_predict_batch(self, positions, categories, rng, sample_mode="sample"):
+        calls.append([s.stream for s in rng.streams])
+        outs, graphs = zip(*(predict_batch(self, positions, categories, s, sample_mode)
+                             for s in rng.streams))
         stacked = [InteractionGraphSample(
             *(DArray(np.concatenate([getattr(g[w], f).data for g in graphs]))
               for f in ("z", "edge_feats")))
             for w in range(len(graphs[0]))]
-        return out, stacked
+        return np.concatenate(outs), stacked
 
     def run(fn):
         with monkeypatch.context() as m:
-            m.setattr(TrajectoryModel, "sample_rollouts", sample_rollouts)
+            m.setattr(TrajectoryModel, "predict_batch", looped_predict_batch)
             return fn()
     run.calls = calls
     return run

@@ -20,7 +20,7 @@ from trajgraph.training import (MixState, TrainConfig, TrainResult, _strategy_lo
                                 decay_alpha, reconstruction_loss, sample_beta,
                                 train)
 
-from conftest import reconfigured, small_model_config
+from conftest import graphs_from_truth, reconfigured, small_model_config
 from oracles import naive_reconstruction_loss
 
 rng_np = np.random.default_rng(71)
@@ -352,8 +352,7 @@ def test_free_run_error_at_least_single_step_error(trained_small):
     model = reconfigured(model, step_noise=False)
     ratios = []
     for pos, cats, _ in TrajectoryModel.batch_scenes(scenes):
-        graphs = model.infer_graphs_from_truth(pos, RngStream(2).child(0),
-                                               mode="sample", train=False)
+        graphs = graphs_from_truth(model, pos, RngStream(2).child(0), "sample")
         free = model.rollout(pos, cats, graphs, RngStream(3), input_mode="free_run")
         teach = model.rollout(pos, cats, graphs, RngStream(3), input_mode="teacher")
         ratios.append(
