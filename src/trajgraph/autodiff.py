@@ -169,8 +169,8 @@ class DArray:
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis, keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
+    def mean(self, axis=None):
+        return reduce_mean(self, axis)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -323,21 +323,17 @@ def reduce_sum(a, axis=None, keepdims=False) -> DArray:
     return _track(out_data, (a,), bw)
 
 
-def reduce_mean(a, axis=None, keepdims=False) -> DArray:
+def reduce_mean(a, axis=None) -> DArray:
     a = _coerce(a)
-    if axis is None:
-        n = a.data.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([a.data.shape[i] for i in axis]))
-    else:
-        n = a.data.shape[axis]
-    return mul(reduce_sum(a, axis, keepdims), 1.0 / n)
+    axes = range(a.data.ndim) if axis is None else np.atleast_1d(axis)
+    n = int(np.prod([a.data.shape[i] for i in axes]))
+    return mul(reduce_sum(a, axis), 1.0 / n)
 
 
-def reduce_max(a, axis=None, keepdims=False) -> DArray:
+def reduce_max(a, axis=None) -> DArray:
     """Max-reduction; subgradient goes to the first argmax (lowest index)."""
     a = _coerce(a)
-    out_data = a.data.max(axis=axis, keepdims=keepdims)
+    out_data = a.data.max(axis=axis)
 
     def bw(g):
         if not a.requires_grad:
@@ -348,10 +344,8 @@ def reduce_max(a, axis=None, keepdims=False) -> DArray:
             grad[idx] = float(np.asarray(g).reshape(()))
         else:
             am = np.argmax(a.data, axis=axis)
-            gg = g if keepdims else np.expand_dims(g, axis)
-            np.put_along_axis(
-                grad, np.expand_dims(am, axis), np.asarray(gg, dtype=np.float64), axis
-            )
+            np.put_along_axis(grad, np.expand_dims(am, axis),
+                              np.asarray(np.expand_dims(g, axis), dtype=np.float64), axis)
         _accum(a, grad)
 
     return _track(out_data, (a,), bw)

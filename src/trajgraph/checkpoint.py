@@ -8,7 +8,7 @@ Layout (all integers little-endian u32, floats little-endian float64):
 Record order follows the mapping's iteration order, so writing the same
 state twice produces byte-identical files.
 
-Checkpoints, datasets and result tables are written through `atomic_open`,
+Checkpoints, datasets, tables and plots are written through `atomic_open`,
 so a crash never leaves a cut file in place of a complete one.
 """
 

@@ -33,7 +33,7 @@ from .model import ModelConfig, TrajectoryModel
 from .optim import check_state as check_optimizer_state
 from .plots import trajectory_svg
 from .rng import STREAM_EVAL, STREAM_THEORY, RngStream, check_seed
-from .training import STRATEGIES, MixState, TrainConfig, train
+from .training import GAMMA_STRATEGIES, STRATEGIES, MixState, TrainConfig, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -149,10 +149,19 @@ def _train_config(cfg: dict[str, dict]) -> TrainConfig:
 
 
 def _threads(cfg: dict[str, dict], flag: int | None) -> int:
-    """Resolved `--threads` / `[eval] threads` (0: CPU count); accepted and
-    ignored, and kept because the benchmark reads it."""
+    """Resolved `[eval] threads` (0: CPU count), or `flag` when given;
+    accepted and ignored, and kept because the benchmark reads it."""
     value = flag if flag is not None else cfg["eval"]["threads"]
     return value if value and value > 0 else (os.cpu_count() or 1)
+
+
+def _out_dir(path) -> Path:
+    """`--out`, made a directory if absent; ConfigError names it if it cannot be."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as e:   # a file in the way, no permission
+        raise ConfigError(f"cannot create output directory {path}: {e.strerror}") from e
+    return Path(path)
 
 
 def _at_least(value: int, low: int, what: str) -> int:
@@ -169,8 +178,7 @@ def cmd_gen_data(args) -> int:
     scenes, norm = generate_synthetic(_synthetic_config(cfg))
     train_s, val_s, test_s = split_scenes(
         scenes, (d["split_train"], d["split_val"], d["split_test"]), seed=d["seed"])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     save_csv(train_s, out / "train.csv")
     save_csv(val_s, out / "val.csv")
     save_csv(test_s, out / "test.csv")
@@ -241,7 +249,7 @@ def cmd_train(args) -> int:
         # the first row creates --out and the log, so a resume whose
         # optimizer records fail to load leaves no output behind
         nonlocal fresh
-        out.mkdir(parents=True, exist_ok=True)
+        _out_dir(out)
         with open(log_path, "w" if fresh else "a") as log_file:
             # str of a float is its repr: the values round-trip exactly
             log_file.write((LOG_HEADER + "\n" if fresh else "") + ",".join(
@@ -278,8 +286,7 @@ def cmd_evaluate(args) -> int:
     rollouts, graphs = eval_rollouts(model, scenes, cfg["eval"]["samples"],
                                      cfg["eval"]["seed"])
     record = rollout_metrics(scenes, rollouts, graphs, norm, model.cfg.t_history)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     dataset = Path(args.data).name
     main_row, cat_rows = metrics_csv_rows(record, dataset, strategy, gamma)
     with atomic_open(out / "metrics.csv") as f:
@@ -387,8 +394,7 @@ def cmd_analyze_graphs(args) -> int:
     _at_least(args.svg_scenes, 0, "--svg-scenes")
     model, _, _ = load_model(args.checkpoint)
     scenes, norm = _load_split(args.data, cfg["eval"]["split"], model.cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     seed = cfg["eval"]["seed"]
     root = RngStream(seed).child(STREAM_EVAL, 31)
     probe = ModelGraphProbe(model, n_rollouts=samples)
@@ -441,7 +447,7 @@ def cmd_sweep_gamma(args) -> int:
         raise ConfigError("--gammas expects comma-separated numbers") from e
     mcfg = _model_config(cfg)
     tcfg = _train_config(cfg)
-    if tcfg.strategy not in ("GE", "GE_mixup"):
+    if tcfg.strategy not in GAMMA_STRATEGIES:
         tcfg = dataclasses.replace(tcfg, strategy="GE")
     run_cfgs = [dataclasses.replace(tcfg, gamma=gamma) for gamma in gammas]
     train_scenes, _ = _load_split(args.data, "train", mcfg)
@@ -449,8 +455,7 @@ def cmd_sweep_gamma(args) -> int:
     test_scenes, norm = _load_split(args.data, "test", mcfg)
     if not test_scenes:   # every gamma is scored on it
         raise DataError(f"the test split {Path(args.data) / 'test.csv'} holds no scenes")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     rows = ["gamma,mean_ade,min_ade,mean_fde,min_fde,avg_entropy,avg_density,"
             "final_train_loss"]
     for run_cfg in run_cfgs:
@@ -464,8 +469,8 @@ def cmd_sweep_gamma(args) -> int:
             run_cfg.gamma, record.mean_ade, record.min_ade, record.mean_fde,
             record.min_fde, record.avg_entropy, record.avg_density,
             result.history[-1]["train_loss"]]))
-        print(f"gamma={run_cfg.gamma}: mean ADE {record.mean_ade:.4f}, "
-              f"density {record.avg_density:.4f}")
+        print(f"gamma={run_cfg.gamma} ({run_cfg.strategy}): mean ADE "
+              f"{record.mean_ade:.4f}, density {record.avg_density:.4f}")
     with atomic_open(out / "sweep.csv") as f:
         f.write("\n".join(rows) + "\n")
     return EXIT_OK
@@ -480,13 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "latent interaction graphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--config", default=None, help="sectioned key=value file")
         p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted and ignored (evaluation batches its samples)")
-        if out_required:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     common(p)
@@ -530,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-gamma", help="trade-off table over gamma values")
     common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, default=None)
+    p.add_argument("--strategy", choices=GAMMA_STRATEGIES, default=None,
+                   help="a [train] strategy other than these runs GE")
     p.add_argument("--gammas", default="0,0.1,1,10")
     p.set_defaults(fn=cmd_sweep_gamma)
     return parser

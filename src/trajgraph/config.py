@@ -5,7 +5,8 @@ reproduce the reference training setup (window size 5, hidden width 128,
 batch 128 for 200 epochs, Adam at 1e-3, concrete temperature 0.5, mixup
 concentration 10 halving every 10 epochs); the [data], [model] and
 [train] ones are the SyntheticConfig, ModelConfig and TrainConfig
-defaults. Unknown sections or keys are rejected for typo safety.
+defaults. Unknown sections, `[DEFAULT]` among them, or keys are rejected
+for typo safety; values are literal (a `%` is no interpolation).
 Command-line flags override file values. Every seed must be a non-negative
 integer, and `[eval] split` one of `SPLITS`.
 """
@@ -79,15 +80,17 @@ def load_config(path: str | Path | None = None,
     """
     sections = {name: dict(values) for name, values in DEFAULTS.items()}
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         parser.optionxform = str  # keep key case
         try:
-            parser.read(path)
-        except configparser.Error as e:
+            with open(path, encoding="utf-8") as f:
+                parser.read_file(f)
+        except OSError as e:   # missing, a directory, unreadable
+            raise ConfigError(f"cannot read config file {path}: {e.strerror}") from e
+        except (UnicodeDecodeError, configparser.Error) as e:
             raise ConfigError(f"{path}: {e}") from e
+        if parser.defaults():    # configparser would merge it into every section
+            raise ConfigError(f"{path}: unknown section [DEFAULT]")
         for section in parser.sections():
             if section not in sections:
                 raise ConfigError(f"{path}: unknown section [{section}]")

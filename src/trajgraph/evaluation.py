@@ -25,6 +25,9 @@ from .model import TrajectoryModel
 from .rng import STREAM_EVAL, STREAM_THEORY, RngStream, check_seed
 
 SIGNIFICANCE = 0.05   # level of the edge audit's one-sided Mann-Whitney U tests
+BOUNDS_DIM = 4             # state dimension of each `verify_bounds` affine system
+BOUNDS_LAM_SAMPLES = 200   # mixing coefficients `verify_bounds` draws per trial
+BOUNDS_TOL = 1e-9          # slack on each `verify_bounds` comparison
 
 
 def ade_fde(truth: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -350,8 +353,7 @@ class BoundsReport:
                 and self.violations_imitation == 0 and self.violations_ordering == 0)
 
 
-def verify_bounds(seed: int, trials: int, dim: int = 4,
-                  lam_samples: int = 200, tol: float = 1e-9) -> BoundsReport:
+def verify_bounds(seed: int, trials: int) -> BoundsReport:
     """Monte-Carlo check of the recursive error bounds on affine systems.
 
     The learned map f(x) = A x + b has operator norm ||A|| as its exact
@@ -366,23 +368,23 @@ def verify_bounds(seed: int, trials: int, dim: int = 4,
     for t in range(trials):
         rng = root.child(t)
         lip = float(rng.uniform(0.3, 2.0))
-        a = rng.normal(size=(dim, dim))
+        a = rng.normal(size=(BOUNDS_DIM, BOUNDS_DIM))
         a *= lip / np.linalg.svd(a, compute_uv=False)[0]
-        b = rng.normal(size=dim)
+        b = rng.normal(size=BOUNDS_DIM)
         eps = float(rng.uniform(0.0, 0.2))
         gap = float(rng.uniform(0.0, 1.0))
         horizon = int(rng.integers(1, 9))
         alpha = float(alphas[rng.integers(0, len(alphas))])
 
-        x_true = rng.normal(size=dim)
-        direction = rng.normal(size=dim)
+        x_true = rng.normal(size=BOUNDS_DIM)
+        direction = rng.normal(size=BOUNDS_DIM)
         direction /= np.linalg.norm(direction)
         x_hat = x_true + gap * direction
 
         # ground truth: learned map plus bounded disturbance
         truth = [x_true]
         for j in range(horizon):
-            d = rng.normal(size=dim)
+            d = rng.normal(size=BOUNDS_DIM)
             d *= float(rng.uniform(0.0, 1.0)) * eps / np.linalg.norm(d)
             truth.append(a @ truth[-1] + b + d)
 
@@ -390,13 +392,13 @@ def verify_bounds(seed: int, trials: int, dim: int = 4,
         for j in range(horizon):
             y = a @ y + b
         b1, b2, b3 = theorem_bounds(BoundScenario(lip, eps, horizon, gap))
-        if not (b3 <= b2 + tol and b2 <= b1 + tol):
+        if not (b3 <= b2 + BOUNDS_TOL and b2 <= b1 + BOUNDS_TOL):
             v_ord += 1
-        if np.linalg.norm(y - truth[-1]) > b1 * (1 + 1e-12) + tol:
+        if np.linalg.norm(y - truth[-1]) > b1 * (1 + 1e-12) + BOUNDS_TOL:
             v1 += 1
 
-        lams = np.array([rng.beta(alpha, alpha) for _ in range(lam_samples)])
-        mixed = lams[:, None] * x_hat + (1 - lams[:, None]) * x_true  # (m, dim)
+        lams = np.array([rng.beta(alpha, alpha) for _ in range(BOUNDS_LAM_SAMPLES)])
+        mixed = lams[:, None] * x_hat + (1 - lams[:, None]) * x_true  # (m, BOUNDS_DIM)
         z = mixed.copy()
         for j in range(horizon):
             z = z @ a.T + b
@@ -404,8 +406,8 @@ def verify_bounds(seed: int, trials: int, dim: int = 4,
         dev_imit = np.linalg.norm(z - y, axis=1)
         for dev, bound, count in ((dev_mixed, b2, 2), (dev_imit, b3, 3)):
             mean = dev.mean()
-            se = dev.std(ddof=1) / math.sqrt(lam_samples)
-            if mean > bound + 3 * se + tol:
+            se = dev.std(ddof=1) / math.sqrt(BOUNDS_LAM_SAMPLES)
+            if mean > bound + 3 * se + BOUNDS_TOL:
                 if count == 2:
                     v2 += 1
                 else:

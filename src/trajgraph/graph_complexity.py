@@ -25,6 +25,9 @@ from .errors import ContractError
 from .rng import RngStream
 
 LOG_FLOOR = 1e-12
+MAJORIZATION_SUM_TOL = 1e-9    # largest |sum x - sum y| of a majorization pair
+ROUND_OFF = 1e-12              # slack on a comparison of two float sums
+N_TRANSFERS = 8                # Robin-Hood transfers per random majorizing pair
 
 
 def _check_square(z):
@@ -112,17 +115,17 @@ def min_entropy_degree_profile(n_nodes: int, n_edges: int) -> np.ndarray:
     return np.array(profile[:n_nodes], dtype=np.float64)
 
 
-def majorizes(x, y, sum_tol: float = 1e-9, cmp_tol: float = 1e-12) -> bool:
+def majorizes(x, y) -> bool:
     """True iff every descending prefix sum of x dominates that of y."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ContractError("majorization needs equal-length vectors")
-    if abs(x.sum() - y.sum()) > sum_tol:
+    if abs(x.sum() - y.sum()) > MAJORIZATION_SUM_TOL:
         raise ContractError("majorization requires equal sums")
     xs = np.sort(x)[::-1]
     ys = np.sort(y)[::-1]
-    return bool((np.cumsum(xs)[:-1] >= np.cumsum(ys)[:-1] - cmp_tol).all())
+    return bool((np.cumsum(xs)[:-1] >= np.cumsum(ys)[:-1] - ROUND_OFF).all())
 
 
 def entropy_sum(x) -> float:
@@ -132,15 +135,14 @@ def entropy_sum(x) -> float:
     return float(-(pos * np.log(pos)).sum())
 
 
-def verify_hlp(x, y, tol: float = 1e-12) -> bool:
+def verify_hlp(x, y) -> bool:
     """Check the concave-sum inequality for a majorizing pair x > y."""
     if not majorizes(x, y):
         raise ContractError("verify_hlp requires x to majorize y")
-    return entropy_sum(x) <= entropy_sum(y) + tol
+    return entropy_sum(x) <= entropy_sum(y) + ROUND_OFF
 
 
-def random_majorizing_pair(rng: RngStream, n: int,
-                           n_transfers: int = 8) -> tuple[np.ndarray, np.ndarray]:
+def random_majorizing_pair(rng: RngStream, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw x on the simplex and build y < x by Robin-Hood transfers.
 
     Each transfer moves mass from a larger coordinate to a smaller one
@@ -150,7 +152,7 @@ def random_majorizing_pair(rng: RngStream, n: int,
     x = rng.uniform(size=n)
     x = x / x.sum()
     y = x.copy()
-    for _ in range(n_transfers):
+    for _ in range(N_TRANSFERS):
         i, j = rng.integers(0, n, size=2)
         if y[i] == y[j]:
             continue

@@ -58,7 +58,7 @@ class ModelConfig:
     attn_dim: int = 128
     gru_layers: int = 2
     temperature: float = 0.5
-    homogeneous: bool = False
+    homogeneous: bool = False       # no attention category maps; GRUs stay per category
     edge_noise_scale: float = 1.0   # gaussian scale on edge features
     step_noise: bool = True         # epsilon inside the residual head
 
@@ -149,14 +149,11 @@ class TrajectoryModel:
     # ---------------------------------------------------------------- decode
     def rollout(self, positions: np.ndarray, categories: np.ndarray,
                 graphs: list[InteractionGraphSample], rng: RngStream, *,
-                input_mode: str = "free_run", lam: float | None = None,
-                boundary_probe: DArray | None = None) -> DArray:
+                input_mode: str = "free_run", lam: float | None = None) -> DArray:
         """Recursive decode over the full horizon with fixed graphs.
 
         Returns (B, N, T, 2) predictions; index 0 carries the observed
-        first step. Rollouts on one stream draw identical head noise;
-        `boundary_probe` multiplies the pre-mix boundary prediction (a test
-        hook for the stop-gradient isolation check).
+        first step. Rollouts on one stream draw identical head noise.
         """
         self._check_steps(positions)
         if input_mode not in ("teacher", "free_run", "boundary"):
@@ -168,7 +165,7 @@ class TrajectoryModel:
             raise ContractError(
                 f"rollout needs {needed} window graphs, got {len(graphs)}")
         return ad.stack(self._decode(positions, categories, lambda w, _: graphs[w],
-                                     rng, input_mode, lam, boundary_probe), axis=2)
+                                     rng, input_mode, lam), axis=2)
 
     def predict_batch(self, positions: np.ndarray, categories: np.ndarray,
                       rng: RngStream, sample_mode: str = "sample",
@@ -204,14 +201,14 @@ class TrajectoryModel:
 
         with ad.no_grad():
             preds = self._decode(positions, categories, window_graph, rng,
-                                 "free_run", None, None)
+                                 "free_run", None)
         out = np.tile(positions, (rng.copies, 1, 1, 1))
         out[:, :, t_hist:] = np.stack([p.data for p in preds[t_hist:]], axis=2)
         return out, graphs
 
     def _decode(self, positions: np.ndarray, categories: np.ndarray,
                 window_graph, rng: RngStream, input_mode: str,
-                lam: float | None, boundary_probe: DArray | None) -> list[DArray]:
+                lam: float | None) -> list[DArray]:
         """The one recursive loop behind `rollout` and `predict_batch`.
 
         `window_graph(w, inputs)` returns window w's graph, given the
@@ -249,10 +246,7 @@ class TrajectoryModel:
                 # mixing corrects each future window's final prediction; the
                 # historical steps stay pure burn-in so that lam = 1 recovers
                 # the free-run rollout exactly
-                pred_b = preds[t]
-                if boundary_probe is not None:
-                    pred_b = pred_b * boundary_probe
-                x_in = mix(pred_b.detach(), truth_t, lam)
+                x_in = mix(preds[t].detach(), truth_t, lam)
             else:
                 x_in = preds[t]
             inputs.append(x_in)

@@ -7,17 +7,17 @@ import numpy as np
 from .errors import ContractError, DataError
 from .nn import ParamStore
 
+BETA1 = 0.9      # first-moment decay
+BETA2 = 0.999    # second-moment decay
+EPS = 1e-8       # guards the update's denominator
+
 
 class Adam:
     """Standard Adam with bias correction; one exclusive step at a time."""
 
-    def __init__(self, store: ParamStore, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, store: ParamStore, lr: float):
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in store.trainable_items()}
         self.v = {k: np.zeros_like(p.data) for k, p in store.trainable_items()}
@@ -27,18 +27,17 @@ class Adam:
         if missing:
             raise ContractError(f"missing gradients for: {missing[:3]}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         for name, p in self.store.trainable_items():
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         out = {"opt.t": np.array([float(self.t)])}

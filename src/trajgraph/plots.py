@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
+from .checkpoint import atomic_open
+
+SIZE = 480     # width and height of the image, in pixels
+MARGIN = 20    # blank border around the plotted points, in pixels
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#e377c2", "#17becf"]
 
@@ -18,13 +20,11 @@ def _polyline(points: np.ndarray, color: str, width: float, opacity: float = 1.0
             f'stroke-width="{width}" stroke-opacity="{opacity}"{dash}/>')
 
 
-def trajectory_svg(truth: np.ndarray, samples: list[np.ndarray], t_history: int,
-                   path, size: int = 480, margin: int = 20):
+def trajectory_svg(truth: np.ndarray, samples: list[np.ndarray], t_history: int, path):
     """Render one scene: dashed history, solid truth, faint sampled futures.
 
     truth: (N, T, 2); each sample: (N, T_f, 2), same units as truth.
     """
-    path = Path(path)
     allpts = [truth.reshape(-1, 2)] + [s.reshape(-1, 2) for s in samples]
     flat = np.concatenate(allpts)
     lo = flat.min(axis=0)
@@ -33,13 +33,13 @@ def trajectory_svg(truth: np.ndarray, samples: list[np.ndarray], t_history: int,
 
     def to_px(xy):
         scaled = (xy - lo) / span
-        return np.stack([margin + scaled[:, 0] * (size - 2 * margin),
-                         size - margin - scaled[:, 1] * (size - 2 * margin)],
+        return np.stack([MARGIN + scaled[:, 0] * (SIZE - 2 * MARGIN),
+                         SIZE - MARGIN - scaled[:, 1] * (SIZE - 2 * MARGIN)],
                         axis=1)
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-             f'height="{size}" viewBox="0 0 {size} {size}">',
-             f'<rect width="{size}" height="{size}" fill="white"/>']
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+             f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">',
+             f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>']
     n_agents = truth.shape[0]
     for i in range(n_agents):
         color = PALETTE[i % len(PALETTE)]
@@ -50,4 +50,5 @@ def trajectory_svg(truth: np.ndarray, samples: list[np.ndarray], t_history: int,
                                dashed=True))
         parts.append(_polyline(to_px(truth[i, t_history - 1:]), color, 2.0))
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
+    with atomic_open(path) as f:
+        f.write("\n".join(parts) + "\n")

@@ -42,6 +42,7 @@ STRATEGY_INPUTS = {"plain": ("free_run", None), "mixup": ("boundary", None),
                    "TF": ("teacher", None), "TF_plus": ("boundary", 0.0),
                    "GE": ("free_run", None), "GE_mixup": ("boundary", None)}
 STRATEGIES = tuple(STRATEGY_INPUTS)
+GAMMA_STRATEGIES = ("GE", "GE_mixup")   # the strategies whose loss gamma weighs
 
 
 @dataclass
@@ -91,7 +92,7 @@ class TrainConfig:
 
     @property
     def effective_gamma(self) -> float:
-        return self.gamma if self.strategy in ("GE", "GE_mixup") else 0.0
+        return self.gamma if self.strategy in GAMMA_STRATEGIES else 0.0
 
 
 @dataclass

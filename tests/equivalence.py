@@ -50,7 +50,9 @@ Once, at the `tests/test_cli.py` smoke config (prefix `cli.`): the bytes
 of every file that each step of its command-line run writes, as
 `cli.<step>.<file>`: gen-data, train (`model.ckpt`, `last.ckpt`, the
 log), train --resume from that `last.ckpt` into the same directory,
-evaluate with --export-trajectories, and analyze-graphs with --svg.
+evaluate with --export-trajectories, and analyze-graphs with --svg. Then
+the standard output of `verify-theory --trials 50 --max-nodes 4`
+(`cli.verify-theory.stdout`), which prints every theory check's result.
 
 After the fingerprints the report names the equivalence class: identical
 (bit for bit), within 1e-12 relative, or beyond, with the largest relative
@@ -188,7 +190,8 @@ def fingerprints(width: int) -> dict[str, np.ndarray]:
 
 def cli_fingerprints() -> dict[str, np.ndarray]:
     """The bytes of every file the command-line smoke run writes, step by
-    step, from whichever `trajgraph` is importable."""
+    step, and of the output of a short `verify-theory`, from whichever
+    `trajgraph` is importable."""
     from test_cli import SMOKE_INI
     from trajgraph.cli import main
 
@@ -210,6 +213,11 @@ def cli_fingerprints() -> dict[str, np.ndarray]:
                 raise RuntimeError(f"command-line step {step} failed")
             out.update({f"cli.{step}.{f.name}": np.frombuffer(f.read_bytes(), np.uint8)
                         for f in sorted(written.iterdir())})
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        if main(["verify-theory", "--trials", "50", "--max-nodes", "4"]) != 0:
+            raise RuntimeError("command-line step verify-theory failed")
+    out["cli.verify-theory.stdout"] = np.frombuffer(printed.getvalue().encode(), np.uint8)
     return out
 
 

@@ -370,9 +370,10 @@ def composed_batch_norm(bn, x, train):
     the batch-norm node; advances `bn`'s running buffers in train mode."""
     if train:
         axes = tuple(range(x.ndim - 1))
-        mean = x.mean(axis=axes, keepdims=True)
+        scale = 1.0 / (x.data.size // x.shape[-1])    # a mean over the rows
+        mean = x.sum(axis=axes, keepdims=True) * scale
         centred = x - mean
-        var = (centred * centred).mean(axis=axes, keepdims=True)
+        var = (centred * centred).sum(axis=axes, keepdims=True) * scale
         bn.run_mean.data[...] = 0.9 * bn.run_mean.data + 0.1 * mean.data.reshape(-1)
         bn.run_var.data[...] = 0.9 * bn.run_var.data + 0.1 * var.data.reshape(-1)
         xn = (x - mean) / sqrt(var + bn.eps)

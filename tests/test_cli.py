@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajgraph import cli
+from trajgraph import checkpoint, cli
 from trajgraph.autodiff import DArray
 from trajgraph.checkpoint import load_checkpoint, save_checkpoint
 from trajgraph.cli import main
@@ -15,6 +15,7 @@ from trajgraph.config import load_config
 from trajgraph.data import SyntheticConfig, load_csv
 from trajgraph.model import ModelConfig, TrajectoryModel
 from trajgraph.nn import ParamStore
+from trajgraph.plots import trajectory_svg
 from trajgraph.training import TrainConfig
 
 SMOKE_INI = """
@@ -85,6 +86,29 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg.write_text("[train]\nepochz = 3\n")
     assert main(["gen-data", "--config", str(cfg),
                  "--out", str(tmp_path / "d")]) == 1
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config file {cfg}: Is a directory"),
+    (b"[data]\nseed = 1\xff\n", "{cfg}: 'utf-8' codec can't decode byte 0xff"),
+    (b"[data]\nn_scenes = 5%\n", "[data] n_scenes: expected an integer, got '5%'"),
+    (b"[DEFAULT]\nseed = 3\n\n[data]\nn_scenes = 4\n", "{cfg}: unknown section [DEFAULT]"),
+], ids=["directory", "not_utf8", "percent", "default_section"])
+def test_config_file_the_parser_cannot_take_is_a_config_error(tmp_path, capsys,
+                                                               content, message):
+    """Read literally or not at all: no file silently gives the defaults, no
+    byte or `%` escapes as a traceback, and no [DEFAULT] key is merged into
+    every section."""
+    cfg = tmp_path / "cfg.ini"
+    if content is None:
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message.format(cfg=cfg) in err
+    assert not out.exists()
 
 
 def test_empty_config_gives_the_dataclass_defaults(tmp_path):
@@ -612,6 +636,42 @@ def test_verify_theory_takes_no_config():
     assert exc.value.code == 2   # an argparse usage error
 
 
+@pytest.mark.parametrize("cmd", ["gen-data", "train", "evaluate", "analyze-graphs",
+                                 "sweep-gamma"])
+def test_out_that_cannot_be_made_a_directory_is_a_config_error(workspace, tmp_path,
+                                                                capsys, cmd):
+    root, cfg, data, run = workspace
+    out = tmp_path / "taken"
+    out.write_text("a file")
+    argv = [cmd, "--config", str(cfg), "--out", str(out)]
+    if cmd != "gen-data":
+        argv += ["--data", str(data)]
+    if cmd in ("evaluate", "analyze-graphs"):
+        argv += ["--checkpoint", str(run / "model.ckpt")]
+    if cmd == "sweep-gamma":
+        argv += ["--gammas", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"config error: cannot create output "
+                                       f"directory {out}: File exists\n")
+    assert out.read_text() == "a file"
+
+
+def test_failed_svg_write_leaves_previous_file_and_no_temp_file(tmp_path, monkeypatch):
+    truth = np.stack([np.arange(6.0), np.arange(6.0) ** 2], axis=-1)[None]  # (1, 6, 2)
+    path = tmp_path / "scene.svg"
+    trajectory_svg(truth, [], 3, path)
+    before = path.read_bytes()
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint.os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        trajectory_svg(truth, [truth[:, 3:] + 1.0], 3, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["scene.svg"]
+
+
 def test_analyze_graphs_outputs(workspace, tmp_path):
     root, cfg, data, run = workspace
     out = tmp_path / "analysis"
@@ -637,7 +697,7 @@ def test_analyze_graphs_outputs(workspace, tmp_path):
         assert tree.getroot().tag.endswith("svg")
 
 
-def test_sweep_gamma_writes_table(workspace, tmp_path):
+def test_sweep_gamma_writes_table(workspace, tmp_path, capsys):
     root, cfg, data, _ = workspace
     out = tmp_path / "sweep"
     assert main(["sweep-gamma", "--config", str(cfg), "--data", str(data),
@@ -645,3 +705,22 @@ def test_sweep_gamma_writes_table(workspace, tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0].startswith("gamma,mean_ade,min_ade")
     assert len(lines) == 3
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == ["gamma=0.0 (GE_mixup)",
+                                                        "gamma=0.5 (GE_mixup)"]
+
+
+def test_sweep_gamma_runs_only_the_gamma_strategies(workspace, tmp_path, capsys):
+    """`--strategy` offers only GE and GE_mixup; a config file's other
+    strategy runs GE, and the printed line says so."""
+    root, cfg, data, _ = workspace
+    argv = ["sweep-gamma", "--data", str(data), "--out", str(tmp_path / "sweep"),
+            "--gammas", "0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(cfg), "--strategy", "mixup"])
+    assert exc.value.code == 2   # an argparse usage error
+    assert "invalid choice: 'mixup'" in capsys.readouterr().err
+    mixup = tmp_path / "mixup.ini"
+    mixup.write_text(SMOKE_INI.replace("strategy = GE_mixup", "strategy = mixup"))
+    assert main(argv + ["--config", str(mixup)]) == 0
+    assert capsys.readouterr().out.startswith("gamma=0.0 (GE): ")
